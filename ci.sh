@@ -505,6 +505,35 @@ if [[ $quick -eq 0 ]]; then
         }
     done
     echo "    uptime_ms=$uptime, burst peak=$peak req/s, flight record well-formed"
+
+    # Benchmark gate: benchmark/ is a package of its own that consumes
+    # the workspace's public API (dsp kernels, dasa::run, IoPlan, dassd,
+    # ingest) and checks every op against an oracle. Build it, run its
+    # tests, and run every workload once untraced and once traced at
+    # smoke size, so a break in that API — or an output that no longer
+    # matches its oracle — fails here and not in the measurement
+    # pipeline. The numbers of a --quick run mean nothing.
+    echo "==> benchmark: das_bench tests + all --quick"
+    cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+    bench_log="$(mktemp)"
+    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir" "$dasl_dir" "$dassd_dir" "$ingest_dir" "$tele_dir" "$bench_log"' EXIT
+    if ! cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+        all --quick >"$bench_log" 2>&1; then
+        echo "benchmark: das_bench all --quick failed:" >&2
+        tail -n 40 "$bench_log" >&2
+        exit 1
+    fi
+    if grep -qF '"correct": false' "$bench_log"; then
+        echo "benchmark: a das_bench run reported \"correct\": false:" >&2
+        grep -F '"correct": false' "$bench_log" | cut -c1-400 >&2
+        exit 1
+    fi
+    runs=$(grep -cF '"correct": true' "$bench_log")
+    [[ $runs -eq 8 ]] || {
+        echo "benchmark: expected 8 correct runs (4 workloads x untraced/traced), saw $runs" >&2
+        exit 1
+    }
+    echo "    $runs runs correct"
 fi
 
 echo "==> CI green"

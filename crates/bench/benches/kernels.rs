@@ -23,7 +23,7 @@ fn bench_fft(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft");
     for &n in &[1024usize, 4096, 30000] {
         // 30000 = one paper minute at 500 Hz — a non-power-of-two that
-        // exercises the Bluestein path.
+        // exercises the radix-3 and radix-5 passes.
         let x = signal(n);
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::from_parameter(n), &x, |b, x| {

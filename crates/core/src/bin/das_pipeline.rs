@@ -20,7 +20,9 @@
 //! clause lowers into the same chunk-granular [`IoPlan`] every other
 //! read path uses (`-d` overrides the corpus it names), and the
 //! register VM executes the result through the same engine. Compile
-//! errors render as caret diagnostics and exit with status 2.
+//! errors render as caret diagnostics and exit with status 2, as does
+//! a program or analysis the selected data cannot satisfy (a `bandpass`
+//! over rows too short to filter, a master channel out of range).
 //!
 //! With `--metrics` the full observability snapshot (stage spans,
 //! `dasf.*` I/O counters, `minimpi.*` message counters) is rendered to
@@ -596,7 +598,13 @@ fn main() -> ExitCode {
                 let _ = emit_metrics(dest, None);
             }
             eprintln!("das_pipeline: {e}");
-            ExitCode::FAILURE
+            match e {
+                // the request itself is wrong (a window the pipeline
+                // cannot filter, a master channel out of range, …): the
+                // same status as a bad flag or a compile error
+                dassa::DassaError::BadSelection(_) => ExitCode::from(2),
+                _ => ExitCode::FAILURE,
+            }
         }
     }
 }

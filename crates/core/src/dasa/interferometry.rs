@@ -17,11 +17,10 @@
 //! hybrid execution that Figure 8 measures.
 
 use super::haee::Haee;
+use super::rows::{chain_out_len, RowFft, RowKernel, RowScratch};
 use crate::{DassaError, Result};
 use arrayudf::{dist, Array2};
-use dsp::{
-    abscorr_complex, butter, detrend, fft_real, filtfilt, ifft, resample, Complex, FilterBand,
-};
+use dsp::{abscorr_complex, butter, fft_real, ifft, Complex, FiltFilt, FilterBand, Resampler};
 use minimpi::Comm;
 use omp::SharedSlice;
 
@@ -68,13 +67,28 @@ impl MasterSpectrum {
     }
 }
 
+impl InterferometryParams {
+    /// The pre-processing stages shared by master and ordinary channels
+    /// — detrend → zero-phase bandpass → resample — prepared once: the
+    /// Butterworth design, the filter's initial state and the resampling
+    /// FIR do not depend on the row.
+    fn chain(&self) -> [RowKernel; 3] {
+        let (b, a) = butter(
+            self.filter_order,
+            FilterBand::Bandpass(self.band.0, self.band.1),
+        );
+        [
+            RowKernel::Detrend,
+            RowKernel::Filtfilt(FiltFilt::new(&b, &a)),
+            RowKernel::Resample(Resampler::new(self.resample_p, self.resample_q)),
+        ]
+    }
+}
+
 /// Pre-processing stages shared by master and ordinary channels:
 /// detrend → zero-phase bandpass → resample.
 pub fn preprocess_channel(x: &[f64], p: &InterferometryParams) -> Vec<f64> {
-    let detrended = detrend(x);
-    let (b, a) = butter(p.filter_order, FilterBand::Bandpass(p.band.0, p.band.1));
-    let filtered = filtfilt(&b, &a, &detrended);
-    resample(&filtered, p.resample_p, p.resample_q)
+    RowScratch::default().run(x, &p.chain()).to_vec()
 }
 
 /// Compute `Mfft` from the master channel's raw time series.
@@ -84,11 +98,43 @@ pub fn prepare_master(raw_master: &[f64], p: &InterferometryParams) -> MasterSpe
     }
 }
 
-/// Algorithm 3's per-channel UDF: pre-process, FFT, correlate with the
-/// master spectrum. Returns `|cos θ|` between the two spectra.
-pub fn interferometry_udf(raw: &[f64], master: &MasterSpectrum, p: &InterferometryParams) -> f64 {
-    let spectrum = fft_real(&preprocess_channel(raw, p));
-    abscorr_complex(&spectrum, &master.spectrum)
+/// Algorithm 3's per-channel UDF — pre-process, FFT, `|cos θ|` against
+/// the master spectrum — over every row of `data` with the hybrid
+/// engine's threads, each holding one scratch set and one FFT plan for
+/// the whole region. `master_row`, when the master channel is a row of
+/// `data`, is scored from the master spectrum itself instead of being
+/// pre-processed and transformed a second time.
+pub(super) fn score_rows(
+    data: &Array2<f64>,
+    chain: &[RowKernel],
+    master: &MasterSpectrum,
+    master_row: Option<usize>,
+    haee: &Haee,
+) -> Vec<f64> {
+    let out: SharedSlice<f64> = SharedSlice::zeroed(data.rows());
+    omp::parallel(haee.threads_per_process, |ctx| {
+        let mut rows = RowScratch::default();
+        let mut fft = RowFft::new(master.spectrum.len());
+        ctx.for_static(0..data.rows(), |ch| {
+            let v = if Some(ch) == master_row {
+                abscorr_complex(&master.spectrum, &master.spectrum)
+            } else {
+                let spectrum = fft.spectrum(rows.run(data.row(ch), chain));
+                abscorr_complex(spectrum, &master.spectrum)
+            };
+            // SAFETY: static schedule gives each channel to one thread.
+            unsafe { out.write(ch, v) };
+        });
+    });
+    out.into_vec()
+}
+
+/// `Mfft` of one raw row through an already prepared chain.
+pub(super) fn master_spectrum(raw: &[f64], chain: &[RowKernel], n_out: usize) -> MasterSpectrum {
+    let mut rows = RowScratch::default();
+    MasterSpectrum {
+        spectrum: RowFft::new(n_out).spectrum(rows.run(raw, chain)).to_vec(),
+    }
 }
 
 /// Run the interferometry pipeline over every channel with the hybrid
@@ -108,21 +154,21 @@ pub fn interferometry(
             data.rows()
         )));
     }
+    let chain = params.chain();
+    let n_out = chain_out_len(&chain, data.cols())?;
     let _root = obs::span("interferometry");
     let master = {
         let _span = obs::span("prepare_master");
-        prepare_master(data.row(params.master_channel), params)
+        master_spectrum(data.row(params.master_channel), &chain, n_out)
     };
     let _span = obs::span("apply");
-    let out: SharedSlice<f64> = SharedSlice::zeroed(data.rows());
-    omp::parallel(haee.threads_per_process, |ctx| {
-        ctx.for_static(0..data.rows(), |ch| {
-            let v = interferometry_udf(data.row(ch), &master, params);
-            // SAFETY: static schedule gives each channel to one thread.
-            unsafe { out.write(ch, v) };
-        });
-    });
-    Ok(out.into_vec())
+    Ok(score_rows(
+        data,
+        &chain,
+        &master,
+        Some(params.master_channel),
+        haee,
+    ))
 }
 
 /// Distributed variant. The master channel lives on the rank that owns
@@ -148,25 +194,14 @@ pub fn interferometry_dist(
                 params.master_channel
             ))
         })?;
-    let payload = if comm.rank() == owner {
-        let local_row = params.master_channel - own.start;
-        Some(prepare_master(local.row(local_row), params).spectrum)
-    } else {
-        None
-    };
+    let chain = params.chain();
+    let n_out = chain_out_len(&chain, local.cols())?;
+    let master_row = (comm.rank() == owner).then(|| params.master_channel - own.start);
+    let payload = master_row.map(|row| master_spectrum(local.row(row), &chain, n_out).spectrum);
     let master = MasterSpectrum {
         spectrum: comm.bcast(owner, payload),
     };
-
-    let out: SharedSlice<f64> = SharedSlice::zeroed(local.rows());
-    omp::parallel(haee.threads_per_process, |ctx| {
-        ctx.for_static(0..local.rows(), |ch| {
-            let v = interferometry_udf(local.row(ch), &master, params);
-            // SAFETY: static schedule assigns each channel to one thread.
-            unsafe { out.write(ch, v) };
-        });
-    });
-    Ok(out.into_vec())
+    Ok(score_rows(local, &chain, &master, master_row, haee))
 }
 
 /// Time-domain cross-correlation of a channel with the master — the
@@ -237,12 +272,17 @@ mod tests {
     }
 
     #[test]
-    fn master_self_correlation_is_one() {
-        let p = params();
+    fn copy_of_the_master_correlates_to_one() {
+        // Row 1 goes through the whole per-row path (row 0, the master,
+        // is scored from its own spectrum).
         let x = channel_signal(0, 600, true);
-        let master = prepare_master(&x, &p);
-        let c = interferometry_udf(&x, &master, &p);
-        assert!((c - 1.0).abs() < 1e-9, "self-correlation = {c}");
+        let data = Array2::from_vec(2, 600, [x.clone(), x].concat());
+        let scores = interferometry(&data, &params(), &Haee::builder().threads(1).build()).unwrap();
+        assert!(
+            (scores[1] - 1.0).abs() < 1e-9,
+            "self-correlation = {}",
+            scores[1]
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@
 
 use super::haee::Haee;
 use arrayudf::{apply_mt, dist, Array2, Ghost, Stencil, Stride};
-use dsp::abscorr;
+use dsp::{abscorr_with_energy, energy};
 use minimpi::Comm;
+use std::borrow::Cow;
 
 /// Parameters of Algorithm 2.
 ///
@@ -67,16 +68,27 @@ pub fn local_simi_udf(s: &Stencil<f64>, p: &LocalSimiParams) -> f64 {
     let m = p.half_window as isize;
     let k = p.channel_offset as isize;
     let l_half = p.search_half as isize;
-    let w = s.window(-m, m, 0);
+    let w = window(s, -m, m, 0);
+    // W meets every lagged neighbour window: its energy is summed once.
+    let w_energy = energy(&w);
     let mut c_plus = 0.0f64;
     let mut c_minus = 0.0f64;
     for l in -l_half..=l_half {
-        let w1 = s.window(l - m, l + m, k);
-        let w2 = s.window(l - m, l + m, -k);
-        c_plus = c_plus.max(abscorr(&w, &w1));
-        c_minus = c_minus.max(abscorr(&w, &w2));
+        let w1 = window(s, l - m, l + m, k);
+        let w2 = window(s, l - m, l + m, -k);
+        c_plus = c_plus.max(abscorr_with_energy(&w, w_energy, &w1));
+        c_minus = c_minus.max(abscorr_with_energy(&w, w_energy, &w2));
     }
     0.5 * (c_plus + c_minus)
+}
+
+/// `S(t_lo : t_hi, dc)`: borrowed from the array wherever the window lies
+/// inside it, copied with edge clamping only at the array's borders.
+fn window<'a>(s: &Stencil<'a, f64>, t_lo: isize, t_hi: isize, dc: isize) -> Cow<'a, [f64]> {
+    match s.window_slice(t_lo, t_hi, dc) {
+        Some(slice) => Cow::Borrowed(slice),
+        None => Cow::Owned(s.window(t_lo, t_hi, dc)),
+    }
 }
 
 /// Run local similarity over a full `channel × time` array with the

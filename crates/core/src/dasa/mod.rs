@@ -9,6 +9,7 @@ mod haee;
 mod interferometry;
 mod local_similarity;
 pub mod qc;
+mod rows;
 mod run;
 mod stacking;
 mod vm;

@@ -14,11 +14,10 @@
 //! dimension may be produced" during stacking).
 
 use super::haee::Haee;
+use super::rows::{chain_out_len, RowFft, RowKernel, RowScratch};
 use crate::{DassaError, Result};
 use arrayudf::{Array2, Array3};
-use dsp::{
-    butter, detrend, filtfilt, ifft_real, one_bit, running_abs_mean, whiten, Complex, FilterBand,
-};
+use dsp::{butter, Complex, FiltFilt, FilterBand, Whitener};
 use omp::SharedSlice;
 
 /// Temporal normalization applied to each window before correlation.
@@ -76,20 +75,31 @@ impl StackingParams {
     }
 }
 
-/// Pre-process one window: detrend → bandpass → temporal norm → whiten.
-fn prepare_window(x: &[f64], p: &StackingParams) -> Vec<f64> {
-    let detrended = detrend(x);
-    let (b, a) = butter(p.filter_order, FilterBand::Bandpass(p.band.0, p.band.1));
-    let mut w = filtfilt(&b, &a, &detrended);
-    w = match p.time_norm {
-        TimeNorm::None => w,
-        TimeNorm::OneBit => one_bit(&w),
-        TimeNorm::RunningAbsMean(half) => running_abs_mean(&w, half),
-    };
-    if p.whiten {
-        w = whiten(&w, p.band.0, p.band.1, (p.band.0 / 2.0).max(1e-3));
+impl StackingParams {
+    /// A window's preparation — detrend → bandpass → temporal norm →
+    /// whiten — with everything that does not depend on the window
+    /// (filter design and initial state, whitening weights) done once.
+    fn chain(&self) -> Vec<RowKernel> {
+        let (b, a) = butter(
+            self.filter_order,
+            FilterBand::Bandpass(self.band.0, self.band.1),
+        );
+        let mut chain = vec![
+            RowKernel::Detrend,
+            RowKernel::Filtfilt(FiltFilt::new(&b, &a)),
+        ];
+        match self.time_norm {
+            TimeNorm::None => {}
+            TimeNorm::OneBit => chain.push(RowKernel::OneBit),
+            TimeNorm::RunningAbsMean(half) => chain.push(RowKernel::RunningAbsMean(half)),
+        }
+        if self.whiten {
+            let taper = (self.band.0 / 2.0).max(1e-3);
+            let whitener = Whitener::new(self.window, self.band.0, self.band.1, taper);
+            chain.push(RowKernel::Whiten(whitener));
+        }
+        chain
     }
-    w
 }
 
 /// The result of stacking one channel against the master.
@@ -143,58 +153,100 @@ impl StackedCorrelation {
 pub struct MasterWindows {
     spectra: Vec<Vec<Complex>>,
     params: StackingParams,
+    chain: Vec<RowKernel>,
+}
+
+/// One thread's buffers for correlating windows against a master.
+struct WindowCorrelator {
+    rows: RowScratch,
+    fft: RowFft,
+    corr: Vec<f64>,
+}
+
+impl WindowCorrelator {
+    fn new(window: usize) -> WindowCorrelator {
+        WindowCorrelator {
+            rows: RowScratch::default(),
+            fft: RowFft::new(window),
+            corr: vec![0.0; window],
+        }
+    }
+
+    /// Circular cross-correlation `IFFT(M* · S)` of every window of
+    /// `raw` with the matching master window, handed to `sink` as
+    /// `(window index, correlation)` with zero lag at index 0.
+    fn correlate(
+        &mut self,
+        raw: &[f64],
+        master: &MasterWindows,
+        mut sink: impl FnMut(usize, &[f64]),
+    ) {
+        let p = &master.params;
+        let n_win = p.n_windows(raw.len()).min(master.spectra.len());
+        for (w, mspec) in master.spectra[..n_win].iter().enumerate() {
+            let window = &raw[w * p.hop..w * p.hop + p.window];
+            let spec = self.fft.spectrum(self.rows.run(window, &master.chain));
+            for (s, &m) in spec.iter_mut().zip(mspec) {
+                *s = m.conj() * *s;
+            }
+            self.fft.inverse_real_into(&mut self.corr);
+            sink(w, &self.corr);
+        }
+    }
+
+    /// Mean over windows of [`correlate`](Self::correlate), zero lag at
+    /// the centre.
+    fn stack(&mut self, raw: &[f64], master: &MasterWindows) -> StackedCorrelation {
+        let len = master.params.window;
+        let mut stack = vec![0.0f64; len];
+        let mut n_windows = 0;
+        self.correlate(raw, master, |_, corr| {
+            // fftshift: zero lag at the centre, then accumulate.
+            for (i, v) in corr.iter().enumerate() {
+                stack[(i + len / 2) % len] += v;
+            }
+            n_windows += 1;
+        });
+        if n_windows > 0 {
+            let scale = 1.0 / n_windows as f64;
+            for v in &mut stack {
+                *v *= scale;
+            }
+        }
+        StackedCorrelation { stack, n_windows }
+    }
+}
+
+fn try_prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> Result<MasterWindows> {
+    let chain = p.chain();
+    chain_out_len(&chain, p.window)?;
+    let (mut rows, mut fft) = (RowScratch::default(), RowFft::new(p.window));
+    let spectra = (0..p.n_windows(master_raw.len()))
+        .map(|w| {
+            let window = &master_raw[w * p.hop..w * p.hop + p.window];
+            fft.spectrum(rows.run(window, &chain)).to_vec()
+        })
+        .collect();
+    Ok(MasterWindows {
+        spectra,
+        params: *p,
+        chain,
+    })
 }
 
 /// Prepare every window of the master channel.
+///
+/// # Panics
+/// Panics when the window is too short for the zero-phase filter
+/// (`3·2·filter_order` samples or fewer); [`stacked_interferometry`]
+/// reports that as an error instead.
 pub fn prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> MasterWindows {
-    let n_win = p.n_windows(master_raw.len());
-    let spectra = (0..n_win)
-        .map(|w| {
-            let start = w * p.hop;
-            let prepared = prepare_window(&master_raw[start..start + p.window], p);
-            dsp::fft_real(&prepared)
-        })
-        .collect();
-    MasterWindows {
-        spectra,
-        params: *p,
-    }
+    try_prepare_master_windows(master_raw, p).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Stack one channel against the prepared master windows.
 pub fn stack_channel(raw: &[f64], master: &MasterWindows) -> StackedCorrelation {
-    let p = &master.params;
-    let n_win = p.n_windows(raw.len()).min(master.spectra.len());
-    let len = p.window;
-    let mut stack = vec![0.0f64; len];
-    for w in 0..n_win {
-        let start = w * p.hop;
-        let prepared = prepare_window(&raw[start..start + len], p);
-        let spec = dsp::fft_real(&prepared);
-        let mspec = &master.spectra[w];
-        // Circular cross-correlation via IFFT(M* · S).
-        let prod: Vec<Complex> = mspec
-            .iter()
-            .zip(&spec)
-            .map(|(&m, &s)| m.conj() * s)
-            .collect();
-        let corr = ifft_real(&prod);
-        // fftshift: zero lag at the centre, then accumulate.
-        for (i, v) in corr.iter().enumerate() {
-            let shifted = (i + len / 2) % len;
-            stack[shifted] += v;
-        }
-    }
-    if n_win > 0 {
-        let scale = 1.0 / n_win as f64;
-        for v in &mut stack {
-            *v *= scale;
-        }
-    }
-    StackedCorrelation {
-        stack,
-        n_windows: n_win,
-    }
+    WindowCorrelator::new(master.params.window).stack(raw, master)
 }
 
 /// Run the stacked pipeline over every channel of `data` with HAEE
@@ -228,7 +280,7 @@ pub fn stacked_interferometry(
     let _root = obs::span("stacking");
     let master = {
         let _span = obs::span("prepare_master");
-        prepare_master_windows(data.row(params.master_channel), params)
+        try_prepare_master_windows(data.row(params.master_channel), params)?
     };
     let _span = obs::span("apply");
     let placeholder = StackedCorrelation {
@@ -238,8 +290,9 @@ pub fn stacked_interferometry(
     let out: SharedSlice<StackedCorrelation> =
         SharedSlice::from_vec(vec![placeholder; data.rows()]);
     omp::parallel(haee.threads_per_process, |ctx| {
+        let mut correlator = WindowCorrelator::new(params.window);
         ctx.for_static(0..data.rows(), |ch| {
-            let r = stack_channel(data.row(ch), &master);
+            let r = correlator.stack(data.row(ch), &master);
             // SAFETY: static schedule assigns each channel to one thread.
             unsafe { out.write(ch, r) };
         });
@@ -273,30 +326,21 @@ pub fn stacked_interferometry_3d(
             "invalid window/hop for this record length".into(),
         ));
     }
-    let master = prepare_master_windows(data.row(params.master_channel), params);
+    let master = try_prepare_master_windows(data.row(params.master_channel), params)?;
     let n_win = master.spectra.len();
     let len = params.window;
     let volume: SharedSlice<f64> = SharedSlice::zeroed(data.rows() * len * n_win);
     omp::parallel(haee.threads_per_process, |ctx| {
+        let mut correlator = WindowCorrelator::new(len);
         ctx.for_static(0..data.rows(), |ch| {
-            let raw = data.row(ch);
-            for w in 0..n_win.min(params.n_windows(raw.len())) {
-                let start = w * params.hop;
-                let prepared = prepare_window(&raw[start..start + len], params);
-                let spec = dsp::fft_real(&prepared);
-                let prod: Vec<Complex> = master.spectra[w]
-                    .iter()
-                    .zip(&spec)
-                    .map(|(&m, &s)| m.conj() * s)
-                    .collect();
-                let corr = dsp::ifft_real(&prod);
+            correlator.correlate(data.row(ch), &master, |w, corr| {
                 for (i, v) in corr.iter().enumerate() {
                     let lag = (i + len / 2) % len; // fftshift
                                                    // SAFETY: (ch, lag, w) cells are owned by this thread
                                                    // (channels are statically partitioned).
                     unsafe { volume.write((ch * len + lag) * n_win + w, *v) };
                 }
-            }
+            });
         });
     });
     Ok(Array3::from_vec(data.rows(), len, n_win, volume.into_vec()))

@@ -11,9 +11,9 @@
 //!   executor as every other read path);
 //! * `apply` runs its fused kernel list over every channel row in one
 //!   thread-parallel pass — `detrend | bandpass(..) | resample(..)`
-//!   touches each row once, issuing exactly the [`dsp`] calls that
-//!   [`preprocess_channel`](super::interferometry::preprocess_channel)
-//!   would, so results are bit-identical to the hand-wired pipeline;
+//!   touches each row once, through the same prepared kernels and
+//!   per-thread scratch ([`rows`](super::rows)) the hand-wired
+//!   interferometry uses, so results are bit-identical to it;
 //! * `xcorr` / `localsim` / `stack` delegate to the flagship analyses.
 //!
 //! Each `apply` with `k > 1` kernels bumps the `dasl.fused_stages`
@@ -21,16 +21,15 @@
 //! CI gates on.
 
 use super::haee::Haee;
+use super::interferometry::{master_spectrum, score_rows};
 use super::local_similarity::{local_similarity, LocalSimiParams};
+use super::rows::{chain_out_len, RowKernel, RowScratch};
 use super::run::{AnalysisOutput, Job};
 use super::stacking::{stacked_interferometry, StackingParams};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use dasl::{Const, Instr, Kernel, Program};
-use dsp::{
-    abscorr_complex, butter, detrend, detrend_constant, fft_real, filtfilt, one_bit, resample,
-    FilterBand,
-};
+use dsp::{butter, FiltFilt, FilterBand, Resampler};
 use omp::SharedSlice;
 use std::borrow::Cow;
 
@@ -72,36 +71,15 @@ impl Job for BoundProgram<'_> {
     }
 }
 
-/// A kernel with its compile-once state (filter coefficients) ready for
-/// per-row application.
-enum PreparedKernel {
-    Detrend,
-    Demean,
-    OneBit,
-    Filtfilt { b: Vec<f64>, a: Vec<f64> },
-    Resample { p: usize, q: usize },
-}
-
-impl PreparedKernel {
-    fn apply(&self, x: Vec<f64>) -> Vec<f64> {
-        match self {
-            PreparedKernel::Detrend => detrend(&x),
-            PreparedKernel::Demean => detrend_constant(&x),
-            PreparedKernel::OneBit => one_bit(&x),
-            PreparedKernel::Filtfilt { b, a } => filtfilt(b, a, &x),
-            PreparedKernel::Resample { p, q } => resample(&x, *p, *q),
-        }
-    }
-}
-
 /// Normalize and validate a kernel against the sampling rate: bandpass
 /// corners, written in Hz, become fractions of Nyquist; the Butterworth
-/// design runs once per `apply`, not once per row.
-fn prepare_kernel(k: &Kernel, sampling_hz: f64) -> Result<PreparedKernel> {
+/// design, the filter's initial state and the resampling FIR are
+/// computed once per `apply`, not once per row.
+fn prepare_kernel(k: &Kernel, sampling_hz: f64) -> Result<RowKernel> {
     match k {
-        Kernel::Detrend => Ok(PreparedKernel::Detrend),
-        Kernel::Demean => Ok(PreparedKernel::Demean),
-        Kernel::OneBit => Ok(PreparedKernel::OneBit),
+        Kernel::Detrend => Ok(RowKernel::Detrend),
+        Kernel::Demean => Ok(RowKernel::Demean),
+        Kernel::OneBit => Ok(RowKernel::OneBit),
         Kernel::Bandpass {
             lo_hz,
             hi_hz,
@@ -116,9 +94,9 @@ fn prepare_kernel(k: &Kernel, sampling_hz: f64) -> Result<PreparedKernel> {
                 )));
             }
             let (b, a) = butter(*order, FilterBand::Bandpass(lo, hi));
-            Ok(PreparedKernel::Filtfilt { b, a })
+            Ok(RowKernel::Filtfilt(FiltFilt::new(&b, &a)))
         }
-        Kernel::Resample { p, q } => Ok(PreparedKernel::Resample { p: *p, q: *q }),
+        Kernel::Resample { p, q } => Ok(RowKernel::Resample(Resampler::new(*p, *q))),
     }
 }
 
@@ -175,23 +153,19 @@ pub fn execute(
                 let _span = obs::span("dasl.apply");
                 let input = take(&mut regs, src)?;
                 let wave = input.wave("apply")?;
-                let chain: Vec<Kernel> = kernels
+                let chain: Vec<RowKernel> = kernels
                     .iter()
                     .map(|&k| match const_at(program, k, "apply")? {
-                        Const::Kernel(kernel) => Ok(kernel.clone()),
+                        Const::Kernel(kernel) => prepare_kernel(kernel, sampling_hz),
                         _ => Err(bad_const("apply", k)),
                     })
-                    .collect::<Result<_>>()?;
-                let prepared: Vec<PreparedKernel> = chain
-                    .iter()
-                    .map(|k| prepare_kernel(k, sampling_hz))
                     .collect::<Result<_>>()?;
                 if chain.len() > 1 {
                     obs::global()
                         .counter("dasl.fused_stages")
                         .add(chain.len() as u64 - 1);
                 }
-                let out = fused_pass(wave, &prepared, &chain, haee)?;
+                let out = fused_pass(wave, &chain, haee)?;
                 regs[dst as usize] = Some(Value::Wave(Cow::Owned(out)));
             }
             Instr::Xcorr { dst, src, master } => {
@@ -258,50 +232,30 @@ fn bad_const(what: &str, idx: u8) -> DassaError {
 }
 
 /// Run the fused kernel chain over every channel row in one
-/// thread-parallel pass. The output row length is computed analytically
-/// from [`Kernel::out_len`], so the output array is allocated once and
-/// rows are written in place.
-fn fused_pass(
-    wave: &Array2<f64>,
-    prepared: &[PreparedKernel],
-    kernels: &[Kernel],
-    haee: &Haee,
-) -> Result<Array2<f64>> {
-    let n_in = wave.cols();
-    let n_out = kernels.iter().fold(n_in, |n, k| k.out_len(n));
+/// thread-parallel pass. The output row length — and whether every
+/// `bandpass` stage gets rows long enough to filter — is known from the
+/// chain before any row runs, so the output array is allocated once and
+/// each thread's rows go through one [`RowScratch`].
+fn fused_pass(wave: &Array2<f64>, chain: &[RowKernel], haee: &Haee) -> Result<Array2<f64>> {
+    let n_out = chain_out_len(chain, wave.cols())?;
     let rows = wave.rows();
     let flat: SharedSlice<f64> = SharedSlice::zeroed(rows * n_out);
-    let first_err: SharedSlice<usize> = SharedSlice::zeroed(1);
     omp::parallel(haee.threads_per_process, |ctx| {
+        let mut scratch = RowScratch::default();
         ctx.for_static(0..rows, |ch| {
-            let mut x = wave.row(ch).to_vec();
-            for k in prepared {
-                x = k.apply(x);
-            }
-            if x.len() == n_out {
-                // SAFETY: static schedule gives each row range to exactly
-                // one thread.
-                unsafe { flat.write_slice(ch * n_out, &x) };
-            } else {
-                // SAFETY: last-writer-wins on a diagnostic flag is fine.
-                unsafe { first_err.write(0, ch + 1) };
-            }
+            let out = scratch.run(wave.row(ch), chain);
+            // SAFETY: static schedule gives each row range to exactly
+            // one thread.
+            unsafe { flat.write_slice(ch * n_out, out) };
         });
     });
-    let bad = unsafe { first_err.read(0) };
-    if bad != 0 {
-        return Err(DassaError::BadSelection(format!(
-            "kernel chain produced an unexpected row length on channel {} \
-             (expected {n_out} samples)",
-            bad - 1
-        )));
-    }
     Ok(Array2::from_vec(rows, n_out, flat.into_vec()))
 }
 
 /// Per-channel spectral correlation against the master channel — the
 /// back half of Algorithm 3, applied to rows that the preceding `apply`
-/// already pre-processed.
+/// already pre-processed. The master's own row reuses the master
+/// spectrum instead of transforming it a second time.
 fn xcorr(wave: &Array2<f64>, master: usize, haee: &Haee) -> Result<Vec<f64>> {
     if master >= wave.rows() {
         return Err(DassaError::BadSelection(format!(
@@ -309,17 +263,9 @@ fn xcorr(wave: &Array2<f64>, master: usize, haee: &Haee) -> Result<Vec<f64>> {
             wave.rows()
         )));
     }
-    let master_spectrum = fft_real(wave.row(master));
-    let out: SharedSlice<f64> = SharedSlice::zeroed(wave.rows());
-    omp::parallel(haee.threads_per_process, |ctx| {
-        ctx.for_static(0..wave.rows(), |ch| {
-            let spectrum = fft_real(wave.row(ch));
-            let v = abscorr_complex(&spectrum, &master_spectrum);
-            // SAFETY: static schedule gives each channel to one thread.
-            unsafe { out.write(ch, v) };
-        });
-    });
-    Ok(out.into_vec())
+    // the rows are already pre-processed: an empty chain
+    let spectrum = master_spectrum(wave.row(master), &[], wave.cols());
+    Ok(score_rows(wave, &[], &spectrum, Some(master), haee))
 }
 
 #[cfg(test)]
@@ -387,6 +333,67 @@ mod tests {
         // 80 Hz corner on 100 Hz data (Nyquist 50) must fail.
         let err = execute(&program, 100.0, &data, &haee).unwrap_err();
         assert!(err.to_string().contains("Nyquist"), "{err}");
+    }
+
+    /// `filtfilt` reflects 3·(max(len a, len b) − 1) samples onto each
+    /// end and panics on a row that is not longer; the VM knows every
+    /// intermediate row length before the first row runs.
+    #[test]
+    fn bandpass_over_rows_too_short_to_filter_is_a_typed_error() {
+        let haee = Haee::builder().threads(2).build();
+        // 500 samples at 500 Hz, 50:1 → 10 samples into an order-4
+        // bandpass (9 coefficients → 24 reflected samples)
+        let program = dasl::compile("load(\"c\") | resample(50) | bandpass(1, 4)").unwrap();
+        let err = execute(&program, 500.0, &signal(4, 500), &haee).unwrap_err();
+        assert!(matches!(err, DassaError::BadSelection(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("stage 2") && msg.contains("24") && msg.contains("got 10"),
+            "{msg}"
+        );
+        // the boundary: 24 samples is too short, 25 filters
+        let program = dasl::compile("load(\"c\") | bandpass(1, 4)").unwrap();
+        assert!(execute(&program, 500.0, &signal(2, 24), &haee).is_err());
+        let out = execute(&program, 500.0, &signal(2, 25), &haee).unwrap();
+        assert_eq!(out.as_map().unwrap().cols(), 25);
+        // the hand-wired pipelines share the check
+        let p = InterferometryParams::default();
+        assert!(matches!(
+            interferometry(&signal(2, 24), &p, &haee),
+            Err(DassaError::BadSelection(_))
+        ));
+        let program = dasl::compile("load(\"c\") | stack(window=8, hop=8)").unwrap();
+        assert!(matches!(
+            execute(&program, 500.0, &signal(2, 64), &haee),
+            Err(DassaError::BadSelection(_))
+        ));
+    }
+
+    #[test]
+    fn xcorr_scores_the_master_row_like_any_other() {
+        // the master's row reuses the master spectrum; a copy of the
+        // master elsewhere goes through the per-row transform — same score
+        let row: Vec<f64> = (0..300).map(|t| (t as f64 * 0.07).sin()).collect();
+        let data = Array2::from_vec(
+            3,
+            300,
+            [row.clone(), signal(1, 300).into_vec(), row].concat(),
+        );
+        let haee = Haee::builder().threads(2).build();
+        let program = dasl::compile("load(\"c\") | xcorr(master=ch[0])").unwrap();
+        let out = execute(&program, 100.0, &data, &haee).unwrap();
+        let scores = out.as_scores().unwrap();
+        assert_eq!(scores[0].to_bits(), scores[2].to_bits());
+        assert!((scores[0] - 1.0).abs() < 1e-12 && scores[1] < 0.99);
+        // no columns: no energy, every score 0
+        let empty = Array2::from_vec(2, 0, Vec::new());
+        assert_eq!(
+            execute(&program, 100.0, &empty, &haee)
+                .unwrap()
+                .as_scores()
+                .unwrap(),
+            [0.0, 0.0]
+        );
     }
 
     #[test]

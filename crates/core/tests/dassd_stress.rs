@@ -234,3 +234,59 @@ fn errors_are_typed_and_connection_survives() {
     assert_eq!(snap.counter("dassd.eval.requests"), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A program whose rows are too short for its `bandpass` (or whose
+/// `stack` window is too short for the stacking filter) used to panic
+/// the pool worker inside `filtfilt`. It must come back as a typed
+/// `bad_request` on the same connection, and every worker must still
+/// serve afterwards.
+#[test]
+fn unfilterable_rows_are_a_typed_error_and_every_worker_survives() {
+    // 1200 samples a minute = 20 Hz: one second is 20 samples, fewer
+    // than the 24 an order-4 bandpass reflects onto each end.
+    let (dir, expected) = build_dataset(2, 4, SAMPLES, 33);
+    let server = Server::start(
+        &dir,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    // one connection per worker, both held open while they fail
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    let hostile = [
+        "load(\"corpus\", t=0..1) | bandpass(1, 4)",
+        "load(\"corpus\") | stack(window=8, hop=8)",
+    ];
+    for client in &mut clients {
+        for src in hostile {
+            match client.eval(src) {
+                Err(ClientError::Server { kind, message }) => {
+                    assert_eq!(kind, dassa::dassd::ErrorKind::BadRequest, "{message}");
+                    assert!(message.contains("24"), "{message}");
+                }
+                other => panic!("expected a typed bad_request for `{src}`, got {other:?}"),
+            }
+        }
+    }
+    let golden = Array2::from_fn(2, 100, |r, c| expected.get(1 + r, 50 + c));
+    for client in &mut clients {
+        assert_eq!(client.read_region(1..3, 50..150).expect("read"), golden);
+    }
+    // …and once those two hang up, two new connections, open at the
+    // same time, each find a worker
+    drop(clients);
+    let mut late: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    for client in &mut late {
+        assert_eq!(client.read_region(1..3, 50..150).expect("read"), golden);
+    }
+    drop(late);
+    let snap = server.stop();
+    assert_eq!(snap.counter("dassd.errors"), 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}

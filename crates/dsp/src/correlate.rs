@@ -7,7 +7,7 @@
 //! [`xcorr_fft`].
 
 use crate::complex::Complex;
-use crate::fft::{fft, ifft, next_pow2};
+use crate::fft::{next_fast_len, plan};
 
 /// Absolute normalized correlation `|cos θ| = |⟨c1, c2⟩| / (‖c1‖·‖c2‖)`.
 ///
@@ -18,13 +18,25 @@ use crate::fft::{fft, ifft, next_pow2};
 /// # Panics
 /// Panics when lengths differ.
 pub fn abscorr(c1: &[f64], c2: &[f64]) -> f64 {
+    abscorr_with_energy(c1, energy(c1), c2)
+}
+
+/// `‖c‖² = Σ c[i]²`, summed in index order.
+pub fn energy(c: &[f64]) -> f64 {
+    c.iter().fold(0.0, |acc, &v| acc + v * v)
+}
+
+/// [`abscorr`] for a caller that correlates one window `c1` against many
+/// and computed `n1 = energy(c1)` once; the same bits as `abscorr`.
+///
+/// # Panics
+/// Panics when lengths differ.
+pub fn abscorr_with_energy(c1: &[f64], n1: f64, c2: &[f64]) -> f64 {
     assert_eq!(c1.len(), c2.len(), "abscorr requires equal-length windows");
     let mut dot = 0.0;
-    let mut n1 = 0.0;
     let mut n2 = 0.0;
     for (&a, &b) in c1.iter().zip(c2) {
         dot += a * b;
-        n1 += a * a;
         n2 += b * b;
     }
     if n1 == 0.0 || n2 == 0.0 {
@@ -63,33 +75,35 @@ pub enum CorrMode {
 /// Cross-correlation `r[k] = Σ x[i] · y[i + k]` computed via FFT.
 ///
 /// This is the frequency-domain path DASSA uses for the ambient-noise
-/// cross-correlation: `IFFT(FFT(x)* · FFT(y))`, zero-padded to avoid
-/// circular wrap-around.
+/// cross-correlation: `IFFT(FFT(x)* · FFT(y))`, zero-padded to a fast
+/// length that avoids circular wrap-around. Both inputs and the result
+/// are real, so it is two real-input transforms and one real-output
+/// inverse through one plan.
 pub fn xcorr_fft(x: &[f64], y: &[f64], _mode: CorrMode) -> Vec<f64> {
     if x.is_empty() || y.is_empty() {
         return Vec::new();
     }
     let full = x.len() + y.len() - 1;
-    let m = next_pow2(full);
-    let mut fx = vec![Complex::ZERO; m];
-    for (i, &v) in x.iter().enumerate() {
-        fx[i] = Complex::real(v);
+    let m = next_fast_len(full);
+    let plan = plan(m);
+    let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
+    let mut padded = vec![0.0; m];
+    let mut spectrum = |signal: &[f64]| {
+        padded[..signal.len()].copy_from_slice(signal);
+        padded[signal.len()..].fill(0.0);
+        let mut spec = vec![Complex::ZERO; m];
+        plan.forward_real_into(&padded, &mut spec, &mut scratch);
+        spec
+    };
+    let (mut sx, sy) = (spectrum(x), spectrum(y));
+    for (a, &b) in sx.iter_mut().zip(&sy) {
+        *a = a.conj() * b;
     }
-    let mut fy = vec![Complex::ZERO; m];
-    for (i, &v) in y.iter().enumerate() {
-        fy[i] = Complex::real(v);
-    }
-    let sx = fft(&fx);
-    let sy = fft(&fy);
-    let prod: Vec<Complex> = sx.iter().zip(&sy).map(|(&a, &b)| a.conj() * b).collect();
-    let r = ifft(&prod);
+    plan.inverse_real_into(&sx, &mut padded, &mut scratch);
     // Unwrap circular layout: negative lags live at the tail.
-    let n_neg = x.len() - 1;
     let mut out = Vec::with_capacity(full);
-    for k in 0..n_neg {
-        out.push(r[m - n_neg + k].re);
-    }
-    out.extend(r[..y.len()].iter().map(|c| c.re));
+    out.extend_from_slice(&padded[m - (x.len() - 1)..]);
+    out.extend_from_slice(&padded[..y.len()]);
     out
 }
 

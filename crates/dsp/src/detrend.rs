@@ -1,17 +1,10 @@
 //! Trend removal — the paper's `Das_detrend(X)`, which "removes the best
 //! straight-line fit" (MATLAB `detrend` semantics).
 
-/// Remove the least-squares straight-line fit from `x`.
-pub fn detrend(x: &[f64]) -> Vec<f64> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![0.0];
-    }
-    // Fit y = a·t + b over t = 0..n−1 by closed-form least squares.
-    let nf = n as f64;
+/// Slope and intercept of the least-squares line through `x` over
+/// `t = 0..n−1`, in closed form. Needs two samples or more.
+fn fit_line(x: &[f64]) -> (f64, f64) {
+    let nf = x.len() as f64;
     let t_mean = (nf - 1.0) / 2.0;
     let x_mean = x.iter().sum::<f64>() / nf;
     let mut cov = 0.0;
@@ -22,25 +15,68 @@ pub fn detrend(x: &[f64]) -> Vec<f64> {
         var += dt * dt;
     }
     let slope = cov / var;
-    let intercept = x_mean - slope * t_mean;
+    (slope, x_mean - slope * t_mean)
+}
+
+/// Remove the least-squares straight-line fit from `x`.
+pub fn detrend(x: &[f64]) -> Vec<f64> {
+    if x.len() < 2 {
+        return vec![0.0; x.len()];
+    }
+    let (slope, intercept) = fit_line(x);
     x.iter()
         .enumerate()
         .map(|(i, &v)| v - (slope * i as f64 + intercept))
         .collect()
 }
 
+/// [`detrend`] overwriting its input.
+pub fn detrend_in_place(x: &mut [f64]) {
+    if x.len() < 2 {
+        return x.fill(0.0);
+    }
+    let (slope, intercept) = fit_line(x);
+    for (i, v) in x.iter_mut().enumerate() {
+        *v -= slope * i as f64 + intercept;
+    }
+}
+
 /// Remove the mean (MATLAB `detrend(x, 'constant')`).
 pub fn detrend_constant(x: &[f64]) -> Vec<f64> {
+    let mut out = x.to_vec();
+    detrend_constant_in_place(&mut out);
+    out
+}
+
+/// [`detrend_constant`] overwriting its input.
+pub fn detrend_constant_in_place(x: &mut [f64]) {
     if x.is_empty() {
-        return Vec::new();
+        return;
     }
     let mean = x.iter().sum::<f64>() / x.len() as f64;
-    x.iter().map(|&v| v - mean).collect()
+    for v in x {
+        *v -= mean;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn in_place_variants_have_the_same_bits() {
+        for n in [0usize, 1, 2, 3, 100] {
+            let x: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.3).sin() + 0.02 * i as f64)
+                .collect();
+            let mut y = x.clone();
+            detrend_in_place(&mut y);
+            assert_eq!(y, detrend(&x));
+            let mut y = x.clone();
+            detrend_constant_in_place(&mut y);
+            assert_eq!(y, detrend_constant(&x));
+        }
+    }
 
     #[test]
     fn removes_pure_line_exactly() {

@@ -15,16 +15,8 @@ pub fn lfilter(b: &[f64], a: &[f64], x: &[f64]) -> Vec<f64> {
 /// [`lfilter`] with explicit initial conditions `zi` (length
 /// `max(len(a), len(b)) − 1`). Returns `(y, zf)` with the final state.
 pub fn lfilter_zi(b: &[f64], a: &[f64], x: &[f64], zi: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    assert!(!a.is_empty() && a[0] != 0.0, "a[0] must be non-zero");
-    let n = b.len().max(a.len());
-    // Normalize and zero-pad both coefficient vectors to length n.
-    let a0 = a[0];
-    let bb: Vec<f64> = (0..n)
-        .map(|i| b.get(i).copied().unwrap_or(0.0) / a0)
-        .collect();
-    let aa: Vec<f64> = (0..n)
-        .map(|i| a.get(i).copied().unwrap_or(0.0) / a0)
-        .collect();
+    let (bb, aa) = normalized(b, a);
+    let n = bb.len();
 
     let mut z = zi.to_vec();
     assert_eq!(z.len(), n - 1, "zi must have length max(len(a),len(b))-1");
@@ -40,20 +32,26 @@ pub fn lfilter_zi(b: &[f64], a: &[f64], x: &[f64], zi: &[f64]) -> (Vec<f64>, Vec
     (y, z)
 }
 
-/// Steady-state initial conditions for a unit step input, as MATLAB's
-/// `filtfilt` computes them to suppress edge transients.
-fn filtfilt_zi(b: &[f64], a: &[f64]) -> Vec<f64> {
+/// `b` and `a` divided by `a[0]` and zero-padded to a common length.
+fn normalized(b: &[f64], a: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    assert!(!a.is_empty() && a[0] != 0.0, "a[0] must be non-zero");
     let n = b.len().max(a.len());
+    let pad = |c: &[f64]| -> Vec<f64> {
+        (0..n)
+            .map(|i| c.get(i).copied().unwrap_or(0.0) / a[0])
+            .collect()
+    };
+    (pad(b), pad(a))
+}
+
+/// Steady-state initial conditions for a unit step input, as MATLAB's
+/// `filtfilt` computes them to suppress edge transients. `bb` and `aa`
+/// are [`normalized`].
+fn filtfilt_zi(bb: &[f64], aa: &[f64]) -> Vec<f64> {
+    let n = bb.len();
     if n < 2 {
         return Vec::new();
     }
-    let a0 = a[0];
-    let bb: Vec<f64> = (0..n)
-        .map(|i| b.get(i).copied().unwrap_or(0.0) / a0)
-        .collect();
-    let aa: Vec<f64> = (0..n)
-        .map(|i| a.get(i).copied().unwrap_or(0.0) / a0)
-        .collect();
     let m = n - 1;
     // M = I − K, where K has first column −a[1..] and an identity block
     // shifted right by one on its first m−1 rows.
@@ -69,61 +67,213 @@ fn filtfilt_zi(b: &[f64], a: &[f64]) -> Vec<f64> {
     solve(&mat, &rhs, m).unwrap_or_else(|| vec![0.0; m])
 }
 
-/// Zero-phase forward-backward filtering (MATLAB `filtfilt`).
+/// A zero-phase forward-backward filter (MATLAB `filtfilt`) prepared for
+/// one `b / a`: coefficients normalized and the transient-suppressing
+/// initial state solved once, so applying it to a row is two passes over
+/// caller-owned scratch.
 ///
 /// The input is extended at both ends with odd-reflected samples of
-/// length `3·(order−1)`, filtered forward and backward with
+/// length `3·(order−1)`, filtered forward and backward from
 /// transient-minimizing initial conditions, and trimmed back. The result
 /// has zero phase distortion and the squared magnitude response of the
 /// single-pass filter.
+#[derive(Debug, Clone)]
+pub struct FiltFilt {
+    b: Vec<f64>,
+    a: Vec<f64>,
+    zi: Vec<f64>,
+}
+
+impl FiltFilt {
+    /// Prepare the filter `b / a`.
+    ///
+    /// # Panics
+    /// Panics when `a` is empty or `a[0]` is zero.
+    pub fn new(b: &[f64], a: &[f64]) -> FiltFilt {
+        let (b, a) = normalized(b, a);
+        let zi = filtfilt_zi(&b, &a);
+        FiltFilt { b, a, zi }
+    }
+
+    /// Samples reflected onto each end, `3·(max(len a, len b) − 1)`; a
+    /// row must be longer than this.
+    pub fn edge_len(&self) -> usize {
+        3 * (self.b.len() - 1)
+    }
+
+    /// One direct-form II transposed pass over `samples`, in place, in
+    /// iteration order, from the step-response state scaled by `first`
+    /// (the first sample the pass meets). `z` is one longer than the
+    /// state: its last entry stays 0.
+    fn pass<'a>(&self, z: &mut [f64], first: f64, samples: impl Iterator<Item = &'a mut f64>) {
+        for (state, &zi) in z.iter_mut().zip(&self.zi) {
+            *state = zi * first;
+        }
+        let (b_rest, a_rest) = (&self.b[1..], &self.a[1..]);
+        for v in samples {
+            let xn = *v;
+            let yn = self.b[0] * xn + z[0];
+            for i in 0..b_rest.len() {
+                z[i] = b_rest[i] * xn + z[i + 1] - a_rest[i] * yn;
+            }
+            *v = yn;
+        }
+    }
+
+    /// Filter `x` into `out` (cleared first). `scratch` is resized to
+    /// the extended row; nothing is allocated once both have capacity.
+    ///
+    /// # Panics
+    /// Panics when `x` is not longer than [`edge_len`](Self::edge_len),
+    /// matching MATLAB's input-length requirement.
+    pub fn apply_into(&self, x: &[f64], out: &mut Vec<f64>, scratch: &mut Vec<f64>) {
+        let nfact = self.edge_len();
+        assert!(
+            x.len() > nfact,
+            "filtfilt input must be longer than 3*(order) = {nfact}, got {}",
+            x.len()
+        );
+        out.clear();
+        if nfact == 0 {
+            // Pure gain; forward-backward is just gain² (b[0]/a[0])².
+            let g = self.b[0];
+            out.extend(x.iter().map(|&v| v * g * g));
+            return;
+        }
+        // The filter state, then the odd-reflected extension of `x`.
+        let n_state = self.b.len();
+        scratch.clear();
+        scratch.resize(n_state, 0.0);
+        let (first, last) = (x[0], x[x.len() - 1]);
+        scratch.extend(x[1..=nfact].iter().rev().map(|&v| 2.0 * first - v));
+        scratch.extend_from_slice(x);
+        scratch.extend(
+            x[x.len() - 1 - nfact..x.len() - 1]
+                .iter()
+                .rev()
+                .map(|&v| 2.0 * last - v),
+        );
+        let (z, ext) = scratch.split_at_mut(n_state);
+        self.pass(z, ext[0], ext.iter_mut());
+        self.pass(z, ext[ext.len() - 1], ext.iter_mut().rev());
+        out.extend_from_slice(&ext[nfact..nfact + x.len()]);
+    }
+}
+
+/// Zero-phase forward-backward filtering (MATLAB `filtfilt`); see
+/// [`FiltFilt`], which row loops prepare once and reuse.
 ///
 /// # Panics
 /// Panics when `x` is shorter than `3·(max(len(a), len(b)) − 1) + 1`,
 /// matching MATLAB's input-length requirement.
 pub fn filtfilt(b: &[f64], a: &[f64], x: &[f64]) -> Vec<f64> {
-    let nfilt = b.len().max(a.len());
-    let nfact = 3 * (nfilt.saturating_sub(1));
-    assert!(
-        x.len() > nfact,
-        "filtfilt input must be longer than 3*(order) = {nfact}, got {}",
-        x.len()
-    );
-    if nfact == 0 {
-        // Pure gain; forward-backward is just gain² (b[0]/a[0])².
-        let g = b[0] / a[0];
-        return x.iter().map(|&v| v * g * g).collect();
-    }
-
-    // Odd reflection padding.
-    let first = x[0];
-    let last = x[x.len() - 1];
-    let mut ext = Vec::with_capacity(x.len() + 2 * nfact);
-    for i in (1..=nfact).rev() {
-        ext.push(2.0 * first - x[i]);
-    }
-    ext.extend_from_slice(x);
-    for i in 1..=nfact {
-        ext.push(2.0 * last - x[x.len() - 1 - i]);
-    }
-
-    let zi = filtfilt_zi(b, a);
-
-    // Forward pass.
-    let zi_f: Vec<f64> = zi.iter().map(|&z| z * ext[0]).collect();
-    let (mut y, _) = lfilter_zi(b, a, &ext, &zi_f);
-    // Backward pass.
-    y.reverse();
-    let zi_b: Vec<f64> = zi.iter().map(|&z| z * y[0]).collect();
-    let (mut y, _) = lfilter_zi(b, a, &y, &zi_b);
-    y.reverse();
-
-    y[nfact..nfact + x.len()].to_vec()
+    let (mut out, mut scratch) = (Vec::new(), Vec::new());
+    FiltFilt::new(b, a).apply_into(x, &mut out, &mut scratch);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::butter::{butter, FilterBand};
+
+    /// The allocate-extend-reverse implementation `FiltFilt` replaced
+    /// (with its per-call initial-state solve), kept as the bit-exact
+    /// reference.
+    fn filtfilt_zi_reference(b: &[f64], a: &[f64]) -> Vec<f64> {
+        let n = b.len().max(a.len());
+        if n < 2 {
+            return Vec::new();
+        }
+        let a0 = a[0];
+        let bb: Vec<f64> = (0..n)
+            .map(|i| b.get(i).copied().unwrap_or(0.0) / a0)
+            .collect();
+        let aa: Vec<f64> = (0..n)
+            .map(|i| a.get(i).copied().unwrap_or(0.0) / a0)
+            .collect();
+        let m = n - 1;
+        // M = I − K, where K has first column −a[1..] and an identity block
+        // shifted right by one on its first m−1 rows.
+        let mut mat = vec![0.0; m * m];
+        for i in 0..m {
+            mat[i * m + i] += 1.0;
+            mat[i * m] += aa[i + 1];
+            if i + 1 < m {
+                mat[i * m + i + 1] -= 1.0;
+            }
+        }
+        let rhs: Vec<f64> = (0..m).map(|i| bb[i + 1] - bb[0] * aa[i + 1]).collect();
+        solve(&mat, &rhs, m).unwrap_or_else(|| vec![0.0; m])
+    }
+
+    fn filtfilt_reference(b: &[f64], a: &[f64], x: &[f64]) -> Vec<f64> {
+        let nfilt = b.len().max(a.len());
+        let nfact = 3 * (nfilt.saturating_sub(1));
+        assert!(
+            x.len() > nfact,
+            "filtfilt input must be longer than 3*(order) = {nfact}, got {}",
+            x.len()
+        );
+        if nfact == 0 {
+            // Pure gain; forward-backward is just gain² (b[0]/a[0])².
+            let g = b[0] / a[0];
+            return x.iter().map(|&v| v * g * g).collect();
+        }
+
+        // Odd reflection padding.
+        let first = x[0];
+        let last = x[x.len() - 1];
+        let mut ext = Vec::with_capacity(x.len() + 2 * nfact);
+        for i in (1..=nfact).rev() {
+            ext.push(2.0 * first - x[i]);
+        }
+        ext.extend_from_slice(x);
+        for i in 1..=nfact {
+            ext.push(2.0 * last - x[x.len() - 1 - i]);
+        }
+
+        let zi = filtfilt_zi_reference(b, a);
+
+        // Forward pass.
+        let zi_f: Vec<f64> = zi.iter().map(|&z| z * ext[0]).collect();
+        let (mut y, _) = lfilter_zi(b, a, &ext, &zi_f);
+        // Backward pass.
+        y.reverse();
+        let zi_b: Vec<f64> = zi.iter().map(|&z| z * y[0]).collect();
+        let (mut y, _) = lfilter_zi(b, a, &y, &zi_b);
+        y.reverse();
+
+        y[nfact..nfact + x.len()].to_vec()
+    }
+
+    #[test]
+    fn prepared_filter_has_the_reference_bits() {
+        let x: Vec<f64> = (0..400)
+            .map(|i| (i as f64 * 0.21).sin() + ((i * 7919) % 1000) as f64 / 500.0 - 1.0)
+            .collect();
+        let filters = [
+            butter(4, FilterBand::Bandpass(0.002, 0.096)),
+            butter(3, FilterBand::Bandpass(0.05, 0.8)),
+            butter(2, FilterBand::Lowpass(0.3)),
+            butter(5, FilterBand::Highpass(0.4)),
+            (vec![0.5, 0.25], vec![2.0]),
+            (vec![3.0], vec![1.5]),
+        ];
+        for (b, a) in &filters {
+            let prepared = FiltFilt::new(b, a);
+            let edge = prepared.edge_len();
+            assert_eq!(edge, 3 * (b.len().max(a.len()) - 1));
+            let (mut out, mut scratch) = (vec![f64::NAN; 3], vec![f64::NAN; 7]);
+            // from the shortest row the filter takes
+            for n in [edge + 1, edge + 2, 2 * edge + 1, 97, 400] {
+                let want = filtfilt_reference(b, a, &x[..n]);
+                prepared.apply_into(&x[..n], &mut out, &mut scratch);
+                assert_eq!(out, want, "{} coefficients over {n} samples", b.len());
+                assert_eq!(filtfilt(b, a, &x[..n]), want);
+            }
+        }
+    }
 
     #[test]
     fn lfilter_fir_is_convolution() {

@@ -12,17 +12,22 @@
 /// The most aggressive temporal normalization — every transient is
 /// flattened to ±1, leaving only phase information.
 pub fn one_bit(x: &[f64]) -> Vec<f64> {
-    x.iter()
-        .map(|&v| {
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        })
-        .collect()
+    let mut out = x.to_vec();
+    one_bit_in_place(&mut out);
+    out
+}
+
+/// [`one_bit`] overwriting its input.
+pub fn one_bit_in_place(x: &mut [f64]) {
+    for v in x {
+        *v = if *v > 0.0 {
+            1.0
+        } else if *v < 0.0 {
+            -1.0
+        } else {
+            0.0
+        };
+    }
 }
 
 /// Running-absolute-mean normalization: divide each sample by the

@@ -2,7 +2,8 @@
 //! at a DAS channel (the paper's Figure 1b-style visualizations come
 //! from exactly this).
 
-use crate::fft::fft_real;
+use crate::complex::Complex;
+use crate::fft::plan;
 use crate::window::hann;
 
 /// A magnitude spectrogram: `frames × bins` power values.
@@ -72,12 +73,15 @@ pub fn spectrogram(x: &[f64], n_fft: usize, hop: usize) -> Spectrogram {
     };
     let mut power = Vec::with_capacity(frames * bins);
     let mut buf = vec![0.0f64; n_fft];
+    let plan = plan(n_fft);
+    let mut spec = vec![Complex::ZERO; n_fft];
+    let mut scratch = vec![Complex::ZERO; plan.scratch_len()];
     for f in 0..frames {
         let start = f * hop;
         for (i, b) in buf.iter_mut().enumerate() {
             *b = x[start + i] * win[i];
         }
-        let spec = fft_real(&buf);
+        plan.forward_real_into(&buf, &mut spec, &mut scratch);
         power.extend(spec[..bins].iter().map(|z| z.norm_sqr()));
     }
     Spectrogram {

@@ -5,44 +5,94 @@
 //! noise correlations).
 
 use crate::complex::Complex;
-use crate::fft::{fft_real, ifft};
+use crate::fft::{plan, FftPlan};
+use std::sync::Arc;
 
-/// Whiten `x` between normalized frequencies `f_lo..f_hi` (fractions of
-/// Nyquist, `0..1`): unit amplitude with original phase inside the
-/// band, smoothly tapered to zero over `taper` of normalized frequency
-/// outside it.
-///
-/// # Panics
-/// Panics unless `0 ≤ f_lo < f_hi ≤ 1`.
-pub fn whiten(x: &[f64], f_lo: f64, f_hi: f64, taper: f64) -> Vec<f64> {
+fn check_band(f_lo: f64, f_hi: f64) {
     assert!(
         (0.0..1.0).contains(&f_lo) && f_lo < f_hi && f_hi <= 1.0,
         "band must satisfy 0 <= lo < hi <= 1, got {f_lo}..{f_hi}"
     );
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
+}
+
+/// Whitening prepared for rows of one length and one band: the FFT plan
+/// and the weight of every bin, so a row is one real transform each way
+/// through caller scratch.
+#[derive(Debug, Clone)]
+pub struct Whitener {
+    plan: Arc<FftPlan>,
+    weights: Vec<f64>,
+}
+
+impl Whitener {
+    /// Prepare whitening of `n`-sample rows between normalized
+    /// frequencies `f_lo..f_hi` (fractions of Nyquist, `0..1`): unit
+    /// amplitude with original phase inside the band, smoothly tapered
+    /// to zero over `taper` of normalized frequency outside it.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ f_lo < f_hi ≤ 1` and `n > 0`.
+    pub fn new(n: usize, f_lo: f64, f_hi: f64, taper: f64) -> Whitener {
+        check_band(f_lo, f_hi);
+        let nyquist = n as f64 / 2.0;
+        let weights = (0..n)
+            .map(|k| {
+                // Frequency of bin k as a fraction of Nyquist (mirrored).
+                let freq_bins = if k <= n / 2 { k as f64 } else { (n - k) as f64 };
+                band_weight(freq_bins / nyquist, f_lo, f_hi, taper)
+            })
+            .collect();
+        Whitener {
+            plan: plan(n),
+            weights,
+        }
     }
-    let mut spec = fft_real(x);
-    // Water level: bins far below the spectral peak are numerical noise
-    // with arbitrary phase; normalizing them to unit amplitude would
-    // inject garbage. Divide by max(|S|, ε·max|S|) instead.
-    let max_mag = spec.iter().map(|s| s.abs()).fold(0.0f64, f64::max);
-    let floor = 1e-8 * max_mag;
-    let nyquist = n as f64 / 2.0;
-    for (k, s) in spec.iter_mut().enumerate() {
-        // Frequency of bin k as a fraction of Nyquist (mirrored).
-        let freq_bins = if k <= n / 2 { k as f64 } else { (n - k) as f64 };
-        let f = freq_bins / nyquist;
-        let weight = band_weight(f, f_lo, f_hi, taper);
-        let mag = s.abs();
-        *s = if mag > 0.0 && weight > 0.0 {
-            s.scale(weight / mag.max(floor))
-        } else {
-            Complex::ZERO
-        };
+
+    /// Complex scratch elements [`apply_in_place`](Self::apply_in_place)
+    /// needs.
+    pub fn scratch_len(&self) -> usize {
+        self.weights.len() + self.plan.scratch_len()
     }
-    ifft(&spec).iter().map(|z| z.re).collect()
+
+    /// Whiten `x` in place.
+    ///
+    /// # Panics
+    /// Panics when `x` is not of the prepared length or `scratch` is
+    /// shorter than `scratch_len()`.
+    pub fn apply_in_place(&self, x: &mut [f64], scratch: &mut [Complex]) {
+        let (spec, rest) = scratch.split_at_mut(self.weights.len());
+        self.plan.forward_real_into(x, spec, rest);
+        // Water level: bins far below the spectral peak are numerical noise
+        // with arbitrary phase; normalizing them to unit amplitude would
+        // inject garbage. Divide by max(|S|, ε·max|S|) instead.
+        let max_mag = spec.iter().map(|s| s.abs()).fold(0.0f64, f64::max);
+        let floor = 1e-8 * max_mag;
+        for (s, &weight) in spec.iter_mut().zip(&self.weights) {
+            let mag = s.abs();
+            *s = if mag > 0.0 && weight > 0.0 {
+                s.scale(weight / mag.max(floor))
+            } else {
+                Complex::ZERO
+            };
+        }
+        self.plan.inverse_real_into(spec, x, rest);
+    }
+}
+
+/// Whiten `x` between normalized frequencies `f_lo..f_hi`; see
+/// [`Whitener`], which row loops prepare once and reuse.
+///
+/// # Panics
+/// Panics unless `0 ≤ f_lo < f_hi ≤ 1`.
+pub fn whiten(x: &[f64], f_lo: f64, f_hi: f64, taper: f64) -> Vec<f64> {
+    check_band(f_lo, f_hi);
+    let mut out = x.to_vec();
+    if out.is_empty() {
+        return out;
+    }
+    let whitener = Whitener::new(out.len(), f_lo, f_hi, taper);
+    whitener.apply_in_place(&mut out, &mut vec![Complex::ZERO; whitener.scratch_len()]);
+    out
 }
 
 /// Cosine-tapered band weight: 1 inside `[lo, hi]`, 0 outside
