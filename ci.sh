@@ -15,6 +15,33 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Unsafe budget: dasf decodes bytes it does not control, so all of it is
+# safe Rust except one block — the call into the `#[target_feature]`
+# CRC32C function in crc.rs — and that block states why it is sound.
+echo "==> unsafe budget: one block in dasf, in crc.rs, under a SAFETY comment"
+unsafe_sites="$(grep -rnE '\bunsafe\b' crates/dasf/src --include='*.rs' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+if [[ "$(grep -c . <<<"$unsafe_sites")" -ne 1 ]] ||
+    ! grep -qE '^crates/dasf/src/crc\.rs:[0-9]+:.*\bunsafe \{' <<<"$unsafe_sites"; then
+    echo "unsafe budget: expected exactly one \`unsafe {\` block, in crates/dasf/src/crc.rs; found:" >&2
+    echo "${unsafe_sites:-(none)}" >&2
+    exit 1
+fi
+unsafe_line="$(cut -d: -f2 <<<"$unsafe_sites")"
+# The comment block directly above the block must carry its SAFETY line.
+if ! awk -v target="$unsafe_line" '
+    NR >= target { exit }
+    /^[[:space:]]*\/\// { if ($0 ~ /^[[:space:]]*\/\/ SAFETY:/) found = 1; next }
+    { found = 0 }
+    END { exit !found }' crates/dasf/src/crc.rs; then
+    echo "unsafe budget: crc.rs:$unsafe_line has no // SAFETY: comment directly above it" >&2
+    exit 1
+fi
+grep -qxF '#![deny(unsafe_op_in_unsafe_fn)]' crates/dasf/src/lib.rs || {
+    echo "unsafe budget: crates/dasf/src/lib.rs lost #![deny(unsafe_op_in_unsafe_fn)]" >&2
+    exit 1
+}
+
 if [[ $quick -eq 0 ]]; then
     echo "==> tier-1: cargo build --release"
     cargo build --release

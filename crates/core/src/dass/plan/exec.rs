@@ -7,10 +7,12 @@
 //! same headers, takes the same fault-injection decisions at the same
 //! sites, and records the same spans and histograms — so traces, chaos
 //! digests and communication statistics are bit-identical to the
-//! pre-planner code. What changed underneath: samples live in pooled
-//! buffers ([`dasf::pool`]) wrapped in zero-copy [`Tile`]s, and the
-//! exchange moves tile handles (an `Arc` bump per hop) instead of
-//! packing per-destination `Vec`s.
+//! pre-planner code. What changed underneath: a serial plan reads every
+//! op straight into its columns of the output array
+//! ([`read_member_into`]: no tile, no paste), and a distributed plan
+//! keeps samples in pooled buffers ([`dasf::pool`]) wrapped in
+//! zero-copy [`Tile`]s, whose handles the exchange moves (an `Arc` bump
+//! per hop) instead of packing per-destination `Vec`s.
 
 use super::super::fsck::{scrub_file, FsckReport};
 use super::super::par_read::{metric_names, ReadReport, MAX_READ_ATTEMPTS};
@@ -21,7 +23,7 @@ use arrayudf::dist::partition;
 use arrayudf::Array2;
 use dasf::File;
 use minimpi::Comm;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -42,11 +44,55 @@ pub struct IoExecutor<'a> {
     resilience: Resilience,
 }
 
+/// Read one member file's block — `selection`, or the whole
+/// `rows × cols` dataset — into the zeroed rectangle of `out` at
+/// `(0, t0)`, decoded in place by
+/// [`dasf::File::read_hyperslab_strided`]. A read that fails part way
+/// has already written rows, so on `Err` the rectangle is zeroed again:
+/// the block is all there or all zero, which is what retries, the
+/// quarantine and ingest's gaps are defined on.
+pub(crate) fn read_member_into(
+    path: &Path,
+    dataset: &str,
+    selection: Option<[(u64, u64); 2]>,
+    (rows, cols): (usize, usize),
+    out: &mut Array2<f32>,
+    t0: usize,
+) -> Result<()> {
+    assert!(
+        rows <= out.rows() && t0 + cols <= out.cols(),
+        "block {rows}x{cols} does not fit at column {t0} of {}x{}",
+        out.rows(),
+        out.cols()
+    );
+    let f = File::open(path)?;
+    let whole = [(0, rows as u64), (0, cols as u64)];
+    if selection.is_none() {
+        let dims = &f.dataset(dataset)?.dims;
+        if dims[..] != [rows as u64, cols as u64] {
+            return Err(crate::DassaError::Inconsistent(format!(
+                "{}: dataset {dataset} is {dims:?}, the plan expects {rows} x {cols}",
+                path.display()
+            )));
+        }
+    }
+    let stride = out.cols();
+    let selection = selection.as_ref().unwrap_or(&whole);
+    let read = f.read_hyperslab_strided(dataset, selection, out.as_mut_slice(), t0, stride);
+    if read.is_err() {
+        for row in out.as_mut_slice().chunks_mut(stride).take(rows) {
+            row[t0..t0 + cols].fill(0.0);
+        }
+    }
+    read?;
+    Ok(())
+}
+
 /// What one retried member read observed.
-struct MemberRead {
-    /// The tile, or `None` after [`MAX_READ_ATTEMPTS`] failures
-    /// (⇒ quarantine).
-    tile: Option<Tile>,
+struct MemberRead<R> {
+    /// What the read returned, or `None` after [`MAX_READ_ATTEMPTS`]
+    /// failures (⇒ quarantine).
+    value: Option<R>,
     /// Repeated attempts (first attempt is free).
     retries: u64,
     /// Attempts that failed with a checksum mismatch — the file's bytes
@@ -110,8 +156,8 @@ impl<'a> IoExecutor<'a> {
         }
     }
 
-    /// One op: open the file, read the selection into a pooled buffer,
-    /// wrap it as a whole tile.
+    /// One op of a distributed plan: open the file, read the selection
+    /// into a pooled buffer, wrap it as a whole tile for the exchange.
     fn read_op(dataset: &str, op: &ReadOp) -> Result<Tile> {
         let f = File::open(&op.path)?;
         let mut buf = super::pool::f32s().acquire(op.rows * op.cols);
@@ -123,7 +169,7 @@ impl<'a> IoExecutor<'a> {
         Ok(Tile::whole(buf, op.rows, op.cols, op.file_index, op.t0))
     }
 
-    /// Read one op with bounded retries.
+    /// Run `read` — one op's read — with bounded retries.
     ///
     /// Failures come from two places, both deterministic under a
     /// [`faultline`] plan: real `dasf` errors (fault sites keyed by file
@@ -133,7 +179,11 @@ impl<'a> IoExecutor<'a> {
     /// `par_read.file` (keyed by file *index*; the failure count is
     /// capped below the budget, so a purely transient fault retries and
     /// then succeeds, never quarantines).
-    fn read_op_with_retries(&self, dataset: &str, op: &ReadOp) -> MemberRead {
+    fn read_op_with_retries<R>(
+        &self,
+        op: &ReadOp,
+        mut read: impl FnMut() -> Result<R>,
+    ) -> MemberRead<R> {
         let transient = match faultline::current() {
             Some(plan) if plan.fires(faultline::site::PAR_READ_FILE, op.file_index as u64) => {
                 1 + plan.value_below(
@@ -148,17 +198,17 @@ impl<'a> IoExecutor<'a> {
         let mut retries = 0u64;
         let mut mismatches = 0u64;
         for attempt in 0..MAX_READ_ATTEMPTS {
-            let result: Result<Tile> = if attempt < transient {
+            let result = if attempt < transient {
                 Err(crate::DassaError::Io(std::io::Error::other(
                     "faultline: injected member-file read failure (par_read.file)",
                 )))
             } else {
-                Self::read_op(dataset, op)
+                read()
             };
             match result {
-                Ok(tile) => {
+                Ok(value) => {
                     return MemberRead {
-                        tile: Some(tile),
+                        value: Some(value),
                         retries,
                         mismatches,
                     }
@@ -180,7 +230,7 @@ impl<'a> IoExecutor<'a> {
         }
         reg.counter(metric_names::QUARANTINED).inc();
         MemberRead {
-            tile: None,
+            value: None,
             retries,
             mismatches,
         }
@@ -196,26 +246,34 @@ impl<'a> IoExecutor<'a> {
             / std::mem::size_of::<f32>() as u64
     }
 
-    /// Serial execution: every op on the calling thread, tiles pasted
-    /// straight into the output (the legacy region reader).
+    /// Serial execution: every op on the calling thread, each read
+    /// straight into its columns of the output (the legacy region
+    /// reader); [`read_member_into`] keeps a failed attempt's block zero.
     fn run_serial(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
         let mut local = Array2::<f32>::zeroed(plan.rows, plan.cols);
         let mut quarantined = Vec::new();
         let mut io_retries = 0u64;
         let mut checksum_mismatches = 0u64;
         for op in &plan.ops {
+            let mut read = || {
+                let shape = (op.rows, op.cols);
+                read_member_into(
+                    &op.path,
+                    &plan.dataset,
+                    op.selection,
+                    shape,
+                    &mut local,
+                    op.t0,
+                )
+            };
             match self.resilience {
-                Resilience::FailFast => {
-                    let tile = Self::read_op(&plan.dataset, op)?;
-                    local.paste(0, op.t0, tile.view());
-                }
+                Resilience::FailFast => read()?,
                 Resilience::Quarantine => {
-                    let member = self.read_op_with_retries(&plan.dataset, op);
+                    let member = self.read_op_with_retries(op, read);
                     io_retries += member.retries;
                     checksum_mismatches += member.mismatches;
-                    match member.tile {
-                        Some(tile) => local.paste(0, op.t0, tile.view()),
-                        None => quarantined.push(op.file_index),
+                    if member.value.is_none() {
+                        quarantined.push(op.file_index);
                     }
                 }
             }
@@ -363,16 +421,16 @@ impl<'a> IoExecutor<'a> {
             let root = op.file_index % size;
             let member = if rank == root {
                 let _s = obs::trace::scope_in(comm.registry(), "par_read.read");
-                self.read_op_with_retries(&plan.dataset, op)
+                self.read_op_with_retries(op, || Self::read_op(&plan.dataset, op))
             } else {
                 MemberRead {
-                    tile: None,
+                    value: None,
                     retries: 0,
                     mismatches: 0,
                 }
             };
             let MemberRead {
-                tile: payload,
+                value: payload,
                 retries: my_retries,
                 mismatches: my_mismatches,
             } = member;
@@ -424,10 +482,10 @@ impl<'a> IoExecutor<'a> {
             if op.file_index % size != rank {
                 continue;
             }
-            let member = self.read_op_with_retries(&plan.dataset, op);
+            let member = self.read_op_with_retries(op, || Self::read_op(&plan.dataset, op));
             my_retries += member.retries;
             my_mismatches += member.mismatches;
-            match member.tile {
+            match member.value {
                 Some(tile) => my_tiles.push(tile),
                 None => my_quarantined.push(op.file_index as u64),
             }
@@ -503,5 +561,95 @@ impl<'a> IoExecutor<'a> {
         let mut files = verdicts.into_inner().unwrap();
         files.sort_by(|a, b| a.path.cmp(&b.path));
         FsckReport { files }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dass::search::tests::{make_files, plan_rotting_last_unit};
+    use crate::dass::{FileCatalog, Vca};
+    use minimpi::RetryPolicy;
+
+    /// Reads land in the output as they decode, so a member whose rot
+    /// sits in its last unit has written most of its rows by the time
+    /// the checksum fails. The retry contract is unchanged all the
+    /// same: the member's block is zero, the rest is exact, and the
+    /// report counts what it always counted.
+    #[test]
+    fn rot_in_a_members_last_unit_leaves_no_partial_rows() {
+        // 6 ch x 6000 samples = 144 000 bytes: units of 64 KiB, 64 KiB
+        // and a short one that holds the tail of the last channel.
+        let (channels, samples) = (6u64, 6_000u64);
+        let dir = make_files("exec-rot-last-unit", "170728224510", 2, channels, samples);
+        let cat = FileCatalog::scan(&dir).unwrap();
+        let vca = Vca::from_entries(cat.entries()).unwrap();
+        let clean = vca.read_all_f32().unwrap();
+        let paths: Vec<&Path> = vca.entries().iter().map(|e| e.path.as_path()).collect();
+        let faults = plan_rotting_last_unit(paths[0], &[paths[1]]);
+
+        // Whole members, and a region whose rows of member 0 end in the
+        // rotten unit (channel 5) after three sound channels.
+        for (ch, t) in [(0..channels, 0..2 * samples), (2..channels, 3_000..9_000)] {
+            let plan = IoPlan::for_region(&vca, ch.clone(), t.clone()).unwrap();
+            let member0_cols = (samples - t.start) as usize;
+            let (mut results, _) =
+                minimpi::run_chaos(1, Arc::clone(&faults), RetryPolicy::default(), |comm| {
+                    IoExecutor::resilient(comm)
+                        .run(&plan)
+                        .expect("quarantine, not an error")
+                });
+            let (got, report) = results.remove(0);
+            assert_eq!(
+                report,
+                ReadReport {
+                    quarantined: vec![0],
+                    io_retries: MAX_READ_ATTEMPTS as u64 - 1,
+                    checksum_mismatches: MAX_READ_ATTEMPTS as u64,
+                    zero_samples: (ch.end - ch.start) * member0_cols as u64,
+                }
+            );
+            for r in 0..got.rows() {
+                for c in 0..got.cols() {
+                    let want = if c < member0_cols {
+                        0.0
+                    } else {
+                        clean.get(ch.start as usize + r, t.start as usize + c)
+                    };
+                    assert_eq!(got.get(r, c), want, "row {r} col {c} of {ch:?} x {t:?}");
+                }
+            }
+            // Fail-fast: the same read is the typed mismatch itself.
+            let (results, _) =
+                minimpi::run_chaos(1, Arc::clone(&faults), RetryPolicy::default(), |comm| {
+                    IoExecutor::new(comm).run(&plan).map(drop)
+                });
+            assert!(matches!(
+                results[0],
+                Err(crate::DassaError::Dasf(dasf::DasfError::ChecksumMismatch {
+                    chunk: 2,
+                    ..
+                }))
+            ));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_member_of_the_wrong_shape_is_a_typed_error() {
+        let dir = make_files("exec-wrong-shape", "170728224510", 1, 3, 60);
+        let cat = FileCatalog::scan(&dir).unwrap();
+        let path = &cat.entries()[0].path;
+        let mut out = Array2::<f32>::zeroed(3, 120);
+        // The plan says 3 x 50; the file holds 3 x 60.
+        assert!(matches!(
+            read_member_into(path, "/Measurement/data", None, (3, 50), &mut out, 0),
+            Err(crate::DassaError::Inconsistent(_))
+        ));
+        assert!(out.as_slice().iter().all(|v| *v == 0.0));
+        read_member_into(path, "/Measurement/data", None, (3, 60), &mut out, 60).unwrap();
+        assert_eq!(out.get(2, 60), 2000.0);
+        assert_eq!(out.get(2, 59), 0.0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,16 +8,17 @@
 //! two halves:
 //!
 //! 1. **Plan** ([`IoPlan`]): a description of *what* to read — one
-//!    [`ReadOp`] per `(file, dataset, hyperslab)` producing a
-//!    [`Tile`], plus the [`Exchange`] step that moves tiles to their
-//!    owner ranks. Plans are built from a [`Vca`], a [`Lav`] region, or
+//!    [`ReadOp`] per `(file, dataset, hyperslab)` producing a block of
+//!    the output, plus the [`Exchange`] step that moves blocks (as
+//!    [`Tile`]s) to their owner ranks. Plans are built from a [`Vca`], a [`Lav`] region, or
 //!    a single merged file, and are pure metadata: building one does no
 //!    I/O.
 //! 2. **Execute** ([`IoExecutor`]): the one engine that runs any plan —
 //!    serial or collective, fail-fast or retry/quarantine
-//!    ([`Resilience`]) — reading into pooled buffers
-//!    ([`dasf::pool`]) and assembling zero-copy [`Tile`]s into the
-//!    caller's `Array2`.
+//!    ([`Resilience`]). A serial plan decodes every op straight into
+//!    its columns of the caller's `Array2`; a distributed one reads
+//!    into pooled buffers ([`dasf::pool`]) and assembles the zero-copy
+//!    [`Tile`]s the exchange delivers.
 //!
 //! The legacy entry points (`read_vca`, `read_region_f32`, …) survive
 //! as one-line shims that build a plan and run it, so both §IV-B
@@ -28,6 +29,7 @@ mod exec;
 mod tile;
 
 pub use dasf::pool;
+pub(crate) use exec::read_member_into;
 pub use exec::{IoExecutor, Resilience};
 pub use tile::Tile;
 

@@ -119,7 +119,7 @@ impl FileCatalog {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::dass::metadata::{das_file_name, write_das_file};
+    use crate::dass::metadata::{das_file_name, write_das_file, DATASET_PATH};
     use arrayudf::Array2;
 
     /// Create `n` one-minute DAS files starting at `start` in a fresh
@@ -150,6 +150,38 @@ pub(crate) mod tests {
             write_das_file(&dir.join(das_file_name(&ts)), &meta, &data).unwrap();
         }
         dir
+    }
+
+    /// A `dasf.read.corrupt` plan under which `rotten` reads back a
+    /// flipped byte in its *last* verify unit — a reader has decoded
+    /// every earlier unit into its destination by the time the
+    /// checksum fails — while every file in `sound` reads clean.
+    pub(crate) fn plan_rotting_last_unit(
+        rotten: &std::path::Path,
+        sound: &[&std::path::Path],
+    ) -> std::sync::Arc<faultline::FaultPlan> {
+        use faultline::{site::DASF_READ_CORRUPT, FaultPlan};
+        let fires = |plan: &FaultPlan, p: &std::path::Path| {
+            let name = p.file_name().expect("member file name");
+            plan.fires(
+                DASF_READ_CORRUPT,
+                faultline::key_of(name.as_encoded_bytes()),
+            )
+        };
+        (0..100_000)
+            .map(|seed| std::sync::Arc::new(FaultPlan::new(seed).with(DASF_READ_CORRUPT, 0.5)))
+            .find(|plan| {
+                fires(plan, rotten)
+                    && !sound.iter().any(|p| fires(plan, p))
+                    && faultline::with_plan(std::sync::Arc::clone(plan), || {
+                        // where the rot sits, as the scrub sees it
+                        let f = dasf::File::open(rotten).expect("open");
+                        let units = f.dataset(DATASET_PATH).expect("dataset").checksums.len();
+                        let faults = f.verify_all().expect("scrub").mismatches;
+                        units > 1 && faults.len() == 1 && faults[0].chunk == units - 1
+                    })
+            })
+            .expect("some seed rots the last unit")
     }
 
     #[test]

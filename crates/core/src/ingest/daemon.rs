@@ -93,7 +93,8 @@ pub struct IngestConfig {
     pub max_attempts: u32,
     /// First retry backoff; doubles per attempt, jittered.
     pub base_backoff: Duration,
-    /// Idle sleep between spool scans in the always-on loop.
+    /// Longest idle sleep between spool scans in the always-on loop;
+    /// each sleep is drawn from `[poll/2, poll)`.
     pub poll: Duration,
     /// Sealed windows buffered between scanner and evaluator; the
     /// memory bound and the backpressure threshold.
@@ -327,6 +328,7 @@ fn run_loop(cfg: &IngestConfig, stop: Option<&AtomicBool>) -> Result<IngestSumma
         base: resumed.map(|cp| cp.base_minute),
         next_window: resumed.map_or(0, |cp| cp.next_window),
         watermark: resumed.map_or(0, |cp| cp.watermark_minute),
+        round: 0,
     };
 
     std::thread::scope(|s| {
@@ -355,6 +357,31 @@ struct MainState<'a> {
     base: Option<u64>,
     next_window: u64,
     watermark: u64,
+    /// Scan rounds so far; picks each round's [`idle_sleep`].
+    round: u64,
+}
+
+/// The idle sleep after scan round `round`: a deterministic draw from
+/// `[poll/2, poll)`, so `poll` stays the upper bound. A fixed interval
+/// phase-locks the scan tick to a producer paced by the daemon (one
+/// that waits for an admission or a report before it writes again) or
+/// by a clock of its own: every arrival lands at the same offset in
+/// the interval, and arrival-to-report latency sits at one end of a
+/// `poll`-wide range or the other, flipping when the producer's write
+/// time drifts across a tick. Drawn sleeps spread the offsets; with
+/// the lower edge at half the upper, "found by this scan" and "found
+/// by the next" cost ranges that meet, so the typical latency moves
+/// smoothly with the producer's timing. The draw hashes the round
+/// number: no clock, and nothing a report's bytes depend on.
+fn idle_sleep(poll: Duration, round: u64) -> Duration {
+    // splitmix64 finaliser
+    let mut z = round.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let half = poll / 2;
+    let span = (poll - half).as_nanos();
+    half + Duration::from_nanos(((span * (z >> 32) as u128) >> 32) as u64)
 }
 
 impl MainState<'_> {
@@ -394,10 +421,12 @@ impl MainState<'_> {
                     }
                 }
             }
+            let idle = idle_sleep(self.cfg.poll, self.round);
+            self.round += 1;
             let wait = self
                 .scanner
                 .next_ready_in(Instant::now())
-                .map_or(self.cfg.poll, |d| d.min(self.cfg.poll));
+                .map_or(idle, |d| d.min(idle));
             if !wait.is_zero() {
                 std::thread::sleep(wait);
             }
@@ -659,6 +688,28 @@ mod tests {
         cfg.poll = Duration::from_millis(5);
         cfg.threads = 1;
         cfg
+    }
+
+    #[test]
+    fn idle_sleeps_fill_the_upper_half_of_the_poll_interval() {
+        let poll = Duration::from_millis(10);
+        let draws: Vec<Duration> = (0..4096).map(|r| idle_sleep(poll, r)).collect();
+        assert!(draws.iter().all(|d| poll / 2 <= *d && *d < poll));
+        // spread over the whole range, not parked at one offset: every
+        // tenth of it is visited, by a tenth of the draws give or take
+        let mut tenths = [0u32; 10];
+        for d in &draws {
+            tenths[((*d - poll / 2).as_nanos() * 10 / (poll / 2).as_nanos()) as usize] += 1;
+        }
+        assert!(tenths.iter().all(|n| (300..520).contains(n)), "{tenths:?}");
+        // neighbouring rounds do not repeat each other
+        assert!(draws.windows(2).all(|w| w[0] != w[1]));
+        // the same round draws the same sleep in every run
+        assert_eq!(idle_sleep(poll, 7), draws[7]);
+        // degenerate intervals stay in range and do not panic
+        assert_eq!(idle_sleep(Duration::ZERO, 3), Duration::ZERO);
+        assert_eq!(idle_sleep(Duration::from_nanos(1), 3), Duration::ZERO);
+        assert!(idle_sleep(Duration::MAX, 3) < Duration::MAX);
     }
 
     fn reports(out: &Path) -> Vec<PathBuf> {

@@ -9,9 +9,10 @@
 //! reads zero-fill missing minutes and account for them, mirroring the
 //! batch reader's `ReadReport`.
 
+use crate::dass::plan::read_member_into;
 use crate::dass::{FileEntry, Timestamp, DATASET_PATH};
 use crate::{DassaError, Result};
-use arrayudf::{Array2, TileView};
+use arrayudf::Array2;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -187,18 +188,11 @@ impl MinuteIndex {
             let Some(entry) = self.minutes.get(&(start_minute + off)) else {
                 continue;
             };
-            let ok = dasf::File::open(&entry.path)
-                .and_then(|f| f.read_f32(DATASET_PATH))
-                .map(|raw| {
-                    if raw.len() == ch * spm {
-                        data.paste(0, off as usize * spm, TileView::new(ch, spm, &raw));
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .unwrap_or(false);
-            present[off as usize] = ok;
+            // Straight into the minute's columns, which stay zero — a
+            // gap — if the read fails, however far it got.
+            let t0 = off as usize * spm;
+            let read = read_member_into(&entry.path, DATASET_PATH, None, (ch, spm), &mut data, t0);
+            present[off as usize] = read.is_ok();
         }
         let present_minutes = present.iter().filter(|p| **p).count() as u64;
         let gap_minutes = minutes - present_minutes;
@@ -348,5 +342,36 @@ mod tests {
         let w = idx.read_window(base, 2);
         assert_eq!(w.present_minutes, 1);
         assert_eq!(w.gap_spans, vec![base + 1..base + 2]);
+    }
+
+    #[test]
+    fn read_window_zeroes_a_minute_that_rots_in_its_last_unit() {
+        // The minute is read straight into the window, and its first two
+        // units decode before the third fails its checksum: the gap must
+        // still be exactly zero, and exactly accounted.
+        use crate::dass::search::tests::plan_rotting_last_unit;
+        let (channels, spm) = (6u64, 6_000u64);
+        let dir = make_files("ingest-rot-last-unit", "170728224510", 2, channels, spm);
+        let es = FileCatalog::scan(&dir).unwrap().entries().to_vec();
+        let base = es[0].meta.timestamp.epoch_minutes();
+        let mut idx = MinuteIndex::new();
+        for e in &es {
+            idx.admit(e.clone()).unwrap();
+        }
+        let faults = plan_rotting_last_unit(&es[0].path, &[&es[1].path]);
+        let w = faultline::with_plan(faults, || idx.read_window(base, 2));
+        assert_eq!((w.present_minutes, w.gap_minutes), (1, 1));
+        assert_eq!(w.gap_samples, channels * spm);
+        assert_eq!(w.gap_spans, vec![base..base + 1]);
+        for r in 0..channels as usize {
+            let row = w.data.row(r);
+            assert!(row[..spm as usize].iter().all(|v| *v == 0.0), "row {r}");
+            // make_files value = file*1e6 + ch*1000 + t; minute 1 is file 1
+            assert_eq!(row[spm as usize], (1_000_000 + r * 1000) as f32);
+            assert_eq!(
+                row[2 * spm as usize - 1],
+                (1_000_000 + r * 1000 + 5_999) as f32
+            );
+        }
     }
 }

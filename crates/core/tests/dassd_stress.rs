@@ -3,7 +3,9 @@
 //! a serial [`IoExecutor`] read of the same region, while the shared
 //! chunk cache takes hits and never grows past its capacity; overload
 //! must produce typed `Busy` rejections, not queue growth; and a
-//! request-level failure must not take the connection down.
+//! request-level failure — a bad program, rows too short to filter, a
+//! member file whose table lies about its units — must not take the
+//! connection or its worker down.
 
 use arrayudf::Array2;
 use dassa::dassd::{Client, ClientError, Server, ServerConfig};
@@ -288,5 +290,87 @@ fn unfilterable_rows_are_a_typed_error_and_every_worker_survives() {
     drop(late);
     let snap = server.stop();
     assert_eq!(snap.counter("dassd.errors"), 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A member whose object table carries valid CRCs and a unit header
+/// that contradicts the dataset's geometry (one raw unit of 100 bytes
+/// for a 19 200-byte payload) opens and scrubs clean at the parent of
+/// this test, and then `ReadRegion` panicked the pool worker inside the
+/// element decoder. It must be a typed `corrupt` on the same
+/// connection, for every worker, and every worker must still serve the
+/// sound members afterwards.
+#[test]
+fn hostile_unit_header_is_a_typed_error_and_every_worker_survives() {
+    let (dir, expected) = build_dataset(3, 4, SAMPLES, 77);
+    let mut members: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    members.sort();
+    // Rewrite member 1's table, recomputing the table and commit-record
+    // CRCs so the file opens.
+    let mut bytes = std::fs::read(&members[1]).expect("read member");
+    let footer = bytes.len() - 32;
+    let t_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+    let mut table =
+        dasf::ObjectTable::decode(&bytes[t_off..footer], dasf::Version::V4).expect("table");
+    let d = table.dataset_mut(DATASET_PATH).expect("dataset");
+    let at = d.data_offset as usize;
+    d.stored_units = vec![dasf::UnitHeader {
+        codec: dasf::Codec::Raw,
+        raw_len: 100,
+        stored_len: 100,
+    }];
+    d.checksums = vec![dasf::crc::crc32c(&bytes[at..at + 100])];
+    let table = table.encode();
+    bytes.truncate(t_off);
+    bytes.extend_from_slice(&table);
+    let mut record = (t_off as u64).to_le_bytes().to_vec();
+    record.extend_from_slice(&(table.len() as u64).to_le_bytes());
+    record.extend_from_slice(&dasf::crc::crc32c(&table).to_le_bytes());
+    let covered = [&b"DASF0004"[..], &record[..8], &record[..20]].concat();
+    record.extend_from_slice(&dasf::crc::crc32c(&covered).to_le_bytes());
+    record.extend_from_slice(b"DASF4END");
+    bytes.extend_from_slice(&record);
+    std::fs::write(&members[1], bytes).expect("write member");
+    dasf::File::open(&members[1]).expect("valid CRCs: the hostile member opens");
+
+    let server = Server::start(
+        &dir,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    // one connection per worker, both held open while they fail
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    let golden = Array2::from_fn(2, 100, |r, c| expected.get(1 + r, 50 + c));
+    for client in &mut clients {
+        // member 1 covers samples 1200..2400
+        match client.read_region(0..4, 1000..1500) {
+            Err(ClientError::Server { kind, message }) => {
+                assert_eq!(kind, dassa::dassd::ErrorKind::Corrupt, "{message}");
+                assert!(message.contains("unit 0"), "{message}");
+            }
+            other => panic!("expected a typed corrupt error, got {other:?}"),
+        }
+        assert_eq!(client.read_region(1..3, 50..150).expect("read"), golden);
+    }
+    // …and once those two hang up, two new connections, open at the
+    // same time, each find a worker
+    drop(clients);
+    let mut late: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    for client in &mut late {
+        assert_eq!(client.read_region(1..3, 50..150).expect("read"), golden);
+    }
+    drop(late);
+    let snap = server.stop();
+    assert_eq!(snap.counter("dassd.errors"), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,10 +27,18 @@
 //! introduces a literal run of `ctrl + 1` bytes; `0x80..=0xFF` is a
 //! match of length `(ctrl & 0x7F) + 4` at a little-endian u16 distance
 //! (1..=65535) behind the output cursor. Distance 1 with a long length
-//! is a byte RLE; overlapping copies are resolved byte-at-a-time.
+//! is a byte RLE; an overlapping copy repeats the `dist`-byte pattern
+//! behind the cursor.
+//!
+//! Decoding is two steps, and the second never materialises the raw
+//! bytes: [`open_unit`] undoes the LZ stage into a scratch buffer the
+//! caller owns (for a `Raw` unit it borrows the stored bytes as they
+//! are), and [`Unit::copy_to`] turns any element range of the result
+//! into values in the reader's destination — gathering the byte planes
+//! of a shuffled unit, and dequantising, on the way.
 
 use crate::error::DasfError;
-use crate::{Dtype, Result};
+use crate::{Dtype, Element, Result};
 
 /// Compression codec of one stored unit (or requested for a dataset).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,21 +113,6 @@ fn shuffle(data: &[u8], elem: usize) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`shuffle`]: gather each element's bytes back from the
-/// planes, appending to `out`.
-fn unshuffle_into(planes: &[u8], elem: usize, out: &mut Vec<u8>) {
-    let n = planes.len() / elem;
-    let base = out.len();
-    out.resize(base + planes.len(), 0);
-    let dst = &mut out[base..];
-    for k in 0..elem {
-        let plane = &planes[k * n..(k + 1) * n];
-        for (i, &b) in plane.iter().enumerate() {
-            dst[i * elem + k] = b;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // LZ with RLE-capable overlapping matches
 // ---------------------------------------------------------------------
@@ -188,9 +181,24 @@ fn token_err(why: &str) -> DasfError {
     DasfError::Corrupt(format!("codec: bad LZ token stream ({why})"))
 }
 
-fn lz_decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw_len);
-    let mut i = 0usize;
+/// Most tokens of a noisy unit are 4-byte matches and short literal
+/// runs. Wherever source and output have room for it, a copy no longer
+/// than these moves one fixed-size block instead of calling `memcpy`
+/// for a handful of bytes; what it writes past the token's end, the
+/// next token overwrites.
+const LITERAL_BLOCK: usize = 32;
+const MATCH_BLOCK: usize = 8;
+
+/// Undo [`lz_compress`] into `out`, which comes back exactly `raw_len`
+/// bytes long whatever it held before (on `Err`, with unspecified
+/// content). Every length and distance in the stream is checked
+/// against `raw_len` and against what has been produced so far before
+/// a byte moves, so a hostile stream can neither read nor write
+/// outside those `raw_len` bytes.
+pub(crate) fn lz_decompress_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    out.resize(raw_len, 0);
+    let dst = &mut out[..];
+    let (mut i, mut o) = (0usize, 0usize);
     while i < src.len() {
         let ctrl = src[i];
         i += 1;
@@ -199,34 +207,56 @@ fn lz_decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {
             if i + run > src.len() {
                 return Err(token_err("literal run past end"));
             }
-            out.extend_from_slice(&src[i..i + run]);
+            if o + run > raw_len {
+                return Err(token_err("output overruns raw_len"));
+            }
+            match (
+                src.get(i..i + LITERAL_BLOCK),
+                dst.get_mut(o..o + LITERAL_BLOCK),
+            ) {
+                (Some(block), Some(room)) if run <= LITERAL_BLOCK => room.copy_from_slice(block),
+                _ => dst[o..o + run].copy_from_slice(&src[i..i + run]),
+            }
             i += run;
+            o += run;
         } else {
             let len = (ctrl & 0x7F) as usize + MIN_MATCH;
-            if i + 2 > src.len() {
+            let Some(dist) = src.get(i..i + 2) else {
                 return Err(token_err("match distance past end"));
-            }
-            let dist = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
+            };
+            let dist = u16::from_le_bytes([dist[0], dist[1]]) as usize;
             i += 2;
-            if dist == 0 || dist > out.len() {
+            if dist == 0 || dist > o {
                 return Err(token_err("match distance before start"));
             }
-            let start = out.len() - dist;
-            // Byte-at-a-time: overlapping copies (dist < len) are the
-            // RLE case and must read bytes the copy itself produced.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            if o + len > raw_len {
+                return Err(token_err("output overruns raw_len"));
             }
-        }
-        if out.len() > raw_len {
-            return Err(token_err("output overruns raw_len"));
+            let start = o - dist;
+            if len <= MATCH_BLOCK && dist >= MATCH_BLOCK && o + MATCH_BLOCK <= raw_len {
+                let mut block = [0u8; MATCH_BLOCK];
+                block.copy_from_slice(&dst[start..start + MATCH_BLOCK]);
+                dst[o..o + MATCH_BLOCK].copy_from_slice(&block);
+            } else {
+                // One block copy when the match lies wholly behind the
+                // cursor. An overlapping match (dist < len, the RLE
+                // case) repeats its `dist`-byte pattern, so each pass
+                // may copy everything produced since `start` and the
+                // span doubles.
+                let mut done = 0;
+                while done < len {
+                    let n = (len - done).min(dist + done);
+                    dst.copy_within(start..start + n, o + done);
+                    done += n;
+                }
+            }
+            o += len;
         }
     }
-    if out.len() != raw_len {
+    if o != raw_len {
         return Err(token_err("output shorter than raw_len"));
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -270,32 +300,6 @@ fn quantise(raw: &[u8], dtype: Dtype, bound: f64) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Reconstruct float bytes from quantised integers, appending to `out`.
-fn dequantise_into(quanta: &[u8], dtype: Dtype, bound: f64, out: &mut Vec<u8>) -> Result<()> {
-    let step = 2.0 * bound;
-    match dtype {
-        Dtype::F32 => {
-            for c in quanta.chunks_exact(4) {
-                let q = i32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-                out.extend_from_slice(&((q as f64 * step) as f32).to_le_bytes());
-            }
-        }
-        Dtype::F64 => {
-            for c in quanta.chunks_exact(8) {
-                let q = i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-                out.extend_from_slice(&(q as f64 * step).to_le_bytes());
-            }
-        }
-        other => {
-            return Err(DasfError::Corrupt(format!(
-                "codec: quant unit with non-float dtype {}",
-                other.name()
-            )))
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Unit encode / decode
 // ---------------------------------------------------------------------
@@ -331,46 +335,244 @@ pub(crate) fn encode_unit(codec: Codec, raw: &[u8], dtype: Dtype) -> Option<(Cod
     }
 }
 
-/// Decode one stored unit, appending exactly `raw_len` raw payload
-/// bytes to `out`. `stored` must already have passed its checksum; a
-/// malformed token stream here means the writer or the object table is
-/// wrong, surfaced as [`DasfError::Corrupt`].
-pub(crate) fn decode_unit(
+/// One stored unit with its LZ stage undone, borrowed from the stored
+/// bytes or from the caller's scratch. Elements are still in stored
+/// form; [`Unit::copy_to`] finishes the decode on the way out.
+pub(crate) enum Unit<'a> {
+    /// Little-endian elements in order (a `Raw` unit).
+    Plain(&'a [u8]),
+    /// One plane per element byte: byte `k` of element `i` of `n` is at
+    /// `k * n + i` (a `ShuffleLz` unit).
+    Planes(&'a [u8]),
+    /// Planes of integers on a grid of `step` (a `Quant` unit).
+    Quanta { planes: &'a [u8], step: f64 },
+}
+
+/// Undo the LZ stage of one stored unit that decodes to `raw_len`
+/// bytes. `stored` must already have passed its checksum; a malformed
+/// token stream here means the writer or the object table is wrong,
+/// surfaced as [`DasfError::Corrupt`].
+pub(crate) fn open_unit<'a>(
     codec: Codec,
-    stored: &[u8],
+    stored: &'a [u8],
     raw_len: usize,
-    dtype: Dtype,
-    out: &mut Vec<u8>,
-) -> Result<()> {
+    scratch: &'a mut Vec<u8>,
+) -> Result<Unit<'a>> {
     match codec {
-        Codec::Raw => {
-            if stored.len() != raw_len {
-                return Err(token_err("raw unit length mismatch"));
-            }
-            out.extend_from_slice(stored);
-        }
+        Codec::Raw if stored.len() == raw_len => Ok(Unit::Plain(stored)),
+        Codec::Raw => Err(token_err("raw unit length mismatch")),
         Codec::ShuffleLz => {
-            let planes = lz_decompress(stored, raw_len)?;
-            unshuffle_into(&planes, shuffle_width(dtype), out);
+            lz_decompress_into(stored, raw_len, scratch)?;
+            Ok(Unit::Planes(scratch))
         }
         Codec::Quant { bound } => {
-            let planes = lz_decompress(stored, raw_len)?;
-            let mut quanta = Vec::with_capacity(raw_len);
-            unshuffle_into(&planes, shuffle_width(dtype), &mut quanta);
-            dequantise_into(&quanta, dtype, bound, out)?;
+            lz_decompress_into(stored, raw_len, scratch)?;
+            Ok(Unit::Quanta {
+                planes: scratch,
+                step: 2.0 * bound,
+            })
         }
     }
-    Ok(())
+}
+
+impl Unit<'_> {
+    /// Decode elements `lo .. lo + dst.len()` of the unit into `dst`.
+    /// `T` must be the dataset's element type, and for a `Quant` unit a
+    /// float type — the reader checks both before it opens a unit.
+    ///
+    /// # Panics
+    /// Panics when the range runs past the end of the unit.
+    pub(crate) fn copy_to<T: Element>(&self, lo: usize, dst: &mut [T]) {
+        let width = std::mem::size_of::<T>();
+        match *self {
+            Unit::Plain(bytes) => {
+                let bytes = &bytes[lo * width..(lo + dst.len()) * width];
+                for (d, b) in dst.iter_mut().zip(bytes.chunks_exact(width)) {
+                    *d = T::read_le(b);
+                }
+            }
+            Unit::Planes(planes) => gather(planes, lo, dst, T::read_le),
+            Unit::Quanta { planes, step } => gather(planes, lo, dst, |b| match T::DTYPE {
+                Dtype::F32 => T::read_le(&((i32::read_le(b) as f64 * step) as f32).to_le_bytes()),
+                Dtype::F64 => T::read_le(&(i64::read_le(b) as f64 * step).to_le_bytes()),
+                other => unreachable!("quant unit with non-float dtype {}", other.name()),
+            }),
+        }
+    }
+}
+
+/// The inverse of [`shuffle`], fused with the element decode: collect
+/// the bytes of elements `lo .. lo + dst.len()` from their planes and
+/// hand each element's little-endian bytes to `decode`.
+fn gather<T: Element>(planes: &[u8], lo: usize, dst: &mut [T], decode: impl Fn(&[u8]) -> T) {
+    const MAX_WIDTH: usize = 8;
+    let width = std::mem::size_of::<T>();
+    let n = planes.len() / width;
+    // One slice per plane, each exactly `dst.len()` long, so the loop
+    // below indexes them without bounds checks.
+    let mut plane: [&[u8]; MAX_WIDTH] = [&[]; MAX_WIDTH];
+    for (k, p) in plane.iter_mut().enumerate().take(width) {
+        *p = &planes[k * n + lo..][..dst.len()];
+    }
+    for (i, d) in dst.iter_mut().enumerate() {
+        let mut bytes = [0u8; MAX_WIDTH];
+        for k in 0..width {
+            bytes[k] = plane[k][i];
+        }
+        *d = decode(&bytes[..width]);
+    }
+}
+
+/// The decode stage as it was before [`Unit`]: every unit expanded to
+/// its raw little-endian bytes through fresh vectors. Kept, unchanged,
+/// as the bit-exact reference the tests here and the reader's
+/// equivalence tests compare the fused path against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn unshuffle_into(planes: &[u8], elem: usize, out: &mut Vec<u8>) {
+        let n = planes.len() / elem;
+        let base = out.len();
+        out.resize(base + planes.len(), 0);
+        let dst = &mut out[base..];
+        for k in 0..elem {
+            let plane = &planes[k * n..(k + 1) * n];
+            for (i, &b) in plane.iter().enumerate() {
+                dst[i * elem + k] = b;
+            }
+        }
+    }
+
+    pub(crate) fn lz_decompress(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(raw_len);
+        let mut i = 0usize;
+        while i < src.len() {
+            let ctrl = src[i];
+            i += 1;
+            if ctrl < 0x80 {
+                let run = ctrl as usize + 1;
+                if i + run > src.len() {
+                    return Err(token_err("literal run past end"));
+                }
+                out.extend_from_slice(&src[i..i + run]);
+                i += run;
+            } else {
+                let len = (ctrl & 0x7F) as usize + MIN_MATCH;
+                if i + 2 > src.len() {
+                    return Err(token_err("match distance past end"));
+                }
+                let dist = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
+                i += 2;
+                if dist == 0 || dist > out.len() {
+                    return Err(token_err("match distance before start"));
+                }
+                let start = out.len() - dist;
+                // Byte-at-a-time: overlapping copies (dist < len) are the
+                // RLE case and must read bytes the copy itself produced.
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            }
+            if out.len() > raw_len {
+                return Err(token_err("output overruns raw_len"));
+            }
+        }
+        if out.len() != raw_len {
+            return Err(token_err("output shorter than raw_len"));
+        }
+        Ok(out)
+    }
+
+    fn dequantise_into(quanta: &[u8], dtype: Dtype, bound: f64, out: &mut Vec<u8>) -> Result<()> {
+        let step = 2.0 * bound;
+        match dtype {
+            Dtype::F32 => {
+                for c in quanta.chunks_exact(4) {
+                    let q = i32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                    out.extend_from_slice(&((q as f64 * step) as f32).to_le_bytes());
+                }
+            }
+            Dtype::F64 => {
+                for c in quanta.chunks_exact(8) {
+                    let q = i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+                    out.extend_from_slice(&(q as f64 * step).to_le_bytes());
+                }
+            }
+            other => {
+                return Err(DasfError::Corrupt(format!(
+                    "codec: quant unit with non-float dtype {}",
+                    other.name()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode one stored unit, appending exactly `raw_len` raw payload
+    /// bytes to `out`.
+    pub(crate) fn decode_unit(
+        codec: Codec,
+        stored: &[u8],
+        raw_len: usize,
+        dtype: Dtype,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        match codec {
+            Codec::Raw => {
+                if stored.len() != raw_len {
+                    return Err(token_err("raw unit length mismatch"));
+                }
+                out.extend_from_slice(stored);
+            }
+            Codec::ShuffleLz => {
+                let planes = lz_decompress(stored, raw_len)?;
+                unshuffle_into(&planes, shuffle_width(dtype), out);
+            }
+            Codec::Quant { bound } => {
+                let planes = lz_decompress(stored, raw_len)?;
+                let mut quanta = Vec::with_capacity(raw_len);
+                unshuffle_into(&planes, shuffle_width(dtype), &mut quanta);
+                dequantise_into(&quanta, dtype, bound, out)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{decode_unit, lz_decompress, unshuffle_into};
     use super::*;
+
+    /// xorshift64: cheap deterministic test bytes.
+    fn noise(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Both decoders on one stream: same bytes, or the same error.
+    fn decode_both(stream: &[u8], raw_len: usize) -> std::result::Result<Vec<u8>, String> {
+        let old = lz_decompress(stream, raw_len).map_err(|e| e.to_string());
+        let mut out = vec![0xEE; 7]; // stale content must not leak through
+        let new = lz_decompress_into(stream, raw_len, &mut out)
+            .map(|()| out)
+            .map_err(|e| e.to_string());
+        assert_eq!(new, old, "decoders disagree on {stream:?} / {raw_len}");
+        new
+    }
 
     fn lz_round_trip(data: &[u8]) {
         let enc = lz_compress(data);
-        let dec = lz_decompress(&enc, data.len()).unwrap();
-        assert_eq!(dec, data);
+        assert_eq!(decode_both(&enc, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -386,16 +588,7 @@ mod tests {
         }
         lz_round_trip(&mixed);
         // Pseudo-random: mostly incompressible.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let noise: Vec<u8> = (0..10_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 32) as u8
-            })
-            .collect();
-        lz_round_trip(&noise);
+        lz_round_trip(&noise(0x9e3779b97f4a7c15, 10_000));
     }
 
     #[test]
@@ -409,15 +602,72 @@ mod tests {
     #[test]
     fn lz_decoder_rejects_malformed_streams() {
         // Literal run past end.
-        assert!(lz_decompress(&[5, 1, 2], 6).is_err());
+        assert!(decode_both(&[5, 1, 2], 6).is_err());
         // Match with nothing behind it.
-        assert!(lz_decompress(&[0x80, 1, 0], 4).is_err());
+        assert!(decode_both(&[0x80, 1, 0], 4).is_err());
         // Zero distance.
-        assert!(lz_decompress(&[0, 9, 0x80, 0, 0], 5).is_err());
+        assert!(decode_both(&[0, 9, 0x80, 0, 0], 5).is_err());
         // Declared raw_len shorter than the stream decodes to.
-        assert!(lz_decompress(&[3, 1, 2, 3, 4], 2).is_err());
+        assert!(decode_both(&[3, 1, 2, 3, 4], 2).is_err());
         // Declared raw_len longer.
-        assert!(lz_decompress(&[3, 1, 2, 3, 4], 9).is_err());
+        assert!(decode_both(&[3, 1, 2, 3, 4], 9).is_err());
+        // Match distance cut off by the end of the stream.
+        assert!(decode_both(&[0, 9, 0x80, 1], 5).is_err());
+    }
+
+    #[test]
+    fn lz_overlapping_matches_repeat_the_pattern() {
+        // Seven literals, then one match of every length at the
+        // distances where block copies and overlap meet.
+        let prefix = [1u8, 2, 3, 4, 5, 6, 7];
+        for len in MIN_MATCH..=MAX_MATCH {
+            for dist in [1, 2, 3, len - 1, len] {
+                if dist > prefix.len() {
+                    continue;
+                }
+                let mut stream = vec![prefix.len() as u8 - 1];
+                stream.extend_from_slice(&prefix);
+                stream.push(0x80 | (len - MIN_MATCH) as u8);
+                stream.extend_from_slice(&(dist as u16).to_le_bytes());
+                let out = decode_both(&stream, prefix.len() + len).unwrap();
+                for (k, &b) in out[prefix.len()..].iter().enumerate() {
+                    assert_eq!(
+                        b,
+                        prefix[prefix.len() - dist + k % dist],
+                        "len {len} dist {dist}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lz_decoders_agree_on_random_token_streams() {
+        // Token soup: valid streams decode alike, and every way of
+        // going wrong goes wrong alike (checked inside `decode_both`).
+        for seed in 1..400u64 {
+            let bytes = noise(seed, 96);
+            let mut stream = Vec::new();
+            let mut produced = 0usize;
+            for pair in bytes.chunks_exact(3) {
+                if pair[0] & 1 == 0 {
+                    let run = pair[1] as usize % 40 + 1;
+                    stream.push(run as u8 - 1);
+                    stream.extend(noise(seed ^ produced as u64, run));
+                    produced += run;
+                } else {
+                    let len = pair[1] as usize % 128 + MIN_MATCH;
+                    // mostly valid distances, sometimes 0 or too far
+                    let dist = (pair[2] as usize * 3) % (produced + 3);
+                    stream.push(0x80 | (len - MIN_MATCH) as u8);
+                    stream.extend_from_slice(&(dist as u16).to_le_bytes());
+                    produced += len;
+                }
+            }
+            let _ = decode_both(&stream, produced);
+            let _ = decode_both(&stream[..stream.len() - 1], produced);
+            let _ = decode_both(&stream, produced.saturating_sub(5));
+        }
     }
 
     #[test]
@@ -429,6 +679,63 @@ mod tests {
             unshuffle_into(&planes, elem, &mut back);
             assert_eq!(back, data, "elem width {elem}");
         }
+    }
+
+    /// `open_unit` + `copy_to` over sub-ranges of a small unit against
+    /// the reference's raw bytes (compared as bytes: NaNs included), for
+    /// one element type.
+    fn unit_matches_reference<T: Element>(codec: Codec, raw: &[u8]) {
+        let (used, stored) = match encode_unit(codec, raw, T::DTYPE) {
+            Some((used, stored)) => (used, stored),
+            None => (Codec::Raw, raw.to_vec()),
+        };
+        let mut expect = Vec::new();
+        decode_unit(used, &stored, raw.len(), T::DTYPE, &mut expect).unwrap();
+        let width = std::mem::size_of::<T>();
+        let n = raw.len() / width;
+        let mut scratch = Vec::new();
+        let unit = open_unit(used, &stored, raw.len(), &mut scratch).unwrap();
+        for lo in [0, 1, n / 2, n] {
+            for hi in [lo, (lo + 1).min(n), n] {
+                let mut got = vec![T::default(); hi - lo];
+                unit.copy_to(lo, &mut got);
+                let mut bytes = Vec::new();
+                got.iter().for_each(|v| v.write_le(&mut bytes));
+                assert_eq!(bytes, expect[lo * width..hi * width], "{used:?} {lo}..{hi}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_gather_matches_the_reference_for_every_width_and_codec() {
+        // Slowly varying values: shuffle-lz and quant both engage.
+        let smooth32: Vec<u8> = (0..700)
+            .flat_map(|i| ((i / 9) as f32 * 0.25).to_le_bytes())
+            .collect();
+        let smooth64: Vec<u8> = (0..500)
+            .flat_map(|i| ((i / 5) as f64 * -1.5).to_le_bytes())
+            .collect();
+        let steps16: Vec<u8> = (0..900)
+            .flat_map(|i| (i / 11 - 40i16).to_le_bytes())
+            .collect();
+        let runs8: Vec<u8> = (0..1000).map(|i| (i / 50) as u8).collect();
+        for codec in [Codec::Raw, Codec::ShuffleLz] {
+            unit_matches_reference::<f32>(codec, &smooth32);
+            unit_matches_reference::<f64>(codec, &smooth64);
+            unit_matches_reference::<i16>(codec, &steps16);
+            unit_matches_reference::<u8>(codec, &runs8);
+            unit_matches_reference::<i32>(codec, &smooth32);
+            unit_matches_reference::<i64>(codec, &smooth64);
+            // incompressible: the per-unit raw fallback
+            unit_matches_reference::<f32>(codec, &noise(5, 4096));
+        }
+        let quant = Codec::Quant { bound: 1e-3 };
+        unit_matches_reference::<f32>(quant, &smooth32);
+        unit_matches_reference::<f64>(quant, &smooth64);
+        // a NaN makes quant fall back to lossless for the unit
+        let mut with_nan = smooth32.clone();
+        with_nan[..4].copy_from_slice(&f32::NAN.to_le_bytes());
+        unit_matches_reference::<f32>(quant, &with_nan);
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! CRC32C (Castagnoli) — the integrity checksum of the `DASF0003` format.
+//! CRC32C (Castagnoli) — the integrity checksum of the dasf format.
 //!
-//! Zero-dependency software implementation using the classic slice-by-8
-//! technique: eight 256-entry tables let the hot loop fold eight input
-//! bytes per iteration instead of one, which is within a small factor of
-//! hardware CRC on the payload sizes dasf verifies (64 KiB chunks).
-//! CRC32C is chosen over CRC32 (zlib) for its better error-detection
-//! properties on storage-sized blocks; the tables are built at compile
-//! time, so there is no runtime initialisation to race on.
+//! [`crc32c_append`] picks its implementation from the CPU it runs on,
+//! once per call and with nothing to configure:
+//!
+//! * on x86-64 with SSE4.2 (detected at run time), the `crc32`
+//!   instruction folds eight bytes per step — one dependent chain,
+//!   about five times the table code on the 64 KiB units dasf hashes;
+//! * everywhere else, slice-by-8: eight 256-entry tables, built at
+//!   compile time (no initialisation to race on), fold eight input
+//!   bytes per iteration.
+//!
+//! The table code is also the reference: the tests call it directly and
+//! compare the instruction path against it over every length and
+//! alignment, so the fallback is exercised on x86 CI too. CRC32C is
+//! chosen over CRC32 (zlib) for its better error-detection properties
+//! on storage-sized blocks — and because hardware implements it.
 
 /// Reflected CRC32C (Castagnoli) polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -51,6 +59,37 @@ pub fn crc32c(data: &[u8]) -> u32 {
 /// Continue a CRC32C over more data: `crc32c_append(crc32c(a), b)`
 /// equals `crc32c` of `a` followed by `b`.
 pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32c_sse42` needs nothing but the `sse4.2` target
+        // feature, which was just detected on the running CPU.
+        return unsafe { crc32c_sse42(crc, data) };
+    }
+    crc32c_table(crc, data)
+}
+
+/// [`crc32c_append`] on the SSE4.2 `crc32` instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_sse42(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = data.chunks_exact(8);
+    let mut crc64 = u64::from(!crc);
+    for w in &mut words {
+        let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        crc64 = _mm_crc32_u64(crc64, w);
+    }
+    // The instruction leaves the upper half of its result zero.
+    let mut crc = crc64 as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
+}
+
+/// [`crc32c_append`] by slice-by-8 table lookups: the path of every
+/// platform without the instruction, and the tests' reference.
+fn crc32c_table(crc: u32, data: &[u8]) -> u32 {
     let mut crc = !crc;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
@@ -110,12 +149,41 @@ mod tests {
             .collect();
         for len in 0..=23 {
             assert_eq!(
-                crc32c(&data[..len]),
+                crc32c_table(0, &data[..len]),
                 crc32c_reference(&data[..len]),
                 "len {len}"
             );
         }
-        assert_eq!(crc32c(&data), crc32c_reference(&data));
+        assert_eq!(crc32c_table(0, &data), crc32c_reference(&data));
+    }
+
+    fn noise(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// The dispatching entry point (the `crc32` instruction wherever
+    /// this suite runs on SSE4.2 hardware) against the table code.
+    #[test]
+    fn selected_path_matches_the_tables_on_every_length_and_alignment() {
+        let data = noise(8 + 257);
+        for align in 0..8 {
+            for len in 0..=257 {
+                let s = &data[align..align + len];
+                assert_eq!(crc32c(s), crc32c_table(0, s), "align {align} len {len}");
+            }
+        }
+        for len in [64 << 10, 1 << 20] {
+            let big = noise(len + 3);
+            assert_eq!(crc32c(&big[3..]), crc32c_table(0, &big[3..]), "len {len}");
+        }
     }
 
     #[test]
@@ -124,6 +192,15 @@ mod tests {
         for split in [0, 1, 7, 8, 9, 500, 999, 1000] {
             let (a, b) = data.split_at(split);
             assert_eq!(crc32c_append(crc32c(a), b), crc32c(&data), "split {split}");
+        }
+        // Every cut of a short message, on the selected path and on the
+        // tables: each remainder length on either side of the cut.
+        let msg = noise(64);
+        let whole = crc32c_reference(&msg);
+        for cut in 0..=msg.len() {
+            let (a, b) = msg.split_at(cut);
+            assert_eq!(crc32c_append(crc32c(a), b), whole, "cut {cut}");
+            assert_eq!(crc32c_table(crc32c_table(0, a), b), whole, "cut {cut}");
         }
     }
 

@@ -69,10 +69,15 @@ macro_rules! impl_element {
         impl Element for $t {
             const DTYPE: Dtype = $dtype;
 
+            #[inline]
             fn write_le(self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
 
+            // Reads are generic over `T` and so instantiated in the
+            // calling crate; without the hint this is an opaque call
+            // per element there.
+            #[inline]
             fn read_le(bytes: &[u8]) -> Self {
                 let mut buf = [0u8; std::mem::size_of::<$t>()];
                 buf.copy_from_slice(&bytes[..std::mem::size_of::<$t>()]);
@@ -99,6 +104,7 @@ pub(crate) fn encode_slice<T: Element>(data: &[T]) -> Vec<u8> {
 }
 
 /// Decode `n` values from little-endian bytes.
+#[cfg(test)]
 pub(crate) fn decode_slice<T: Element>(bytes: &[u8], n: usize) -> Vec<T> {
     let mut out = Vec::new();
     decode_into(bytes, n, &mut out);
@@ -106,7 +112,9 @@ pub(crate) fn decode_slice<T: Element>(bytes: &[u8], n: usize) -> Vec<T> {
 }
 
 /// Decode `n` values from little-endian bytes into `out` (cleared
-/// first), so pooled buffers skip the fresh allocation per read.
+/// first). The reader's reference implementation still stages raw bytes
+/// and decodes them in bulk; reads proper go through `codec::Unit`.
+#[cfg(test)]
 pub(crate) fn decode_into<T: Element>(bytes: &[u8], n: usize, out: &mut Vec<T>) {
     let sz = T::DTYPE.size();
     debug_assert!(bytes.len() >= n * sz);

@@ -38,13 +38,16 @@
 //! layout). v4 adds an optional codec stage *under* the checksums: each
 //! unit may be stored compressed, and its CRC32C covers the **stored**
 //! bytes, so scrubbing (`verify_all`, `das_fsck`) hashes exactly what
-//! is on disk and never pays a decode. The reader verifies the units a
-//! read touches, decodes them into pooled buffers, and caches the
-//! verified set, so repeated reads do not re-hash. A flipped byte
+//! is on disk and never pays a decode. The reader visits only the units
+//! a read's rows touch, verifies each before decoding it, decodes it
+//! once, straight into the caller's array, and remembers the verified
+//! set per handle, so repeated reads do not re-hash. A flipped byte
 //! anywhere — payload, object table, or superblock — surfaces as
 //! [`DasfError::ChecksumMismatch`], and a file truncated before its
 //! commit record is complete is always [`DasfError::Truncated`], never
-//! half-readable. Writers are crash-consistent: bytes stream to
+//! half-readable; and a table whose checksums hold but whose unit headers
+//! contradict the dataset's geometry is [`DasfError::Corrupt`] before a
+//! payload byte is read. Writers are crash-consistent: bytes stream to
 //! `<name>.tmp`, which is fsynced and atomically renamed into place by
 //! [`Writer::finish`]; an unfinished writer removes its temp file on
 //! drop. Version-3 files (`DASF0003`, checksums but no codec stage) and
@@ -72,6 +75,11 @@
 //! let sub = f.read_hyperslab_f32("/Measurement/data", &[(1, 2), (2, 3)]).unwrap();
 //! assert_eq!(sub.len(), 6);
 //! ```
+
+// This crate parses bytes it does not control. All of it is safe Rust
+// but one call, in `crc`, into a function compiled for a CPU feature
+// detected at run time; `ci.sh` holds the count at one.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod codec;
 pub mod crc;

@@ -156,21 +156,6 @@ impl DatasetMeta {
             self.stored_units.iter().map(|u| u.stored_len as u64).sum()
         }
     }
-
-    /// Stored byte range `(offset, len)` of verify unit `unit` relative
-    /// to the start of this dataset's **contiguous** payload. Equals
-    /// [`DatasetMeta::unit_range`] for uncompressed datasets. Chunked
-    /// layouts locate stored units via their `chunk_offsets` instead.
-    pub fn stored_unit_range(&self, unit: usize) -> (u64, u64) {
-        if self.stored_units.is_empty() {
-            return self.unit_range(unit);
-        }
-        let off: u64 = self.stored_units[..unit]
-            .iter()
-            .map(|u| u.stored_len as u64)
-            .sum();
-        (off, self.stored_units[unit].stored_len as u64)
-    }
 }
 
 /// A node in the object tree.
@@ -276,6 +261,15 @@ impl ObjectTable {
     /// Dataset metadata at `path`.
     pub fn dataset(&self, path: &str) -> Result<&DatasetMeta> {
         match self.get(path)? {
+            Node::Dataset(d) => Ok(d),
+            Node::Group { .. } => Err(DasfError::WrongKind(path.to_string())),
+        }
+    }
+
+    /// Mutable dataset metadata at `path` — for tools and tests that
+    /// rewrite a table; the reader validates whatever it is handed.
+    pub fn dataset_mut(&mut self, path: &str) -> Result<&mut DatasetMeta> {
+        match self.get_mut(path)? {
             Node::Dataset(d) => Ok(d),
             Node::Group { .. } => Err(DasfError::WrongKind(path.to_string())),
         }
@@ -657,7 +651,6 @@ mod tests {
         assert!(d.is_compressed());
         assert_eq!(d.codec(), Codec::Quant { bound: 0.25 });
         assert_eq!(d.stored_byte_len(), 9);
-        assert_eq!(d.stored_unit_range(0), (0, 9));
         // A v3 encoding has no slot for unit headers: the table encodes
         // and decodes, but the headers are gone.
         let v3 = ObjectTable::decode(&t.encode_versioned(Version::V3), Version::V3).unwrap();

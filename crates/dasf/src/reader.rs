@@ -1,17 +1,20 @@
 //! Reading dasf files: cheap metadata opens and verified hyperslab reads.
 
-use crate::codec;
+use crate::codec::{self, Codec};
 use crate::crc::crc32c;
-use crate::element::{decode_into, decode_slice, Element};
+use crate::element::{Dtype, Element};
 use crate::error::DasfError;
-use crate::object::{DatasetMeta, Layout, ObjectTable, UnitHeader};
+use crate::object::{DatasetMeta, Layout, ObjectTable};
+use crate::pool::PooledBuf;
 use crate::value::Value;
 use crate::{Result, Version, FOOTER_LEN, MAGIC, MAGIC_V2, MAGIC_V3, VERIFY_CHUNK_BYTES};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File as FsFile;
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// A checksum fault found by [`File::verify_all`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,11 +74,27 @@ macro_rules! typed_read_aliases {
 /// exploits: merging a thousand files costs a thousand metadata opens,
 /// not a terabyte of data movement.
 ///
-/// For v3/v4 files every read verifies the CRC32C of the verify units
-/// it touches before returning data, and caches which units passed so
-/// repeated reads do not re-hash. The cache is per-handle: bytes that
-/// rot on disk *after* a unit verified are not re-detected through the
-/// same handle, but a fresh `open` re-verifies everything it reads.
+/// Every read — whole or hyperslab, raw or compressed, contiguous or
+/// chunked — is one walk over verify units. The selection becomes
+/// ascending runs; only the units those runs touch are visited
+/// (neighbours fetched with one positioned read into a pooled staging
+/// buffer); each is CRC-checked over its stored bytes (v3/v4), its
+/// codec undone once, and its share of every run written straight into
+/// the caller's destination: a strided run sink, of which the
+/// `&mut Vec<T>` methods are the dense case and
+/// [`File::read_hyperslab_strided`] the general one. Cost follows the
+/// units asked for, and a delivered element is written once.
+///
+/// The first read or scrub of a dataset checks its table entry against
+/// its geometry (unit headers, offsets, extent) before any payload byte
+/// is read, so a table with valid checksums and impossible contents is
+/// a [`DasfError::Corrupt`] naming dataset and unit, not a wild slice
+/// or a table-sized allocation.
+///
+/// Which units passed their CRC is kept per handle, so repeated reads
+/// do not re-hash (they still fetch and decode). Bytes that rot on
+/// disk *after* a unit verified are therefore not re-detected through
+/// the same handle, but a fresh `open` re-verifies everything it reads.
 /// Checksums cover the bytes as stored, so on v4 compressed datasets
 /// decode only ever runs on CRC-verified input.
 pub struct File {
@@ -85,8 +104,9 @@ pub struct File {
     /// Size of the data region in bytes (table offset − superblock).
     data_region_bytes: u64,
     version: Version,
-    /// Per-dataset bitmap of verify units already hashed clean.
-    verified: RefCell<HashMap<String, Vec<bool>>>,
+    /// Per dataset, built the first time it is read or scrubbed: where
+    /// its verify units lie and which are already hashed clean.
+    units: RefCell<HashMap<String, UnitMap>>,
     /// Deterministic injected bit-rot (faultline `dasf.read.corrupt`):
     /// one byte of the data region reads back flipped.
     corruption: Option<crate::faults::Corruption>,
@@ -218,7 +238,7 @@ impl File {
             table,
             data_region_bytes,
             version,
-            verified: RefCell::new(HashMap::new()),
+            units: RefCell::new(HashMap::new()),
             corruption,
         })
     }
@@ -263,17 +283,6 @@ impl File {
         self.table.attr(path, key)
     }
 
-    fn check_dtype<T: Element>(&self, path: &str, meta: &DatasetMeta) -> Result<()> {
-        if meta.dtype != T::DTYPE {
-            return Err(DasfError::TypeMismatch {
-                path: path.to_string(),
-                expected: T::DTYPE.name(),
-                actual: meta.dtype.name(),
-            });
-        }
-        Ok(())
-    }
-
     /// Positioned read through the shared handle, with injected bit-rot
     /// applied afterwards so it behaves exactly like a flaky sector.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
@@ -288,260 +297,172 @@ impl File {
         Ok(())
     }
 
-    /// This file's expected per-unit checksums for `meta`, or `None`
-    /// when the format cannot carry them (v2).
-    fn expected_sums<'a>(&self, dataset: &str, meta: &'a DatasetMeta) -> Result<Option<&'a [u32]>> {
-        if self.version == Version::V2 {
-            return Ok(None);
-        }
-        if meta.checksums.len() != meta.verify_unit_count() {
-            return Err(DasfError::Corrupt(format!(
-                "dataset {dataset} carries {} checksums for {} verify units",
-                meta.checksums.len(),
-                meta.verify_unit_count()
+    /// Locate every verify unit of `meta` in the file, checking the
+    /// table entry against the dataset's geometry on the way: the
+    /// number of checksums and unit headers, what each header says its
+    /// unit decodes to, and that every stored span lies inside the data
+    /// region. Nothing after this trusts a length from the table
+    /// without it, and nothing before it reads a payload byte.
+    fn unit_map(&self, dataset: &str, meta: &DatasetMeta) -> Result<UnitMap> {
+        let corrupt = |what: String| DasfError::Corrupt(format!("dataset {dataset}: {what}"));
+        let width = meta.dtype.size() as u64;
+        let bytes = meta
+            .dims
+            .iter()
+            .try_fold(width, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| corrupt(format!("extent {:?} overflows", meta.dims)))?;
+        let n_units = match &meta.layout {
+            Layout::Contiguous => bytes.div_ceil(VERIFY_CHUNK_BYTES),
+            Layout::Chunked {
+                chunk_dims,
+                chunk_offsets,
+            } => {
+                if chunk_dims.len() != meta.dims.len()
+                    || chunk_dims.is_empty()
+                    || chunk_dims.contains(&0)
+                {
+                    return Err(corrupt(format!(
+                        "chunk dims {chunk_dims:?} do not fit extent {:?}",
+                        meta.dims
+                    )));
+                }
+                let grid = meta.dims.iter().zip(chunk_dims);
+                let cells = grid.fold(1u64, |n, (&d, &c)| n.saturating_mul(d.div_ceil(c)));
+                if cells != chunk_offsets.len() as u64 {
+                    return Err(corrupt(format!(
+                        "chunk table has {} entries, grid needs {cells}",
+                        chunk_offsets.len()
+                    )));
+                }
+                cells
+            }
+        };
+        // Each count below is compared with a vector the table decoder
+        // already holds, so `n_units` is bounded before it sizes one.
+        if self.version != Version::V2 && meta.checksums.len() as u64 != n_units {
+            return Err(corrupt(format!(
+                "carries {} checksums for {n_units} verify units",
+                meta.checksums.len()
             )));
         }
-        if meta.is_compressed() && meta.stored_units.len() != meta.verify_unit_count() {
-            return Err(DasfError::Corrupt(format!(
-                "dataset {dataset} carries {} unit headers for {} verify units",
-                meta.stored_units.len(),
-                meta.verify_unit_count()
+        if meta.is_compressed() {
+            if meta.stored_units.len() as u64 != n_units {
+                return Err(corrupt(format!(
+                    "carries {} unit headers for {n_units} verify units",
+                    meta.stored_units.len()
+                )));
+            }
+        } else if bytes > self.data_region_bytes {
+            return Err(corrupt(format!(
+                "{bytes} payload bytes in a data region of {}",
+                self.data_region_bytes
             )));
         }
-        Ok(Some(&meta.checksums))
-    }
-
-    /// Decode one checksum-verified stored unit, appending its raw
-    /// payload bytes to `raw`, and charge the codec metrics.
-    fn decode_stored_unit(
-        &self,
-        dtype: crate::Dtype,
-        u: &UnitHeader,
-        stored: &[u8],
-        raw: &mut Vec<u8>,
-    ) -> Result<()> {
-        let m = crate::metrics::metrics();
-        let started = std::time::Instant::now();
-        codec::decode_unit(u.codec, stored, u.raw_len as usize, dtype, raw)?;
-        m.codec_decode_ns.record_duration(started.elapsed());
-        m.codec_bytes_raw.add(u.raw_len as u64);
-        m.codec_bytes_stored.add(u.stored_len as u64);
-        Ok(())
-    }
-
-    /// Read, verify, and decode stored units `first..=last` of a
-    /// compressed **contiguous** dataset into one pooled raw buffer
-    /// (covering raw bytes `[first, last+1) × VERIFY_CHUNK_BYTES` of the
-    /// payload). The stored span is fetched with a single positioned
-    /// read; each unit is CRC-checked over its stored bytes before it
-    /// is decoded.
-    fn decode_window(
-        &self,
-        dataset: &str,
-        meta: &DatasetMeta,
-        first: usize,
-        last: usize,
-    ) -> Result<crate::pool::PooledBuf<u8>> {
-        let (span_off, _) = meta.stored_unit_range(first);
-        let span_len: u64 = meta.stored_units[first..=last]
-            .iter()
-            .map(|u| u.stored_len as u64)
-            .sum();
-        let mut stored = crate::pool::bytes().acquire(span_len as usize);
-        stored.resize(span_len as usize, 0);
-        self.read_at(meta.data_offset + span_off, &mut stored)?;
-        let raw_len: u64 = meta.stored_units[first..=last]
-            .iter()
-            .map(|u| u.raw_len as u64)
-            .sum();
-        let mut raw = crate::pool::bytes().acquire(raw_len as usize);
-        let mut off = 0usize;
-        for (unit, u) in meta.stored_units[first..=last].iter().enumerate() {
-            let s = &stored[off..off + u.stored_len as usize];
-            self.verify_chunk_bytes(dataset, meta, first + unit, s)?;
-            self.decode_stored_unit(meta.dtype, u, s, &mut raw)?;
-            off += u.stored_len as usize;
-        }
-        Ok(raw)
-    }
-
-    fn mismatch(&self, dataset: &str, chunk: usize) -> DasfError {
-        crate::metrics::metrics().verify_mismatch.inc();
-        DasfError::ChecksumMismatch {
-            path: self.path.display().to_string(),
-            dataset: dataset.to_string(),
-            chunk,
-        }
-    }
-
-    fn is_verified(&self, dataset: &str, unit: usize) -> bool {
-        self.verified
-            .borrow()
-            .get(dataset)
-            .is_some_and(|v| v.get(unit).copied().unwrap_or(false))
-    }
-
-    fn mark_verified(&self, dataset: &str, unit: usize, n_units: usize) {
-        let mut map = self.verified.borrow_mut();
-        let v = map
-            .entry(dataset.to_string())
-            .or_insert_with(|| vec![false; n_units]);
-        v[unit] = true;
-    }
-
-    /// Verify the units covering payload byte range `[lo, hi)` of a
-    /// contiguous dataset, reading each unverified unit from disk.
-    fn verify_contiguous_range(
-        &self,
-        dataset: &str,
-        meta: &DatasetMeta,
-        lo: u64,
-        hi: u64,
-    ) -> Result<()> {
-        let Some(sums) = self.expected_sums(dataset, meta)? else {
-            return Ok(());
-        };
-        if hi <= lo {
-            return Ok(());
-        }
-        let m = crate::metrics::metrics();
-        let started = std::time::Instant::now();
-        let first = (lo / VERIFY_CHUNK_BYTES) as usize;
-        let last = ((hi - 1) / VERIFY_CHUNK_BYTES) as usize;
-        let mut buf = Vec::new();
-        let result = (|| {
-            for unit in first..=last {
-                if self.is_verified(dataset, unit) {
-                    continue;
+        let n_units = n_units as usize;
+        let region_end = 16 + self.data_region_bytes;
+        let mut spans = Vec::with_capacity(n_units);
+        let mut next = meta.data_offset;
+        for unit in 0..n_units {
+            let (at, raw) = match &meta.layout {
+                Layout::Contiguous => (next, meta.unit_range(unit).1),
+                Layout::Chunked { chunk_offsets, .. } => {
+                    (chunk_offsets[unit], meta.chunk_elems(unit) * width)
                 }
-                let (start, len) = meta.unit_range(unit);
-                buf.resize(len as usize, 0);
-                self.read_at(meta.data_offset + start, &mut buf)?;
-                m.verify_chunks.inc();
-                m.verify_bytes.add(len);
-                if crc32c(&buf) != sums[unit] {
-                    return Err(self.mismatch(dataset, unit));
+            };
+            let stored = match meta.stored_units.get(unit) {
+                None => raw,
+                Some(h) => {
+                    if h.raw_len as u64 != raw {
+                        return Err(corrupt(format!(
+                            "unit {unit} header decodes to {} bytes, the unit holds {raw}",
+                            h.raw_len
+                        )));
+                    }
+                    if h.codec == Codec::Raw && h.stored_len != h.raw_len {
+                        return Err(corrupt(format!(
+                            "unit {unit} is stored raw in {} bytes, not its {raw}",
+                            h.stored_len
+                        )));
+                    }
+                    if matches!(h.codec, Codec::Quant { .. })
+                        && !matches!(meta.dtype, Dtype::F32 | Dtype::F64)
+                    {
+                        return Err(corrupt(format!(
+                            "unit {unit} is quantised but holds {}",
+                            meta.dtype.name()
+                        )));
+                    }
+                    h.stored_len as u64
                 }
-                self.mark_verified(dataset, unit, sums.len());
-            }
-            Ok(())
-        })();
-        m.verify_ns.record_duration(started.elapsed());
-        result
-    }
-
-    /// Verify every unit of a contiguous dataset against its full
-    /// payload already in memory (zero extra I/O on whole reads).
-    fn verify_contiguous_buffer(
-        &self,
-        dataset: &str,
-        meta: &DatasetMeta,
-        payload: &[u8],
-    ) -> Result<()> {
-        let Some(sums) = self.expected_sums(dataset, meta)? else {
-            return Ok(());
-        };
-        let m = crate::metrics::metrics();
-        let started = std::time::Instant::now();
-        let result = (|| {
-            for unit in 0..sums.len() {
-                if self.is_verified(dataset, unit) {
-                    continue;
-                }
-                let (start, len) = meta.unit_range(unit);
-                let slice = &payload[start as usize..(start + len) as usize];
-                m.verify_chunks.inc();
-                m.verify_bytes.add(len);
-                if crc32c(slice) != sums[unit] {
-                    return Err(self.mismatch(dataset, unit));
-                }
-                self.mark_verified(dataset, unit, sums.len());
-            }
-            Ok(())
-        })();
-        m.verify_ns.record_duration(started.elapsed());
-        result
-    }
-
-    /// Verify one storage chunk of a chunked dataset from bytes already
-    /// read off disk.
-    fn verify_chunk_bytes(
-        &self,
-        dataset: &str,
-        meta: &DatasetMeta,
-        unit: usize,
-        bytes: &[u8],
-    ) -> Result<()> {
-        let Some(sums) = self.expected_sums(dataset, meta)? else {
-            return Ok(());
-        };
-        if self.is_verified(dataset, unit) {
-            return Ok(());
+            };
+            next = at
+                .checked_add(stored)
+                .filter(|&end| at >= 16 && end <= region_end)
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "unit {unit} ({stored} bytes at offset {at}) lies outside the data region"
+                    ))
+                })?;
+            spans.push((at, stored));
         }
-        let m = crate::metrics::metrics();
-        let started = std::time::Instant::now();
-        m.verify_chunks.inc();
-        m.verify_bytes.add(bytes.len() as u64);
-        let ok = crc32c(bytes) == sums[unit];
-        m.verify_ns.record_duration(started.elapsed());
-        if !ok {
-            return Err(self.mismatch(dataset, unit));
-        }
-        self.mark_verified(dataset, unit, sums.len());
-        Ok(())
+        // What one fetch can need: the largest unit, or as many small
+        // ones as the staging cap (or the dataset) holds.
+        let largest = spans.iter().map(|s| s.1).max().unwrap_or(0);
+        let stored = spans.iter().map(|s| s.1).sum::<u64>();
+        Ok(UnitMap {
+            verified: vec![false; n_units],
+            staging: largest.max(stored.min(STAGING_BYTES)) as usize,
+            spans,
+        })
     }
 
-    /// Read an entire dataset (one I/O call for contiguous layout, one
-    /// per chunk for chunked layout). Verifies every touched unit first.
+    /// Start a pass over the units of the dataset at `path`, building
+    /// (and validating) its [`UnitMap`] first if this handle has not
+    /// seen the dataset yet.
+    fn walk<'a>(
+        &'a self,
+        maps: &'a mut HashMap<String, UnitMap>,
+        path: &'a str,
+        meta: &'a DatasetMeta,
+    ) -> Result<Walk<'a>> {
+        if !maps.contains_key(path) {
+            maps.insert(path.to_string(), self.unit_map(path, meta)?);
+        }
+        let units = maps.get_mut(path).expect("inserted above");
+        Ok(Walk {
+            file: self,
+            dataset: path,
+            meta,
+            sums: (self.version != Version::V2).then_some(&meta.checksums[..]),
+            staging: crate::pool::bytes().acquire(units.staging),
+            units,
+            staged_at: 0,
+            scratch: None,
+            spent: Spent::default(),
+        })
+    }
+
+    /// Read an entire dataset. Verifies every unit this handle has not
+    /// verified yet.
     pub fn read<T: Element>(&self, path: &str) -> Result<Vec<T>> {
         let mut out = Vec::new();
         self.read_into(path, &mut out)?;
         Ok(out)
     }
 
-    /// [`File::read`] into a caller-supplied vector (cleared first),
-    /// returning the element count. Raw bytes stage through the shared
-    /// [`crate::pool`], so repeated same-shaped reads recycle buffers
-    /// instead of allocating per call; growth of `out` is charged to
-    /// `dasf.alloc.bytes` — hand in a pooled buffer to avoid it.
+    /// [`File::read`] into a caller-supplied vector (resized to the
+    /// dataset), returning the element count. Stored bytes stage
+    /// through the shared [`crate::pool`], so repeated reads recycle
+    /// buffers instead of allocating per call; growth of `out` is
+    /// charged to `dasf.alloc.bytes` — hand in a pooled buffer to avoid
+    /// it.
     pub fn read_into<T: Element>(&self, path: &str, out: &mut Vec<T>) -> Result<usize> {
-        let meta = self.table.dataset(path)?;
-        self.check_dtype::<T>(path, meta)?;
-        match &meta.layout {
-            Layout::Contiguous => {
-                let m = crate::metrics::metrics();
-                m.read_count.inc();
-                let _trace = obs::trace::scope("dasf.read");
-                crate::faults::check_read(&self.path)?;
-                let started = std::time::Instant::now();
-                let n = meta.len();
-                if meta.is_compressed() {
-                    let raw = self.decode_window(path, meta, 0, meta.stored_units.len() - 1)?;
-                    counting_growth(out, |out| decode_into(&raw, n, out));
-                    m.read_bytes.add(raw.len() as u64);
-                    m.read_ns.record_duration(started.elapsed());
-                    return Ok(n);
-                }
-                let mut bytes = crate::pool::bytes().acquire(n * meta.dtype.size());
-                bytes.resize(n * meta.dtype.size(), 0);
-                self.read_at(meta.data_offset, &mut bytes)?;
-                self.verify_contiguous_buffer(path, meta, &bytes)?;
-                counting_growth(out, |out| decode_into(&bytes, n, out));
-                m.read_bytes.add(bytes.len() as u64);
-                m.read_ns.record_duration(started.elapsed());
-                Ok(n)
-            }
-            Layout::Chunked { .. } => {
-                let full: Vec<(u64, u64)> = meta.dims.iter().map(|&d| (0, d)).collect();
-                self.read_hyperslab_into(path, &full, out)
-            }
-        }
+        self.read_to(path, None, Dest::Dense(out))
     }
 
     /// Read a rectangular hyperslab: `selection[d] = (offset, count)` per
-    /// dimension. Rows along the innermost dimension are fetched as
-    /// contiguous runs; the verify units covering the selection's
-    /// bounding byte range are checked before any data is returned.
+    /// dimension. Only the verify units that rows of the selection
+    /// touch are fetched, checked, and decoded.
     pub fn read_hyperslab<T: Element>(
         &self,
         path: &str,
@@ -552,20 +473,52 @@ impl File {
         Ok(out)
     }
 
-    /// [`File::read_hyperslab`] into a caller-supplied vector (cleared
-    /// first), returning the element count. Stages through the shared
-    /// [`crate::pool`] like [`File::read_into`].
+    /// [`File::read_hyperslab`] into a caller-supplied vector (resized
+    /// to the selection), returning the element count. Stages through
+    /// the shared [`crate::pool`] like [`File::read_into`].
     pub fn read_hyperslab_into<T: Element>(
         &self,
         path: &str,
         selection: &[(u64, u64)],
         out: &mut Vec<T>,
     ) -> Result<usize> {
+        self.read_to(path, Some(selection), Dest::Dense(out))
+    }
+
+    /// [`File::read_hyperslab`] straight into a window of a larger
+    /// row-major array: row `k` of the selection (its `k`-th run along
+    /// the innermost dimension, in row-major order) lands at
+    /// `dst[start + k * stride..]`, and no other element of `dst` is
+    /// written. This is how a member file's block reaches its columns
+    /// of an assembled `channel × time` array without a tile in
+    /// between. After an `Err`, the rows of the window hold an
+    /// unspecified mix of old and new values.
+    ///
+    /// Fails with [`DasfError::OutOfBounds`] when the rows would overlap
+    /// (`stride` shorter than a row) or run past the end of `dst`.
+    pub fn read_hyperslab_strided<T: Element>(
+        &self,
+        path: &str,
+        selection: &[(u64, u64)],
+        dst: &mut [T],
+        start: usize,
+        stride: usize,
+    ) -> Result<usize> {
+        self.read_to(path, Some(selection), Dest::Strided { dst, start, stride })
+    }
+
+    /// Every read: count it, time it, and run [`File::read_impl`].
+    fn read_to<T: Element>(
+        &self,
+        path: &str,
+        selection: Option<&[(u64, u64)]>,
+        dest: Dest<'_, T>,
+    ) -> Result<usize> {
         let m = crate::metrics::metrics();
         m.read_count.inc();
         let _trace = obs::trace::scope("dasf.read");
-        let started = std::time::Instant::now();
-        let result = self.read_hyperslab_into_impl(path, selection, out);
+        let started = Instant::now();
+        let result = self.read_impl(path, selection, dest);
         if let Ok(n) = &result {
             m.read_bytes.add((n * std::mem::size_of::<T>()) as u64);
         }
@@ -573,256 +526,321 @@ impl File {
         result
     }
 
-    fn read_hyperslab_into_impl<T: Element>(
+    fn read_impl<T: Element>(
         &self,
         path: &str,
-        selection: &[(u64, u64)],
-        out: &mut Vec<T>,
+        selection: Option<&[(u64, u64)]>,
+        dest: Dest<'_, T>,
     ) -> Result<usize> {
         crate::faults::check_read(&self.path)?;
         let meta = self.table.dataset(path)?;
-        self.check_dtype::<T>(path, meta)?;
-        if selection.len() != meta.dims.len() {
-            return Err(DasfError::OutOfBounds(format!(
-                "selection rank {} != dataset rank {}",
-                selection.len(),
-                meta.dims.len()
-            )));
+        if meta.dtype != T::DTYPE {
+            return Err(DasfError::TypeMismatch {
+                path: path.to_string(),
+                expected: T::DTYPE.name(),
+                actual: meta.dtype.name(),
+            });
         }
-        for (d, (&(off, cnt), &dim)) in selection.iter().zip(&meta.dims).enumerate() {
-            if off + cnt > dim {
-                return Err(DasfError::OutOfBounds(format!(
-                    "dim {d}: {off}+{cnt} > {dim}"
-                )));
+        let mut maps = self.units.borrow_mut();
+        let mut walk = self.walk(&mut maps, path, meta)?;
+        let runs = Runs::of(meta, selection)?;
+        let mut sink = dest.sink(&runs)?;
+        if runs.count > 0 {
+            match &meta.layout {
+                Layout::Contiguous => walk.contiguous(&runs, &mut sink)?,
+                Layout::Chunked { chunk_dims, .. } => walk.chunked(chunk_dims, &runs, &mut sink)?,
             }
         }
-        let total: u64 = selection.iter().map(|&(_, c)| c).product();
-        if total == 0 {
-            out.clear();
-            return Ok(0);
-        }
-        if let Layout::Chunked {
-            chunk_dims,
-            chunk_offsets,
-        } = &meta.layout
-        {
-            self.read_hyperslab_chunked(
-                path,
-                meta,
-                selection,
-                &chunk_dims.clone(),
-                &chunk_offsets.clone(),
-                out,
-            )?;
-            return Ok(total as usize);
-        }
-
-        // Row-major strides (in elements) of the full dataset.
-        let ndim = meta.dims.len();
-        let mut strides = vec![1u64; ndim];
-        for d in (0..ndim.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * meta.dims[d + 1];
-        }
-
-        let elem = meta.dtype.size() as u64;
-        // Bounding byte range of the selection: every byte a run below
-        // touches lies inside it.
-        let mut lo_elem = 0u64;
-        let mut hi_elem = 0u64;
-        for d in 0..ndim {
-            lo_elem += selection[d].0 * strides[d];
-            hi_elem += (selection[d].0 + selection[d].1 - 1) * strides[d];
-        }
-        let (lo_byte, hi_byte) = (lo_elem * elem, (hi_elem + 1) * elem);
-        // Compressed datasets cannot seek into the middle of a stored
-        // unit, so decode the covering units into one raw window up
-        // front (verified against their stored-byte checksums) and copy
-        // runs out of it. Uncompressed datasets verify the bounding
-        // range and then seek per run, exactly as in v3.
-        let window = if meta.is_compressed() {
-            let first = (lo_byte / VERIFY_CHUNK_BYTES) as usize;
-            let last = ((hi_byte - 1) / VERIFY_CHUNK_BYTES) as usize;
-            let raw = self.decode_window(path, meta, first, last)?;
-            Some((raw, first as u64 * VERIFY_CHUNK_BYTES))
-        } else {
-            self.verify_contiguous_range(path, meta, lo_byte, hi_byte)?;
-            None
-        };
-
-        let run_len = selection[ndim - 1].1; // contiguous elements per run
-        let mut out_bytes = crate::pool::bytes().acquire((total * elem) as usize);
-
-        // Odometer over all dims except the innermost.
-        let mut idx = vec![0u64; ndim.saturating_sub(1)];
-        loop {
-            let mut elem_offset = selection[ndim - 1].0; // innermost offset
-            for d in 0..ndim - 1 {
-                elem_offset += (selection[d].0 + idx[d]) * strides[d];
-            }
-            let start = out_bytes.len();
-            out_bytes.resize(start + (run_len * elem) as usize, 0);
-            match &window {
-                Some((raw, base)) => {
-                    let off = (elem_offset * elem - base) as usize;
-                    let run_bytes = (run_len * elem) as usize;
-                    out_bytes[start..].copy_from_slice(&raw[off..off + run_bytes]);
-                }
-                None => self.read_at(
-                    meta.data_offset + elem_offset * elem,
-                    &mut out_bytes[start..],
-                )?,
-            }
-
-            // Advance the odometer.
-            let mut d = ndim.saturating_sub(1);
-            loop {
-                if d == 0 {
-                    counting_growth(out, |out| decode_into(&out_bytes, total as usize, out));
-                    return Ok(total as usize);
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < selection[d].1 {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
+        Ok((runs.count * runs.len) as usize)
     }
 
-    /// Chunked-layout hyperslab: read each intersecting chunk with one
-    /// I/O call, verify it, then scatter the overlap into the output.
-    #[allow(clippy::too_many_arguments)]
-    fn read_hyperslab_chunked<T: Element>(
-        &self,
-        path: &str,
-        meta: &DatasetMeta,
-        selection: &[(u64, u64)],
-        chunk_dims: &[u64],
-        chunk_offsets: &[u64],
-        out: &mut Vec<T>,
-    ) -> Result<()> {
-        let ndim = meta.dims.len();
-        if chunk_dims.len() != ndim {
-            return Err(DasfError::Corrupt("chunk rank mismatch".into()));
-        }
-        let grid: Vec<u64> = meta
-            .dims
-            .iter()
-            .zip(chunk_dims)
-            .map(|(&d, &c)| d.div_ceil(c.max(1)))
-            .collect();
-        let expected_chunks: u64 = grid.iter().product();
-        if chunk_offsets.len() as u64 != expected_chunks {
-            return Err(DasfError::Corrupt(format!(
-                "chunk table has {} entries, grid needs {expected_chunks}",
-                chunk_offsets.len()
-            )));
-        }
-        // Output strides.
-        let out_dims: Vec<u64> = selection.iter().map(|&(_, c)| c).collect();
-        let mut out_strides = vec![1u64; ndim];
-        for d in (0..ndim.saturating_sub(1)).rev() {
-            out_strides[d] = out_strides[d + 1] * out_dims[d + 1];
-        }
-        let total: u64 = out_dims.iter().product();
-        counting_growth(out, |out| {
-            out.clear();
-            out.resize(total as usize, T::default());
-        });
-
-        // Chunk-grid range intersecting the selection, per dimension.
-        let lo_chunk: Vec<u64> = selection
-            .iter()
-            .zip(chunk_dims)
-            .map(|(&(off, _), &c)| off / c.max(1))
-            .collect();
-        let hi_chunk: Vec<u64> = selection
-            .iter()
-            .zip(chunk_dims)
-            .map(|(&(off, cnt), &c)| (off + cnt - 1) / c.max(1))
-            .collect();
-
-        let mut gidx = lo_chunk.clone();
-        loop {
-            // Linear chunk index in the grid.
-            let mut flat_chunk = 0u64;
-            for d in 0..ndim {
-                flat_chunk = flat_chunk * grid[d] + gidx[d];
+    /// Scrub every dataset: hash all verify units against the object
+    /// table and collect mismatches instead of failing on the first one.
+    /// I/O errors and reads past EOF still abort with `Err` — the file
+    /// is torn, not merely corrupt — and so does a table entry that
+    /// contradicts its dataset's geometry. v2 datasets (no checksums)
+    /// are counted in `unverified_datasets` and otherwise skipped.
+    pub fn verify_all(&self) -> Result<VerifyOutcome> {
+        let _trace = obs::trace::scope("dasf.verify");
+        let mut out = VerifyOutcome::default();
+        let mut maps = self.units.borrow_mut();
+        for path in self.dataset_paths() {
+            let meta = self.table.dataset(&path)?;
+            out.datasets += 1;
+            let mut walk = self.walk(&mut maps, &path, meta)?;
+            if walk.sums.is_none() {
+                out.unverified_datasets += 1;
+                continue;
             }
-            // Clipped chunk extent.
-            let starts: Vec<u64> = gidx.iter().zip(chunk_dims).map(|(&g, &c)| g * c).collect();
-            let lens: Vec<u64> = starts
-                .iter()
-                .zip(&meta.dims)
-                .zip(chunk_dims)
-                .map(|((&s, &d), &c)| c.min(d - s))
-                .collect();
-            let chunk_elems: u64 = lens.iter().product();
-            let raw_bytes = chunk_elems as usize * meta.dtype.size();
-            let unit = flat_chunk as usize;
-            let chunk: Vec<T> = if meta.is_compressed() {
-                // One stored unit per chunk: fetch its stored bytes,
-                // CRC-check them, then decode into a pooled raw buffer.
-                let u = meta.stored_units[unit];
-                if u.raw_len as usize != raw_bytes {
-                    return Err(DasfError::Corrupt(format!(
-                        "chunk {unit} decodes to {} bytes, expected {raw_bytes}",
-                        u.raw_len
-                    )));
-                }
-                let mut stored = crate::pool::bytes().acquire(u.stored_len as usize);
-                stored.resize(u.stored_len as usize, 0);
-                self.read_at(chunk_offsets[unit], &mut stored)?;
-                self.verify_chunk_bytes(path, meta, unit, &stored)?;
-                let mut raw = crate::pool::bytes().acquire(raw_bytes);
-                self.decode_stored_unit(meta.dtype, &u, &stored, &mut raw)?;
-                decode_slice(&raw, chunk_elems as usize)
-            } else {
-                let mut bytes = crate::pool::bytes().acquire(raw_bytes);
-                bytes.resize(raw_bytes, 0);
-                self.read_at(chunk_offsets[unit], &mut bytes)?;
-                self.verify_chunk_bytes(path, meta, unit, &bytes)?;
-                decode_slice(&bytes, chunk_elems as usize)
-            };
-            // Chunk-local strides.
-            let mut c_strides = vec![1u64; ndim];
-            for d in (0..ndim.saturating_sub(1)).rev() {
-                c_strides[d] = c_strides[d + 1] * lens[d + 1];
-            }
-            // Overlap of selection and chunk, per dimension (global).
-            let ov_lo: Vec<u64> = (0..ndim).map(|d| selection[d].0.max(starts[d])).collect();
-            let ov_hi: Vec<u64> = (0..ndim)
-                .map(|d| (selection[d].0 + selection[d].1).min(starts[d] + lens[d]))
-                .collect();
-            if (0..ndim).all(|d| ov_lo[d] < ov_hi[d]) {
-                // Copy overlap rows (innermost dim contiguous both sides).
-                let run = (ov_hi[ndim - 1] - ov_lo[ndim - 1]) as usize;
-                let mut idx = ov_lo.clone();
-                'copy: loop {
-                    let mut src = 0u64;
-                    let mut dst = 0u64;
-                    for d in 0..ndim {
-                        src += (idx[d] - starts[d]) * c_strides[d];
-                        dst += (idx[d] - selection[d].0) * out_strides[d];
+            // Checksums cover the *stored* bytes, so the scrub hashes
+            // exactly what is on disk and never decodes.
+            let n_units = walk.units.spans.len();
+            let mut unit = 0;
+            while unit < n_units {
+                let fetched = walk.fetch(unit..n_units)?;
+                for u in unit..fetched {
+                    if walk.hashes_clean(u) {
+                        walk.units.verified[u] = true;
+                    } else {
+                        crate::metrics::metrics().verify_mismatch.inc();
+                        out.mismatches.push(ChecksumFault {
+                            dataset: path.clone(),
+                            chunk: u,
+                        });
                     }
-                    out[dst as usize..dst as usize + run]
-                        .copy_from_slice(&chunk[src as usize..src as usize + run]);
-                    let mut d = ndim - 1;
-                    loop {
-                        if d == 0 {
-                            break 'copy;
-                        }
-                        d -= 1;
-                        idx[d] += 1;
-                        if idx[d] < ov_hi[d] {
+                }
+                unit = fetched;
+            }
+            out.chunks_verified += walk.spent.hashed_units;
+            out.bytes_verified += walk.spent.hashed_bytes;
+        }
+        Ok(out)
+    }
+
+    typed_read_aliases! {
+        f32 => read_f32, read_hyperslab_f32;
+        f64 => read_f64, read_hyperslab_f64;
+    }
+}
+
+/// Stored bytes one positioned read may fetch: enough consecutive units
+/// to amortise the call, few enough that they are still in cache when
+/// the CRC and the decoder come for them.
+const STAGING_BYTES: u64 = 1 << 20;
+
+/// What a handle keeps per dataset once it has used it.
+struct UnitMap {
+    /// `(file offset, stored length)` of every verify unit.
+    spans: Vec<(u64, u64)>,
+    /// Capacity of the staging buffer a pass over this dataset wants.
+    staging: usize,
+    /// Units this handle has hashed clean. A later read skips their
+    /// CRC (it still fetches and decodes them), which is why rot that
+    /// sets in afterwards goes unseen until a fresh `open`.
+    verified: Vec<bool>,
+}
+
+/// Time and traffic of one pass below the element copy, published when
+/// the pass ends (one histogram sample per pass, not per unit).
+#[derive(Default)]
+struct Spent {
+    verify: Duration,
+    hashed_units: u64,
+    hashed_bytes: u64,
+    decode: Duration,
+    raw_bytes: u64,
+    stored_bytes: u64,
+}
+
+/// One pass over units of one dataset — a read, or a scrub: fetch
+/// stored units, CRC-check them, undo their codec. Contiguous and
+/// chunked reads and [`File::verify_all`] are all loops around these
+/// three steps.
+struct Walk<'a> {
+    file: &'a File,
+    dataset: &'a str,
+    meta: &'a DatasetMeta,
+    /// Expected CRC32C per unit; `None` on v2 files, which carry none.
+    sums: Option<&'a [u32]>,
+    units: &'a mut UnitMap,
+    /// The stored bytes of the units last fetched …
+    staging: PooledBuf<u8>,
+    /// … which start at this file offset.
+    staged_at: u64,
+    /// Where a compressed unit's LZ stage is undone; acquired by the
+    /// first unit that needs it.
+    scratch: Option<PooledBuf<u8>>,
+    spent: Spent,
+}
+
+impl Walk<'_> {
+    /// Fetch a prefix of `units` with one positioned read: as many as
+    /// lie back to back in the file and fit [`STAGING_BYTES`] (always
+    /// at least one). Returns the end of the fetched range.
+    fn fetch(&mut self, units: Range<usize>) -> Result<usize> {
+        let spans = &self.units.spans;
+        let (at, mut len) = spans[units.start];
+        let mut end = units.start + 1;
+        while end < units.end && spans[end].0 == at + len && len + spans[end].1 <= STAGING_BYTES {
+            len += spans[end].1;
+            end += 1;
+        }
+        let len = len as usize;
+        if self.staging.len() < len {
+            self.staging.resize(len, 0);
+        }
+        self.file.read_at(at, &mut self.staging[..len])?;
+        self.staged_at = at;
+        Ok(end)
+    }
+
+    /// Hash a fetched unit and compare with the table's checksum.
+    fn hashes_clean(&mut self, unit: usize) -> bool {
+        let Some(sums) = self.sums else { return true };
+        let started = Instant::now();
+        let stored = staged(&self.staging, self.staged_at, self.units.spans[unit]);
+        let clean = crc32c(stored) == sums[unit];
+        self.spent.verify += started.elapsed();
+        self.spent.hashed_units += 1;
+        self.spent.hashed_bytes += stored.len() as u64;
+        clean
+    }
+
+    /// CRC-check a fetched unit, unless this handle already has, and
+    /// undo its codec as far as [`codec::Unit`] goes. Decode only ever
+    /// sees bytes that passed their checksum.
+    fn open(&mut self, unit: usize) -> Result<codec::Unit<'_>> {
+        if !self.units.verified[unit] {
+            if !self.hashes_clean(unit) {
+                crate::metrics::metrics().verify_mismatch.inc();
+                return Err(DasfError::ChecksumMismatch {
+                    path: self.file.path.display().to_string(),
+                    dataset: self.dataset.to_string(),
+                    chunk: unit,
+                });
+            }
+            self.units.verified[unit] = true;
+        }
+        let stored = staged(&self.staging, self.staged_at, self.units.spans[unit]);
+        let Some(header) = self.meta.stored_units.get(unit) else {
+            return Ok(codec::Unit::Plain(stored));
+        };
+        self.spent.raw_bytes += header.raw_len as u64;
+        self.spent.stored_bytes += stored.len() as u64;
+        let scratch = self
+            .scratch
+            .get_or_insert_with(|| crate::pool::bytes().acquire(header.raw_len as usize));
+        codec::open_unit(header.codec, stored, header.raw_len as usize, scratch)
+    }
+
+    /// Contiguous layout: visit the 64 KiB units the runs cover, in
+    /// ascending order, and write each unit's share of each run into
+    /// the sink while the unit is open.
+    fn contiguous<T: Element>(&mut self, runs: &Runs, sink: &mut Sink<'_, T>) -> Result<()> {
+        let width = std::mem::size_of::<T>() as u64;
+        let compressed = self.meta.is_compressed();
+        let unit_of = |element: u64| (element * width / VERIFY_CHUNK_BYTES) as usize;
+        let mut next = 0;
+        while next < runs.count {
+            // The units of one run, extended over every following run
+            // that starts in or right behind them: one ascending range
+            // of units to fetch.
+            let mut run = next;
+            let mut units = unit_of(runs.start(run))..unit_of(runs.start(run) + runs.len - 1) + 1;
+            next += 1;
+            while next < runs.count && unit_of(runs.start(next)) <= units.end {
+                units.end = unit_of(runs.start(next) + runs.len - 1) + 1;
+                next += 1;
+            }
+            while !units.is_empty() {
+                let fetched = self.fetch(units.clone())?;
+                for unit in units.start..fetched {
+                    let from = unit as u64 * VERIFY_CHUNK_BYTES / width;
+                    let to = from + self.meta.unit_range(unit).1 / width;
+                    let started = Instant::now();
+                    let opened = self.open(unit)?;
+                    // Runs `run..next` in order; the last one a unit
+                    // touches may continue in the next unit.
+                    while run < next {
+                        let (lo, hi) = (runs.start(run), runs.start(run) + runs.len);
+                        if lo >= to {
                             break;
                         }
-                        idx[d] = ov_lo[d];
+                        let (a, b) = (lo.max(from), hi.min(to));
+                        opened.copy_to((a - from) as usize, sink.at(run, a - lo, b - a));
+                        if hi > to {
+                            break;
+                        }
+                        run += 1;
+                    }
+                    if compressed {
+                        self.spent.decode += started.elapsed();
                     }
                 }
+                units.start = fetched;
             }
-            // Advance chunk-grid odometer within [lo_chunk, hi_chunk].
+        }
+        Ok(())
+    }
+
+    /// Chunked layout: every storage chunk is one unit. Visit the
+    /// chunks the selection intersects and write each overlap, row by
+    /// row, into the sink.
+    fn chunked<T: Element>(
+        &mut self,
+        chunk_dims: &[u64],
+        runs: &Runs,
+        sink: &mut Sink<'_, T>,
+    ) -> Result<()> {
+        let (dims, sel) = (&self.meta.dims, &runs.sel);
+        let ndim = dims.len();
+        let compressed = self.meta.is_compressed();
+        // Selection rows per step of each dimension but the innermost.
+        let mut row_strides = vec![1u64; ndim - 1];
+        for d in (0..ndim.saturating_sub(2)).rev() {
+            row_strides[d] = row_strides[d + 1] * sel[d + 1].1;
+        }
+        // Chunk-grid range intersecting the selection, per dimension.
+        let lo_chunk: Vec<u64> = sel.iter().zip(chunk_dims).map(|(s, &c)| s.0 / c).collect();
+        let hi_chunk: Vec<u64> = sel
+            .iter()
+            .zip(chunk_dims)
+            .map(|(s, &c)| (s.0 + s.1 - 1) / c)
+            .collect();
+        let mut gidx = lo_chunk.clone();
+        loop {
+            // Linear chunk index in the grid, and the clipped extent.
+            let mut unit = 0usize;
+            for d in 0..ndim {
+                unit = unit * dims[d].div_ceil(chunk_dims[d]) as usize + gidx[d] as usize;
+            }
+            let starts: Vec<u64> = gidx.iter().zip(chunk_dims).map(|(&g, &c)| g * c).collect();
+            let lens: Vec<u64> = (0..ndim)
+                .map(|d| chunk_dims[d].min(dims[d] - starts[d]))
+                .collect();
+            let mut c_strides = vec![1u64; ndim];
+            for d in (0..ndim - 1).rev() {
+                c_strides[d] = c_strides[d + 1] * lens[d + 1];
+            }
+            // Overlap of selection and chunk, per dimension (global);
+            // never empty, by the choice of the grid range.
+            let ov_lo: Vec<u64> = (0..ndim).map(|d| sel[d].0.max(starts[d])).collect();
+            let ov_hi: Vec<u64> = (0..ndim)
+                .map(|d| (sel[d].0 + sel[d].1).min(starts[d] + lens[d]))
+                .collect();
+            self.fetch(unit..unit + 1)?;
+            let started = Instant::now();
+            let opened = self.open(unit)?;
+            let run = ov_hi[ndim - 1] - ov_lo[ndim - 1];
+            let mut idx = ov_lo.clone();
+            'rows: loop {
+                let mut src = 0u64;
+                let mut row = 0u64;
+                for d in 0..ndim {
+                    src += (idx[d] - starts[d]) * c_strides[d];
+                    if d < ndim - 1 {
+                        row += (idx[d] - sel[d].0) * row_strides[d];
+                    }
+                }
+                let col = ov_lo[ndim - 1] - sel[ndim - 1].0;
+                opened.copy_to(src as usize, sink.at(row, col, run));
+                let mut d = ndim - 1;
+                loop {
+                    if d == 0 {
+                        break 'rows;
+                    }
+                    d -= 1;
+                    idx[d] += 1;
+                    if idx[d] < ov_hi[d] {
+                        break;
+                    }
+                    idx[d] = ov_lo[d];
+                }
+            }
+            if compressed {
+                self.spent.decode += started.elapsed();
+            }
+            // Advance the chunk-grid odometer within [lo_chunk, hi_chunk].
             let mut d = ndim;
             loop {
                 if d == 0 {
@@ -837,82 +855,182 @@ impl File {
             }
         }
     }
+}
 
-    /// Scrub every dataset: hash all verify units against the object
-    /// table and collect mismatches instead of failing on the first one.
-    /// I/O errors and reads past EOF still abort with `Err` — the file
-    /// is torn, not merely corrupt. v2 datasets (no checksums) are
-    /// counted in `unverified_datasets` and otherwise skipped.
-    pub fn verify_all(&self) -> Result<VerifyOutcome> {
-        let m = crate::metrics::metrics();
-        let _trace = obs::trace::scope("dasf.verify");
-        let started = std::time::Instant::now();
-        let mut out = VerifyOutcome::default();
-        let mut buf = Vec::new();
-        for path in self.dataset_paths() {
-            let meta = self.table.dataset(&path)?;
-            out.datasets += 1;
-            let Some(sums) = self.expected_sums(&path, meta)? else {
-                out.unverified_datasets += 1;
-                continue;
-            };
-            for unit in 0..sums.len() {
-                // Checksums cover the *stored* bytes, so the scrub
-                // hashes exactly what is on disk and never decodes.
-                let (off, len) = match &meta.layout {
-                    Layout::Contiguous => {
-                        let (start, len) = meta.stored_unit_range(unit);
-                        (meta.data_offset + start, len)
-                    }
-                    Layout::Chunked { chunk_offsets, .. } => {
-                        let len = if meta.is_compressed() {
-                            meta.stored_units[unit].stored_len as u64
-                        } else {
-                            meta.chunk_elems(unit) * meta.dtype.size() as u64
-                        };
-                        (chunk_offsets[unit], len)
-                    }
-                };
-                buf.resize(len as usize, 0);
-                self.read_at(off, &mut buf)?;
-                m.verify_chunks.inc();
-                m.verify_bytes.add(len);
-                out.chunks_verified += 1;
-                out.bytes_verified += len;
-                if crc32c(&buf) == sums[unit] {
-                    self.mark_verified(&path, unit, sums.len());
-                } else {
-                    m.verify_mismatch.inc();
-                    out.mismatches.push(ChecksumFault {
-                        dataset: path.clone(),
-                        chunk: unit,
-                    });
-                }
-            }
+/// The stored bytes of the unit at `span` in a staging buffer that
+/// starts at file offset `staged_at`.
+fn staged(staging: &[u8], staged_at: u64, (at, len): (u64, u64)) -> &[u8] {
+    &staging[(at - staged_at) as usize..][..len as usize]
+}
+
+impl Drop for Walk<'_> {
+    fn drop(&mut self) {
+        let (m, spent) = (crate::metrics::metrics(), &self.spent);
+        if spent.hashed_units > 0 {
+            m.verify_ns.record_duration(spent.verify);
+            m.verify_chunks.add(spent.hashed_units);
+            m.verify_bytes.add(spent.hashed_bytes);
         }
-        m.verify_ns.record_duration(started.elapsed());
-        Ok(out)
-    }
-
-    typed_read_aliases! {
-        f32 => read_f32, read_hyperslab_f32;
-        f64 => read_f64, read_hyperslab_f64;
+        if spent.raw_bytes > 0 {
+            m.codec_decode_ns.record_duration(spent.decode);
+            m.codec_bytes_raw.add(spent.raw_bytes);
+            m.codec_bytes_stored.add(spent.stored_bytes);
+        }
     }
 }
 
-/// Run `f` over `out` and charge any capacity growth to
-/// `dasf.alloc.bytes`: pooled buffers come in pre-sized and cost
-/// nothing, fresh vectors show up in the allocation ledger.
-fn counting_growth<T, R>(out: &mut Vec<T>, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-    let before = out.capacity();
-    let result = f(out);
-    let grown = out.capacity().saturating_sub(before);
-    if grown > 0 {
-        crate::metrics::metrics()
-            .alloc_bytes
-            .add((grown * std::mem::size_of::<T>()) as u64);
+/// A bounds-checked selection as the ascending runs of consecutive
+/// elements it occupies in a row-major dataset: one per row along the
+/// innermost dimension. A whole read of a contiguous dataset is the
+/// single run over the flattened array.
+struct Runs {
+    /// `(offset, count)` per dimension.
+    sel: Vec<(u64, u64)>,
+    /// `(count, element stride)` of every dimension but the innermost.
+    outer: Vec<(u64, u64)>,
+    /// Element offset of run 0.
+    first: u64,
+    /// Number of runs; zero for an empty selection.
+    count: u64,
+    /// Elements per run.
+    len: u64,
+}
+
+impl Runs {
+    fn of(meta: &DatasetMeta, selection: Option<&[(u64, u64)]>) -> Result<Runs> {
+        // The unit map vouched for the extent: its product fits.
+        let flat = [meta.dims.iter().product::<u64>()];
+        let (dims, sel): (&[u64], Vec<(u64, u64)>) = match selection {
+            None if meta.layout == Layout::Contiguous => (&flat, vec![(0, flat[0])]),
+            None => (&meta.dims, meta.dims.iter().map(|&d| (0, d)).collect()),
+            Some(sel) => {
+                if sel.len() != meta.dims.len() {
+                    return Err(DasfError::OutOfBounds(format!(
+                        "selection rank {} != dataset rank {}",
+                        sel.len(),
+                        meta.dims.len()
+                    )));
+                }
+                for (d, (&(off, cnt), &dim)) in sel.iter().zip(&meta.dims).enumerate() {
+                    if off.checked_add(cnt).is_none_or(|end| end > dim) {
+                        return Err(DasfError::OutOfBounds(format!(
+                            "dim {d}: {off}+{cnt} > {dim}"
+                        )));
+                    }
+                }
+                (&meta.dims, sel.to_vec())
+            }
+        };
+        // A rank-0 dataset is one run of its one element.
+        let (&(_, len), rows) = sel.split_last().unwrap_or((&(0, 1), &[]));
+        let mut stride = 1u64;
+        let mut first = 0u64;
+        let mut outer = vec![(0, 0); rows.len()];
+        for d in (0..sel.len()).rev() {
+            first += sel[d].0 * stride;
+            if d < rows.len() {
+                outer[d] = (sel[d].1, stride);
+            }
+            stride *= dims[d];
+        }
+        let count = rows.iter().map(|s| s.1).product::<u64>();
+        Ok(Runs {
+            count: if len == 0 { 0 } else { count },
+            sel,
+            outer,
+            first,
+            len,
+        })
     }
-    result
+
+    /// Element offset of run `k` in the dataset.
+    fn start(&self, k: u64) -> u64 {
+        let mut rest = k;
+        let mut at = self.first;
+        for &(count, stride) in self.outer.iter().rev() {
+            at += rest % count * stride;
+            rest /= count;
+        }
+        at
+    }
+}
+
+/// Where the caller wants a read.
+enum Dest<'a, T> {
+    /// A vector resized to the selection, rows back to back.
+    Dense(&'a mut Vec<T>),
+    /// A window of a larger array: see [`File::read_hyperslab_strided`].
+    Strided {
+        dst: &'a mut [T],
+        start: usize,
+        stride: usize,
+    },
+}
+
+/// The strided run sink every read writes through: elements
+/// `lo .. lo + len` of run `k` live at `dst[start + k * stride + lo..]`.
+struct Sink<'a, T> {
+    dst: &'a mut [T],
+    start: usize,
+    stride: usize,
+}
+
+impl<'a, T: Element> Dest<'a, T> {
+    /// Size (dense) or bounds-check (strided) the destination for
+    /// `runs`, so that [`Sink::at`] cannot fail during the walk.
+    fn sink(self, runs: &Runs) -> Result<Sink<'a, T>> {
+        let (count, len) = (runs.count as usize, runs.len as usize);
+        match self {
+            Dest::Dense(out) => {
+                // Every element below `count * len` is overwritten, so
+                // only what the vector grows by needs a value first.
+                let before = out.capacity();
+                out.truncate(count * len);
+                out.resize(count * len, T::default());
+                let grown = out.capacity().saturating_sub(before);
+                if grown > 0 {
+                    // Pooled buffers come in pre-sized and cost nothing;
+                    // fresh vectors show up in the allocation ledger.
+                    crate::metrics::metrics()
+                        .alloc_bytes
+                        .add((grown * std::mem::size_of::<T>()) as u64);
+                }
+                Ok(Sink {
+                    dst: out,
+                    start: 0,
+                    stride: len,
+                })
+            }
+            Dest::Strided { dst, start, stride } => {
+                let fits = match count.checked_sub(1) {
+                    None => true,
+                    Some(last) => {
+                        (stride >= len || last == 0)
+                            && last
+                                .checked_mul(stride)
+                                .and_then(|n| n.checked_add(start))
+                                .and_then(|n| n.checked_add(len))
+                                .is_some_and(|end| end <= dst.len())
+                    }
+                };
+                if !fits {
+                    return Err(DasfError::OutOfBounds(format!(
+                        "{count} rows of {len} at {start} + k * {stride} do not fit a \
+                         destination of {}",
+                        dst.len()
+                    )));
+                }
+                Ok(Sink { dst, start, stride })
+            }
+        }
+    }
+}
+
+impl<T> Sink<'_, T> {
+    fn at(&mut self, run: u64, lo: u64, len: u64) -> &mut [T] {
+        let at = self.start + run as usize * self.stride + lo as usize;
+        &mut self.dst[at..at + len as usize]
+    }
 }
 
 /// `ChecksumMismatch` for a metadata region of the file.
@@ -932,6 +1050,11 @@ fn map_eof(e: std::io::Error) -> DasfError {
         DasfError::Io(e)
     }
 }
+
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -20,9 +20,16 @@
 //! 4. **Codec round-trips** — a shuffle-lz file decodes bit-exactly to
 //!    the written payload, and a quant file reconstructs every sample
 //!    within its error bound.
+//! 5. **Hostile tables** — an object table whose CRCs are all valid but
+//!    whose unit headers, offsets or extent contradict the dataset's
+//!    geometry (a buggy or malicious writer; no checksum can catch it)
+//!    is a typed `Corrupt` naming dataset and unit on every read and on
+//!    the scrub, before a payload byte is read — never a panic, never
+//!    an allocation sized by the table.
 
-use dasf::{Codec, DasfError, File, Value, Version, Writer};
-use std::path::PathBuf;
+use dasf::crc::crc32c;
+use dasf::{Codec, DasfError, File, Layout, ObjectTable, UnitHeader, Value, Version, Writer};
+use std::path::{Path, PathBuf};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("dasf-integrity-tests");
@@ -476,4 +483,223 @@ fn quant_file_respects_its_error_bound_end_to_end() {
         assert!(err <= bound + slack, "|{orig} - {got}| = {err} > {bound}");
     }
     assert!(f.verify_all().unwrap().is_clean());
+}
+
+// ---------------------------------------------------------------------
+// 5. Hostile tables: valid CRCs, impossible geometry
+// ---------------------------------------------------------------------
+
+/// Copy the v4 file at `src` to `dst` with its object table rewritten by
+/// `edit` (which also sees the bytes before the table, i.e. superblock
+/// and payload) and the table and commit-record CRCs recomputed: the
+/// result opens clean whatever the table now claims.
+fn retable(src: &Path, dst: &Path, edit: impl FnOnce(&mut ObjectTable, &[u8])) {
+    let mut bytes = std::fs::read(src).unwrap();
+    let footer = bytes.len() - 32;
+    let t_off = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap()) as usize;
+    let mut table = ObjectTable::decode(&bytes[t_off..footer], Version::V4).unwrap();
+    edit(&mut table, &bytes[..t_off]);
+    let table = table.encode();
+    bytes.truncate(t_off);
+    bytes.extend_from_slice(&table);
+    // Commit record: offset · length · CRC(table) · CRC(magic ‖ offset ‖
+    // the 20 bytes so far) · commit magic.
+    let mut record = (t_off as u64).to_le_bytes().to_vec();
+    record.extend_from_slice(&(table.len() as u64).to_le_bytes());
+    record.extend_from_slice(&crc32c(&table).to_le_bytes());
+    let covered = [&b"DASF0004"[..], &record[..8], &record[..20]].concat();
+    record.extend_from_slice(&crc32c(&covered).to_le_bytes());
+    record.extend_from_slice(b"DASF4END");
+    bytes.extend_from_slice(&record);
+    std::fs::write(dst, bytes).unwrap();
+}
+
+/// 2 × 20 000 incompressible `f32` under `shuffle-lz`: three units, all
+/// fallen back to raw storage (65 536 + 65 536 + 28 928 bytes).
+fn write_incompressible(name: &str) -> PathBuf {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let noise: Vec<f32> = (0..40_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f32::from_bits((x >> 32) as u32 & 0x7F7F_FFFF) // finite
+        })
+        .collect();
+    let p = tmp(name);
+    let mut w = Writer::create(&p).unwrap();
+    w.set_codec(Codec::ShuffleLz).unwrap();
+    w.write_dataset_f32("/d", &[2, 20_000], &noise).unwrap();
+    w.finish().unwrap();
+    let f = File::open(&p).unwrap();
+    let units = &f.dataset("/d").unwrap().stored_units;
+    assert_eq!(units.len(), 3);
+    assert!(units.iter().all(|u| u.codec == Codec::Raw));
+    p
+}
+
+/// Every way into the payload of `/d` fails with `Corrupt` naming the
+/// dataset (and `needle`), and so does the scrub — so `open_verified`
+/// never admits the file.
+fn assert_table_rejected(p: &Path, needle: &str) {
+    let f = File::open(p).expect("the CRCs are valid: the file opens");
+    let check = |what: &str, err: DasfError| match err {
+        DasfError::Corrupt(msg) => assert!(
+            msg.contains("dataset /d") && msg.contains(needle),
+            "{what}: {msg:?} should name the dataset and {needle:?}"
+        ),
+        other => panic!("{what}: expected Corrupt, got {other}"),
+    };
+    check("read_f32", f.read_f32("/d").unwrap_err());
+    check(
+        "read_hyperslab_f32",
+        f.read_hyperslab_f32("/d", &[(1, 1), (19_000, 1_000)])
+            .unwrap_err(),
+    );
+    check("verify_all", f.verify_all().unwrap_err());
+    check("open_verified", File::open_verified(p).err().unwrap());
+}
+
+#[test]
+fn unit_header_that_disagrees_with_the_geometry_is_a_typed_error() {
+    // Reproduced on the parent of this test: the file opened, scrubbed
+    // clean, and then `read_f32` panicked in the element decoder (range
+    // end 4 out of range for slice of length 0) and the hyperslab in
+    // the window copy (range start 24928 out of range for slice of
+    // length 100).
+    let clean = write_incompressible("hostile_src.dasf");
+    let p = tmp("hostile_raw_len.dasf");
+    retable(&clean, &p, |table, payload| {
+        let d = table.dataset_mut("/d").unwrap();
+        let at = d.data_offset as usize + 2 * 65_536;
+        d.stored_units[2] = UnitHeader {
+            codec: Codec::Raw,
+            raw_len: 100,
+            stored_len: 100,
+        };
+        d.checksums[2] = crc32c(&payload[at..at + 100]);
+    });
+    assert_table_rejected(&p, "unit 2");
+}
+
+#[test]
+fn every_hostile_table_shape_is_rejected_before_the_payload_is_touched() {
+    let clean = write_incompressible("hostile_src2.dasf");
+    type Edit = fn(&mut dasf::DatasetMeta);
+    let cases: [(&str, &str, Edit); 7] = [
+        ("raw_stored_len", "unit 1", |d| {
+            // stored raw, but in fewer bytes than it decodes to
+            d.stored_units[1].stored_len = 100;
+        }),
+        ("huge_stored_len", "unit 0", |d| {
+            // must not size a 4 GiB staging buffer
+            d.stored_units[0] = UnitHeader {
+                codec: Codec::ShuffleLz,
+                raw_len: 65_536,
+                stored_len: u32::MAX,
+            };
+        }),
+        ("offset_past_eof", "unit 0", |d| {
+            d.data_offset = u64::MAX - 7
+        }),
+        ("offset_in_superblock", "unit 0", |d| d.data_offset = 8),
+        ("quant_of_ints", "unit 0", |d| {
+            d.dtype = dasf::Dtype::I32; // same width, same geometry
+            d.stored_units[0].codec = Codec::Quant { bound: 0.5 };
+        }),
+        ("extent_overflow", "overflows", |d| {
+            d.dims = vec![u64::MAX, 3]
+        }),
+        ("too_few_headers", "unit headers", |d| {
+            d.stored_units.truncate(2);
+        }),
+    ];
+    for (name, needle, edit) in cases {
+        let p = tmp(&format!("hostile_{name}.dasf"));
+        retable(&clean, &p, |table, _| {
+            edit(table.dataset_mut("/d").unwrap())
+        });
+        if name == "quant_of_ints" {
+            // the dtype check of the typed read comes first
+            let f = File::open(&p).unwrap();
+            assert!(
+                matches!(f.read::<i32>("/d"), Err(DasfError::Corrupt(m)) if m.contains(needle))
+            );
+            assert!(matches!(f.verify_all(), Err(DasfError::Corrupt(_))));
+        } else {
+            assert_table_rejected(&p, needle);
+        }
+    }
+}
+
+#[test]
+fn hostile_tables_of_uncompressed_and_chunked_datasets_are_rejected() {
+    let clean = write_v4_compressed("hostile_src3.dasf", Codec::ShuffleLz);
+    let corrupt = |p: &Path, dataset: &str, needle: &str| {
+        let f = File::open(p).unwrap();
+        let sel: Vec<(u64, u64)> = f
+            .dataset(dataset)
+            .unwrap()
+            .dims
+            .iter()
+            .map(|_| (0, 1))
+            .collect();
+        for err in [
+            f.read_hyperslab_f64(dataset, &sel).err(),
+            f.read_hyperslab_f32(dataset, &sel).err(),
+            f.verify_all().err(),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            match err {
+                DasfError::Corrupt(m) => assert!(m.contains(needle), "{m:?} lacks {needle:?}"),
+                DasfError::TypeMismatch { .. } => {} // the other dataset's type
+                other => panic!("expected Corrupt, got {other}"),
+            }
+        }
+        assert!(matches!(f.verify_all(), Err(DasfError::Corrupt(_))));
+    };
+    // a compressed chunk whose header decodes to more than the chunk holds
+    let p = tmp("hostile_chunk_raw_len.dasf");
+    retable(&clean, &p, |t, _| {
+        t.dataset_mut("/chunked").unwrap().stored_units[3].raw_len += 8;
+    });
+    corrupt(&p, "/chunked", "unit 3");
+    // a chunk offset outside the data region
+    let p = tmp("hostile_chunk_offset.dasf");
+    retable(&clean, &p, |t, _| {
+        if let Layout::Chunked { chunk_offsets, .. } =
+            &mut t.dataset_mut("/chunked").unwrap().layout
+        {
+            chunk_offsets[1] = 1 << 40;
+        }
+    });
+    corrupt(&p, "/chunked", "unit 1");
+    // chunk dims that do not describe the chunk table
+    let p = tmp("hostile_chunk_dims.dasf");
+    retable(&clean, &p, |t, _| {
+        if let Layout::Chunked { chunk_dims, .. } = &mut t.dataset_mut("/chunked").unwrap().layout {
+            chunk_dims[0] = 0;
+        }
+    });
+    corrupt(&p, "/chunked", "chunk dims");
+    // an uncompressed dataset that claims more payload than the file has:
+    // must not size the output or the staging buffer
+    let raw = write_v4_sample("hostile_src4.dasf");
+    let p = tmp("hostile_extent.dasf");
+    retable(&raw, &p, |t, _| {
+        let d = t.dataset_mut("/Measurement/data").unwrap();
+        d.dims = vec![1 << 20, 1 << 14];
+        d.checksums = vec![0; (1usize << 36) / 65_536];
+    });
+    corrupt(&p, "/Measurement/data", "data region");
+    // …while the intact dataset next to a hostile one still reads
+    let p = tmp("hostile_neighbour.dasf");
+    retable(&clean, &p, |t, _| {
+        t.dataset_mut("/chunked").unwrap().stored_units[0].raw_len = 1;
+    });
+    let f = File::open(&p).unwrap();
+    assert_eq!(f.read_f32("/Measurement/data").unwrap(), compressible_f32());
+    assert!(matches!(f.read_f64("/chunked"), Err(DasfError::Corrupt(_))));
 }
