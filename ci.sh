@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for DASSA-rs. Run from the repo root; fails fast.
 #
-#   ./ci.sh          # tier-1 + lints + chaos matrix
+#   ./ci.sh          # tier-1 + lints + release dsp equivalence + chaos matrix + gates
 #   ./ci.sh --quick  # lints only (skip the release build + tests)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -47,6 +47,13 @@ if [[ $quick -eq 0 ]]; then
     cargo build --release
     echo "==> tier-1: cargo test -q"
     cargo test -q
+
+    # The dsp kernels that run rows, outputs and lags in lockstep lanes
+    # only vectorise in release, and tier-1 tests the debug build: run
+    # the bit-for-bit equivalence suite (lanes == one-at-a-time
+    # references, lane isolation) on the code that ships.
+    echo "==> dsp: release-mode bit-equality"
+    cargo test --release -q -p dsp
 
     # Chaos matrix: the seeded fault-injection suite over 8 seeds, run
     # twice with outcome digests. Any nondeterminism — a fault plan
@@ -287,7 +294,22 @@ if [[ $quick -eq 0 ]]; then
         echo "dasl: examples/detect.das failed to run" >&2
         exit 1
     }
-    echo "    byte-identical, $(grep -oE '"dasl\.fused_stages":[0-9]+' "$dasl_dir/m.json" | cut -d: -f2) stages fused"
+    # One source line must not be able to size an allocation or a filter
+    # design: both used to take the process down (abort / panic), both
+    # are a caret diagnostic and exit status 2.
+    for hostile in \
+        'load("corpus") | detrend | resample(1000000007) | xcorr(master=ch[0])' \
+        'load("corpus") | detrend | bandpass(0.5, 24, order=2048) | xcorr(master=ch[0])'; do
+        rc=0
+        target/release/das_pipeline --eval "$hostile" -d "$dasl_dir/corpus" \
+            >/dev/null 2>"$dasl_dir/hostile.log" || rc=$?
+        if [[ $rc -ne 2 ]] || ! grep -qF 'above the limit' "$dasl_dir/hostile.log"; then
+            echo "dasl: \`$hostile\` exited $rc, want 2 with a limit diagnostic:" >&2
+            tail -n 5 "$dasl_dir/hostile.log" >&2
+            exit 1
+        fi
+    done
+    echo "    byte-identical, $(grep -oE '"dasl\.fused_stages":[0-9]+' "$dasl_dir/m.json" | cut -d: -f2) stages fused; oversized kernel arguments exit 2"
 
     # dassd gate: stand the data server up over a generated corpus, run
     # a query and an overload burst against it, then check the shutdown

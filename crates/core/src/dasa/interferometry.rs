@@ -17,10 +17,10 @@
 //! hybrid execution that Figure 8 measures.
 
 use super::haee::Haee;
-use super::rows::{chain_out_len, RowFft, RowKernel, RowScratch};
+use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch};
 use crate::{DassaError, Result};
 use arrayudf::{dist, Array2};
-use dsp::{abscorr_complex, butter, fft_real, ifft, Complex, FiltFilt, FilterBand, Resampler};
+use dsp::{abscorr_complex, fft_real, ifft, Complex};
 use minimpi::Comm;
 use omp::SharedSlice;
 
@@ -71,24 +71,27 @@ impl InterferometryParams {
     /// The pre-processing stages shared by master and ordinary channels
     /// — detrend → zero-phase bandpass → resample — prepared once: the
     /// Butterworth design, the filter's initial state and the resampling
-    /// FIR do not depend on the row.
-    fn chain(&self) -> [RowKernel; 3] {
-        let (b, a) = butter(
-            self.filter_order,
-            FilterBand::Bandpass(self.band.0, self.band.1),
-        );
-        [
+    /// FIR do not depend on the row. An order, band or ratio the engine
+    /// does not prepare is a [`DassaError::BadSelection`].
+    fn chain(&self) -> Result<[RowKernel; 3]> {
+        Ok([
             RowKernel::Detrend,
-            RowKernel::Filtfilt(FiltFilt::new(&b, &a)),
-            RowKernel::Resample(Resampler::new(self.resample_p, self.resample_q)),
-        ]
+            RowKernel::bandpass(self.filter_order, self.band.0, self.band.1)?,
+            RowKernel::resample(self.resample_p, self.resample_q)?,
+        ])
     }
 }
 
 /// Pre-processing stages shared by master and ordinary channels:
 /// detrend → zero-phase bandpass → resample.
+///
+/// # Panics
+/// Panics on parameters [`interferometry`] reports as an error (filter
+/// order, band or resampling ratio outside what the engine prepares) and
+/// on a row too short to filter.
 pub fn preprocess_channel(x: &[f64], p: &InterferometryParams) -> Vec<f64> {
-    RowScratch::default().run(x, &p.chain()).to_vec()
+    let chain = p.chain().unwrap_or_else(|e| panic!("{e}"));
+    RowScratch::default().run(x, &chain).to_vec()
 }
 
 /// Compute `Mfft` from the master channel's raw time series.
@@ -101,7 +104,8 @@ pub fn prepare_master(raw_master: &[f64], p: &InterferometryParams) -> MasterSpe
 /// Algorithm 3's per-channel UDF — pre-process, FFT, `|cos θ|` against
 /// the master spectrum — over every row of `data` with the hybrid
 /// engine's threads, each holding one scratch set and one FFT plan for
-/// the whole region. `master_row`, when the master channel is a row of
+/// the whole region and taking its rows through the chain a block at a
+/// time. `master_row`, when the master channel is a row of
 /// `data`, is scored from the master spectrum itself instead of being
 /// pre-processed and transformed a second time.
 pub(super) fn score_rows(
@@ -115,16 +119,20 @@ pub(super) fn score_rows(
     omp::parallel(haee.threads_per_process, |ctx| {
         let mut rows = RowScratch::default();
         let mut fft = RowFft::new(master.spectrum.len());
-        ctx.for_static(0..data.rows(), |ch| {
-            let v = if Some(ch) == master_row {
-                abscorr_complex(&master.spectrum, &master.spectrum)
-            } else {
-                let spectrum = fft.spectrum(rows.run(data.row(ch), chain));
-                abscorr_complex(spectrum, &master.spectrum)
-            };
-            // SAFETY: static schedule gives each channel to one thread.
-            unsafe { out.write(ch, v) };
-        });
+        for block in blocks(ctx.static_block(data.rows())) {
+            if let Some(ch) = master_row.filter(|ch| block.contains(ch)) {
+                let v = abscorr_complex(&master.spectrum, &master.spectrum);
+                // SAFETY: static schedule gives each channel to one thread.
+                unsafe { out.write(ch, v) };
+            }
+            let others = block.filter(|&ch| Some(ch) != master_row);
+            let processed = rows.run_block(others.clone().map(|ch| data.row(ch)), chain);
+            for (ch, row) in others.zip(processed) {
+                let v = abscorr_complex(fft.spectrum(row), &master.spectrum);
+                // SAFETY: as above.
+                unsafe { out.write(ch, v) };
+            }
+        }
     });
     out.into_vec()
 }
@@ -154,7 +162,7 @@ pub fn interferometry(
             data.rows()
         )));
     }
-    let chain = params.chain();
+    let chain = params.chain()?;
     let n_out = chain_out_len(&chain, data.cols())?;
     let _root = obs::span("interferometry");
     let master = {
@@ -194,7 +202,7 @@ pub fn interferometry_dist(
                 params.master_channel
             ))
         })?;
-    let chain = params.chain();
+    let chain = params.chain()?;
     let n_out = chain_out_len(&chain, local.cols())?;
     let master_row = (comm.rank() == owner).then(|| params.master_channel - own.start);
     let payload = master_row.map(|row| master_spectrum(local.row(row), &chain, n_out).spectrum);

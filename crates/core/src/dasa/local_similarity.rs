@@ -8,7 +8,7 @@
 
 use super::haee::Haee;
 use arrayudf::{apply_mt, dist, Array2, Ghost, Stencil, Stride};
-use dsp::{abscorr_with_energy, energy};
+use dsp::{energy, max_abscorr_lags};
 use minimpi::Comm;
 use std::borrow::Cow;
 
@@ -55,7 +55,7 @@ impl LocalSimiParams {
     }
 }
 
-/// Algorithm 2, verbatim: the UDF evaluated at one stencil position.
+/// Algorithm 2: the UDF evaluated at one stencil position.
 ///
 /// ```text
 /// W = S(−M:M, 0)
@@ -64,21 +64,20 @@ impl LocalSimiParams {
 ///     C−K = max(C−K, abscorr(W, S(l−M : l+M, −K)))
 /// return (C+K + C−K) / 2
 /// ```
+///
+/// The `2L+1` lagged windows of one neighbour are the windows of one
+/// span, `S(−L−M : L+M, ±K)` — the stencil clamps each sample to the
+/// array on its own, so a clamped span holds exactly the clamped windows
+/// — and [`max_abscorr_lags`] scores them side by side.
 pub fn local_simi_udf(s: &Stencil<f64>, p: &LocalSimiParams) -> f64 {
     let m = p.half_window as isize;
     let k = p.channel_offset as isize;
-    let l_half = p.search_half as isize;
+    let reach = p.search_half as isize + m;
     let w = window(s, -m, m, 0);
     // W meets every lagged neighbour window: its energy is summed once.
     let w_energy = energy(&w);
-    let mut c_plus = 0.0f64;
-    let mut c_minus = 0.0f64;
-    for l in -l_half..=l_half {
-        let w1 = window(s, l - m, l + m, k);
-        let w2 = window(s, l - m, l + m, -k);
-        c_plus = c_plus.max(abscorr_with_energy(&w, w_energy, &w1));
-        c_minus = c_minus.max(abscorr_with_energy(&w, w_energy, &w2));
-    }
+    let c_plus = max_abscorr_lags(&w, w_energy, &window(s, -reach, reach, k));
+    let c_minus = max_abscorr_lags(&w, w_energy, &window(s, -reach, reach, -k));
     0.5 * (c_plus + c_minus)
 }
 
@@ -162,6 +161,65 @@ mod tests {
             z ^= z >> 27;
             (z % 2_000_000) as f64 / 1_000_000.0 - 1.0
         })
+    }
+
+    /// Algorithm 2 one lagged window at a time — the body
+    /// `local_simi_udf` had before the lags of a neighbour became one
+    /// span.
+    fn per_lag_udf(s: &Stencil<f64>, p: &LocalSimiParams) -> f64 {
+        let m = p.half_window as isize;
+        let k = p.channel_offset as isize;
+        let l_half = p.search_half as isize;
+        let w = s.window(-m, m, 0);
+        let w_energy = energy(&w);
+        let (mut c_plus, mut c_minus) = (0.0f64, 0.0f64);
+        for l in -l_half..=l_half {
+            let w1 = s.window(l - m, l + m, k);
+            let w2 = s.window(l - m, l + m, -k);
+            c_plus = c_plus.max(dsp::abscorr_with_energy(&w, w_energy, &w1));
+            c_minus = c_minus.max(dsp::abscorr_with_energy(&w, w_energy, &w2));
+        }
+        0.5 * (c_plus + c_minus)
+    }
+
+    /// The span of a neighbour's lagged windows is clamped to the array
+    /// sample by sample, exactly as each window was: every cell — the
+    /// corners and edges, where spans are clamped in time, in channel or
+    /// in both, and the interior, where they are borrowed — has the
+    /// per-lag bits, for lag counts below, at and above a lane group.
+    #[test]
+    fn udf_has_the_per_lag_bits_at_every_cell() {
+        let one_bit =
+            |a: Array2<f64>| Array2::from_fn(a.rows(), a.cols(), |c, t| a.get(c, t).signum());
+        let stride = Stride {
+            time: 1,
+            channel: 1,
+        };
+        for data in [coherent(5, 70), one_bit(incoherent(4, 90)), coherent(1, 30)] {
+            for (half_window, channel_offset, search_half) in [
+                (4, 1, 2),
+                (3, 2, 0),
+                (2, 1, 3),
+                (2, 1, 4),
+                (5, 1, 10),
+                (25, 1, 10),
+            ] {
+                let p = LocalSimiParams {
+                    half_window,
+                    channel_offset,
+                    search_half,
+                    time_stride: 1,
+                };
+                let got = apply(&data, p.ghost(), stride, |s| local_simi_udf(s, &p));
+                let want = apply(&data, p.ghost(), stride, |s| per_lag_udf(s, &p));
+                assert_eq!(got, want, "{p:?} over {} x {}", data.rows(), data.cols());
+            }
+        }
+        // a silent array scores 0 everywhere, not NaN
+        let p = params_small();
+        let silent = Array2::from_fn(3, 40, |_, _| 0.0);
+        let map = apply(&silent, p.ghost(), stride, |s| local_simi_udf(s, &p));
+        assert!(map.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! dimension may be produced" during stacking).
 
 use super::haee::Haee;
-use super::rows::{chain_out_len, RowFft, RowKernel, RowScratch};
+use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch};
 use crate::{DassaError, Result};
 use arrayudf::{Array2, Array3};
-use dsp::{butter, Complex, FiltFilt, FilterBand, Whitener};
+use dsp::{Complex, Whitener};
 use omp::SharedSlice;
 
 /// Temporal normalization applied to each window before correlation.
@@ -79,14 +79,12 @@ impl StackingParams {
     /// A window's preparation — detrend → bandpass → temporal norm →
     /// whiten — with everything that does not depend on the window
     /// (filter design and initial state, whitening weights) done once.
-    fn chain(&self) -> Vec<RowKernel> {
-        let (b, a) = butter(
-            self.filter_order,
-            FilterBand::Bandpass(self.band.0, self.band.1),
-        );
+    /// An order or band the engine does not prepare is a
+    /// [`DassaError::BadSelection`].
+    fn chain(&self) -> Result<Vec<RowKernel>> {
         let mut chain = vec![
             RowKernel::Detrend,
-            RowKernel::Filtfilt(FiltFilt::new(&b, &a)),
+            RowKernel::bandpass(self.filter_order, self.band.0, self.band.1)?,
         ];
         match self.time_norm {
             TimeNorm::None => {}
@@ -98,7 +96,7 @@ impl StackingParams {
             let whitener = Whitener::new(self.window, self.band.0, self.band.1, taper);
             chain.push(RowKernel::Whiten(whitener));
         }
-        chain
+        Ok(chain)
     }
 }
 
@@ -174,7 +172,8 @@ impl WindowCorrelator {
 
     /// Circular cross-correlation `IFFT(M* · S)` of every window of
     /// `raw` with the matching master window, handed to `sink` as
-    /// `(window index, correlation)` with zero lag at index 0.
+    /// `(window index, correlation)` with zero lag at index 0, in window
+    /// order; the windows are prepared a block at a time.
     fn correlate(
         &mut self,
         raw: &[f64],
@@ -183,14 +182,17 @@ impl WindowCorrelator {
     ) {
         let p = &master.params;
         let n_win = p.n_windows(raw.len()).min(master.spectra.len());
-        for (w, mspec) in master.spectra[..n_win].iter().enumerate() {
-            let window = &raw[w * p.hop..w * p.hop + p.window];
-            let spec = self.fft.spectrum(self.rows.run(window, &master.chain));
-            for (s, &m) in spec.iter_mut().zip(mspec) {
-                *s = m.conj() * *s;
+        for block in blocks(0..n_win) {
+            let windows = block.clone().map(|w| &raw[w * p.hop..w * p.hop + p.window]);
+            let prepared = self.rows.run_block(windows, &master.chain);
+            for (w, window) in block.zip(prepared) {
+                let spec = self.fft.spectrum(window);
+                for (s, &m) in spec.iter_mut().zip(&master.spectra[w]) {
+                    *s = m.conj() * *s;
+                }
+                self.fft.inverse_real_into(&mut self.corr);
+                sink(w, &self.corr);
             }
-            self.fft.inverse_real_into(&mut self.corr);
-            sink(w, &self.corr);
         }
     }
 
@@ -218,7 +220,7 @@ impl WindowCorrelator {
 }
 
 fn try_prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> Result<MasterWindows> {
-    let chain = p.chain();
+    let chain = p.chain()?;
     chain_out_len(&chain, p.window)?;
     let (mut rows, mut fft) = (RowScratch::default(), RowFft::new(p.window));
     let spectra = (0..p.n_windows(master_raw.len()))
@@ -238,8 +240,9 @@ fn try_prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> Result<
 ///
 /// # Panics
 /// Panics when the window is too short for the zero-phase filter
-/// (`3·2·filter_order` samples or fewer); [`stacked_interferometry`]
-/// reports that as an error instead.
+/// (`3·2·filter_order` samples or fewer) or the filter order or band is
+/// outside what the engine prepares; [`stacked_interferometry`] reports
+/// both as an error instead.
 pub fn prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> MasterWindows {
     try_prepare_master_windows(master_raw, p).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -446,6 +449,62 @@ mod tests {
         let a = stacked_interferometry(&data, &p, &Haee::builder().threads(1).build()).unwrap();
         let b = stacked_interferometry(&data, &p, &Haee::builder().threads(4).build()).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// A channel's windows are prepared four at a time. Whatever the
+    /// window count leaves over, and whichever thread owns the channel,
+    /// the stack is the one a window at a time gives.
+    #[test]
+    fn window_blocks_never_show_in_a_stack() {
+        let window = 64;
+        for norm in [TimeNorm::OneBit, TimeNorm::RunningAbsMean(5)] {
+            let mut p = params(window);
+            p.time_norm = norm;
+            // as many channels as windows: every remainder of both
+            for n_win in [1usize, 2, 3, 4, 5, 8, 9, 17] {
+                let len = n_win * window + 10;
+                let data = Array2::from_vec(
+                    n_win,
+                    len,
+                    (0..n_win)
+                        .flat_map(|ch| noise(40 + ch as u64, len))
+                        .collect(),
+                );
+                let master = prepare_master_windows(data.row(0), &p);
+                let want: Vec<StackedCorrelation> = (0..data.rows())
+                    .map(|ch| {
+                        // the body `correlate` had: one window through
+                        // the chain, transformed, multiplied, inverted
+                        let (mut rows, mut fft) = (RowScratch::default(), RowFft::new(window));
+                        let (mut stack, mut corr) = (vec![0.0; window], vec![0.0; window]);
+                        for (w, mspec) in master.spectra.iter().enumerate() {
+                            let raw = &data.row(ch)[w * p.hop..w * p.hop + window];
+                            let spec = fft.spectrum(rows.run(raw, &master.chain));
+                            for (s, &m) in spec.iter_mut().zip(mspec) {
+                                *s = m.conj() * *s;
+                            }
+                            fft.inverse_real_into(&mut corr);
+                            for (i, v) in corr.iter().enumerate() {
+                                stack[(i + window / 2) % window] += v;
+                            }
+                        }
+                        stack.iter_mut().for_each(|v| *v *= 1.0 / n_win as f64);
+                        StackedCorrelation {
+                            stack,
+                            n_windows: n_win,
+                        }
+                    })
+                    .collect();
+                for threads in [1, 2, 3, 5] {
+                    let haee = Haee::builder().threads(threads).build();
+                    let got = stacked_interferometry(&data, &p, &haee).unwrap();
+                    assert_eq!(
+                        got, want,
+                        "{n_win} x {n_win} windows, {norm:?}, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,13 +23,12 @@
 use super::haee::Haee;
 use super::interferometry::{master_spectrum, score_rows};
 use super::local_similarity::{local_similarity, LocalSimiParams};
-use super::rows::{chain_out_len, RowKernel, RowScratch};
+use super::rows::{blocks, chain_out_len, RowKernel, RowScratch};
 use super::run::{AnalysisOutput, Job};
 use super::stacking::{stacked_interferometry, StackingParams};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use dasl::{Const, Instr, Kernel, Program};
-use dsp::{butter, FiltFilt, FilterBand, Resampler};
 use omp::SharedSlice;
 use std::borrow::Cow;
 
@@ -74,7 +73,10 @@ impl Job for BoundProgram<'_> {
 /// Normalize and validate a kernel against the sampling rate: bandpass
 /// corners, written in Hz, become fractions of Nyquist; the Butterworth
 /// design, the filter's initial state and the resampling FIR are
-/// computed once per `apply`, not once per row.
+/// computed once per `apply`, not once per row — and only for an order
+/// and a ratio inside the limits [`RowKernel::bandpass`] and
+/// [`RowKernel::resample`] hold (the typechecker applies the same ones;
+/// a `Program` need not have come through it).
 fn prepare_kernel(k: &Kernel, sampling_hz: f64) -> Result<RowKernel> {
     match k {
         Kernel::Detrend => Ok(RowKernel::Detrend),
@@ -93,10 +95,9 @@ fn prepare_kernel(k: &Kernel, sampling_hz: f64) -> Result<RowKernel> {
                      (the corpus Nyquist frequency)"
                 )));
             }
-            let (b, a) = butter(*order, FilterBand::Bandpass(lo, hi));
-            Ok(RowKernel::Filtfilt(FiltFilt::new(&b, &a)))
+            RowKernel::bandpass(*order, lo, hi)
         }
-        Kernel::Resample { p, q } => Ok(RowKernel::Resample(Resampler::new(*p, *q))),
+        Kernel::Resample { p, q } => RowKernel::resample(*p, *q),
     }
 }
 
@@ -235,19 +236,21 @@ fn bad_const(what: &str, idx: u8) -> DassaError {
 /// thread-parallel pass. The output row length — and whether every
 /// `bandpass` stage gets rows long enough to filter — is known from the
 /// chain before any row runs, so the output array is allocated once and
-/// each thread's rows go through one [`RowScratch`].
+/// each thread's rows go through one [`RowScratch`], a block at a time.
 fn fused_pass(wave: &Array2<f64>, chain: &[RowKernel], haee: &Haee) -> Result<Array2<f64>> {
     let n_out = chain_out_len(chain, wave.cols())?;
     let rows = wave.rows();
     let flat: SharedSlice<f64> = SharedSlice::zeroed(rows * n_out);
     omp::parallel(haee.threads_per_process, |ctx| {
         let mut scratch = RowScratch::default();
-        ctx.for_static(0..rows, |ch| {
-            let out = scratch.run(wave.row(ch), chain);
-            // SAFETY: static schedule gives each row range to exactly
-            // one thread.
-            unsafe { flat.write_slice(ch * n_out, out) };
-        });
+        for block in blocks(ctx.static_block(rows)) {
+            let outs = scratch.run_block(block.clone().map(|ch| wave.row(ch)), chain);
+            for (ch, out) in block.zip(outs) {
+                // SAFETY: static schedule gives each row range to exactly
+                // one thread.
+                unsafe { flat.write_slice(ch * n_out, out) };
+            }
+        }
     });
     Ok(Array2::from_vec(rows, n_out, flat.into_vec()))
 }
@@ -299,6 +302,161 @@ mod tests {
 
         let expected = interferometry(&data, &InterferometryParams::default(), &haee).unwrap();
         assert_eq!(out.as_scores().unwrap(), expected.as_slice());
+    }
+
+    /// Rows travel through a thread's scratch in blocks of four, and
+    /// which rows share a block depends on the thread count. None of it
+    /// may show: for every remainder of rows a thread can be left with,
+    /// `fused_pass` and `score_rows` return what one row at a time does.
+    #[test]
+    fn row_blocks_never_show_in_an_output() {
+        use crate::dasa::interferometry::{prepare_master, preprocess_channel};
+        let p = InterferometryParams::default();
+        let chain = [
+            RowKernel::Detrend,
+            RowKernel::bandpass(p.filter_order, p.band.0, p.band.1).unwrap(),
+            RowKernel::resample(p.resample_p, p.resample_q).unwrap(),
+        ];
+        for rows in [1usize, 2, 3, 4, 5, 8, 9, 17] {
+            let data = signal(rows, 601);
+            let mut one_by_one = RowScratch::default();
+            let want: Vec<f64> = (0..rows)
+                .flat_map(|r| one_by_one.run(data.row(r), &chain).to_vec())
+                .collect();
+            let master_row = rows / 2;
+            let params = InterferometryParams {
+                master_channel: master_row,
+                ..p
+            };
+            let master = prepare_master(data.row(master_row), &params);
+            let want_scores: Vec<f64> = (0..rows)
+                .map(|r| {
+                    let spectrum = if r == master_row {
+                        master.spectrum.clone()
+                    } else {
+                        dsp::fft_real(&preprocess_channel(data.row(r), &params))
+                    };
+                    dsp::abscorr_complex(&spectrum, &master.spectrum)
+                })
+                .collect();
+            for threads in [1, 2, 3, 5] {
+                let haee = Haee::builder().threads(threads).build();
+                let out = fused_pass(&data, &chain, &haee).unwrap();
+                assert_eq!((out.rows(), out.cols()), (rows, 301));
+                assert_eq!(out.as_slice(), want, "{rows} rows on {threads} threads");
+                assert_eq!(
+                    interferometry(&data, &params, &haee).unwrap(),
+                    want_scores,
+                    "{rows} rows on {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// `bandpass` order and `resample` factors size what a kernel's
+    /// preparation builds — a design whose cost grows with order² and
+    /// whose coefficients stop being finite (`FiltFilt::new` then panics
+    /// in its linear solve), a FIR of 20 taps per unit of the factor
+    /// (160 GB for `resample(1000000007)`: the process aborts). The
+    /// typechecker bounds both; so does the VM, for a program that did
+    /// not come through it, and so do the hand-wired parameter structs.
+    #[test]
+    fn kernel_sizes_from_outside_are_a_typed_error_before_anything_is_built() {
+        let haee = Haee::builder().threads(2).build();
+        let data = signal(4, 2000);
+        let run = |kernel: Kernel| {
+            let checked = dasl::Checked {
+                stages: vec![
+                    dasl::CheckedStage::Load(dasl::LoadSpec {
+                        corpus: "c".into(),
+                        time: None,
+                        channels: None,
+                        strategy: dasl::Strategy::Auto,
+                    }),
+                    dasl::CheckedStage::Kernel(kernel),
+                ],
+                result: dasl::Ty::Waveforms {
+                    channels: dasl::Dim::Unknown,
+                    samples: dasl::Dim::Unknown,
+                },
+            };
+            execute(&dasl::compile::compile(&checked), 500.0, &data, &haee)
+        };
+        let bandpass = |order| Kernel::Bandpass {
+            lo_hz: 0.5,
+            hi_hz: 24.0,
+            order,
+        };
+        for order in [0, 9, 512, 2048, usize::MAX] {
+            let err = run(bandpass(order)).unwrap_err();
+            assert!(matches!(err, DassaError::BadSelection(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("bandpass order") && msg.contains("1..=8"),
+                "{msg}"
+            );
+        }
+        assert!(run(bandpass(8)).is_ok());
+        for (p, q) in [
+            (1, 1_000_000_007),
+            (4097, 1),
+            (0, 3),
+            (3, 0),
+            (usize::MAX, 2),
+        ] {
+            let err = run(Kernel::Resample { p, q }).unwrap_err();
+            assert!(matches!(err, DassaError::BadSelection(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("resample(") && msg.contains("at most 4096"),
+                "{msg}"
+            );
+        }
+        // the limit is on the reduced ratio
+        assert!(run(Kernel::Resample { p: 8194, q: 16388 }).is_ok());
+        assert!(run(Kernel::Resample { p: 1, q: 4096 }).is_ok());
+
+        // the source-text path stops at the typechecker, with a span
+        for src in [
+            "load(\"corpus\") | detrend | resample(1000000007) | xcorr(master=ch[0])",
+            "load(\"corpus\") | detrend | bandpass(0.5, 24, order=2048) | xcorr(master=ch[0])",
+        ] {
+            let err = dasl::compile(src).unwrap_err();
+            assert!(err.render(src).contains('^'), "{}", err.render(src));
+        }
+
+        // the hand-wired pipelines build the same kernels
+        let p = InterferometryParams::default();
+        for bad in [
+            InterferometryParams {
+                filter_order: 2048,
+                ..p
+            },
+            InterferometryParams {
+                resample_q: 1_000_000_007,
+                ..p
+            },
+            InterferometryParams {
+                band: (0.5, 0.2),
+                ..p
+            },
+            InterferometryParams {
+                band: (0.1, 1.5),
+                ..p
+            },
+        ] {
+            let err = interferometry(&data, &bad, &haee).unwrap_err();
+            assert!(
+                matches!(err, DassaError::BadSelection(_)),
+                "{bad:?}: {err:?}"
+            );
+        }
+        let bad = StackingParams {
+            filter_order: 512,
+            ..Default::default()
+        };
+        let err = stacked_interferometry(&data, &bad, &haee).unwrap_err();
+        assert!(err.to_string().contains("1..=8"), "{err}");
     }
 
     #[test]

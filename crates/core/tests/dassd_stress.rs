@@ -293,6 +293,71 @@ fn unfilterable_rows_are_a_typed_error_and_every_worker_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One `Eval` line could take the daemon down: `resample(1000000007)`
+/// asked `design_fir` for 20 taps per unit of the factor — a 160 GB
+/// allocation, `handle_alloc_error`, the whole process aborted — and
+/// `bandpass(.., order=2048)` panicked the pool worker in the filter's
+/// linear solve after half a second of design work. Both are bounded
+/// where the program is checked, so each is a typed `compile` error with
+/// its diagnostic on the same connection, and every worker still serves.
+#[test]
+fn oversized_kernel_arguments_are_a_typed_error_and_every_worker_survives() {
+    let (dir, expected) = build_dataset(2, 4, SAMPLES, 35);
+    let server = Server::start(
+        &dir,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    // one connection per worker, both held open while they fail
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    let hostile = [
+        (
+            "load(\"corpus\") | detrend | resample(1000000007) | xcorr(master=ch[0])",
+            "limit of 4096",
+        ),
+        (
+            "load(\"corpus\") | detrend | bandpass(0.5, 4, order=2048) | xcorr(master=ch[0])",
+            "limit of 8",
+        ),
+    ];
+    for client in &mut clients {
+        for (src, limit) in hostile {
+            match client.eval(src) {
+                // the server's `compile` error frame, diagnostic and all
+                Err(ClientError::Compile(diagnostic)) => {
+                    assert!(
+                        diagnostic.contains(limit) && diagnostic.contains('^'),
+                        "{diagnostic}"
+                    );
+                }
+                other => panic!("expected a typed compile error for `{src}`, got {other:?}"),
+            }
+        }
+    }
+    let golden = Array2::from_fn(2, 100, |r, c| expected.get(1 + r, 50 + c));
+    for client in &mut clients {
+        assert_eq!(client.read_region(1..3, 50..150).expect("read"), golden);
+    }
+    // …and once those two hang up, two new connections, open at the
+    // same time, each find a worker
+    drop(clients);
+    let mut late: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    for client in &mut late {
+        assert_eq!(client.read_region(1..3, 50..150).expect("read"), golden);
+    }
+    drop(late);
+    let snap = server.stop();
+    assert_eq!(snap.counter("dassd.errors"), 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A member whose object table carries valid CRCs and a unit header
 /// that contradicts the dataset's geometry (one raw unit of 100 bytes
 /// for a 19 200-byte payload) opens and scrubs clean at the parent of

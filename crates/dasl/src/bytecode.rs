@@ -101,6 +101,11 @@ impl fmt::Display for LoadSpec {
 /// One element-wise (per-channel row) kernel. Adjacent kernels are
 /// fused by the compiler into a single `apply` instruction, so the VM
 /// traverses each tile once however long the chain is.
+///
+/// A program is text from outside the engine, and two kernel arguments
+/// size what the engine builds before it sees a sample, so the
+/// typechecker bounds them: [`MAX_BANDPASS_ORDER`] and
+/// [`MAX_RESAMPLE_FACTOR`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Kernel {
     /// Remove the per-row linear trend (`Das_detrend`).
@@ -128,6 +133,19 @@ pub enum Kernel {
     },
 }
 
+/// The highest `bandpass` order a program may ask for. The engine designs
+/// the filter in transfer-function form, which stops being a stable
+/// filter as the order grows (narrow bands first; the engine's `dsp`
+/// crate has the numbers) and whose design cost grows with the square of
+/// the order; the engine checks that this equals its own limit.
+pub const MAX_BANDPASS_ORDER: u64 = 8;
+
+/// The largest `resample` factor a program may ask for, after `p/q` is
+/// reduced: the anti-alias FIR has `20·max(p, q) + 1` taps, so this is a
+/// filter of at most 81 921 taps (640 KiB). The engine checks that this
+/// equals its own limit.
+pub const MAX_RESAMPLE_FACTOR: u64 = 4096;
+
 impl Kernel {
     /// Output row length for an input row of `n` samples. Mirrors the
     /// kernels' own length rules (`dsp::resample` yields
@@ -148,7 +166,7 @@ impl Kernel {
     }
 }
 
-fn gcd(a: usize, b: usize) -> usize {
+pub(crate) fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
         a
     } else {

@@ -43,7 +43,10 @@ pub mod parser;
 pub mod span;
 pub mod types;
 
-pub use bytecode::{Const, Instr, Kernel, LoadSpec, LocalSimSpec, Program, StackSpec, Strategy};
+pub use bytecode::{
+    Const, Instr, Kernel, LoadSpec, LocalSimSpec, Program, StackSpec, Strategy, MAX_BANDPASS_ORDER,
+    MAX_RESAMPLE_FACTOR,
+};
 pub use span::{Error, Span};
 pub use types::{Checked, CheckedStage, Dim, Ty};
 

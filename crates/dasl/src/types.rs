@@ -13,7 +13,10 @@
 //! compiler's input — plus the pipeline's result [`Ty`].
 
 use crate::ast::{Arg, Expr, Pipeline, Stage};
-use crate::bytecode::{Kernel, LoadSpec, LocalSimSpec, StackSpec, Strategy};
+use crate::bytecode::{
+    gcd, Kernel, LoadSpec, LocalSimSpec, StackSpec, Strategy, MAX_BANDPASS_ORDER,
+    MAX_RESAMPLE_FACTOR,
+};
 use crate::span::{Error, Span};
 use std::fmt;
 
@@ -210,6 +213,15 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                 let (v, s) = int(a);
                 if v == 0 {
                     Err(Error::new("bandpass order must be at least 1", s))
+                } else if v > MAX_BANDPASS_ORDER {
+                    Err(Error::new(
+                        format!(
+                            "bandpass order {v} is above the limit of {MAX_BANDPASS_ORDER}: \
+                             a Butterworth design in transfer-function form is no longer a \
+                             stable filter at high order"
+                        ),
+                        s,
+                    ))
                 } else {
                     Ok(v as usize)
                 }
@@ -246,9 +258,21 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                     p.1.to(q.1),
                 ));
             }
+            let (rate_p, rate_q) = (p.0 as usize, q.0 as usize);
+            let factor = (rate_p.max(rate_q) / gcd(rate_p, rate_q)) as u64;
+            if factor > MAX_RESAMPLE_FACTOR {
+                return Err(Error::new(
+                    format!(
+                        "resample factor {factor} is above the limit of {MAX_RESAMPLE_FACTOR} \
+                         (the anti-alias filter has 20 taps per unit of the factor); \
+                         resample in stages"
+                    ),
+                    bound[0].as_ref().map_or(q.1, |_| p.1.to(q.1)),
+                ));
+            }
             let kernel = Kernel::Resample {
-                p: p.0 as usize,
-                q: q.0 as usize,
+                p: rate_p,
+                q: rate_q,
             };
             let samples = match samples {
                 Dim::Known(n) => Dim::Known(kernel.out_len(n as usize) as u64),
@@ -745,6 +769,43 @@ mod tests {
             CheckedStage::Kernel(Kernel::Resample { p: 2, q: 5 })
         ));
         assert!(check_src("load(\"c\") | resample(0)").is_err());
+    }
+
+    /// `order` and the resample factors size what the engine builds from
+    /// one source line (a filter design whose cost grows with order², a
+    /// FIR of 20 taps per unit of the factor), so both are bounded here,
+    /// with the span of the offending argument.
+    #[test]
+    fn kernel_arguments_that_size_the_engines_work_are_bounded() {
+        let src = "load(\"c\") | detrend | bandpass(0.5, 24, order=2048) | xcorr(master=ch[0])";
+        let e = check_src(src).unwrap_err();
+        assert!(
+            e.message.contains("order 2048") && e.message.contains("limit of 8"),
+            "{e}"
+        );
+        assert_eq!(&src[e.span.start..e.span.end], "2048");
+        assert!(check_src("load(\"c\") | bandpass(0.5, 24, order=9)").is_err());
+        let c = check_src("load(\"c\") | bandpass(0.5, 24, order=8)").unwrap();
+        assert!(matches!(
+            c.stages[1],
+            CheckedStage::Kernel(Kernel::Bandpass { order: 8, .. })
+        ));
+
+        let src = "load(\"c\") | detrend | resample(1000000007) | xcorr(master=ch[0])";
+        let e = check_src(src).unwrap_err();
+        assert!(
+            e.message.contains("factor 1000000007") && e.message.contains("limit of 4096"),
+            "{e}"
+        );
+        assert_eq!(&src[e.span.start..e.span.end], "1000000007");
+        let src = "load(\"c\") | resample(4097, 2)";
+        let e = check_src(src).unwrap_err();
+        assert_eq!(&src[e.span.start..e.span.end], "4097, 2");
+        assert!(check_src("load(\"c\") | resample(3, 4097)").is_err());
+        // the limit is on the reduced ratio, and is itself allowed
+        assert!(check_src("load(\"c\") | resample(4096)").is_ok());
+        assert!(check_src("load(\"c\") | resample(4097, 8194)").is_ok());
+        assert!(check_src("load(\"c\") | resample(1000000007, 1000000007)").is_ok());
     }
 
     #[test]

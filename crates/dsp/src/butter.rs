@@ -8,6 +8,27 @@
 
 use crate::complex::{poly_from_roots, Complex};
 
+/// The highest order a caller that takes the order from outside the
+/// program (a `dasl` source line, a request, a parameter file) should
+/// hand to [`butter`].
+///
+/// `butter` returns the transfer-function form `(b, a)` — a polynomial
+/// expanded from its roots — and that form loses the roots as the order
+/// grows: on a grid of bandpass designs with corners at multiples of
+/// 0.05 of Nyquist, all 171 bands are stable filters through order 7, two
+/// narrow ones fail at 8, a third of them by 16, half by 20, and the
+/// 0.5–24 Hz band of the interferometry pipeline (0.002–0.096 of Nyquist,
+/// off that grid) is gone at 5; at
+/// order 512 `a[1]` is −927, and somewhere before 2048 the coefficients
+/// stop being finite. Design cost grows with the square of the order as
+/// well (38 ms at 512). 8 keeps every band of practical width and bounds
+/// a bandpass at 17 coefficients, the state
+/// [`FiltFilt`](crate::filter::FiltFilt) carries per lane.
+///
+/// `butter` itself does not enforce it: the MATLAB function takes any
+/// order.
+pub const MAX_ORDER: usize = 8;
+
 /// Filter band specification with normalized cutoff(s) in `(0, 1)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FilterBand {

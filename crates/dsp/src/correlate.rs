@@ -39,10 +39,64 @@ pub fn abscorr_with_energy(c1: &[f64], n1: f64, c2: &[f64]) -> f64 {
         dot += a * b;
         n2 += b * b;
     }
+    cos_theta(dot, n1, n2)
+}
+
+/// `|dot| / √(n1·n2)`, or 0 when either window has no energy.
+fn cos_theta(dot: f64, n1: f64, n2: f64) -> f64 {
     if n1 == 0.0 || n2 == 0.0 {
         return 0.0;
     }
     (dot / (n1 * n2).sqrt()).abs()
+}
+
+/// Lagged windows [`max_abscorr_lags`] sums side by side: two
+/// accumulators a lag, so eight lags are the sixteen registers' worth.
+const LAGS: usize = 8;
+
+/// The largest [`abscorr_with_energy`]`(c1, n1, window)` over every
+/// window of `c1.len()` consecutive samples of `span` — the lag search
+/// of local similarity, whose `2L+1` lagged windows of a neighbouring
+/// channel are one contiguous span. At least 0, the score of a window
+/// with no energy; a NaN score never wins.
+///
+/// A window's `dot` and `n2` are each one sequential sum, but the sums of
+/// different lags are independent, so eight neighbouring lags run
+/// through one loop, each keeping its own pair in index order: every
+/// score has the bits `abscorr_with_energy` gives it. When the lag count
+/// is not a multiple of eight the last group overlaps the one before it
+/// (a score met twice does not change a maximum); fewer than eight lags
+/// are scored one at a time.
+///
+/// # Panics
+/// Panics when `span` is shorter than `c1`.
+pub fn max_abscorr_lags(c1: &[f64], n1: f64, span: &[f64]) -> f64 {
+    assert!(
+        span.len() >= c1.len(),
+        "max_abscorr_lags requires a span at least one window long"
+    );
+    let lags = span.len() - c1.len() + 1;
+    let mut best = 0.0f64;
+    if lags < LAGS {
+        for lag in 0..lags {
+            best = best.max(abscorr_with_energy(c1, n1, &span[lag..lag + c1.len()]));
+        }
+        return best;
+    }
+    let last = lags - LAGS;
+    for lag in (0..last).step_by(LAGS).chain([last]) {
+        let (mut dot, mut n2) = ([0.0; LAGS], [0.0; LAGS]);
+        for (&a, b) in c1.iter().zip(span[lag..].windows(LAGS)) {
+            for (lane, &b) in b.iter().enumerate() {
+                dot[lane] += a * b;
+                n2[lane] += b * b;
+            }
+        }
+        for lane in 0..LAGS {
+            best = best.max(cos_theta(dot[lane], n1, n2[lane]));
+        }
+    }
+    best
 }
 
 /// Complex-spectrum variant used by the interferometry UDF after
@@ -158,6 +212,70 @@ mod tests {
     fn abscorr_zero_energy_is_zero() {
         assert_eq!(abscorr(&[0.0; 4], &[1.0, 2.0, 3.0, 4.0]), 0.0);
         assert_eq!(abscorr(&[1.0; 4], &[0.0; 4]), 0.0);
+    }
+
+    /// One lag at a time, as `local_simi_udf` did it.
+    fn max_abscorr_lags_reference(c1: &[f64], n1: f64, span: &[f64]) -> f64 {
+        let mut best = 0.0f64;
+        for lag in 0..=span.len() - c1.len() {
+            best = best.max(abscorr_with_energy(c1, n1, &span[lag..lag + c1.len()]));
+        }
+        best
+    }
+
+    #[test]
+    fn lagged_lanes_have_the_one_lag_at_a_time_bits() {
+        let noise = |i: usize| ((i * 7919) % 1000) as f64 / 500.0 - 1.0;
+        let series: Vec<f64> = (0..200)
+            .map(|i| (i as f64 * 0.31).sin() + noise(i))
+            .collect();
+        let one_bit: Vec<f64> = series.iter().map(|v| v.signum()).collect();
+        for data in [&series, &one_bit] {
+            for len in [0usize, 1, 2, 9, 51] {
+                let w = &data[100..100 + len];
+                let n1 = energy(w);
+                // below, at and above one lane group, between two, and
+                // Algorithm 2's 21
+                for lags in [1, LAGS - 1, LAGS, LAGS + 1, 2 * LAGS - 1, 2 * LAGS, 21, 40] {
+                    for start in [0, 3, 77] {
+                        let span = &data[start..start + len + lags - 1];
+                        let got = max_abscorr_lags(w, n1, span);
+                        let want = max_abscorr_lags_reference(w, n1, span);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{len} x {lags} at {start}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lagged_lanes_score_silence_and_poison_like_abscorr() {
+        let w = [1.0, -2.0, 0.5, 3.0];
+        // a silent centre window, a silent span, silence at some lags
+        assert_eq!(max_abscorr_lags(&[0.0; 4], 0.0, &[1.0; 24]), 0.0);
+        assert_eq!(max_abscorr_lags(&w, energy(&w), &[0.0; 24]), 0.0);
+        let mut span = vec![0.0; 30];
+        span[20..24].copy_from_slice(&w);
+        assert_eq!(max_abscorr_lags(&w, energy(&w), &span), 1.0);
+        // a NaN or an infinity poisons the lags whose window holds it
+        // and no other; a poisoned score never wins
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 5, 11, 29] {
+                let mut span: Vec<f64> = (0..30).map(|i| (i as f64 * 0.9).cos()).collect();
+                span[at] = poison;
+                let got = max_abscorr_lags(&w, energy(&w), &span);
+                let want = max_abscorr_lags_reference(&w, energy(&w), &span);
+                assert_eq!(got.to_bits(), want.to_bits(), "{poison} at {at}");
+                assert!(got.is_finite() && got > 0.0);
+            }
+        }
+        assert_eq!(max_abscorr_lags(&w, energy(&w), &[f64::NAN; 30]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one window long")]
+    fn lagged_lanes_reject_a_short_span() {
+        max_abscorr_lags(&[1.0, 2.0], 5.0, &[1.0]);
     }
 
     #[test]

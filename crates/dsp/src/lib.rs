@@ -29,6 +29,30 @@
 //!   bits whether its plan was cached, evicted and rebuilt, built by
 //!   another thread at the same moment, or never cached at all.
 //!
+//! * **lockstep lanes, one value's operations unchanged** — three
+//!   kernels are a single floating-point dependency chain each: the
+//!   direct-form recurrence of [`FiltFilt`] (sample `t+1` needs the state
+//!   sample `t` left), the tap-by-tap sum behind one [`Resampler`]
+//!   output, and the `dot`/`n2` sums behind one lag of
+//!   [`max_abscorr_lags`]. The work *around* each chain is independent —
+//!   across rows, across outputs, across lags — so these kernels advance
+//!   several chains through one loop: the four rows of a block
+//!   ([`FiltFilt::apply_block_into`]), sixteen outputs that share a
+//!   polyphase branch, eight neighbouring lags. Chains run *side by
+//!   side*, never *combined*: no sum is split, reordered or fused, each
+//!   value is produced by the operations, in the order, that produce it
+//!   alone, and so it has the same bits whichever lane it rode in,
+//!   whatever rode beside it (a NaN row poisons its own lane only) and
+//!   however the caller cut its rows into blocks. The one-at-a-time
+//!   forms the lanes replaced live on as `#[cfg(test)]` references, and
+//!   the equality is asserted bit for bit, in debug and in release. Lane
+//!   counts are constants sized for the sixteen vector registers of the
+//!   baseline `x86-64` target; what selects a path is the row count and
+//!   the filter's coefficient count, never a CPU-feature probe, a
+//!   per-function instruction-set attribute, a Cargo feature or an
+//!   environment variable — one build computes one thing on every
+//!   machine.
+//!
 //! The plan cache is bounded: at most 16 plans and 4 MiB of tables,
 //! least recently used out first (a 2500-point plan is 70 KB, a
 //! 6000-point one 168 KB); a plan larger than the byte cap is built,
@@ -41,6 +65,11 @@
 //! scratch so a row allocates nothing — and the MATLAB-shaped function
 //! ([`fft()`], [`filtfilt()`], [`resample()`], [`whiten()`]) that prepares,
 //! applies once and returns a fresh `Vec`. Both give the same bits.
+//!
+//! The MATLAB-shaped functions take what MATLAB takes. A caller whose
+//! filter order or resampling ratio comes from outside the program bounds
+//! them first, by [`butter::MAX_ORDER`] and [`resample::MAX_FACTOR`]:
+//! both size what preparation builds.
 
 pub mod butter;
 pub mod complex;
@@ -61,14 +90,15 @@ pub mod window;
 pub use butter::{butter, FilterBand};
 pub use complex::Complex;
 pub use correlate::{
-    abscorr, abscorr_complex, abscorr_with_energy, energy, xcorr_direct, xcorr_fft, CorrMode,
+    abscorr, abscorr_complex, abscorr_with_energy, energy, max_abscorr_lags, xcorr_direct,
+    xcorr_fft, CorrMode,
 };
 pub use detrend::{detrend, detrend_constant, detrend_constant_in_place, detrend_in_place};
 pub use fft::{fft, fft_real, ifft, ifft_real, FftPlan};
 pub use filter::{filtfilt, lfilter, lfilter_zi, FiltFilt};
 pub use hilbert::{analytic, envelope, instantaneous_phase};
 pub use interp::interp1;
-pub use normalize::{clip_std, one_bit, one_bit_in_place, running_abs_mean};
+pub use normalize::{clip_std, one_bit, one_bit_in_place, running_abs_mean, running_abs_mean_into};
 pub use resample::{decimate, resample, Resampler};
 pub use stft::{spectrogram, Spectrogram};
 pub use welch::{band_power, welch_psd};

@@ -34,28 +34,35 @@ pub fn one_bit_in_place(x: &mut [f64]) {
 /// average of |x| over a centered window of `2·half + 1` samples
 /// (edge-clamped). Windows with zero energy leave the sample at 0.
 pub fn running_abs_mean(x: &[f64], half: usize) -> Vec<f64> {
+    let (mut out, mut prefix) = (Vec::new(), Vec::new());
+    running_abs_mean_into(x, half, &mut out, &mut prefix);
+    out
+}
+
+/// [`running_abs_mean`] into `out` (cleared first), with the prefix sums
+/// of `|x|` it works from in `prefix`; nothing is allocated once both
+/// have the capacity.
+pub fn running_abs_mean_into(x: &[f64], half: usize, out: &mut Vec<f64>, prefix: &mut Vec<f64>) {
     let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
     // Prefix sums of |x| for O(1) window means.
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0.0);
+    prefix.clear();
+    let mut sum = 0.0;
+    prefix.push(sum);
     for &v in x {
-        prefix.push(prefix.last().expect("nonempty") + v.abs());
+        sum += v.abs();
+        prefix.push(sum);
     }
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            let mean = (prefix[hi] - prefix[lo]) / (hi - lo) as f64;
-            if mean > 0.0 {
-                x[i] / mean
-            } else {
-                0.0
-            }
-        })
-        .collect()
+    out.clear();
+    out.extend(x.iter().enumerate().map(|(i, &v)| {
+        let lo = i.saturating_sub(half);
+        let hi = (i + half + 1).min(n);
+        let mean = (prefix[hi] - prefix[lo]) / (hi - lo) as f64;
+        if mean > 0.0 {
+            v / mean
+        } else {
+            0.0
+        }
+    }));
 }
 
 /// Clip samples beyond `k` standard deviations (another common
@@ -86,6 +93,38 @@ mod tests {
         let quiet: Vec<f64> = (0..64).map(|i| 0.01 * ((i as f64) * 0.3).sin()).collect();
         let loud: Vec<f64> = quiet.iter().map(|v| v * 1e6).collect();
         assert_eq!(one_bit(&quiet), one_bit(&loud));
+    }
+
+    #[test]
+    fn ram_into_reuses_dirty_buffers_and_keeps_the_allocating_bits() {
+        // the collect-into-fresh-vectors body `running_abs_mean` had
+        let reference = |x: &[f64], half: usize| -> Vec<f64> {
+            let n = x.len();
+            let mut prefix = vec![0.0];
+            for &v in x {
+                prefix.push(prefix.last().expect("nonempty") + v.abs());
+            }
+            (0..n)
+                .map(|i| {
+                    let (lo, hi) = (i.saturating_sub(half), (i + half + 1).min(n));
+                    let mean = (prefix[hi] - prefix[lo]) / (hi - lo) as f64;
+                    if mean > 0.0 {
+                        x[i] / mean
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        };
+        let x: Vec<f64> = (0..300)
+            .map(|i| (i as f64 * 0.7).sin() * if i % 50 < 5 { 0.0 } else { 1.0 + i as f64 })
+            .collect();
+        let (mut out, mut prefix) = (vec![f64::NAN; 400], vec![f64::NAN; 2]);
+        for (n, half) in [(0, 3), (1, 0), (7, 100), (300, 20), (40, 1)] {
+            running_abs_mean_into(&x[..n], half, &mut out, &mut prefix);
+            assert_eq!(out, reference(&x[..n], half), "{n} samples, half {half}");
+            assert_eq!(running_abs_mean(&x[..n], half), out);
+        }
     }
 
     #[test]
