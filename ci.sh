@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for DASSA-rs. Run from the repo root; fails fast.
 #
-#   ./ci.sh          # tier-1 + lints + release dsp equivalence + chaos matrix + gates
+#   ./ci.sh          # tier-1 + lints + release dsp/dasf equivalence + chaos matrix + gates
 #   ./ci.sh --quick  # lints only (skip the release build + tests)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -54,6 +54,13 @@ if [[ $quick -eq 0 ]]; then
     # references, lane isolation) on the code that ships.
     echo "==> dsp: release-mode bit-equality"
     cargo test --release -q -p dsp
+
+    # Same for dasf's writer: its match finder and plane scatter are
+    # only what ships once optimised, and their tests are byte-for-byte
+    # comparisons against the `#[cfg(test)]` reference encoder plus the
+    # pinned file digests of tests/integrity.rs.
+    echo "==> dasf: release-mode byte-equality"
+    cargo test --release -q -p dasf
 
     # Chaos matrix: the seeded fault-injection suite over 8 seeds, run
     # twice with outcome digests. Any nondeterminism — a fault plan
@@ -134,6 +141,22 @@ if [[ $quick -eq 0 ]]; then
         target/release/das_gen -d "$codec_dir/${codec%%:*}" -c 8 -r 50 -m 4 \
             --codec "$codec" >/dev/null
     done
+    # Stored bytes are pinned across commits, not only against the
+    # in-tree reference encoder: every file of the three corpora must
+    # still be the one recorded in results/CODEC_stored_digest.txt
+    # (whose `#` lines say when and with which encoder).
+    (cd "$codec_dir" && cksum raw/*.dasf shuffle-lz/*.dasf quant/*.dasf) >"$codec_dir/stored_digest"
+    if [[ -f results/CODEC_stored_digest.txt ]]; then
+        if ! grep -v '^#' results/CODEC_stored_digest.txt | diff -u - "$codec_dir/stored_digest"; then
+            echo "codec: stored bytes drifted from results/CODEC_stored_digest.txt" >&2
+            echo "codec: refresh the baseline only if the format change is intentional" >&2
+            exit 1
+        fi
+    else
+        mkdir -p results
+        cp "$codec_dir/stored_digest" results/CODEC_stored_digest.txt
+        echo "    recorded new stored-bytes baseline results/CODEC_stored_digest.txt"
+    fi
     raw_bytes=$(du -sb "$codec_dir/raw" | cut -f1)
     lz_bytes=$(du -sb "$codec_dir/shuffle-lz" | cut -f1)
     if [[ "$lz_bytes" -ge "$raw_bytes" ]]; then

@@ -62,6 +62,10 @@ pub trait Element: Copy + Default + Send + Sync + 'static {
 
     /// Decode one value from the start of `bytes`.
     fn read_le(bytes: &[u8]) -> Self;
+
+    /// Write this value's little-endian bytes to the start of `out` —
+    /// the mirror of [`Element::read_le`].
+    fn put_le(self, out: &mut [u8]);
 }
 
 macro_rules! impl_element {
@@ -82,6 +86,13 @@ macro_rules! impl_element {
                 let mut buf = [0u8; std::mem::size_of::<$t>()];
                 buf.copy_from_slice(&bytes[..std::mem::size_of::<$t>()]);
                 <$t>::from_le_bytes(buf)
+            }
+
+            // The writer scatters elements into byte planes one at a
+            // time; same reason as above.
+            #[inline]
+            fn put_le(self, out: &mut [u8]) {
+                out[..std::mem::size_of::<$t>()].copy_from_slice(&self.to_le_bytes());
             }
         }
     };
@@ -150,6 +161,25 @@ mod tests {
         assert_eq!(bytes.len(), 12);
         let back: Vec<f32> = decode_slice(&bytes, 3);
         assert_eq!(back, vals);
+    }
+
+    #[test]
+    fn put_le_mirrors_read_le() {
+        fn check<T: Element + PartialEq + std::fmt::Debug>(v: T) {
+            let mut buf = [0xEEu8; 9];
+            v.put_le(&mut buf);
+            assert_eq!(T::read_le(&buf), v);
+            let mut pushed = Vec::new();
+            v.write_le(&mut pushed);
+            assert_eq!(buf[..pushed.len()], pushed[..]);
+            assert!(buf[pushed.len()..].iter().all(|&b| b == 0xEE));
+        }
+        check(-1.5f32);
+        check(f64::MIN_POSITIVE);
+        check(i16::MIN);
+        check(-123_456_789i32);
+        check(i64::MAX - 7);
+        check(0xA5u8);
     }
 
     #[test]

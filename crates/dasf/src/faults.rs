@@ -122,6 +122,18 @@ pub(crate) fn check_write(file: &Path, dataset: &str) -> Result<()> {
     Ok(())
 }
 
+/// Flush-time hook in `Writer::finish`: the data file's fsync fails.
+/// Keyed by file name, like the open and read sites.
+pub(crate) fn check_sync(file: &Path) -> Result<()> {
+    let Some(plan) = faultline::current() else {
+        return Ok(());
+    };
+    if plan.fires(site::DASF_WRITE_SYNC_ERR, file_key(file)) {
+        return Err(injected("fsync failure (dasf.write.sync_err)"));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

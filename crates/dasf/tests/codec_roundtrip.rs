@@ -49,6 +49,54 @@ fn bits64(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `n` samples within ±0.5 % of `centre` (xorshift64).
+fn around(centre: f64, n: usize, seed: u64) -> Vec<f64> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+            centre * (1.0 + 0.005 * u)
+        })
+        .collect()
+}
+
+/// `Codec::Quant` promises `|x − x̂| ≤ bound` for what a *reader* gets.
+/// The first encoder checked nothing past `q · step` in f64, and with
+/// the bound between ½ and 1 ulp of the samples the decoder's cast to
+/// f32 lands on the neighbouring float: these three wrote 9 457,
+/// 10 177 and 11 465 of 40 000 samples 1.43–1.53 × `bound` away.
+#[test]
+fn quant_bound_holds_where_the_decoders_cast_used_to_break_it() {
+    for (bound, centre) in [(4e-5f64, 1000.0f64), (1.6e-7, 3.0), (0.7, 1e7)] {
+        let tile: Vec<f32> = around(centre, 40_000, 0x0DA5)
+            .iter()
+            .map(|&x| x as f32)
+            .collect();
+        let path = tmp("quantrepro");
+        let mut w = Writer::create(&path).unwrap();
+        w.set_codec(Codec::Quant { bound }).unwrap();
+        w.write_dataset_f32("/tile", &[40_000], &tile).unwrap();
+        w.finish().unwrap();
+        let back = File::open(&path).unwrap().read_f32("/tile").unwrap();
+        let over: Vec<f64> = tile
+            .iter()
+            .zip(&back)
+            .map(|(x, seen)| (*x as f64 - *seen as f64).abs())
+            .filter(|err| *err > bound)
+            .collect();
+        let worst = over.iter().fold(0f64, |m, e| m.max(*e));
+        assert!(
+            over.is_empty(),
+            "quant:{bound} near {centre}: {} samples over the bound, worst {worst:e} = {:.2} x bound",
+            over.len(),
+            worst / bound
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -112,12 +160,42 @@ proptest! {
         prop_assert_eq!(back.len(), tile.len());
         for (orig, got) in tile.iter().zip(&back) {
             let err = (*orig as f64 - *got as f64).abs();
-            // Slack for the final f64→f32 cast of the reconstruction.
-            let slack = got.abs() as f64 * 2.0 * f32::EPSILON as f64;
-            prop_assert!(
-                err <= bound + slack,
-                "|{} - {}| = {} > {}", orig, got, err, bound
-            );
+            prop_assert!(err <= bound, "|{} - {}| = {} > {}", orig, got, err, bound);
+        }
+    }
+
+    #[test]
+    fn quant_bound_holds_when_it_is_a_few_ulp_of_the_samples(
+        exponent in -30i32..30,
+        ratio in 0.25f64..4.0,
+        negative in any::<bool>(),
+        len in 1usize..3000,
+        seed in 1u64..u64::MAX,
+    ) {
+        // Where the decoder's cast of `q · step` decides: samples
+        // within ±0.5 % of a centre whose ulp is comparable to the
+        // bound, f32 and f64 alike.
+        let centre = if negative { -1.37 } else { 1.37 } * 2f64.powi(exponent);
+        let tile64 = around(centre, len, seed);
+        let tile32: Vec<f32> = tile64.iter().map(|&x| x as f32).collect();
+        let ulp32 = (f32::from_bits((centre as f32).to_bits() + 1) as f64 - centre as f32 as f64).abs();
+        let ulp64 = (f64::from_bits(centre.to_bits() + 1) - centre).abs();
+
+        let path = tmp("quantulp");
+        let mut w = Writer::create(&path).unwrap();
+        w.set_codec(Codec::Quant { bound: ratio * ulp32 }).unwrap();
+        w.write_dataset_f32("/f32", &[len as u64], &tile32).unwrap();
+        w.set_codec(Codec::Quant { bound: ratio * ulp64 }).unwrap();
+        w.write_dataset_f64("/f64", &[len as u64], &tile64).unwrap();
+        w.finish().unwrap();
+        let f = File::open(&path).unwrap();
+        for (orig, got) in tile32.iter().zip(&f.read_f32("/f32").unwrap()) {
+            let err = (*orig as f64 - *got as f64).abs();
+            prop_assert!(err <= ratio * ulp32, "f32 |{} - {}| = {} > {} ulp", orig, got, err, ratio);
+        }
+        for (orig, got) in tile64.iter().zip(&f.read_f64("/f64").unwrap()) {
+            let err = (orig - got).abs();
+            prop_assert!(err <= ratio * ulp64, "f64 |{} - {}| = {} > {} ulp", orig, got, err, ratio);
         }
     }
 

@@ -65,6 +65,10 @@ pub mod site {
     /// A dataset write fails with an I/O error. Key: hash of file name
     /// mixed with the dataset path.
     pub const DASF_WRITE_ERR: &str = "dasf.write.err";
+    /// `dasf::Writer::finish` fails to fsync the data file: the write
+    /// returns an I/O error, the temp file is removed and nothing is
+    /// published under the final name. Key: hash of file name.
+    pub const DASF_WRITE_SYNC_ERR: &str = "dasf.write.sync_err";
     /// A rank is dead for the whole run: its sends are suppressed and
     /// its fallible collectives return `CommError::RankDead`. Key: rank.
     pub const MINIMPI_RANK_DEAD: &str = "minimpi.rank.dead";
@@ -104,6 +108,7 @@ pub mod site {
         DASF_READ_CORRUPT,
         DASF_READ_LATENCY,
         DASF_WRITE_ERR,
+        DASF_WRITE_SYNC_ERR,
         MINIMPI_RANK_DEAD,
         MINIMPI_RECV_DROP,
         MINIMPI_RECV_DELAY,
