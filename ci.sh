@@ -185,6 +185,29 @@ if [[ $quick -eq 0 ]]; then
     decode_mbps=$(awk -v b="$decode_raw" -v ns="$decode_ns" \
         'BEGIN { printf "%.1f", b * 1000.0 / ns }')
     echo "    lossless byte-identical; decoded $decode_raw bytes at $decode_mbps MB/s"
+    # Payload rot under a world of ranks: four bytes overwritten in the
+    # middle of one member of a copy of the clean raw corpus. The catalog
+    # scan still passes (the torn member below fails there and never
+    # reaches an exchange), so the owner rank meets the rot inside the
+    # read — and every rank must come back with an error naming the
+    # file, where the run used to hang in a collective the owner left.
+    cp -r "$codec_dir/raw" "$codec_dir/rot"
+    rot_members=("$codec_dir/rot"/*.dasf)
+    rotten="${rot_members[1]}"
+    printf '\x13\x37\x13\x37' |
+        dd of="$rotten" bs=1 seek=$(($(stat -c %s "$rotten") / 2)) conv=notrunc status=none
+    for ranks in 2 8; do
+        rc=0
+        timeout 30 target/release/das_pipeline -d "$codec_dir/rot" -a interferometry \
+            --ranks "$ranks" >/dev/null 2>"$codec_dir/rot.log" || rc=$?
+        if [[ $rc -eq 0 || $rc -eq 124 ]] ||
+            ! grep -qF "checksum mismatch in $rotten" "$codec_dir/rot.log"; then
+            echo "codec: das_pipeline --ranks $ranks over a rotten member exited $rc (124 = hung), want an error naming $rotten:" >&2
+            tail -n 5 "$codec_dir/rot.log" >&2
+            exit 1
+        fi
+    done
+    echo "    rotten member under --ranks 2 and 8: every rank errors, none hangs"
     # Damage the compressed corpus the same two ways as the raw scrub.
     lz_members=("$codec_dir/shuffle-lz"/*.dasf)
     printf '\xff\xff\xff\xff\xff\xff\xff\xff' |
@@ -250,9 +273,12 @@ if [[ $quick -eq 0 ]]; then
         echo "planner: pipeline read never hit the buffer pool" >&2
         exit 1
     fi
-    baseline_alloc=$(grep -oE '"pipeline_alloc_bytes":[0-9]+' \
-        results/BENCH_pipeline.json 2>/dev/null | head -1 | cut -d: -f2 || true)
-    if [[ -n "${baseline_alloc:-}" ]]; then
+    # The baseline is a tracked file this script only reads (it used to
+    # come from a file the next step rewrote with this run's value, so
+    # the budget ratcheted up on every run); refresh it by hand, with
+    # the reason, when an allocation change is intended.
+    if [[ -f results/ALLOC_baseline.txt ]]; then
+        baseline_alloc=$(grep -v '^#' results/ALLOC_baseline.txt | head -1)
         budget=$((baseline_alloc + baseline_alloc / 2 + 65536))
         if [[ "$alloc_bytes" -gt "$budget" ]]; then
             echo "planner: dasf.alloc.bytes regressed: $alloc_bytes > budget $budget (baseline $baseline_alloc)" >&2
@@ -260,35 +286,22 @@ if [[ $quick -eq 0 ]]; then
         fi
         echo "    within budget $budget (baseline $baseline_alloc)"
     else
-        echo "    no pipeline_alloc_bytes baseline yet; will record this run's value"
+        mkdir -p results
+        echo "$alloc_bytes" >results/ALLOC_baseline.txt
+        echo "    recorded new allocation baseline results/ALLOC_baseline.txt"
     fi
 
-    # Perf trajectory: the quick experiment binaries emit per-run JSON
-    # (wall time + obs counters); consolidate them into one document a
-    # dashboard can diff across commits.
-    echo "==> bench: perf trajectory (results/BENCH_pipeline.json)"
+    # Experiment smoke: the four quick paper-figure binaries must still
+    # run to completion (they assert their own shape claims) and write
+    # their CSV and `--json` result files. Exit status only, output to a
+    # scratch directory — timings, ratios and rates are `das_bench`'s to
+    # record, not this script's.
+    echo "==> bench: exp_* smoke (exit status only)"
     bench_dir="$(mktemp -d)"
     trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir"' EXIT
     for exp in exp_fig6 exp_fig9 exp_table1 exp_tuner; do
         DASSA_RESULTS="$bench_dir" "target/release/$exp" --json >/dev/null
     done
-    mkdir -p results
-    {
-        printf '{"generated_unix_ns":%s,"pipeline_alloc_bytes":%s,"compress_ratio":%s,"decode_mb_per_sec":%s,"experiments":[' \
-            "$(date +%s%N)" "${alloc_bytes:-0}" "${compress_ratio:-0}" "${decode_mbps:-0}"
-        first=1
-        for f in "$bench_dir"/*.json; do
-            [[ $first -eq 1 ]] || printf ','
-            first=0
-            cat "$f"
-        done
-        printf ']}'
-    } >results/BENCH_pipeline.json
-    grep -qF '"wall_ms":' results/BENCH_pipeline.json || {
-        echo "bench: BENCH_pipeline.json has no wall_ms entries" >&2
-        exit 1
-    }
-    echo "    $(wc -c <results/BENCH_pipeline.json) bytes, $(grep -oF '"experiment":' results/BENCH_pipeline.json | wc -l) experiments"
 
     # dasl gate: the example .das program, compiled to bytecode and run
     # through the VM, must be byte-identical to the hand-wired pipeline

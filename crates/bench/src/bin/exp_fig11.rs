@@ -35,9 +35,10 @@ fn main() {
     let mut reference: Option<Vec<f64>> = None;
     for ranks in [1usize, 2, 4, 8] {
         let total_ch = vca.channels() as usize;
+        let plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, ranks);
         let (blocks, wall) = time(|| {
             minimpi::run(ranks, |comm| {
-                let local = read_comm_avoiding(comm, &vca).expect("read");
+                let (local, _) = IoExecutor::new(comm).run(&plan).expect("read");
                 let local64 = arrayudf::Array2::from_vec(
                     local.rows(),
                     local.cols(),

@@ -29,22 +29,32 @@ fn main() {
         &["method", "wall(s)", "p2p msgs", "p2p bytes", "bcasts"],
     );
 
+    let coll_plan = IoPlan::for_vca(&vca, ReadStrategy::CollectivePerFile, ranks);
     let ((), coll_s) = time(|| {
         minimpi::run(ranks, |comm| {
-            read_collective_per_file(comm, &vca).expect("collective read");
+            IoExecutor::new(comm)
+                .run(&coll_plan)
+                .expect("collective read");
         });
     });
     let (_, coll_stats) = minimpi::run_with_stats(ranks, |comm| {
-        read_collective_per_file(comm, &vca).expect("collective read")
+        IoExecutor::new(comm)
+            .run(&coll_plan)
+            .expect("collective read")
     });
 
+    let ca_plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, ranks);
     let ((), ca_s) = time(|| {
         minimpi::run(ranks, |comm| {
-            read_comm_avoiding(comm, &vca).expect("comm-avoiding read");
+            IoExecutor::new(comm)
+                .run(&ca_plan)
+                .expect("comm-avoiding read");
         });
     });
     let (_, ca_stats) = minimpi::run_with_stats(ranks, |comm| {
-        read_comm_avoiding(comm, &vca).expect("comm-avoiding read")
+        IoExecutor::new(comm)
+            .run(&ca_plan)
+            .expect("comm-avoiding read")
     });
 
     let (_, rca_s) = time(|| read_rca(&rca_path).expect("rca read"));
@@ -75,7 +85,9 @@ fn main() {
 
     // Correctness cross-check: both strategies reconstruct the array.
     let serial = vca.read_all_f32().expect("serial read");
-    let blocks = minimpi::run(ranks, |comm| read_comm_avoiding(comm, &vca).expect("read"));
+    let blocks = minimpi::run(ranks, |comm| {
+        IoExecutor::new(comm).run(&ca_plan).expect("read").0
+    });
     assert_eq!(arrayudf::Array2::vstack(&blocks), serial);
 
     println!(

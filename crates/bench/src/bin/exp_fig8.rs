@@ -31,9 +31,10 @@ fn main() {
 
     let run_layout = |ranks: usize, threads: usize| -> (f64, minimpi::StatsSnapshot, u64) {
         let total_ch = vca.channels() as usize;
+        let plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, ranks);
         let ((), wall) = time(|| {
             minimpi::run(ranks, |comm| {
-                let local = read_comm_avoiding(comm, &vca).expect("read");
+                let (local, _) = IoExecutor::new(comm).run(&plan).expect("read");
                 let local64 = arrayudf::Array2::from_vec(
                     local.rows(),
                     local.cols(),
@@ -50,7 +51,7 @@ fn main() {
             });
         });
         let (_, stats) = minimpi::run_with_stats(ranks, |comm| {
-            let local = read_comm_avoiding(comm, &vca).expect("read");
+            let (local, _) = IoExecutor::new(comm).run(&plan).expect("read");
             let local64 = arrayudf::Array2::from_vec(
                 local.rows(),
                 local.cols(),

@@ -19,8 +19,8 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
 }
 
 /// Time a closure, repeating until at least `min_time_s` has elapsed,
-/// and return the mean seconds per run — a lightweight stand-in for
-/// Criterion when an experiment just needs one stable number.
+/// and return the mean seconds per run — for an experiment that just
+/// needs one stable number (measurements with spread are `das_bench`'s).
 pub fn time_stable<R>(min_time_s: f64, mut f: impl FnMut() -> R) -> f64 {
     let mut runs = 0u32;
     let t0 = Instant::now();

@@ -1,6 +1,5 @@
-//! Tabular stdout reporting, CSV output, and (with `--json`) the
-//! machine-readable result files the perf-trajectory harness in `ci.sh`
-//! consolidates into `BENCH_pipeline.json`.
+//! Tabular stdout reporting, CSV output, and (with `--json`) a
+//! machine-readable result file per experiment run.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -94,8 +93,8 @@ impl Table {
 /// written through the workspace-shared [`obs::json::JsonWriter`].
 /// `wall_ms` covers start-to-finish; `counters` is the full integer
 /// counter set of the global obs registry (`dasf.*` I/O, `minimpi.*`
-/// traffic, `arrayudf.*` kernel work), so a perf trajectory can track
-/// work done, not just time taken.
+/// traffic, `arrayudf.*` kernel work), so a run records work done, not
+/// just time taken.
 pub struct JsonRun {
     name: &'static str,
     started: Instant,

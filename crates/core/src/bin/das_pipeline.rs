@@ -46,9 +46,9 @@
 //!
 //! With `--fault-plan <spec>` (e.g. `seed=42,dasf.read.err=0.05`) a
 //! deterministic `faultline` plan is installed for the whole run and the
-//! read stage switches to the resilient reader: unreadable member files
-//! are retried, then quarantined and zero-filled, and the quarantine
-//! report is printed instead of aborting the pipeline.
+//! read stage switches to the retry/quarantine executor: unreadable
+//! member files are retried, then quarantined and zero-filled, and the
+//! quarantine report is printed instead of aborting the pipeline.
 
 use dassa::prelude::*;
 use std::process::ExitCode;
@@ -489,7 +489,7 @@ fn read_distributed_f64(
 }
 
 /// Read the VCA under a fault plan: a single-rank chaos world drives the
-/// resilient reader (retry, then quarantine + zero-fill), the quarantine
+/// resilient executor (retry, then quarantine + zero-fill), the quarantine
 /// report goes to stderr, and the f32 block widens to the f64 array the
 /// analyses consume.
 fn read_resilient_f64(
@@ -498,7 +498,7 @@ fn read_resilient_f64(
 ) -> dassa::Result<arrayudf::Array2<f64>> {
     let plan = std::sync::Arc::new(plan.clone());
     let (mut results, _) = minimpi::run_chaos(1, plan, minimpi::RetryPolicy::default(), |comm| {
-        dassa::dass::read_vca_resilient(comm, vca, ReadStrategy::Auto)
+        IoExecutor::resilient(comm).run(&IoPlan::for_vca(vca, ReadStrategy::Auto, comm.size()))
     });
     let (block, report) = results.remove(0)?;
     if report.is_clean() {

@@ -1,39 +1,114 @@
 //! The one engine that runs every [`IoPlan`].
 //!
-//! The executor is deliberately a *transliteration* of the four legacy
-//! read loops (plain and resilient × collective-per-file and
-//! communication-avoiding) plus the serial region reader: it issues the
-//! same dasf calls in the same order, the same collectives with the
-//! same headers, takes the same fault-injection decisions at the same
-//! sites, and records the same spans and histograms — so traces, chaos
-//! digests and communication statistics are bit-identical to the
-//! pre-planner code. What changed underneath: a serial plan reads every
-//! op straight into its columns of the output array
-//! ([`read_member_into`]: no tile, no paste), and a distributed plan
-//! keeps samples in pooled buffers ([`dasf::pool`]) wrapped in
-//! zero-copy [`Tile`]s, whose handles the exchange moves (an `Arc` bump
-//! per hop) instead of packing per-destination `Vec`s.
+//! One loop per [`Exchange`]: the serial region reader, collective-per-
+//! file and communication-avoiding. In each, the rank that owns a member
+//! reads it with a bounded number of attempts ([`IoExecutor::read_member`]),
+//! and every rank learns how that went — retries, checksum mismatches,
+//! and the tile if there is one — **inside the message the exchange
+//! sends anyway** (a [`Delivery`] in the per-file broadcast or in the
+//! one `alltoallv`). No collective exists only to agree on an outcome,
+//! so no rank can return while another waits in one. [`Resilience`]
+//! decides two numbers and one action: how many attempts a member gets,
+//! and what a rank does with a member nobody could read
+//! ([`IoExecutor::unreadable`]).
+//!
+//! A serial plan reads every op straight into its columns of the output
+//! array ([`read_member_into`]: no tile, no paste); a distributed plan
+//! keeps samples in pooled buffers ([`dasf::pool`]) wrapped in zero-copy
+//! [`Tile`]s, whose handles the exchange moves (an `Arc` bump per hop)
+//! instead of packing per-destination `Vec`s.
 
 use super::super::fsck::{scrub_file, FsckReport};
-use super::super::par_read::{metric_names, ReadReport, MAX_READ_ATTEMPTS};
 use super::tile::Tile;
 use super::{Exchange, IoPlan, ReadOp};
-use crate::Result;
+use crate::{DassaError, Result};
 use arrayudf::dist::partition;
 use arrayudf::Array2;
 use dasf::File;
-use minimpi::Comm;
+use minimpi::{Comm, WirePayload};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// What the executor does when a member read keeps failing.
+/// Metric names recorded by the executor, in the world's registry (see
+/// [`minimpi::Comm::registry`]) and aggregated globally.
+pub mod metric_names {
+    /// File-read time (ns) inside a collective-per-file exchange.
+    pub const COLLECTIVE_READ_NS: &str = "dass.par_read.collective.read_ns";
+    /// Broadcast time (ns) inside a collective-per-file exchange.
+    pub const COLLECTIVE_EXCHANGE_NS: &str = "dass.par_read.collective.exchange_ns";
+    /// Row-copy/assembly time (ns) inside a collective-per-file exchange.
+    pub const COLLECTIVE_COPY_NS: &str = "dass.par_read.collective.copy_ns";
+    /// File-read time (ns) inside a communication-avoiding exchange.
+    pub const CA_READ_NS: &str = "dass.par_read.comm_avoiding.read_ns";
+    /// All-to-all time (ns) inside a communication-avoiding exchange.
+    pub const CA_EXCHANGE_NS: &str = "dass.par_read.comm_avoiding.exchange_ns";
+    /// Pack/assembly time (ns) inside a communication-avoiding exchange.
+    pub const CA_COPY_NS: &str = "dass.par_read.comm_avoiding.copy_ns";
+    /// Member files quarantined (counted once, on the owner rank, when
+    /// the retry budget is exhausted).
+    pub const QUARANTINED: &str = "par_read.quarantined";
+    /// Repeated member-file read attempts (counted once per repeat, on
+    /// the owner rank).
+    pub const RETRIES: &str = "par_read.retries";
+    /// Member-file read attempts that failed with a dasf checksum
+    /// mismatch (real bit-rot detected by the v3 integrity layer).
+    pub const CHECKSUM_MISMATCH: &str = "par_read.checksum_mismatch";
+}
+
+/// Read attempts per member file under [`Resilience::Quarantine`] before
+/// the file is quarantined.
+pub const MAX_READ_ATTEMPTS: u32 = 3;
+
+/// What a read survived: which member files were quarantined (skipped,
+/// their span zero-filled), and how hard the world worked to avoid
+/// quarantining more. Always clean under [`Resilience::FailFast`], where
+/// an unreadable member is an `Err` instead.
+///
+/// The report is **identical on every rank and across both read
+/// strategies** for a given (VCA, world size, fault plan): quarantine
+/// decisions depend only on per-file fault schedules keyed by file name
+/// and index, and both strategies give file `fi` to owner rank
+/// `fi % size`. Communication-level retries are deliberately *not* in
+/// here — the two strategies issue different collective sequences, so
+/// their `minimpi.retries` legitimately differ.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadReport {
+    /// Indices (into [`Vca::entries`](crate::dass::Vca::entries)) of
+    /// quarantined member files, ascending.
+    pub quarantined: Vec<usize>,
+    /// World-total repeated read attempts (sum over all ranks).
+    pub io_retries: u64,
+    /// World-total member-read attempts that failed with a
+    /// [`dasf::DasfError::ChecksumMismatch`] — detected bit-rot, as
+    /// opposed to I/O errors or truncation.
+    pub checksum_mismatches: u64,
+    /// Total f32 samples zero-filled across the plan's extent
+    /// (`rows × cols` summed over quarantined ops).
+    pub zero_samples: u64,
+}
+
+impl ReadReport {
+    /// True when every member file was read cleanly on the first try.
+    pub fn is_clean(&self) -> bool {
+        self.quarantined.is_empty() && self.io_retries == 0 && self.checksum_mismatches == 0
+    }
+}
+
+/// What the executor does with a member file that cannot be read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resilience {
-    /// Propagate the first error — the legacy plain readers.
+    /// One attempt; an unreadable member makes **every** rank return an
+    /// error — the owner its typed one, the others one naming the file,
+    /// the owner rank and the cause.
     FailFast,
-    /// Retry up to [`MAX_READ_ATTEMPTS`], then quarantine the file and
-    /// zero-fill its span — the legacy resilient readers.
+    /// Retry up to [`MAX_READ_ATTEMPTS`], then quarantine the file:
+    /// zero-fill its span and say so in the [`ReadReport`].
+    ///
+    /// Communication failures (a dead rank in a [`minimpi::run_chaos`]
+    /// world) still return `Err` — resilience covers data, not the world.
     Quarantine,
 }
 
@@ -70,7 +145,7 @@ pub(crate) fn read_member_into(
     if selection.is_none() {
         let dims = &f.dataset(dataset)?.dims;
         if dims[..] != [rows as u64, cols as u64] {
-            return Err(crate::DassaError::Inconsistent(format!(
+            return Err(DassaError::Inconsistent(format!(
                 "{}: dataset {dataset} is {dims:?}, the plan expects {rows} x {cols}",
                 path.display()
             )));
@@ -88,16 +163,78 @@ pub(crate) fn read_member_into(
     Ok(())
 }
 
-/// What one retried member read observed.
+/// What the owner of a member observed reading it.
 struct MemberRead<R> {
-    /// What the read returned, or `None` after [`MAX_READ_ATTEMPTS`]
-    /// failures (⇒ quarantine).
-    value: Option<R>,
+    /// What the read returned, or the error of the last attempt.
+    value: Result<R>,
     /// Repeated attempts (first attempt is free).
     retries: u64,
     /// Attempts that failed with a checksum mismatch — the file's bytes
     /// were readable but rotten.
     mismatches: u64,
+}
+
+impl MemberRead<Tile> {
+    /// What rank `owner` tells a rank that keeps `rows` of the member
+    /// about this read: a zero-copy restriction of the tile, or why
+    /// there is none.
+    fn deliver(&self, op: &ReadOp, owner: usize, rows: Range<usize>) -> Delivery {
+        Delivery {
+            file_index: op.file_index,
+            retries: self.retries,
+            mismatches: self.mismatches,
+            tile: match &self.value {
+                Ok(tile) => Ok(tile.restrict(rows)),
+                Err(e) => Err(format!(
+                    "{}: unreadable on its owner, rank {owner}: {e}",
+                    op.path.display()
+                )),
+            },
+        }
+    }
+}
+
+/// What every rank learns about one member, as the exchange carries it.
+#[derive(Clone)]
+struct Delivery {
+    file_index: usize,
+    retries: u64,
+    mismatches: u64,
+    /// The receiver's rows of the member, or the owner's account of why
+    /// it has none.
+    tile: std::result::Result<Tile, String>,
+}
+
+/// The outcome rides with the tile and counts no bytes of its own, so
+/// the exchange's volume is the sample bytes the paper's model prices.
+impl WirePayload for Delivery {
+    fn wire_bytes(&self) -> usize {
+        self.tile.as_ref().map_or(0, Tile::wire_bytes)
+    }
+}
+
+/// Why a member has no samples, as one rank knows it.
+enum Unread {
+    /// This rank owns the member: the typed error of its last attempt.
+    Mine(DassaError),
+    /// Another rank does: what it said in the exchange.
+    Theirs(String),
+}
+
+/// Wall time a rank spent in each phase of a distributed read.
+#[derive(Default)]
+struct Phases {
+    read: Duration,
+    exchange: Duration,
+    copy: Duration,
+}
+
+impl Phases {
+    fn record(&self, reg: &obs::Registry, [read, exchange, copy]: [&str; 3]) {
+        reg.histogram(read).record_duration(self.read);
+        reg.histogram(exchange).record_duration(self.exchange);
+        reg.histogram(copy).record_duration(self.copy);
+    }
 }
 
 impl IoExecutor<'static> {
@@ -111,8 +248,7 @@ impl IoExecutor<'static> {
 }
 
 impl<'a> IoExecutor<'a> {
-    /// A fail-fast executor over `comm` — semantics of the legacy plain
-    /// parallel readers.
+    /// A [`Resilience::FailFast`] executor over `comm`.
     pub fn new(comm: &'a Comm) -> IoExecutor<'a> {
         IoExecutor {
             comm: Some(comm),
@@ -120,8 +256,7 @@ impl<'a> IoExecutor<'a> {
         }
     }
 
-    /// A retry/quarantine executor over `comm` — semantics of the
-    /// legacy resilient readers.
+    /// A [`Resilience::Quarantine`] executor over `comm`.
     pub fn resilient(comm: &'a Comm) -> IoExecutor<'a> {
         IoExecutor {
             comm: Some(comm),
@@ -138,22 +273,22 @@ impl<'a> IoExecutor<'a> {
 
     /// Run `plan`, returning this rank's channel block (rows
     /// `partition(plan.rows, size, rank)` for distributed plans, all
-    /// `plan.rows` for serial ones) and the read report (always clean
-    /// under [`Resilience::FailFast`]).
+    /// `plan.rows` for serial ones) and the read report, identical on
+    /// every rank.
     pub fn run(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
-        match plan.exchange {
+        let (local, mut report) = match plan.exchange {
             Exchange::None => self.run_serial(plan),
-            Exchange::BcastPerFile => match self.resilience {
-                Resilience::FailFast => self
-                    .run_collective(plan)
-                    .map(|a| (a, ReadReport::default())),
-                Resilience::Quarantine => self.run_collective_resilient(plan),
-            },
-            Exchange::AllToAll => match self.resilience {
-                Resilience::FailFast => self.run_ca(plan).map(|a| (a, ReadReport::default())),
-                Resilience::Quarantine => self.run_ca_resilient(plan),
-            },
-        }
+            Exchange::BcastPerFile => self.run_collective(plan),
+            Exchange::AllToAll => self.run_ca(plan),
+        }?;
+        report.zero_samples = plan
+            .ops
+            .iter()
+            .filter(|op| report.quarantined.binary_search(&op.file_index).is_ok())
+            .map(ReadOp::bytes)
+            .sum::<u64>()
+            / std::mem::size_of::<f32>() as u64;
+        Ok((local, report))
     }
 
     /// One op of a distributed plan: open the file, read the selection
@@ -169,7 +304,8 @@ impl<'a> IoExecutor<'a> {
         Ok(Tile::whole(buf, op.rows, op.cols, op.file_index, op.t0))
     }
 
-    /// Run `read` — one op's read — with bounded retries.
+    /// Run `read` — one op's read, on the rank that owns it — until it
+    /// succeeds or the attempts [`Resilience`] allows are spent.
     ///
     /// Failures come from two places, both deterministic under a
     /// [`faultline`] plan: real `dasf` errors (fault sites keyed by file
@@ -178,84 +314,106 @@ impl<'a> IoExecutor<'a> {
     /// turns into `ChecksumMismatch`) and transient injected failures at
     /// `par_read.file` (keyed by file *index*; the failure count is
     /// capped below the budget, so a purely transient fault retries and
-    /// then succeeds, never quarantines).
-    fn read_op_with_retries<R>(
-        &self,
-        op: &ReadOp,
-        mut read: impl FnMut() -> Result<R>,
-    ) -> MemberRead<R> {
-        let transient = match faultline::current() {
-            Some(plan) if plan.fires(faultline::site::PAR_READ_FILE, op.file_index as u64) => {
-                1 + plan.value_below(
-                    faultline::site::PAR_READ_FILE,
-                    op.file_index as u64,
-                    MAX_READ_ATTEMPTS as u64 - 1,
-                ) as u32
+    /// then succeeds, never quarantines — and never strikes where the
+    /// budget is one attempt).
+    fn read_member<R>(&self, op: &ReadOp, mut read: impl FnMut() -> Result<R>) -> MemberRead<R> {
+        let budget = match self.resilience {
+            Resilience::FailFast => 1,
+            Resilience::Quarantine => MAX_READ_ATTEMPTS,
+        };
+        let key = op.file_index as u64;
+        let transient = match (budget > 1).then(faultline::current).flatten() {
+            Some(plan) if plan.fires(faultline::site::PAR_READ_FILE, key) => {
+                1 + plan.value_below(faultline::site::PAR_READ_FILE, key, budget as u64 - 1) as u32
             }
             _ => 0,
         };
         let reg = self.registry();
         let mut retries = 0u64;
         let mut mismatches = 0u64;
-        for attempt in 0..MAX_READ_ATTEMPTS {
-            let result = if attempt < transient {
-                Err(crate::DassaError::Io(std::io::Error::other(
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            let result = if attempt <= transient {
+                Err(DassaError::Io(std::io::Error::other(
                     "faultline: injected member-file read failure (par_read.file)",
                 )))
             } else {
                 read()
             };
-            match result {
-                Ok(value) => {
-                    return MemberRead {
-                        value: Some(value),
-                        retries,
-                        mismatches,
-                    }
-                }
-                Err(e) => {
-                    if matches!(
-                        e,
-                        crate::DassaError::Dasf(dasf::DasfError::ChecksumMismatch { .. })
-                    ) {
-                        mismatches += 1;
-                        reg.counter(metric_names::CHECKSUM_MISMATCH).inc();
-                    }
-                    if attempt + 1 < MAX_READ_ATTEMPTS {
-                        retries += 1;
-                        reg.counter(metric_names::RETRIES).inc();
-                    }
-                }
+            let mismatch = matches!(
+                result,
+                Err(DassaError::Dasf(dasf::DasfError::ChecksumMismatch { .. }))
+            );
+            if mismatch {
+                mismatches += 1;
+                reg.counter(metric_names::CHECKSUM_MISMATCH).inc();
             }
-        }
-        reg.counter(metric_names::QUARANTINED).inc();
-        MemberRead {
-            value: None,
-            retries,
-            mismatches,
+            if result.is_ok() || attempt == budget {
+                return MemberRead {
+                    value: result,
+                    retries,
+                    mismatches,
+                };
+            }
+            retries += 1;
+            reg.counter(metric_names::RETRIES).inc();
         }
     }
 
-    /// The global zero-filled sample count implied by a quarantine set.
-    fn zero_samples_of(plan: &IoPlan, quarantined: &[usize]) -> u64 {
-        plan.ops
-            .iter()
-            .filter(|op| quarantined.binary_search(&op.file_index).is_ok())
-            .map(ReadOp::bytes)
-            .sum::<u64>()
-            / std::mem::size_of::<f32>() as u64
+    /// The one thing [`Resilience`] decides about a member nobody could
+    /// read: fail the whole read, on every rank alike, or zero-fill the
+    /// member's span and report it.
+    fn unreadable(&self, file_index: usize, why: Unread, report: &mut ReadReport) -> Result<()> {
+        match self.resilience {
+            Resilience::FailFast => Err(match why {
+                Unread::Mine(e) => e,
+                Unread::Theirs(said) => DassaError::Io(std::io::Error::other(said)),
+            }),
+            Resilience::Quarantine => {
+                if matches!(why, Unread::Mine(_)) {
+                    self.registry().counter(metric_names::QUARANTINED).inc();
+                }
+                report.quarantined.push(file_index);
+                Ok(())
+            }
+        }
+    }
+
+    /// What a rank does with one delivered member: count its owner's
+    /// effort, then keep `my_rows` of the tile — or, without one, do
+    /// what [`IoExecutor::unreadable`] says. `mine` is the typed error
+    /// when this rank is the owner that failed.
+    fn settle(
+        &self,
+        delivery: Delivery,
+        mine: Option<DassaError>,
+        my_rows: &Range<usize>,
+        local: &mut Array2<f32>,
+        report: &mut ReadReport,
+    ) -> Result<()> {
+        report.io_retries += delivery.retries;
+        report.checksum_mismatches += delivery.mismatches;
+        match delivery.tile {
+            Ok(tile) => {
+                local.paste(0, tile.t0(), tile.restrict(my_rows.clone()).view());
+                Ok(())
+            }
+            Err(said) => {
+                let why = mine.map_or(Unread::Theirs(said), Unread::Mine);
+                self.unreadable(delivery.file_index, why, report)
+            }
+        }
     }
 
     /// Serial execution: every op on the calling thread, each read
-    /// straight into its columns of the output (the legacy region
-    /// reader); [`read_member_into`] keeps a failed attempt's block zero.
+    /// straight into its columns of the output; [`read_member_into`]
+    /// keeps a failed attempt's block zero.
     fn run_serial(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
         let mut local = Array2::<f32>::zeroed(plan.rows, plan.cols);
-        let mut quarantined = Vec::new();
-        let mut io_retries = 0u64;
-        let mut checksum_mismatches = 0u64;
+        let mut report = ReadReport::default();
         for op in &plan.ops {
-            let mut read = || {
+            let member = self.read_member(op, || {
                 let shape = (op.rows, op.cols);
                 read_member_into(
                     &op.path,
@@ -265,279 +423,148 @@ impl<'a> IoExecutor<'a> {
                     &mut local,
                     op.t0,
                 )
-            };
-            match self.resilience {
-                Resilience::FailFast => read()?,
-                Resilience::Quarantine => {
-                    let member = self.read_op_with_retries(op, read);
-                    io_retries += member.retries;
-                    checksum_mismatches += member.mismatches;
-                    if member.value.is_none() {
-                        quarantined.push(op.file_index);
-                    }
-                }
+            });
+            report.io_retries += member.retries;
+            report.checksum_mismatches += member.mismatches;
+            if let Err(e) = member.value {
+                self.unreadable(op.file_index, Unread::Mine(e), &mut report)?;
             }
         }
-        let zero_samples = Self::zero_samples_of(plan, &quarantined);
-        Ok((
-            local,
-            ReadReport {
-                quarantined,
-                io_retries,
-                checksum_mismatches,
-                zero_samples,
-            },
-        ))
+        Ok((local, report))
     }
 
     /// "Collective-per-file" (Figure 5a): for each op, the aggregator
-    /// rank `file_index % size` reads the whole file and broadcasts the
-    /// tile; every rank keeps its channel rows.
-    fn run_collective(&self, plan: &IoPlan) -> Result<Array2<f32>> {
+    /// rank `file_index % size` reads the whole file and broadcasts it;
+    /// every rank keeps its channel rows. That is the
+    /// "merge-read-broadcast" pattern of collective I/O: *n* broadcasts
+    /// for *n* files, each moving the whole file to every rank — and
+    /// nothing else: the aggregator's outcome is in the broadcast.
+    fn run_collective(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
         let comm = self.comm.expect("collective plan needs a Comm");
-        let _trace = obs::trace::scope_in(comm.registry(), "par_read.collective");
+        let reg = comm.registry();
+        let _trace = obs::trace::scope_in(reg, "par_read.collective");
         let (rank, size) = (comm.rank(), comm.size());
         let my_rows = partition(plan.rows, size, rank);
-        let total_cols = plan.cols;
-        let mut local = Array2::<f32>::zeroed(my_rows.len(), total_cols);
-        let mut read_ns = std::time::Duration::ZERO;
-        let mut exchange_ns = std::time::Duration::ZERO;
-        let mut copy_ns = std::time::Duration::ZERO;
+        let mut local = Array2::<f32>::zeroed(my_rows.len(), plan.cols);
+        let mut report = ReadReport::default();
+        let mut phases = Phases::default();
 
         for op in &plan.ops {
             let root = op.file_index % size;
             // Aggregator reads the entire file with one I/O call …
-            let t = std::time::Instant::now();
-            let payload: Option<Tile> = if rank == root {
-                let _s = obs::trace::scope_in(comm.registry(), "par_read.read");
-                Some(Self::read_op(&plan.dataset, op)?)
-            } else {
-                None
-            };
-            read_ns += t.elapsed();
+            let t = Instant::now();
+            let member = (rank == root).then(|| {
+                let _s = obs::trace::scope_in(reg, "par_read.read");
+                self.read_member(op, || Self::read_op(&plan.dataset, op))
+            });
+            phases.read += t.elapsed();
             // … and broadcasts it whole — the expensive step this
             // strategy pays once per file. The transfer is an `Arc`
             // bump per tree edge; the counters see the full tile bytes.
-            let t = std::time::Instant::now();
-            let tile = comm.bcast_payload(root, payload);
-            exchange_ns += t.elapsed();
-            let _copy = obs::trace::scope_in(comm.registry(), "par_read.copy");
-            let t = std::time::Instant::now();
-            local.paste(0, op.t0, tile.restrict(my_rows.clone()).view());
-            copy_ns += t.elapsed();
+            let t = Instant::now();
+            let told = member.as_ref().map(|m| m.deliver(op, root, 0..op.rows));
+            let delivery = comm.try_bcast_payload(root, told)?;
+            phases.exchange += t.elapsed();
+            let _copy = obs::trace::scope_in(reg, "par_read.copy");
+            let t = Instant::now();
+            let mine = member.and_then(|m| m.value.err());
+            self.settle(delivery, mine, &my_rows, &mut local, &mut report)?;
+            phases.copy += t.elapsed();
         }
-        let reg = comm.registry();
-        reg.histogram(metric_names::COLLECTIVE_READ_NS)
-            .record_duration(read_ns);
-        reg.histogram(metric_names::COLLECTIVE_EXCHANGE_NS)
-            .record_duration(exchange_ns);
-        reg.histogram(metric_names::COLLECTIVE_COPY_NS)
-            .record_duration(copy_ns);
-        Ok(local)
+        phases.record(
+            reg,
+            [
+                metric_names::COLLECTIVE_READ_NS,
+                metric_names::COLLECTIVE_EXCHANGE_NS,
+                metric_names::COLLECTIVE_COPY_NS,
+            ],
+        );
+        Ok((local, report))
     }
 
-    /// Communication-avoiding (Figure 5b): each rank reads the whole
-    /// files assigned to it round-robin (`file_index % size == rank`),
-    /// restricts each tile to per-destination channel rows (an `Arc`
-    /// bump, not a pack copy), and one `alltoallv` delivers every block
-    /// to its owner.
-    fn run_ca(&self, plan: &IoPlan) -> Result<Array2<f32>> {
+    /// Communication-avoiding (Figure 5b, the paper's contribution):
+    /// files are dealt round-robin (`file_index % size == rank`); each
+    /// rank reads its *whole files* with one contiguous I/O call each,
+    /// then a single `alltoallv` delivers every channel block to its
+    /// owner — exactly the needed bytes, and with them what became of
+    /// each file. No broadcast, no second collective.
+    fn run_ca(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
         let comm = self.comm.expect("all-to-all plan needs a Comm");
-        let _trace = obs::trace::scope_in(comm.registry(), "par_read.ca");
+        let reg = comm.registry();
+        let _trace = obs::trace::scope_in(reg, "par_read.ca");
         let (rank, size) = (comm.rank(), comm.size());
         let my_rows = partition(plan.rows, size, rank);
-        let total_cols = plan.cols;
+        let mut phases = Phases::default();
 
         // 1. Independent contiguous reads of my round-robin files.
-        let read_trace = obs::trace::scope_in(comm.registry(), "par_read.read");
-        let t = std::time::Instant::now();
-        let mut my_tiles: Vec<Tile> = Vec::new();
-        for op in &plan.ops {
-            if op.file_index % size == rank {
-                my_tiles.push(Self::read_op(&plan.dataset, op)?);
-            }
-        }
-        let read_ns = t.elapsed();
+        let read_trace = obs::trace::scope_in(reg, "par_read.read");
+        let t = Instant::now();
+        let members: Vec<(&ReadOp, MemberRead<Tile>)> = plan
+            .ops
+            .iter()
+            .filter(|op| op.file_index % size == rank)
+            .map(|op| {
+                (
+                    op,
+                    self.read_member(op, || Self::read_op(&plan.dataset, op)),
+                )
+            })
+            .collect();
+        phases.read = t.elapsed();
         drop(read_trace);
 
         // 2. Per-destination blocks: for each of my files (ascending
         //    file index), the destination's channel rows as a zero-copy
-        //    row restriction of the whole-file tile.
-        let t = std::time::Instant::now();
-        let mut blocks: Vec<Vec<Tile>> = (0..size)
-            .map(|_| Vec::with_capacity(my_tiles.len()))
+        //    row restriction of the whole-file tile — or, for a file I
+        //    could not read, the reason in the tile's place.
+        let t = Instant::now();
+        let blocks: Vec<Vec<Delivery>> = (0..size)
+            .map(|dst| {
+                let rows = partition(plan.rows, size, dst);
+                members
+                    .iter()
+                    .map(|(op, member)| member.deliver(op, rank, rows.clone()))
+                    .collect()
+            })
             .collect();
-        for tile in &my_tiles {
-            for (dst, block) in blocks.iter_mut().enumerate() {
-                block.push(tile.restrict(partition(plan.rows, size, dst)));
-            }
-        }
-        let mut copy_ns = t.elapsed();
+        // My typed errors, ascending; the whole-file tile handles go.
+        let mine: Vec<(usize, DassaError)> = members
+            .into_iter()
+            .filter_map(|(op, member)| Some((op.file_index, member.value.err()?)))
+            .collect();
+        let mut mine = mine.into_iter().peekable();
+        phases.copy = t.elapsed();
 
         // 3. One all-to-all exchange (concurrent pairwise transfers).
-        let t = std::time::Instant::now();
-        let received = comm.alltoallv_payload(blocks);
-        let exchange_ns = t.elapsed();
-
-        // 4. Assemble: tiles carry their own file index and column
-        //    offset, so placement is direct.
-        let _copy = obs::trace::scope_in(comm.registry(), "par_read.copy");
-        let t = std::time::Instant::now();
-        let mut local = Array2::<f32>::zeroed(my_rows.len(), total_cols);
-        for block in received {
-            for tile in block {
-                debug_assert_eq!(tile.row_range(), my_rows, "exchange layout mismatch");
-                local.paste(0, tile.t0(), tile.view());
-            }
-        }
-        copy_ns += t.elapsed();
-        let reg = comm.registry();
-        reg.histogram(metric_names::CA_READ_NS)
-            .record_duration(read_ns);
-        reg.histogram(metric_names::CA_EXCHANGE_NS)
-            .record_duration(exchange_ns);
-        reg.histogram(metric_names::CA_COPY_NS)
-            .record_duration(copy_ns);
-        Ok(local)
-    }
-
-    /// [`IoExecutor::run_collective`] with retry/quarantine: before each
-    /// data broadcast the aggregator broadcasts a small header (did the
-    /// read succeed, and after how many retries), so every rank tracks
-    /// the same quarantine set and retry total without extra
-    /// collectives.
-    fn run_collective_resilient(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
-        let comm = self.comm.expect("collective plan needs a Comm");
-        let _trace = obs::trace::scope_in(comm.registry(), "par_read.collective");
-        let (rank, size) = (comm.rank(), comm.size());
-        let my_rows = partition(plan.rows, size, rank);
-        let total_cols = plan.cols;
-        let mut local = Array2::<f32>::zeroed(my_rows.len(), total_cols);
-        let mut quarantined = Vec::new();
-        let mut io_retries = 0u64;
-        let mut checksum_mismatches = 0u64;
-
-        for op in &plan.ops {
-            let root = op.file_index % size;
-            let member = if rank == root {
-                let _s = obs::trace::scope_in(comm.registry(), "par_read.read");
-                self.read_op_with_retries(op, || Self::read_op(&plan.dataset, op))
-            } else {
-                MemberRead {
-                    value: None,
-                    retries: 0,
-                    mismatches: 0,
-                }
-            };
-            let MemberRead {
-                value: payload,
-                retries: my_retries,
-                mismatches: my_mismatches,
-            } = member;
-            let (ok, retries, mismatches) = comm.try_bcast(
-                root,
-                (rank == root).then(|| (payload.is_some(), my_retries, my_mismatches)),
-            )?;
-            io_retries += retries;
-            checksum_mismatches += mismatches;
-            if !ok {
-                // Quarantined: no data broadcast; the span stays zero.
-                quarantined.push(op.file_index);
-                continue;
-            }
-            let tile = comm.try_bcast_payload(root, payload)?;
-            local.paste(0, op.t0, tile.restrict(my_rows.clone()).view());
-        }
-        let zero_samples = Self::zero_samples_of(plan, &quarantined);
-        Ok((
-            local,
-            ReadReport {
-                quarantined,
-                io_retries,
-                checksum_mismatches,
-                zero_samples,
-            },
-        ))
-    }
-
-    /// [`IoExecutor::run_ca`] with retry/quarantine: after the local
-    /// reads, one extra allgather merges every rank's quarantine list
-    /// and retry count, so all ranks agree on which blocks the
-    /// `alltoallv` will *not* carry; quarantined spans stay zero-filled.
-    fn run_ca_resilient(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
-        let comm = self.comm.expect("all-to-all plan needs a Comm");
-        let _trace = obs::trace::scope_in(comm.registry(), "par_read.ca");
-        let (rank, size) = (comm.rank(), comm.size());
-        let my_rows = partition(plan.rows, size, rank);
-        let total_cols = plan.cols;
-
-        // 1. Independent contiguous reads of my round-robin files, with
-        //    bounded retries; failures become local quarantine entries.
-        let read_trace = obs::trace::scope_in(comm.registry(), "par_read.read");
-        let mut my_tiles: Vec<Tile> = Vec::new();
-        let mut my_quarantined: Vec<u64> = Vec::new();
-        let mut my_retries = 0u64;
-        let mut my_mismatches = 0u64;
-        for op in &plan.ops {
-            if op.file_index % size != rank {
-                continue;
-            }
-            let member = self.read_op_with_retries(op, || Self::read_op(&plan.dataset, op));
-            my_retries += member.retries;
-            my_mismatches += member.mismatches;
-            match member.value {
-                Some(tile) => my_tiles.push(tile),
-                None => my_quarantined.push(op.file_index as u64),
-            }
-        }
-        drop(read_trace);
-
-        // 2. Agree on the global quarantine set and the retry/mismatch
-        //    totals before the exchange, so receivers know which blocks
-        //    will not arrive.
-        let merged = comm.try_allgather((my_quarantined, my_retries, my_mismatches))?;
-        let mut quarantined: Vec<usize> = merged
-            .iter()
-            .flat_map(|(q, _, _)| q.iter().map(|&fi| fi as usize))
-            .collect();
-        quarantined.sort_unstable();
-        let io_retries: u64 = merged.iter().map(|(_, r, _)| r).sum();
-        let checksum_mismatches: u64 = merged.iter().map(|(_, _, m)| m).sum();
-
-        // 3. Per-destination blocks from the tiles that survived
-        //    (quarantined files are simply absent from `my_tiles`).
-        let mut blocks: Vec<Vec<Tile>> = (0..size)
-            .map(|_| Vec::with_capacity(my_tiles.len()))
-            .collect();
-        for tile in &my_tiles {
-            for (dst, block) in blocks.iter_mut().enumerate() {
-                block.push(tile.restrict(partition(plan.rows, size, dst)));
-            }
-        }
-
-        // 4. One all-to-all exchange (concurrent pairwise transfers).
+        let t = Instant::now();
         let received = comm.try_alltoallv_payload(blocks)?;
+        phases.exchange = t.elapsed();
 
-        // 5. Assemble; quarantined spans stay zero because their tiles
-        //    were never read or sent.
-        let _copy = obs::trace::scope_in(comm.registry(), "par_read.copy");
-        let mut local = Array2::<f32>::zeroed(my_rows.len(), total_cols);
-        for block in received {
-            for tile in block {
-                debug_assert_eq!(tile.row_range(), my_rows, "exchange layout mismatch");
-                local.paste(0, tile.t0(), tile.view());
-            }
+        // 4. Assemble in file order (so every rank settles the same
+        //    member first): tiles carry their own column offset, so
+        //    placement is direct.
+        let _copy = obs::trace::scope_in(reg, "par_read.copy");
+        let t = Instant::now();
+        let mut local = Array2::<f32>::zeroed(my_rows.len(), plan.cols);
+        let mut report = ReadReport::default();
+        let mut deliveries: Vec<Delivery> = received.into_iter().flatten().collect();
+        deliveries.sort_by_key(|d| d.file_index);
+        for delivery in deliveries {
+            let mine = mine
+                .next_if(|(fi, _)| *fi == delivery.file_index)
+                .map(|(_, e)| e);
+            self.settle(delivery, mine, &my_rows, &mut local, &mut report)?;
         }
-        let zero_samples = Self::zero_samples_of(plan, &quarantined);
-        Ok((
-            local,
-            ReadReport {
-                quarantined,
-                io_retries,
-                checksum_mismatches,
-                zero_samples,
-            },
-        ))
+        phases.copy += t.elapsed();
+        phases.record(
+            reg,
+            [
+                metric_names::CA_READ_NS,
+                metric_names::CA_EXCHANGE_NS,
+                metric_names::CA_COPY_NS,
+            ],
+        );
+        Ok((local, report))
     }
 
     /// Scrub `targets` with `threads` worker threads (clamped to ≥ 1):

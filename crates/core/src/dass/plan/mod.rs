@@ -1,41 +1,35 @@
 //! The chunk-granular I/O planner: every DASS read is a plan, executed
 //! by one engine.
 //!
-//! Historically each read path — serial region reads, the two §IV-B
-//! parallel strategies, their resilient variants, RCA materialization —
-//! carried its own loop over files, its own buffers, and its own copy
-//! of the retry/quarantine policy. This module splits all of them into
-//! two halves:
-//!
 //! 1. **Plan** ([`IoPlan`]): a description of *what* to read — one
 //!    [`ReadOp`] per `(file, dataset, hyperslab)` producing a block of
 //!    the output, plus the [`Exchange`] step that moves blocks (as
 //!    [`Tile`]s) to their owner ranks. Plans are built from a [`Vca`], a [`Lav`] region, or
 //!    a single merged file, and are pure metadata: building one does no
 //!    I/O.
-//! 2. **Execute** ([`IoExecutor`]): the one engine that runs any plan —
-//!    serial or collective, fail-fast or retry/quarantine
-//!    ([`Resilience`]). A serial plan decodes every op straight into
-//!    its columns of the caller's `Array2`; a distributed one reads
-//!    into pooled buffers ([`dasf::pool`]) and assembles the zero-copy
-//!    [`Tile`]s the exchange delivers.
+//! 2. **Execute** ([`IoExecutor`]): the one engine that runs any plan,
+//!    one loop per [`Exchange`] — serial or collective, fail-fast or
+//!    retry/quarantine ([`Resilience`]). A serial plan decodes every op
+//!    straight into its columns of the caller's `Array2`; a distributed
+//!    one reads into pooled buffers ([`dasf::pool`]) and assembles the
+//!    zero-copy [`Tile`]s the exchange delivers, each with its owner's
+//!    account of the read.
 //!
-//! The legacy entry points (`read_vca`, `read_region_f32`, …) survive
-//! as one-line shims that build a plan and run it, so both §IV-B
-//! strategies, the resilient readers, LAV/RCA materialization and the
-//! `das_fsck` scrub all funnel through this module.
+//! This is the only way in: serial region reads (`Vca::read_region_f32`,
+//! LAV and RCA materialization), both §IV-B parallel strategies
+//! (`IoExecutor::new(comm).run(&IoPlan::for_vca(..))`) and the
+//! `das_fsck` scrub all run through this module.
 
 mod exec;
 mod tile;
 
 pub use dasf::pool;
 pub(crate) use exec::read_member_into;
-pub use exec::{IoExecutor, Resilience};
+pub use exec::{metric_names, IoExecutor, ReadReport, Resilience, MAX_READ_ATTEMPTS};
 pub use tile::Tile;
 
 use super::lav::Lav;
 use super::metadata::{DasFileMeta, DATASET_PATH};
-use super::par_read::ReadStrategy;
 use super::vca::Vca;
 use crate::{DassaError, Result};
 use std::ops::Range;
@@ -69,6 +63,44 @@ impl ReadOp {
     }
 }
 
+/// Which §IV-B strategy a parallel read of a [`Vca`] uses. Both deliver
+/// to each rank its contiguous *channel block* of the full time extent
+/// — the decomposition every DASSA analysis uses — and return
+/// bit-identical arrays (property-tested), so callers choose purely on
+/// performance: Figure 7 measures ~37× in favour of
+/// communication-avoiding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadStrategy {
+    /// "Collective-per-file": one broadcast per member file
+    /// ([`Exchange::BcastPerFile`]).
+    CollectivePerFile,
+    /// The paper's communication-avoiding method
+    /// ([`Exchange::AllToAll`]).
+    CommAvoiding,
+    /// Pick per Figure 7: communication-avoiding when it can spread whole
+    /// files across ranks (`ranks > 1 && files >= ranks`), else
+    /// collective-per-file (single rank, or ranks that would sit idle in
+    /// the round-robin deal).
+    Auto,
+}
+
+impl ReadStrategy {
+    /// The concrete strategy [`ReadStrategy::Auto`] resolves to for a
+    /// world of `ranks` reading `files` member files.
+    pub fn resolve(self, ranks: usize, files: usize) -> ReadStrategy {
+        match self {
+            ReadStrategy::Auto => {
+                if ranks > 1 && files >= ranks {
+                    ReadStrategy::CommAvoiding
+                } else {
+                    ReadStrategy::CollectivePerFile
+                }
+            }
+            other => other,
+        }
+    }
+}
+
 /// How tiles travel from the rank that read them to the rank that owns
 /// their channel rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,11 +109,13 @@ pub enum Exchange {
     /// (serial region reads, single-file reads).
     None,
     /// Collective-per-file (Figure 5a): op `i` is read by rank
-    /// `i % size` and broadcast whole; every rank keeps its rows.
+    /// `i % size` and broadcast whole; every rank keeps its rows. O(n)
+    /// broadcasts for n files, each moving the whole file to every rank.
     BcastPerFile,
     /// Communication-avoiding (Figure 5b): ops are dealt round-robin,
     /// then a single `alltoallv` of row-restricted tiles delivers every
-    /// channel block to its owner.
+    /// channel block to its owner — exactly the needed bytes, and reads
+    /// are contiguous and concurrent.
     AllToAll,
 }
 

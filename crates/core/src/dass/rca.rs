@@ -6,7 +6,7 @@
 //! as a baseline; VCA is the recommended path.
 
 use super::metadata::{write_das_file, DasFileMeta};
-use super::par_read::ReadStrategy;
+use super::plan::ReadStrategy;
 use super::plan::{IoExecutor, IoPlan};
 use super::search::FileEntry;
 use super::vca::Vca;

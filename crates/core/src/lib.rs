@@ -15,8 +15,9 @@
 //!   timestamp-range and regex queries), [`dass::Vca`] (virtually
 //!   concatenated array), [`dass::create_rca`] (really concatenated
 //!   array), [`dass::Lav`] (logical array view), and the two parallel
-//!   VCA readers — [`dass::read_collective_per_file`] and the paper's
-//!   communication-avoiding [`dass::read_comm_avoiding`].
+//!   VCA read strategies — collective-per-file and the paper's
+//!   communication-avoiding read — as [`dass::IoPlan`]s run by the one
+//!   [`dass::IoExecutor`].
 //!
 //! * [`dasa`] — the **DAS data Analysis engine**: the hybrid ArrayUDF
 //!   execution engine ([`dasa::Haee`]) and the two flagship pipelines,

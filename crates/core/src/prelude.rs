@@ -28,14 +28,12 @@ pub use crate::dasa::{
 };
 
 // DASS — the storage engine.
-pub use crate::dass::par_read::MAX_READ_ATTEMPTS;
 pub use crate::dass::{
     choose_strategy_modeled, collect_targets, create_rca, create_rca_parallel, das_file_name, fsck,
-    par_read, plan, quarantine, read_collective_per_file, read_collective_per_file_resilient,
-    read_comm_avoiding, read_comm_avoiding_resilient, read_rca, read_vca, read_vca_resilient,
-    scrub_file, scrub_paths, write_das_file, write_das_file_with_codec, write_das_file_with_layout,
-    DasFileMeta, Exchange, FileCatalog, FileEntry, FileStatus, FsckReport, IoExecutor, IoPlan, Lav,
-    ReadOp, ReadReport, ReadStrategy, Resilience, Tile, Timestamp, Vca, DATASET_PATH,
+    plan, quarantine, read_rca, scrub_file, scrub_paths, write_das_file, write_das_file_with_codec,
+    write_das_file_with_layout, DasFileMeta, Exchange, FileCatalog, FileEntry, FileStatus,
+    FsckReport, IoExecutor, IoPlan, Lav, ReadOp, ReadReport, ReadStrategy, Resilience, Tile,
+    Timestamp, Vca, DATASET_PATH, MAX_READ_ATTEMPTS,
 };
 
 // DASSD — the data server.

@@ -119,11 +119,12 @@ proptest! {
 
         let mut outcomes = Vec::new();
         for strategy in [ReadStrategy::CollectivePerFile, ReadStrategy::CommAvoiding] {
+            let io_plan = IoPlan::for_vca(&vca, strategy, ranks);
             let (results, _) = minimpi::run_chaos(
                 ranks,
                 Arc::clone(&plan),
                 minimpi::RetryPolicy::default(),
-                |c| read_vca_resilient(c, &vca, strategy).expect("resilient"),
+                |c| IoExecutor::resilient(c).run(&io_plan).expect("resilient"),
             );
             let (blocks, reports): (Vec<_>, Vec<_>) = results.into_iter().unzip();
             for r in &reports[1..] {

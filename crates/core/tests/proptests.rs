@@ -105,10 +105,11 @@ proptest! {
         let cat = FileCatalog::scan(&dir).expect("scan");
         let vca = Vca::from_entries(cat.entries()).expect("vca");
 
-        let coll = minimpi::run(ranks, |c| read_collective_per_file(c, &vca).expect("coll"));
-        let ca = minimpi::run(ranks, |c| read_comm_avoiding(c, &vca).expect("ca"));
-        prop_assert_eq!(Array2::vstack(&coll), expected.clone());
-        prop_assert_eq!(Array2::vstack(&ca), expected.clone());
+        for strategy in [ReadStrategy::CollectivePerFile, ReadStrategy::CommAvoiding] {
+            let plan = IoPlan::for_vca(&vca, strategy, ranks);
+            let blocks = minimpi::run(ranks, |c| IoExecutor::new(c).run(&plan).expect("read").0);
+            prop_assert_eq!(Array2::vstack(&blocks), expected.clone(), "{:?}", strategy);
+        }
 
         let rca_path = dir.join("prop.rca.dasf");
         create_rca(cat.entries(), &rca_path).expect("rca");
@@ -120,7 +121,7 @@ proptest! {
     /// asymmetry: the collective reader broadcasts every file to every
     /// rank (O(n·p) traffic, one bcast per file per rank), while the
     /// comm-avoiding reader does a single alltoallv per rank moving only
-    /// the misplaced blocks (O(n) traffic).
+    /// the misplaced blocks (O(n) traffic) — under either resilience.
     #[test]
     fn par_read_obs_counters_expose_comm_asymmetry(
         files in 1usize..4,
@@ -130,7 +131,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use dassa::prelude::*;
-        use dassa::prelude::par_read::metric_names as pr;
+        use dassa::prelude::plan::metric_names as pr;
         use minimpi::metric_names as mm;
         use std::sync::Arc;
 
@@ -138,41 +139,53 @@ proptest! {
         let cat = FileCatalog::scan(&dir).expect("scan");
         let vca = Vca::from_entries(cat.entries()).expect("vca");
 
-        let coll_reg = Arc::new(obs::Registry::new());
-        minimpi::run_in_registry(ranks, Arc::clone(&coll_reg), |c| {
-            read_collective_per_file(c, &vca).expect("coll")
-        });
-        let coll = coll_reg.snapshot();
+        for resilience in [Resilience::FailFast, Resilience::Quarantine] {
+            let world = |strategy| {
+                let plan = IoPlan::for_vca(&vca, strategy, ranks);
+                let reg = Arc::new(obs::Registry::new());
+                minimpi::run_in_registry(ranks, Arc::clone(&reg), |c| {
+                    let executor = match resilience {
+                        Resilience::FailFast => IoExecutor::new(c),
+                        Resilience::Quarantine => IoExecutor::resilient(c),
+                    };
+                    executor.run(&plan).expect("read")
+                });
+                reg.snapshot()
+            };
+            let coll = world(ReadStrategy::CollectivePerFile);
+            let ca = world(ReadStrategy::CommAvoiding);
 
-        let ca_reg = Arc::new(obs::Registry::new());
-        minimpi::run_in_registry(ranks, Arc::clone(&ca_reg), |c| {
-            read_comm_avoiding(c, &vca).expect("ca")
-        });
-        let ca = ca_reg.snapshot();
-
-        // Collective: one bcast per file per rank, no alltoallv.
-        prop_assert_eq!(coll.counter(mm::BCASTS), (files * ranks) as u64);
-        prop_assert_eq!(coll.counter(mm::ALLTOALLVS), 0);
-        // Comm-avoiding: exactly one alltoallv per rank, no broadcasts.
-        prop_assert_eq!(ca.counter(mm::ALLTOALLVS), ranks as u64);
-        prop_assert_eq!(ca.counter(mm::BCASTS), 0);
-        // O(n·p) vs O(n): with ≥2 ranks the broadcasts move at least as
-        // many payload bytes as the alltoallv exchange.
-        prop_assert!(
-            coll.counter(mm::P2P_BYTES) >= ca.counter(mm::P2P_BYTES),
-            "collective {} bytes < comm-avoiding {} bytes",
-            coll.counter(mm::P2P_BYTES),
-            ca.counter(mm::P2P_BYTES)
-        );
-        // Each strategy records its stage breakdown once per rank.
-        prop_assert_eq!(
-            coll.histogram(pr::COLLECTIVE_READ_NS).map(|h| h.count),
-            Some(ranks as u64)
-        );
-        prop_assert_eq!(
-            ca.histogram(pr::CA_EXCHANGE_NS).map(|h| h.count),
-            Some(ranks as u64)
-        );
+            // Collective: one bcast per file per rank, no alltoallv.
+            prop_assert_eq!(coll.counter(mm::BCASTS), (files * ranks) as u64);
+            prop_assert_eq!(coll.counter(mm::ALLTOALLVS), 0);
+            // Comm-avoiding: exactly one alltoallv per rank, no broadcasts.
+            prop_assert_eq!(ca.counter(mm::ALLTOALLVS), ranks as u64);
+            prop_assert_eq!(ca.counter(mm::BCASTS), 0);
+            // O(n·p) vs O(n): with ≥2 ranks the broadcasts move at least as
+            // many payload bytes as the alltoallv exchange.
+            prop_assert!(
+                coll.counter(mm::P2P_BYTES) >= ca.counter(mm::P2P_BYTES),
+                "collective {} bytes < comm-avoiding {} bytes",
+                coll.counter(mm::P2P_BYTES),
+                ca.counter(mm::P2P_BYTES)
+            );
+            // Each strategy records its stage breakdown once per rank.
+            let phases = [
+                (&coll, pr::COLLECTIVE_READ_NS),
+                (&coll, pr::COLLECTIVE_EXCHANGE_NS),
+                (&coll, pr::COLLECTIVE_COPY_NS),
+                (&ca, pr::CA_READ_NS),
+                (&ca, pr::CA_EXCHANGE_NS),
+                (&ca, pr::CA_COPY_NS),
+            ];
+            for (snap, name) in phases {
+                prop_assert_eq!(
+                    snap.histogram(name).map(|h| h.count),
+                    Some(ranks as u64),
+                    "{} under {:?}", name, resilience
+                );
+            }
+        }
     }
 
     /// With faults disabled, the resilient readers are *exactly* the
@@ -194,12 +207,12 @@ proptest! {
         let cat = FileCatalog::scan(&dir).expect("scan");
         let vca = Vca::from_entries(cat.entries()).expect("vca");
 
-        let coll = minimpi::run(ranks, |c| {
-            read_collective_per_file_resilient(c, &vca).expect("coll")
-        });
-        let ca = minimpi::run(ranks, |c| {
-            read_comm_avoiding_resilient(c, &vca).expect("ca")
-        });
+        let resilient = |strategy| {
+            let plan = IoPlan::for_vca(&vca, strategy, ranks);
+            minimpi::run(ranks, |c| IoExecutor::resilient(c).run(&plan).expect("resilient"))
+        };
+        let coll = resilient(ReadStrategy::CollectivePerFile);
+        let ca = resilient(ReadStrategy::CommAvoiding);
         for (block_report, what) in coll.iter().chain(&ca).map(|r| (r, "resilient")) {
             prop_assert!(block_report.1.is_clean(), "{what}: dirty report {:?}", block_report.1);
         }
@@ -211,11 +224,12 @@ proptest! {
         // An installed-but-empty plan (no site rates) must change nothing:
         // bounded retries, timeouts, and the fault hooks all stay inert.
         let plan = Arc::new(faultline::FaultPlan::new(seed));
+        let auto = IoPlan::for_vca(&vca, ReadStrategy::Auto, ranks);
         let (results, _reg) = minimpi::run_chaos(
             ranks,
             plan,
             minimpi::RetryPolicy::default(),
-            |c| read_vca_resilient(c, &vca, ReadStrategy::Auto).expect("chaos clean"),
+            |c| IoExecutor::resilient(c).run(&auto).expect("chaos clean"),
         );
         let mut blocks = Vec::new();
         for (block, report) in results {
@@ -252,8 +266,9 @@ fn metrics_json_round_trips_real_workload() {
     let cat = FileCatalog::scan(&dir).expect("scan");
     let vca = Vca::from_entries(cat.entries()).expect("vca");
     let registry = Arc::new(obs::Registry::new());
+    let plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, 3);
     minimpi::run_in_registry(3, Arc::clone(&registry), |c| {
-        read_comm_avoiding(c, &vca).expect("ca")
+        IoExecutor::new(c).run(&plan).expect("ca")
     });
 
     let snap = registry.snapshot();

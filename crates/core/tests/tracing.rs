@@ -47,12 +47,13 @@ fn chaos_world_run_yields_full_trace_and_cluster_snapshot() {
     // number of times and then succeeds, so retry counters light up on
     // every rank while the gather still completes (no dead ranks).
     let plan = Arc::new(faultline::FaultPlan::parse("seed=11,par_read.file=1.0").expect("plan"));
+    let io_plan = IoPlan::for_vca(&vca, ReadStrategy::Auto, RANKS);
     let (results, _world) = minimpi::run_chaos(
         RANKS,
         plan,
         minimpi::RetryPolicy::default(),
         |comm| -> dassa::Result<_> {
-            let (block, report) = read_vca_resilient(comm, &vca, ReadStrategy::Auto)?;
+            let (block, report) = IoExecutor::resilient(comm).run(&io_plan)?;
             let cluster = comm
                 .try_cluster_snapshot()
                 .expect("gather per-rank snapshots");
@@ -78,7 +79,7 @@ fn chaos_world_run_yields_full_trace_and_cluster_snapshot() {
     let cluster = cluster.expect("root cluster snapshot");
     assert_eq!(cluster.size(), RANKS);
     let retry_stats = cluster
-        .counter_stats(dassa::dass::par_read::metric_names::RETRIES)
+        .counter_stats(dassa::dass::plan::metric_names::RETRIES)
         .expect("per-rank retry counters");
     assert!(retry_stats.sum > 0, "retries must be visible per rank");
     assert!(retry_stats.imbalance() >= 1.0);

@@ -14,7 +14,8 @@
 //! world ([`crate::run_chaos`]) a silent peer surfaces as
 //! [`CommError::Timeout`] after the retry budget, never as a hang. The
 //! classic forms are thin wrappers that panic on the error the `try_*`
-//! core reports.
+//! core reports. The [`WirePayload`] collectives, which move the
+//! storage engine's tiles, have only the fallible form.
 
 use crate::comm::{Comm, INTERNAL_TAG_BASE};
 use crate::error::CommError;
@@ -24,9 +25,9 @@ use crate::error::CommError;
 /// The in-process transport moves values by `clone()` (often an `Arc`
 /// bump), so [`crate::CommStats`] byte counters need the payload itself
 /// to report how many bytes it would occupy on a real wire.
-/// [`Comm::bcast_payload`] and [`Comm::alltoallv_payload`] use this to
-/// move reference-counted buffers zero-copy while keeping the byte
-/// accounting identical to the equivalent `Vec<T>` transfer.
+/// [`Comm::try_bcast_payload`] and [`Comm::try_alltoallv_payload`] use
+/// this to move reference-counted buffers zero-copy while keeping the
+/// byte accounting identical to the equivalent `Vec<T>` transfer.
 pub trait WirePayload {
     /// Bytes this value would occupy on a real wire.
     fn wire_bytes(&self) -> usize;
@@ -153,20 +154,10 @@ impl Comm {
         self.try_bcast_with_size(root, value, |v| v.len() * std::mem::size_of::<T>())
     }
 
-    /// [`Comm::bcast`] for [`WirePayload`] values: the transfer is a
+    /// [`Comm::try_bcast`] for [`WirePayload`] values: the transfer is a
     /// `clone()` per tree edge (an `Arc` bump for shared buffers), while
     /// byte counters record [`WirePayload::wire_bytes`] — the same volume
     /// the equivalent `bcast_vec` would report.
-    pub fn bcast_payload<T: WirePayload + Clone + Send + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-    ) -> T {
-        self.try_bcast_payload(root, value)
-            .unwrap_or_else(|e| panic!("bcast failed: {e}"))
-    }
-
-    /// Fallible [`Comm::bcast_payload`].
     pub fn try_bcast_payload<T: WirePayload + Clone + Send + 'static>(
         &self,
         root: usize,
@@ -466,20 +457,11 @@ impl Comm {
         })
     }
 
-    /// [`Comm::alltoallv`] for blocks of [`WirePayload`] values: each
+    /// [`Comm::try_alltoallv`] for blocks of [`WirePayload`] values: each
     /// block moves by `clone()`-free handoff (the vectors themselves are
     /// sent), with byte counters summing [`WirePayload::wire_bytes`] over
     /// the block instead of `size_of::<T>()` — so tile handles account
     /// for the sample bytes they reference, not the handle size.
-    pub fn alltoallv_payload<T: WirePayload + Send + 'static>(
-        &self,
-        buffers: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        self.try_alltoallv_payload(buffers)
-            .unwrap_or_else(|e| panic!("alltoallv failed: {e}"))
-    }
-
-    /// Fallible [`Comm::alltoallv_payload`].
     pub fn try_alltoallv_payload<T: WirePayload + Send + 'static>(
         &self,
         buffers: Vec<Vec<T>>,
@@ -711,7 +693,7 @@ mod tests {
                     hi: 40,
                 })
             });
-            comm.bcast_payload(1, payload)
+            comm.try_bcast_payload(1, payload).unwrap()
         });
         assert!(pay_out
             .iter()
@@ -736,7 +718,7 @@ mod tests {
                     }]
                 })
                 .collect();
-            comm.alltoallv_payload(buffers)
+            comm.try_alltoallv_payload(buffers).unwrap()
         });
         for (rank, blocks) in win_out.iter().enumerate() {
             for (src, block) in blocks.iter().enumerate() {

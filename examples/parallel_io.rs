@@ -28,15 +28,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ranks = 4;
     let serial = vca.read_all_f32()?;
 
+    // Every read is a plan handed to the one executor; the strategy
+    // only picks the plan's exchange step.
+    let read = |strategy: ReadStrategy| {
+        let plan = IoPlan::for_vca(&vca, strategy, ranks);
+        minimpi::run_with_stats(ranks, |comm| {
+            IoExecutor::new(comm).run(&plan).expect("parallel read").0
+        })
+    };
     // Strategy A: collective-per-file — every file is broadcast whole.
-    let (blocks_a, stats_a) = minimpi::run_with_stats(ranks, |comm| {
-        read_collective_per_file(comm, &vca).expect("collective read")
-    });
+    let (blocks_a, stats_a) = read(ReadStrategy::CollectivePerFile);
     // Strategy B: communication-avoiding — whole-file reads + one
     // all-to-all exchange.
-    let (blocks_b, stats_b) = minimpi::run_with_stats(ranks, |comm| {
-        read_comm_avoiding(comm, &vca).expect("comm-avoiding read")
-    });
+    let (blocks_b, stats_b) = read(ReadStrategy::CommAvoiding);
 
     // Both must reconstruct the array exactly.
     assert_eq!(Array2::vstack(&blocks_a), serial);

@@ -86,15 +86,24 @@ fn load_vca(dir: &PathBuf) -> Vca {
     Vca::from_entries(catalog.entries()).expect("vca")
 }
 
+/// This rank's share of a retry/quarantine read of all of `vca`.
+fn resilient_read(
+    comm: &minimpi::Comm,
+    vca: &Vca,
+    strategy: ReadStrategy,
+) -> dassa::Result<(arrayudf::Array2<f32>, ReadReport)> {
+    IoExecutor::resilient(comm).run(&IoPlan::for_vca(vca, strategy, comm.size()))
+}
+
 /// One resilient parallel read under `plan`; returns the reassembled
 /// full array and the (rank-0) report, after asserting all ranks agree.
 fn chaos_read(
     vca: &Vca,
     plan: &Arc<FaultPlan>,
     strategy: ReadStrategy,
-) -> (arrayudf::Array2<f32>, par_read::ReadReport) {
+) -> (arrayudf::Array2<f32>, ReadReport) {
     let (results, _) = run_chaos(RANKS, Arc::clone(plan), RetryPolicy::default(), |comm| {
-        read_vca_resilient(comm, vca, strategy).expect("resilient read")
+        resilient_read(comm, vca, strategy).expect("resilient read")
     });
     let (blocks, reports): (Vec<_>, Vec<_>) = results.into_iter().unzip();
     for r in &reports[1..] {
@@ -238,7 +247,7 @@ fn quarantine_and_retries_match_the_plan_exactly() {
             Arc::clone(&registry),
             Arc::clone(&plan),
             RetryPolicy::default(),
-            |comm| read_vca_resilient(comm, &vca, ReadStrategy::CommAvoiding).expect("read"),
+            |comm| resilient_read(comm, &vca, ReadStrategy::CommAvoiding).expect("read"),
         );
         let report = &results[0].1;
         assert_eq!(report.quarantined, expected_q, "seed {seed}");
@@ -254,12 +263,12 @@ fn quarantine_and_retries_match_the_plan_exactly() {
         // between the I/O metrics and `minimpi.retries`.
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counter(par_read::metric_names::QUARANTINED),
+            snap.counter(plan::metric_names::QUARANTINED),
             expected_q.len() as u64,
             "seed {seed}: one increment per quarantined file"
         );
         assert_eq!(
-            snap.counter(par_read::metric_names::RETRIES),
+            snap.counter(plan::metric_names::RETRIES),
             expected_r,
             "seed {seed}: one increment per repeated read attempt"
         );
@@ -270,7 +279,7 @@ fn quarantine_and_retries_match_the_plan_exactly() {
             Arc::new(obs::Registry::new()),
             Arc::clone(&plan),
             RetryPolicy::default(),
-            |comm| read_vca_resilient(comm, &vca, ReadStrategy::CommAvoiding).expect("read"),
+            |comm| resilient_read(comm, &vca, ReadStrategy::CommAvoiding).expect("read"),
         );
         assert_eq!(
             stats.retries, stats2.retries,
@@ -295,7 +304,7 @@ fn io_faults_never_touch_comm_counters_and_vice_versa() {
         Arc::clone(&registry),
         Arc::clone(&io_plan),
         RetryPolicy::default(),
-        |comm| read_vca_resilient(comm, &vca, ReadStrategy::CommAvoiding).expect("read"),
+        |comm| resilient_read(comm, &vca, ReadStrategy::CommAvoiding).expect("read"),
     );
     assert_eq!(
         stats.retries, 0,
@@ -311,14 +320,14 @@ fn io_faults_never_touch_comm_counters_and_vice_versa() {
         Arc::clone(&registry),
         comm_plan,
         RetryPolicy::default(),
-        |comm| read_vca_resilient(comm, &vca, ReadStrategy::CollectivePerFile).expect("read"),
+        |comm| resilient_read(comm, &vca, ReadStrategy::CollectivePerFile).expect("read"),
     );
     let (blocks, reports): (Vec<_>, Vec<_>) = results.into_iter().unzip();
     assert_eq!(arrayudf::Array2::vstack(&blocks), clean);
     assert!(reports.iter().all(|r| r.is_clean()));
     let snap = registry.snapshot();
-    assert_eq!(snap.counter(par_read::metric_names::QUARANTINED), 0);
-    assert_eq!(snap.counter(par_read::metric_names::RETRIES), 0);
+    assert_eq!(snap.counter(plan::metric_names::QUARANTINED), 0);
+    assert_eq!(snap.counter(plan::metric_names::RETRIES), 0);
     assert!(
         stats.retries > 0,
         "dropped messages must count as comm retries"
@@ -339,7 +348,7 @@ fn dead_rank_fails_the_read_with_an_error_not_a_hang() {
         2,
         Arc::new(plan),
         RetryPolicy::bounded(2, std::time::Duration::from_millis(10)),
-        |comm| read_vca_resilient(comm, &vca, ReadStrategy::CollectivePerFile),
+        |comm| resilient_read(comm, &vca, ReadStrategy::CollectivePerFile),
     );
     match &results[1] {
         Err(DassaError::Comm(CommError::RankDead(1))) => {}

@@ -51,10 +51,15 @@ fn parallel_readers_match_serial_for_many_geometries() {
     let vca = Vca::from_entries(catalog.entries()).expect("vca");
     let serial = vca.read_all_f32().expect("serial");
     for ranks in [1usize, 2, 3, 5, 8] {
-        let coll = minimpi::run(ranks, |c| read_collective_per_file(c, &vca).expect("coll"));
-        let ca = minimpi::run(ranks, |c| read_comm_avoiding(c, &vca).expect("ca"));
-        assert_eq!(Array2::vstack(&coll), serial, "collective, {ranks} ranks");
-        assert_eq!(Array2::vstack(&ca), serial, "comm-avoiding, {ranks} ranks");
+        for strategy in [ReadStrategy::CollectivePerFile, ReadStrategy::CommAvoiding] {
+            let plan = IoPlan::for_vca(&vca, strategy, ranks);
+            let blocks = minimpi::run(ranks, |c| IoExecutor::new(c).run(&plan).expect("read").0);
+            assert_eq!(
+                Array2::vstack(&blocks),
+                serial,
+                "{strategy:?}, {ranks} ranks"
+            );
+        }
     }
 }
 
@@ -121,8 +126,9 @@ fn distributed_pipelines_equal_single_process_results() {
     };
     let if_serial =
         interferometry(&data, &if_params, &Haee::builder().threads(1).build()).expect("serial");
+    let read_plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, 4);
     let if_blocks = minimpi::run(4, |comm| {
-        let local32 = read_comm_avoiding(comm, &vca).expect("read");
+        let (local32, _) = IoExecutor::new(comm).run(&read_plan).expect("read");
         let local = Array2::from_vec(
             local32.rows(),
             local32.cols(),

@@ -16,27 +16,71 @@ fn small_vca(tag: &str, files: usize) -> Vca {
     Vca::from_entries(catalog.entries()).expect("vca")
 }
 
+/// The world's communication statistics for one full-extent read of
+/// `vca` on `ranks` ranks.
+fn comm_stats(
+    vca: &Vca,
+    ranks: usize,
+    strategy: ReadStrategy,
+    resilience: Resilience,
+) -> minimpi::StatsSnapshot {
+    let plan = IoPlan::for_vca(vca, strategy, ranks);
+    let (_, stats) = minimpi::run_with_stats(ranks, |c| {
+        let executor = match resilience {
+            Resilience::FailFast => IoExecutor::new(c),
+            Resilience::Quarantine => IoExecutor::resilient(c),
+        };
+        executor.run(&plan).expect("read")
+    });
+    stats
+}
+
 #[test]
 fn model_and_implementation_agree_on_communication_structure() {
     // The model prices collective-per-file as n broadcasts and
     // communication-avoiding as one alltoallv per rank. The real
-    // implementation must produce exactly those counts.
+    // implementation must issue exactly those collectives and no other
+    // — fail-fast and resilient alike: what became of each member
+    // travels inside the exchange, so agreeing on it costs no header
+    // broadcast, no allgather, and no sample bytes.
     let n_files = 6usize;
     let ranks = 3usize;
     let vca = small_vca("structure", n_files);
+    let file_bytes = vca.channels() * vca.samples_of(0) * 4;
 
-    let (_, coll) =
-        minimpi::run_with_stats(ranks, |c| read_collective_per_file(c, &vca).expect("read"));
-    assert_eq!(
-        coll.bcasts as usize,
-        n_files * ranks,
-        "n bcasts (counted per rank)"
-    );
-    assert_eq!(coll.alltoallvs, 0);
+    for resilience in [Resilience::FailFast, Resilience::Quarantine] {
+        let coll = comm_stats(&vca, ranks, ReadStrategy::CollectivePerFile, resilience);
+        assert_eq!(
+            coll,
+            minimpi::StatsSnapshot {
+                bcasts: (n_files * ranks) as u64, // n, counted per rank
+                p2p_messages: (n_files * (ranks - 1)) as u64,
+                // the model's volume to the byte, so well inside its 1 %
+                p2p_bytes: n_files as u64 * (ranks as u64 - 1) * file_bytes,
+                ..Default::default()
+            },
+            "collective-per-file, {resilience:?}"
+        );
 
-    let (_, ca) = minimpi::run_with_stats(ranks, |c| read_comm_avoiding(c, &vca).expect("read"));
-    assert_eq!(ca.bcasts, 0);
-    assert_eq!(ca.alltoallvs as usize, ranks, "one alltoallv per rank");
+        let ca = comm_stats(&vca, ranks, ReadStrategy::CommAvoiding, resilience);
+        assert_eq!(
+            minimpi::StatsSnapshot { p2p_bytes: 0, ..ca },
+            minimpi::StatsSnapshot {
+                alltoallvs: ranks as u64, // one, counted per rank
+                p2p_messages: (ranks * (ranks - 1)) as u64,
+                ..Default::default()
+            },
+            "communication-avoiding, {resilience:?}"
+        );
+        // Same tolerances as `model_byte_volumes_match_measurement`.
+        let total_bytes = (n_files as u64 * file_bytes) as f64;
+        let expected_ca = total_bytes * (ranks as f64 - 1.0) / ranks as f64;
+        assert!(
+            (ca.p2p_bytes as f64 - expected_ca).abs() / expected_ca < 0.35,
+            "communication-avoiding, {resilience:?}: moved {} bytes, expected ≈{expected_ca}",
+            ca.p2p_bytes
+        );
+    }
 }
 
 #[test]
@@ -49,9 +93,18 @@ fn model_byte_volumes_match_measurement() {
     let vca = small_vca("volume", n_files);
     let file_bytes = (vca.channels() * vca.samples_of(0) * 4) as f64;
 
-    let (_, coll) =
-        minimpi::run_with_stats(ranks, |c| read_collective_per_file(c, &vca).expect("read"));
-    let (_, ca) = minimpi::run_with_stats(ranks, |c| read_comm_avoiding(c, &vca).expect("read"));
+    let coll = comm_stats(
+        &vca,
+        ranks,
+        ReadStrategy::CollectivePerFile,
+        Resilience::FailFast,
+    );
+    let ca = comm_stats(
+        &vca,
+        ranks,
+        ReadStrategy::CommAvoiding,
+        Resilience::FailFast,
+    );
 
     // Binomial bcast of a file sends p−1 copies in total.
     let model_coll = n_files as f64 * (ranks as f64 - 1.0) * file_bytes;
@@ -89,9 +142,13 @@ fn modeled_orderings_match_measured_orderings() {
     assert!(f.comm_avoiding_s < f.collective_per_file_s);
     // …and in measurement (byte volume as the robust proxy).
     let vca = small_vca("ordering", 6);
-    let (_, coll) =
-        minimpi::run_with_stats(3, |c| read_collective_per_file(c, &vca).expect("read"));
-    let (_, ca) = minimpi::run_with_stats(3, |c| read_comm_avoiding(c, &vca).expect("read"));
+    let coll = comm_stats(
+        &vca,
+        3,
+        ReadStrategy::CollectivePerFile,
+        Resilience::FailFast,
+    );
+    let ca = comm_stats(&vca, 3, ReadStrategy::CommAvoiding, Resilience::FailFast);
     assert!(ca.p2p_bytes < coll.p2p_bytes);
 
     // 2. Hybrid ≤ pure MPI in read time at any node count (model) —
