@@ -368,8 +368,20 @@ if [[ $quick -eq 0 ]]; then
         cat "$dassd_dir/serve.log" >&2
         exit 1
     fi
-    target/release/das_query --addr "$addr" \
-        --eval 'load("corpus") | detrend | xcorr(master=ch[0])' >/dev/null
+    # A window that straddles the first member boundary, asked cold and
+    # then again once both members are cached: same samples either way.
+    cold="$(target/release/das_query --addr "$addr" --read 2..6:2900..3100)"
+    cached="$(target/release/das_query --addr "$addr" --read 2..6:2900..3100)"
+    echo "    $cold"
+    if [[ "$cold" != "read ok: 4 x 200 digest="* || "$cold" != "$cached" ]]; then
+        echo "dassd: cold and cached reads of one window differ:" >&2
+        echo "  cold:   $cold" >&2
+        echo "  cached: $cached" >&2
+        exit 1
+    fi
+    eval_out="$(target/release/das_query --addr "$addr" \
+        --eval 'load("corpus") | detrend | xcorr(master=ch[0])')"
+    eval_values=$(grep -oE 'values=[0-9]+' <<<"$eval_out" | cut -d= -f2)
     burst_out="$(target/release/das_query --addr "$addr" --read-all --burst 12)"
     echo "    $burst_out"
     [[ "$burst_out" == *"err=0"* ]] || {
@@ -397,6 +409,23 @@ if [[ $quick -eq 0 ]]; then
     fi
     if [[ -z "${p99:-}" || "$p99" -le 0 ]]; then
         echo "dassd: the read latency histogram is empty" >&2
+        exit 1
+    fi
+    # Every byte the gate asked for, and no other, was counted as served:
+    # two 4 x 200 windows, the eval's f64 output, and one whole 8 x 9000
+    # corpus per burst connection that got past admission.
+    burst_ok=$(grep -oE 'ok=[0-9]+' <<<"$burst_out" | cut -d= -f2)
+    served=$(grep -oE '"dassd\.bytes_served":[0-9]+' "$dassd_dir/m.json" | head -1 | cut -d: -f2)
+    want_served=$((2 * 4 * 200 * 4 + ${eval_values:-0} * 8 + ${burst_ok:-0} * 8 * 9000 * 4))
+    if [[ -z "${eval_values:-}" || "${served:-0}" -ne "$want_served" ]]; then
+        echo "dassd: bytes_served=${served:-0}, the gate's requests add up to $want_served" >&2
+        echo "  ($eval_out; $burst_out)" >&2
+        exit 1
+    fi
+    # The serve path sends from borrowed cache rows; an owned copy per
+    # frame is how it got slow, so none may come back.
+    if git grep -n 'to_vec()' -- crates/core/src/dassd/server.rs; then
+        echo "dassd: server.rs copies a payload with to_vec() again" >&2
         exit 1
     fi
 

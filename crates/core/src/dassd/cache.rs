@@ -108,23 +108,30 @@ impl Chunk {
         self.stored_bytes
     }
 
-    /// Copy out the hyperslab `sel` (`[(row0, nrows), (col0, ncols)]`
-    /// in the file's local coordinates), or the whole tile when `sel`
-    /// is `None` — the same contract as `dasf`'s `read_hyperslab_into`
-    /// / `read_into` pair, so served bytes match a direct disk read.
+    /// The hyperslab `sel` (`[(row0, nrows), (col0, ncols)]` in the
+    /// file's local coordinates), or the whole tile when `sel` is
+    /// `None`, as borrowed row slices — the same contract as `dasf`'s
+    /// `read_hyperslab_into` / `read_into` pair, so bytes served from
+    /// these rows match a direct disk read.
+    pub fn slab_rows(
+        &self,
+        sel: Option<[(u64, u64); 2]>,
+    ) -> impl ExactSizeIterator<Item = &[f32]> + Clone {
+        let [(r0, nr), (c0, nc)] = sel.unwrap_or([(0, self.rows as u64), (0, self.cols as u64)]);
+        let (r0, nr, c0, nc) = (r0 as usize, nr as usize, c0 as usize, nc as usize);
+        self.data[r0 * self.cols..(r0 + nr) * self.cols]
+            .chunks_exact(self.cols.max(1))
+            .map(move |row| &row[c0..c0 + nc])
+    }
+
+    /// [`Chunk::slab_rows`] copied out into one row-major `Vec`.
     pub fn hyperslab(&self, sel: Option<[(u64, u64); 2]>) -> Vec<f32> {
-        match sel {
-            None => self.data.to_vec(),
-            Some([(r0, nr), (c0, nc)]) => {
-                let (r0, nr, c0, nc) = (r0 as usize, nr as usize, c0 as usize, nc as usize);
-                let mut out = Vec::with_capacity(nr * nc);
-                for r in r0..r0 + nr {
-                    let row = &self.data[r * self.cols..(r + 1) * self.cols];
-                    out.extend_from_slice(&row[c0..c0 + nc]);
-                }
-                out
-            }
+        let rows = self.slab_rows(sel);
+        let mut out = Vec::with_capacity(rows.clone().map(<[f32]>::len).sum());
+        for row in rows {
+            out.extend_from_slice(row);
         }
+        out
     }
 }
 

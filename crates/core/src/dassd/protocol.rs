@@ -232,11 +232,65 @@ pub enum Response {
 
 // ---------------------------------------------------------------- frame I/O
 
-/// Write one frame: `u32` LE length, then the payload.
+fn too_large(kind: io::ErrorKind, n: usize) -> io::Error {
+    io::Error::new(
+        kind,
+        format!("frame of {n} bytes exceeds cap of {MAX_FRAME_BYTES}"),
+    )
+}
+
+/// Write one frame: `u32` LE length, then the payload. A payload past
+/// [`MAX_FRAME_BYTES`] is refused (`InvalidInput`) with nothing written
+/// — the peer would reject its length and drop the connection.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES);
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(too_large(io::ErrorKind::InvalidInput, payload.len()));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)
+}
+
+/// Build one whole frame in `buf` (cleared first): a length slot,
+/// whatever `payload` appends, then the slot patched — so the frame
+/// leaves in a single `write_all` and `buf` keeps its capacity for the
+/// next one.
+fn frame_into(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    payload(buf);
+    let n = buf.len() - 4;
+    if n > MAX_FRAME_BYTES {
+        return Err(too_large(io::ErrorKind::InvalidInput, n));
+    }
+    buf[..4].copy_from_slice(&(n as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Replace `buf` with a whole `Chunk` frame whose samples are gathered
+/// from borrowed `data` rows (`rows * cols` samples in all) — the same
+/// bytes as [`write_frame`] of the owned [`Response::Chunk`]'s
+/// `encode()`, without the owned copy.
+pub fn chunk_frame<'a>(
+    buf: &mut Vec<u8>,
+    row0: u64,
+    col0: u64,
+    rows: usize,
+    cols: usize,
+    data: impl Iterator<Item = &'a [f32]>,
+) -> io::Result<()> {
+    frame_into(buf, |out| {
+        chunk_payload(
+            out,
+            [row0, col0, rows as u64, cols as u64],
+            rows * cols,
+            data,
+        )
+    })
+}
+
+/// Replace `buf` with a whole `EvalChunk` frame over borrowed `data`.
+pub fn eval_chunk_frame(buf: &mut Vec<u8>, offset: u64, data: &[f64]) -> io::Result<()> {
+    frame_into(buf, |out| eval_chunk_payload(out, offset, data))
 }
 
 /// True for the error kinds a `set_read_timeout` expiry produces.
@@ -247,15 +301,16 @@ pub fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Read one frame. Returns `Ok(None)` on clean EOF at a frame
-/// boundary; mid-frame EOF and oversized lengths are errors.
+/// Read a frame's length prefix. Returns `Ok(None)` on clean EOF at a
+/// frame boundary; mid-prefix EOF and lengths past [`MAX_FRAME_BYTES`]
+/// are errors.
 ///
 /// With a read timeout set on the underlying stream, an expiry while
-/// *idle* (no header byte seen yet) surfaces as a [`is_timeout`]
+/// *idle* (no prefix byte seen yet) surfaces as a [`is_timeout`]
 /// error so a server loop can poll its shutdown flag and resume;
 /// expiries *inside* a frame keep waiting, so a slow writer cannot
 /// desynchronise the framing.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+pub fn read_frame_len(r: &mut impl Read) -> io::Result<Option<usize>> {
     let mut len = [0u8; 4];
     let mut got = 0;
     while got < 4 {
@@ -275,15 +330,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     }
     let n = u32::from_le_bytes(len) as usize;
     if n > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {n} bytes exceeds cap of {MAX_FRAME_BYTES}"),
-        ));
+        return Err(too_large(io::ErrorKind::InvalidData, n));
     }
-    let mut payload = vec![0u8; n];
+    Ok(Some(n))
+}
+
+/// Fill `buf` with the next bytes of the frame being read; EOF before
+/// it is full is an error, a read-timeout expiry is waited out.
+pub fn read_body(r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
     let mut filled = 0;
-    while filled < n {
-        match r.read(&mut payload[filled..]) {
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -295,16 +352,188 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             Err(e) => return Err(e),
         }
     }
+    Ok(())
+}
+
+/// Read one whole frame: [`read_frame_len`], then its payload.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let Some(n) = read_frame_len(r)? else {
+        return Ok(None);
+    };
+    let mut payload = vec![0u8; n];
+    read_body(r, &mut payload)?;
     Ok(Some(payload))
+}
+
+/// Why [`read_head`] could not produce a frame.
+#[derive(Debug)]
+pub enum RecvError {
+    /// The transport failed or ended inside a frame.
+    Io(io::Error),
+    /// The frame was well-delimited but did not parse.
+    Proto(ProtoError),
+}
+
+impl From<io::Error> for RecvError {
+    fn from(e: io::Error) -> RecvError {
+        RecvError::Io(e)
+    }
+}
+
+impl From<ProtoError> for RecvError {
+    fn from(e: ProtoError) -> RecvError {
+        RecvError::Proto(e)
+    }
+}
+
+/// One frame of a response stream with its samples still on the wire,
+/// so the receiver can place them where they belong instead of in a
+/// frame-sized buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Head {
+    /// A `Chunk`: exactly `rows * cols` `f32`s follow (at most a
+    /// frame's worth) — take them with [`read_samples`] or
+    /// [`Head::skip`].
+    Chunk {
+        /// Destination row of the tile's first row.
+        row0: u64,
+        /// Destination column of the tile's first column.
+        col0: u64,
+        /// Tile height.
+        rows: u64,
+        /// Tile width.
+        cols: u64,
+    },
+    /// An `EvalChunk`: exactly `count` `f64`s follow.
+    EvalChunk {
+        /// Flat element offset of the first sample.
+        offset: u64,
+        /// Samples in the frame.
+        count: u64,
+    },
+    /// Any other frame, read whole and decoded.
+    Other(Response),
+}
+
+impl Head {
+    /// Read and discard the samples this head left on the wire, so a
+    /// frame the receiver cannot place still leaves the stream framed.
+    pub fn skip(&self, r: &mut impl Read) -> io::Result<()> {
+        // read_head checked these products against the frame's length
+        match *self {
+            Head::Chunk { rows, cols, .. } => skip_body(r, (rows * cols * 4) as usize),
+            Head::EvalChunk { count, .. } => skip_body(r, (count * 8) as usize),
+            Head::Other(_) => Ok(()),
+        }
+    }
+}
+
+/// Read the next frame up to where its samples start. `Ok(None)` is a
+/// clean EOF at a frame boundary. A sample frame whose count disagrees
+/// with its own length or tile is a [`RecvError::Proto`] *after* its
+/// body has been skipped, so the stream stays framed.
+pub fn read_head(r: &mut impl Read) -> Result<Option<Head>, RecvError> {
+    let Some(len) = read_frame_len(r)? else {
+        return Ok(None);
+    };
+    let mut fixed = [0u8; 1 + 5 * 8];
+    let have = len.min(1);
+    read_body(r, &mut fixed[..have])?;
+    // Fixed bytes after the tag, and bytes per sample.
+    let (fixed_len, width) = match fixed[0] {
+        RSP_CHUNK => (5 * 8, 4),
+        RSP_EVAL_CHUNK => (2 * 8, 8),
+        _ => (0, 0),
+    };
+    if width == 0 || len < 1 + fixed_len {
+        // Not a sample frame (or one too short to be): the owned path,
+        // whose decoder names what is wrong with it.
+        let mut payload = vec![0u8; len];
+        payload[..have].copy_from_slice(&fixed[..have]);
+        read_body(r, &mut payload[have..])?;
+        return Ok(Some(Head::Other(Response::decode(&payload)?)));
+    }
+    read_body(r, &mut fixed[1..1 + fixed_len])?;
+    let body = len - 1 - fixed_len;
+    let mut d = Dec::new(&fixed[1..1 + fixed_len]);
+    let (head, count, tile) = if fixed[0] == RSP_CHUNK {
+        let (row0, col0, rows, cols) = (d.u64()?, d.u64()?, d.u64()?, d.u64()?);
+        let head = Head::Chunk {
+            row0,
+            col0,
+            rows,
+            cols,
+        };
+        (head, d.u64()?, rows.checked_mul(cols))
+    } else {
+        let (offset, count) = (d.u64()?, d.u64()?);
+        (Head::EvalChunk { offset, count }, count, Some(count))
+    };
+    if count.checked_mul(width) != Some(body as u64) || tile != Some(count) {
+        skip_body(r, body)?;
+        return Err(ProtoError(format!(
+            "sample frame announces {count} samples, carries {body} bytes: {head:?}"
+        ))
+        .into());
+    }
+    Ok(Some(head))
+}
+
+/// Read `dst.len()` little-endian samples of `W` bytes each into `dst`
+/// through `stage` (at least `W` bytes; larger means fewer reads).
+pub fn read_samples<T, const W: usize>(
+    r: &mut impl Read,
+    stage: &mut [u8],
+    dst: &mut [T],
+    le: impl Fn([u8; W]) -> T + Copy,
+) -> io::Result<()> {
+    for part in dst.chunks_mut(stage.len() / W) {
+        let raw = &mut stage[..part.len() * W];
+        read_body(r, raw)?;
+        get_le(raw, part, le);
+    }
+    Ok(())
+}
+
+/// Read and discard `n` bytes of the frame being read.
+fn skip_body(r: &mut impl Read, n: usize) -> io::Result<()> {
+    let mut sink = [0u8; 4096];
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(sink.len());
+        read_body(r, &mut sink[..take])?;
+        left -= take;
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------- enc / dec
 
-struct Enc(Vec<u8>);
+/// `src` as little-endian bytes over `dst`, which must be exactly
+/// `src.len() * W` long. A pass over whole slices, which compiles to a
+/// block move on little-endian targets.
+fn put_le<T: Copy, const W: usize>(dst: &mut [u8], src: &[T], le: impl Fn(T) -> [u8; W]) {
+    assert_eq!(dst.len(), src.len() * W, "sample run length");
+    for (b, &x) in dst.chunks_exact_mut(W).zip(src) {
+        b.copy_from_slice(&le(x));
+    }
+}
 
-impl Enc {
-    fn new(tag: u8) -> Enc {
-        Enc(vec![tag])
+/// The inverse of [`put_le`]: `src.len() == dst.len() * W`.
+fn get_le<T, const W: usize>(src: &[u8], dst: &mut [T], le: impl Fn([u8; W]) -> T) {
+    assert_eq!(src.len(), dst.len() * W, "sample run length");
+    for (x, b) in dst.iter_mut().zip(src.chunks_exact(W)) {
+        *x = le(b.try_into().expect("chunks_exact yields W bytes"));
+    }
+}
+
+/// Appends one payload to a buffer the caller owns.
+struct Enc<'a>(&'a mut Vec<u8>);
+
+impl<'a> Enc<'a> {
+    fn new(out: &'a mut Vec<u8>, tag: u8) -> Enc<'a> {
+        out.push(tag);
+        Enc(out)
     }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
@@ -316,17 +545,25 @@ impl Enc {
         self.u64(s.len() as u64);
         self.0.extend_from_slice(s.as_bytes());
     }
-    fn f32s(&mut self, v: &[f32]) {
-        self.u64(v.len() as u64);
-        for x in v {
-            self.0.extend_from_slice(&x.to_le_bytes());
+    /// A run of `count` samples gathered from `rows`, which must hold
+    /// exactly that many between them.
+    fn f32_rows<'r>(&mut self, count: usize, rows: impl Iterator<Item = &'r [f32]>) {
+        self.u64(count as u64);
+        let start = self.0.len();
+        self.0.resize(start + count * 4, 0);
+        let mut rest = &mut self.0[start..];
+        for row in rows {
+            let (dst, tail) = rest.split_at_mut(row.len() * 4);
+            put_le(dst, row, f32::to_le_bytes);
+            rest = tail;
         }
+        assert!(rest.is_empty(), "rows hold fewer than {count} samples");
     }
     fn f64s(&mut self, v: &[f64]) {
         self.u64(v.len() as u64);
-        for x in v {
-            self.0.extend_from_slice(&x.to_le_bytes());
-        }
+        let start = self.0.len();
+        self.0.resize(start + v.len() * 8, 0);
+        put_le(&mut self.0[start..], v, f64::to_le_bytes);
     }
     fn u64s(&mut self, v: &[u64]) {
         self.u64(v.len() as u64);
@@ -334,6 +571,27 @@ impl Enc {
             self.u64(*x);
         }
     }
+}
+
+/// The one `Chunk` encoder: `grid` is `[row0, col0, rows, cols]`.
+fn chunk_payload<'r>(
+    out: &mut Vec<u8>,
+    grid: [u64; 4],
+    count: usize,
+    data: impl Iterator<Item = &'r [f32]>,
+) {
+    let mut e = Enc::new(out, RSP_CHUNK);
+    for v in grid {
+        e.u64(v);
+    }
+    e.f32_rows(count, data);
+}
+
+/// The one `EvalChunk` encoder.
+fn eval_chunk_payload(out: &mut Vec<u8>, offset: u64, data: &[f64]) {
+    let mut e = Enc::new(out, RSP_EVAL_CHUNK);
+    e.u64(offset);
+    e.f64s(data);
 }
 
 struct Dec<'a> {
@@ -429,27 +687,27 @@ const RSP_ERROR: u8 = 0x90;
 impl Request {
     /// Serialize into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         match self {
-            Request::Ping => Enc::new(REQ_PING).0,
-            Request::ReadAll => Enc::new(REQ_READ_ALL).0,
+            Request::Ping => out.push(REQ_PING),
+            Request::ReadAll => out.push(REQ_READ_ALL),
             Request::ReadRegion { ch0, ch1, t0, t1 } => {
-                let mut e = Enc::new(REQ_READ_REGION);
+                let mut e = Enc::new(&mut out, REQ_READ_REGION);
                 e.u64(*ch0);
                 e.u64(*ch1);
                 e.u64(*t0);
                 e.u64(*t1);
-                e.0
             }
             Request::Eval { src } => {
-                let mut e = Enc::new(REQ_EVAL);
+                let mut e = Enc::new(&mut out, REQ_EVAL);
                 e.str(src);
-                e.0
             }
-            Request::Metrics => Enc::new(REQ_METRICS).0,
-            Request::Shutdown => Enc::new(REQ_SHUTDOWN).0,
-            Request::Health => Enc::new(REQ_HEALTH).0,
-            Request::MetricsSeries => Enc::new(REQ_METRICS_SERIES).0,
+            Request::Metrics => out.push(REQ_METRICS),
+            Request::Shutdown => out.push(REQ_SHUTDOWN),
+            Request::Health => out.push(REQ_HEALTH),
+            Request::MetricsSeries => out.push(REQ_METRICS_SERIES),
         }
+        out
     }
 
     /// Parse a frame payload.
@@ -479,13 +737,24 @@ impl Request {
 impl Response {
     /// Serialize into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Replace `buf` with this response as one whole frame, length
+    /// prefix included.
+    pub fn encode_frame(&self, buf: &mut Vec<u8>) -> io::Result<()> {
+        frame_into(buf, |out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Response::Pong => Enc::new(RSP_PONG).0,
+            Response::Pong => out.push(RSP_PONG),
             Response::Start { rows, cols } => {
-                let mut e = Enc::new(RSP_START);
+                let mut e = Enc::new(out, RSP_START);
                 e.u64(*rows);
                 e.u64(*cols);
-                e.0
             }
             Response::Chunk {
                 row0,
@@ -493,39 +762,28 @@ impl Response {
                 rows,
                 cols,
                 data,
-            } => {
-                let mut e = Enc::new(RSP_CHUNK);
-                e.u64(*row0);
-                e.u64(*col0);
-                e.u64(*rows);
-                e.u64(*cols);
-                e.f32s(data);
-                e.0
-            }
+            } => chunk_payload(
+                out,
+                [*row0, *col0, *rows, *cols],
+                data.len(),
+                std::iter::once(&data[..]),
+            ),
             Response::EvalStart { dims } => {
-                let mut e = Enc::new(RSP_EVAL_START);
+                let mut e = Enc::new(out, RSP_EVAL_START);
                 e.u64s(dims);
-                e.0
             }
-            Response::EvalChunk { offset, data } => {
-                let mut e = Enc::new(RSP_EVAL_CHUNK);
-                e.u64(*offset);
-                e.f64s(data);
-                e.0
-            }
+            Response::EvalChunk { offset, data } => eval_chunk_payload(out, *offset, data),
             Response::End { frames } => {
-                let mut e = Enc::new(RSP_END);
+                let mut e = Enc::new(out, RSP_END);
                 e.u64(*frames);
-                e.0
             }
             Response::MetricsJson { json } => {
-                let mut e = Enc::new(RSP_METRICS_JSON);
+                let mut e = Enc::new(out, RSP_METRICS_JSON);
                 e.str(json);
-                e.0
             }
-            Response::ShuttingDown => Enc::new(RSP_SHUTTING_DOWN).0,
+            Response::ShuttingDown => out.push(RSP_SHUTTING_DOWN),
             Response::Health { info } => {
-                let mut e = Enc::new(RSP_HEALTH);
+                let mut e = Enc::new(out, RSP_HEALTH);
                 e.str(&info.component);
                 e.str(&info.version);
                 e.u64(info.uptime_ms);
@@ -537,18 +795,15 @@ impl Response {
                 e.u64(info.cache_capacity_bytes);
                 e.u64(info.requests_total);
                 e.str(&info.last_error);
-                e.0
             }
             Response::SeriesJson { json } => {
-                let mut e = Enc::new(RSP_SERIES_JSON);
+                let mut e = Enc::new(out, RSP_SERIES_JSON);
                 e.str(json);
-                e.0
             }
             Response::Error { kind, message } => {
-                let mut e = Enc::new(RSP_ERROR);
+                let mut e = Enc::new(out, RSP_ERROR);
                 e.u8(kind.to_u8());
                 e.str(message);
-                e.0
             }
         }
     }
@@ -711,6 +966,13 @@ mod tests {
         // Oversized length prefix is rejected before allocation.
         let huge = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
         assert!(read_frame(&mut &huge[..]).is_err());
+
+        // ... and is never written: the error comes back, not a frame
+        // the peer would drop the connection over.
+        let mut sent = Vec::new();
+        let e = write_frame(&mut sent, &vec![0u8; MAX_FRAME_BYTES + 1]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert!(sent.is_empty());
     }
 
     #[test]
@@ -727,5 +989,118 @@ mod tests {
         e.extend_from_slice(&1000u64.to_le_bytes());
         e.extend_from_slice(b"short");
         assert!(Request::decode(&e).is_err());
+    }
+    #[test]
+    fn read_head_leaves_samples_on_the_wire_and_a_lying_count_leaves_it_framed() {
+        let chunk = Response::Chunk {
+            row0: 1,
+            col0: 2,
+            rows: 2,
+            cols: 3,
+            data: vec![1.0, -2.5, f32::NAN, 0.0, 3.25, -0.0],
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &chunk.encode()).unwrap();
+        // the same frame announcing one sample more than it carries ...
+        let mut lying = chunk.encode();
+        lying[33..41].copy_from_slice(&7u64.to_le_bytes());
+        write_frame(&mut wire, &lying).unwrap();
+        // ... and one whose tile is not its count, or overflows
+        for (rows, cols) in [(3, 3), (1 << 32, 1 << 32)] {
+            let rsp = Response::Chunk {
+                row0: 0,
+                col0: 0,
+                rows,
+                cols,
+                data: vec![0.5; 6],
+            };
+            write_frame(&mut wire, &rsp.encode()).unwrap();
+        }
+        write_frame(&mut wire, &Response::End { frames: 1 }.encode()).unwrap();
+
+        let mut r = &wire[..];
+        let head = read_head(&mut r).unwrap().unwrap();
+        assert_eq!(
+            head,
+            Head::Chunk {
+                row0: 1,
+                col0: 2,
+                rows: 2,
+                cols: 3
+            }
+        );
+        let mut got = [0f32; 6];
+        // a stage of one sample and a half: the smallest that works
+        read_samples(&mut r, &mut [0u8; 6], &mut got, f32::from_le_bytes).unwrap();
+        assert_eq!(got.map(f32::to_bits)[..2], [1.0f32, -2.5].map(f32::to_bits));
+        assert!(got[2].is_nan());
+        for _ in 0..3 {
+            assert!(matches!(read_head(&mut r), Err(RecvError::Proto(_))));
+        }
+        let end = read_head(&mut r).unwrap().unwrap();
+        assert_eq!(end, Head::Other(Response::End { frames: 1 }));
+        assert!(read_head(&mut r).unwrap().is_none());
+    }
+
+    /// `frame` must be exactly `u32 length ‖ rsp.encode()`.
+    fn assert_is_frame_of(frame: &[u8], rsp: &Response) {
+        let mut want = Vec::new();
+        write_frame(&mut want, &rsp.encode()).unwrap();
+        assert!(frame == want, "frame differs from the owned encoding");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The borrowed-row writer and the owned encoder are one
+        /// encoder: any sub-selection of any tile, gathered from row
+        /// slices into a reused buffer, is byte for byte the frame of
+        /// the owned `Chunk` — NaN payloads and all.
+        #[test]
+        fn chunk_frame_equals_the_owned_encoding(
+            tile_rows in 1usize..7,
+            tile_cols in 1usize..40,
+            pick in proptest::prelude::any::<u64>(),
+            at in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            bits in proptest::collection::vec(proptest::prelude::any::<u32>(), 7 * 40),
+        ) {
+            let tile: Vec<f32> = bits[..tile_rows * tile_cols]
+                .iter()
+                // every fourth sample a NaN with the drawn payload bits
+                .map(|&b| f32::from_bits(if b % 4 == 0 { b | 0x7FC0_0000 } else { b }))
+                .collect();
+            let r0 = pick as usize % tile_rows;
+            let nr = 1 + (pick >> 8) as usize % (tile_rows - r0);
+            let c0 = (pick >> 16) as usize % tile_cols;
+            let nc = 1 + (pick >> 24) as usize % (tile_cols - c0);
+            let rows = tile[r0 * tile_cols..(r0 + nr) * tile_cols]
+                .chunks_exact(tile_cols)
+                .map(|row| &row[c0..c0 + nc]);
+            let owned = Response::Chunk {
+                row0: at.0,
+                col0: at.1,
+                rows: nr as u64,
+                cols: nc as u64,
+                data: rows.clone().flatten().copied().collect(),
+            };
+            // a dirty, longer buffer: nothing of the last frame survives
+            let mut buf = vec![0xAA; 4096];
+            chunk_frame(&mut buf, at.0, at.1, nr, nc, rows).unwrap();
+            assert_is_frame_of(&buf, &owned);
+        }
+
+        #[test]
+        fn eval_chunk_frame_equals_the_owned_encoding(
+            offset in proptest::prelude::any::<u64>(),
+            bits in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..200),
+        ) {
+            let data: Vec<f64> = bits
+                .iter()
+                .map(|&b| f64::from_bits(if b % 4 == 0 { b | 0x7FF8_0000_0000_0000 } else { b }))
+                .collect();
+            let mut buf = vec![0xAA; 4096];
+            eval_chunk_frame(&mut buf, offset, &data).unwrap();
+            assert_is_frame_of(&buf, &Response::EvalChunk { offset, data });
+        }
     }
 }

@@ -25,12 +25,12 @@
 
 use super::cache::ChunkCache;
 use super::protocol::{
-    read_frame, write_frame, ErrorKind, HealthInfo, Request, Response, MAX_DATA_ELEMS,
+    chunk_frame, eval_chunk_frame, read_frame, write_frame, ErrorKind, HealthInfo, Request,
+    Response, MAX_DATA_ELEMS,
 };
 use crate::dasa::{self, BindProgram, Haee};
 use crate::dass::{FileCatalog, IoPlan, Vca, DATASET_PATH};
 use crate::{DassaError, Result};
-use arrayudf::TileView;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -467,7 +467,10 @@ fn handle_conn(state: &State, stream: TcpStream) -> io::Result<()> {
         .set_read_timeout(Some(std::time::Duration::from_millis(200)))
         .ok();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = Conn {
+        stream,
+        buf: Vec::new(),
+    };
     loop {
         let payload = match read_frame(&mut reader) {
             Ok(Some(p)) => p,
@@ -486,13 +489,10 @@ fn handle_conn(state: &State, stream: TcpStream) -> io::Result<()> {
                 // The framing survived but the payload didn't parse;
                 // answer and keep the connection.
                 state.note_error(ErrorKind::BadRequest, &e.to_string());
-                send(
-                    &mut writer,
-                    &Response::Error {
-                        kind: ErrorKind::BadRequest,
-                        message: e.to_string(),
-                    },
-                )?;
+                writer.send(&Response::Error {
+                    kind: ErrorKind::BadRequest,
+                    message: e.to_string(),
+                })?;
                 continue;
             }
         };
@@ -503,19 +503,36 @@ fn handle_conn(state: &State, stream: TcpStream) -> io::Result<()> {
     Ok(())
 }
 
-fn send(w: &mut impl Write, rsp: &Response) -> io::Result<()> {
-    write_frame(w, &rsp.encode())?;
-    w.flush()
+/// A connection's send side. Every frame is built whole — length
+/// prefix, header, samples — in `buf` and leaves in one `write_all`;
+/// `buf` is reused from frame to frame, so it holds at most one frame
+/// (a data frame is ≤ [`MAX_DATA_ELEMS`] × 8 bytes + header) and is
+/// freed with the connection.
+struct Conn {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Conn {
+    fn send(&mut self, rsp: &Response) -> io::Result<()> {
+        self.send_built(|buf| rsp.encode_frame(buf))
+    }
+
+    /// Send the frame `build` leaves in the connection's buffer.
+    fn send_built(&mut self, build: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> io::Result<()> {
+        build(&mut self.buf)?;
+        self.stream.write_all(&self.buf)
+    }
 }
 
 /// Handle one request. `Ok(true)` means the connection (and server)
 /// should wind down. `Err` is transport-level only; request-level
 /// failures become `Error` responses.
-fn dispatch(state: &State, w: &mut impl Write, req: Request) -> io::Result<bool> {
+fn dispatch(state: &State, w: &mut Conn, req: Request) -> io::Result<bool> {
     match req {
         Request::Ping => {
             state.metrics.req_ping.inc();
-            send(w, &Response::Pong)?;
+            w.send(&Response::Pong)?;
         }
         Request::ReadAll => {
             state.metrics.req_read.inc();
@@ -561,16 +578,13 @@ fn dispatch(state: &State, w: &mut impl Write, req: Request) -> io::Result<bool>
                     u64::try_from(state.started.elapsed().as_millis()).unwrap_or(u64::MAX),
                 )],
             );
-            send(w, &Response::MetricsJson { json })?;
+            w.send(&Response::MetricsJson { json })?;
         }
         Request::Health => {
             state.metrics.req_health.inc();
-            send(
-                w,
-                &Response::Health {
-                    info: state.health(),
-                },
-            )?;
+            w.send(&Response::Health {
+                info: state.health(),
+            })?;
         }
         Request::MetricsSeries => {
             state.metrics.req_series.inc();
@@ -578,12 +592,12 @@ fn dispatch(state: &State, w: &mut impl Write, req: Request) -> io::Result<bool>
             // reflects activity right up to this probe.
             state.sampler.sample_now();
             let json = state.sampler.to_json();
-            send(w, &Response::SeriesJson { json })?;
+            w.send(&Response::SeriesJson { json })?;
         }
         Request::Shutdown => {
             state.metrics.req_shutdown.inc();
             obs::log_info!("dassd", "shutdown requested by client");
-            send(w, &Response::ShuttingDown)?;
+            w.send(&Response::ShuttingDown)?;
             initiate_shutdown(state, state.poke_addr);
             return Ok(true);
         }
@@ -592,70 +606,57 @@ fn dispatch(state: &State, w: &mut impl Write, req: Request) -> io::Result<bool>
 }
 
 /// Stream a read plan: `Start`, one or more `Chunk` frames per op
-/// (split so no frame exceeds [`MAX_DATA_ELEMS`] samples), `End`. A
-/// failing op aborts the stream with an `Error` frame; the connection
-/// survives.
-fn serve_read(state: &State, w: &mut impl Write, plan: &IoPlan) -> io::Result<()> {
-    send(
-        w,
-        &Response::Start {
-            rows: plan.rows as u64,
-            cols: plan.cols as u64,
-        },
-    )?;
+/// (tiled so no frame exceeds [`MAX_DATA_ELEMS`] samples), `End`. Each
+/// frame is gathered straight from the cached chunk's rows. A failing
+/// op aborts the stream with an `Error` frame; the connection survives.
+fn serve_read(state: &State, w: &mut Conn, plan: &IoPlan) -> io::Result<()> {
+    w.send(&Response::Start {
+        rows: plan.rows as u64,
+        cols: plan.cols as u64,
+    })?;
     let mut frames = 0u64;
     for op in &plan.ops {
         let chunk = match state.cache.get_or_read(&op.path) {
             Ok(c) => c,
             Err(e) => return send_error(state, w, &e),
         };
-        let data = chunk.hyperslab(op.selection);
-        let (rows, cols) = (op.rows, op.cols);
         // Every op's tile lands at response row 0 (member files are
         // channel-complete; a channel window is already folded into
-        // the op's selection), column `op.t0`.
-        let band_rows = (MAX_DATA_ELEMS / cols.max(1)).max(1);
-        let mut r = 0usize;
-        while r < rows {
-            let n = band_rows.min(rows - r);
-            let band = &data[r * cols..(r + n) * cols];
-            send(
-                w,
-                &Response::Chunk {
-                    row0: r as u64,
-                    col0: op.t0 as u64,
-                    rows: n as u64,
-                    cols: cols as u64,
-                    data: band.to_vec(),
-                },
-            )?;
-            state
-                .metrics
-                .bytes_served
-                .add(std::mem::size_of_val(band) as u64);
-            frames += 1;
-            r += n;
+        // the op's selection), column `op.t0`. It goes out as bands of
+        // whole rows, or — when one row alone is past the frame bound
+        // — as pieces of single rows.
+        let tile_cols = op.cols.clamp(1, MAX_DATA_ELEMS);
+        let tile_rows = MAX_DATA_ELEMS / tile_cols;
+        for r in (0..op.rows).step_by(tile_rows) {
+            let nr = tile_rows.min(op.rows - r);
+            for c in (0..op.cols).step_by(tile_cols) {
+                let nc = tile_cols.min(op.cols - c);
+                let band = chunk.slab_rows(op.selection).skip(r).take(nr);
+                let (row0, col0) = (r as u64, (op.t0 + c) as u64);
+                w.send_built(|buf| {
+                    chunk_frame(buf, row0, col0, nr, nc, band.map(|row| &row[c..c + nc]))
+                })?;
+                state.metrics.bytes_served.add((nr * nc * 4) as u64);
+                frames += 1;
+            }
         }
     }
-    send(w, &Response::End { frames })
+    w.send(&Response::End { frames })
 }
 
 /// Compile and run a `dasl` program: assemble the input through the
 /// cache, execute on a per-request [`Haee`], stream the output
 /// dataset.
-fn serve_eval(state: &State, w: &mut impl Write, src: &str) -> io::Result<()> {
+fn serve_eval(state: &State, w: &mut Conn, src: &str) -> io::Result<()> {
     let program = match dasl::compile(src) {
         Ok(p) => p,
         Err(e) => {
             let message = e.render(src);
             state.note_error(ErrorKind::Compile, &message);
-            return send(
-                w,
-                &Response::Error {
-                    kind: ErrorKind::Compile,
-                    message,
-                },
-            );
+            return w.send(&Response::Error {
+                kind: ErrorKind::Compile,
+                message,
+            });
         }
     };
     let spec = program.load_spec();
@@ -663,12 +664,10 @@ fn serve_eval(state: &State, w: &mut impl Write, src: &str) -> io::Result<()> {
         Ok(p) => p,
         Err(e) => return send_error(state, w, &e),
     };
-    let block = match run_plan_cached(state, &plan) {
+    let data = match run_plan_cached(state, &plan) {
         Ok(b) => b,
         Err(e) => return send_error(state, w, &e),
     };
-    let wide: Vec<f64> = block.as_slice().iter().map(|&v| v as f64).collect();
-    let data = arrayudf::Array2::from_vec(block.rows(), block.cols(), wide);
 
     let haee = Haee::builder().threads(state.eval_threads).build();
     let bound = program.bind(state.vca.sampling_hz() as f64);
@@ -678,49 +677,44 @@ fn serve_eval(state: &State, w: &mut impl Write, src: &str) -> io::Result<()> {
     };
     let (dims, flat) = output.to_dataset();
 
-    send(w, &Response::EvalStart { dims })?;
+    w.send(&Response::EvalStart { dims })?;
     let mut frames = 0u64;
-    let mut off = 0usize;
-    while off < flat.len() {
-        let n = MAX_DATA_ELEMS.min(flat.len() - off);
-        send(
-            w,
-            &Response::EvalChunk {
-                offset: off as u64,
-                data: flat[off..off + n].to_vec(),
-            },
-        )?;
+    for (i, run) in flat.chunks(MAX_DATA_ELEMS).enumerate() {
+        w.send_built(|buf| eval_chunk_frame(buf, (i * MAX_DATA_ELEMS) as u64, run))?;
         state
             .metrics
             .bytes_served
-            .add((n * std::mem::size_of::<f64>()) as u64);
+            .add(std::mem::size_of_val(run) as u64);
         frames += 1;
-        off += n;
     }
-    send(w, &Response::End { frames })
+    w.send(&Response::End { frames })
 }
 
 /// Execute a serial plan through the chunk cache instead of
-/// [`IoExecutor`]'s direct reads: same ops, same assembly, shared
-/// buffers.
-fn run_plan_cached(state: &State, plan: &IoPlan) -> Result<arrayudf::Array2<f32>> {
+/// [`IoExecutor`]'s direct reads: same ops, same assembly, widened from
+/// the cached rows straight into the `f64` block `dasa::run` takes.
+fn run_plan_cached(state: &State, plan: &IoPlan) -> Result<arrayudf::Array2<f64>> {
     let mut out = arrayudf::Array2::zeroed(plan.rows, plan.cols);
     for op in &plan.ops {
         let chunk = state.cache.get_or_read(&op.path)?;
-        let data = chunk.hyperslab(op.selection);
-        out.paste(0, op.t0, TileView::new(op.rows, op.cols, &data));
+        for (r, row) in chunk.slab_rows(op.selection).enumerate() {
+            let at = r * plan.cols + op.t0;
+            for (wide, &v) in out.as_mut_slice()[at..at + row.len()].iter_mut().zip(row) {
+                *wide = v as f64;
+            }
+        }
     }
     Ok(out)
 }
 
 /// Map a request-level failure onto a typed `Error` response and keep
 /// the connection.
-fn send_error(state: &State, w: &mut impl Write, e: &DassaError) -> io::Result<()> {
+fn send_error(state: &State, w: &mut Conn, e: &DassaError) -> io::Result<()> {
     let kind = kind_of(e);
     let message = e.to_string();
     state.note_error(kind, &message);
     obs::log_warn!("dassd", "request failed ({}): {message}", kind.name());
-    send(w, &Response::Error { kind, message })
+    w.send(&Response::Error { kind, message })
 }
 
 /// The `DassaError` → wire [`ErrorKind`] mapping.
