@@ -530,6 +530,23 @@ if [[ $quick -eq 0 ]]; then
     # derives req/s from snapshot deltas, not cumulative counters); and
     # an injected panic produces a well-formed flight record.
     echo "==> telemetry: health + rate series + flight recorder gate"
+    # Both daemons are handlers on one connection core (dassd::conn):
+    # one accept loop, one frame loop, and the ingest probe reads no
+    # frames itself. Test modules are skipped.
+    core_src="$(find crates/core/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ": " $0 }' {} +)"
+    if [[ $(grep -c 'TcpListener::bind' <<<"$core_src") -gt 1 || $(grep -c '\.accept()' <<<"$core_src") -gt 1 ]] \
+        || grep '^crates/core/src/ingest/.*read_frame(' <<<"$core_src"; then
+        echo "telemetry: a second accept or frame loop beside dassd::conn" >&2
+        exit 1
+    fi
+    # Poll with `kill -0` (a `wait` could hang): true once `$1` is gone.
+    gone_within_3s() {
+        for _ in $(seq 1 30); do
+            kill -0 "$1" 2>/dev/null || return 0
+            sleep 0.1
+        done
+        return 1
+    }
     tele_dir="$(mktemp -d)"
     trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir" "$dasl_dir" "$dassd_dir" "$ingest_dir" "$tele_dir"' EXIT
     target/release/das_gen -d "$tele_dir/corpus" -c 8 -r 50 -m 3 >/dev/null
@@ -566,7 +583,14 @@ if [[ $quick -eq 0 ]]; then
         echo "telemetry: burst not visible as a windowed request rate" >&2
         exit 1
     fi
+    # A peer that sends 2 bytes of a length prefix and goes silent must
+    # not keep the daemon alive: it is gone within 3 s of --shutdown.
+    exec 3<>"/dev/tcp/${tele_addr%:*}/${tele_addr##*:}"
+    printf '\x05\x00' >&3
+    sleep 0.3
     target/release/das_query --addr "$tele_addr" --shutdown >/dev/null
+    gone_within_3s "$tele_pid" || { echo "telemetry: das_serve outlived --shutdown behind a stalled peer" >&2; exit 1; }
+    exec 3>&-
     wait "$tele_pid" || { echo "telemetry: das_serve exited nonzero" >&2; exit 1; }
 
     # Ingest answers the same probes on its local socket, and SIGTERM
@@ -589,7 +613,12 @@ if [[ $quick -eq 0 ]]; then
         echo "telemetry: ingest probe Health misidentified itself" >&2
         exit 1
     }
+    exec 3<>"/dev/tcp/${probe_addr%:*}/${probe_addr##*:}"
+    printf '\x05\x00' >&3
+    sleep 0.3
     kill -TERM "$probe_pid"
+    gone_within_3s "$probe_pid" || { echo "telemetry: das_ingest outlived SIGTERM behind a stalled peer" >&2; exit 1; }
+    exec 3>&-
     wait "$probe_pid" || { echo "telemetry: SIGTERM was not a clean shutdown" >&2; exit 1; }
     grep -qF '"component":"das_ingest"' "$tele_dir/ingest_m.json" || {
         echo "telemetry: no metrics snapshot after SIGTERM" >&2

@@ -79,11 +79,6 @@ impl Tile {
         }
     }
 
-    /// The channel rows this tile covers, in buffer coordinates.
-    pub fn row_range(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
     /// Number of rows in the tile.
     pub fn rows(&self) -> usize {
         self.rows.len()

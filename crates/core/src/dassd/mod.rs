@@ -4,7 +4,7 @@
 //! answers the ROADMAP's service question: many simultaneous clients
 //! reading windows of one corpus and running `dasl` programs against
 //! it, over plain TCP with zero new dependencies. The subsystem has
-//! four layers, one module each:
+//! five layers, one module each:
 //!
 //! * [`protocol`] — length-prefixed frames; requests carry `dasl`
 //!   source, responses stream data in bounded chunks so a multi-GB
@@ -12,9 +12,14 @@
 //! * [`cache`] — a corpus-wide, capacity-bounded chunk cache
 //!   ([`ChunkCache`]) with CLOCK eviction, layered on [`dasf::pool`];
 //!   only checksum-verified chunks are ever resident.
-//! * [`server`] — accept loop, bounded admission queue, worker pool;
-//!   over-capacity clients get a typed [`protocol::ErrorKind::Busy`]
-//!   rejection instead of unbounded queueing.
+//! * `conn` — the connection core `dassd` and the `das_ingest` probe
+//!   share: bind, accept loop, bounded admission queue (over-capacity
+//!   clients get a typed [`protocol::ErrorKind::Busy`] rejection instead
+//!   of unbounded queueing), worker pool, per-connection frame loop
+//!   with one idle/stalled-peer limit, and the `Ping`/`Health`/
+//!   `Metrics`/`MetricsSeries` answers; each daemon is a handler on it.
+//! * [`server`] — the `dassd` handler: reads through the cache, `dasl`
+//!   evals, `Shutdown`.
 //! * [`client`] — the blocking [`Client`] used by tests and
 //!   `das_query`.
 //!
@@ -37,6 +42,7 @@
 
 pub mod cache;
 pub mod client;
+pub(crate) mod conn;
 pub mod protocol;
 pub mod server;
 

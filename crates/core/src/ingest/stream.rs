@@ -10,7 +10,7 @@
 //! batch reader's `ReadReport`.
 
 use crate::dass::plan::read_member_into;
-use crate::dass::{FileEntry, Timestamp, DATASET_PATH};
+use crate::dass::{FileEntry, DATASET_PATH};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use std::collections::BTreeMap;
@@ -55,7 +55,7 @@ pub struct WindowData {
     pub gap_spans: Vec<Range<u64>>,
 }
 
-/// Admitted minute files, keyed by [`Timestamp::epoch_minutes`].
+/// Admitted minute files, keyed by [`crate::dass::Timestamp::epoch_minutes`].
 #[derive(Debug, Default)]
 pub struct MinuteIndex {
     shape: Option<StreamShape>,
@@ -219,11 +219,6 @@ impl MinuteIndex {
             gap_samples: gap_minutes * shape.channels * shape.samples_per_minute,
             gap_spans,
         }
-    }
-
-    /// The timestamp at the start of `minute` (report naming).
-    pub fn timestamp_of(minute: u64) -> Timestamp {
-        Timestamp::from_epoch_minutes(minute)
     }
 }
 

@@ -439,3 +439,94 @@ fn hostile_unit_header_is_a_typed_error_and_every_worker_survives() {
     assert_eq!(snap.counter("dassd.errors"), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `Server::stop()` on a helper thread must return within a second
+/// while a peer sits on the first `sent` bytes of a frame: the worker
+/// serving it observes the shutdown at its next poll tick instead of
+/// waiting out the peer's lifetime.
+fn stop_returns_while_a_peer_stalls(sent: &[u8]) {
+    use dassa::dassd::protocol::{read_frame, write_frame};
+    use std::io::Write;
+    let (dir, _) = build_dataset(1, 2, 120, 3);
+    let server = Server::start(&dir, ServerConfig::default()).expect("server");
+    let mut peer = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &dassa::dassd::Request::Ping.encode()).expect("frame");
+    bytes.extend_from_slice(sent);
+    peer.write_all(&bytes).expect("send");
+    // The pong shows a worker holds the connection; the stalled frame
+    // is next.
+    read_frame(&mut peer).expect("pong");
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        done.send(()).expect("report");
+    });
+    assert!(
+        stopped
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .is_ok(),
+        "Server::stop blocked behind a peer holding {} byte(s)",
+        sent.len()
+    );
+    drop(peer);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stop_returns_while_a_peer_holds_part_of_a_prefix() {
+    stop_returns_while_a_peer_stalls(&[5, 0]);
+}
+
+#[test]
+fn stop_returns_while_a_peer_holds_part_of_a_frame() {
+    // 5 bytes of an 8-byte frame: a 4-byte payload announced, 1 sent
+    stop_returns_while_a_peer_stalls(&[4, 0, 0, 0, 0x01]);
+}
+
+/// A member replaced by a narrower file after the server scanned the
+/// corpus panicked the worker slicing the cached tile, and the pool
+/// lost that thread. With one worker: the read is a typed error, the
+/// same connection still answers, and a new connection is served.
+#[test]
+fn narrower_replacement_member_is_a_typed_error_and_the_worker_survives() {
+    let (dir, expected) = build_dataset(3, 4, SAMPLES, 91);
+    let server = Server::start(
+        &dir,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    // Member 1 (samples 1200..2400) becomes 2 channels x 600 samples.
+    let ts = Timestamp::parse("170728224510").expect("ts").add_minutes(1);
+    let meta = DasFileMeta {
+        sampling_hz: 20,
+        spatial_resolution_m: 2.0,
+        timestamp: ts,
+        channels: 2,
+        samples: 600,
+    };
+    let narrow = Array2::from_fn(2, 600, |r, c| (r * 600 + c) as f32);
+    write_das_file(&dir.join(das_file_name(&ts)), &meta, &narrow).expect("replace member");
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    match client.read_region(0..4, 1000..1500) {
+        Err(ClientError::Server { kind, message }) => {
+            assert_eq!(kind, dassa::dassd::ErrorKind::BadRequest, "{message}");
+            assert!(message.contains("inconsistent"), "{message}");
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    client.ping().expect("same connection still answers");
+    drop(client);
+
+    let mut late = Client::connect(server.addr()).expect("connect");
+    let golden = Array2::from_fn(2, 100, |r, c| expected.get(1 + r, 50 + c));
+    assert_eq!(late.read_region(1..3, 50..150).expect("read"), golden);
+    drop(late);
+    let snap = server.stop();
+    assert_eq!(snap.counter("dassd.errors"), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -253,11 +253,6 @@ impl File {
         self.version
     }
 
-    /// The parsed object table.
-    pub fn object_table(&self) -> &ObjectTable {
-        &self.table
-    }
-
     /// Total bytes of dataset payload in the file.
     pub fn data_region_bytes(&self) -> u64 {
         self.data_region_bytes

@@ -264,11 +264,6 @@ impl Comm {
         self.faults.as_ref()
     }
 
-    /// Is this rank dead under the world's fault plan?
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Fallible collectives refuse to run on a dead rank.
     pub(crate) fn check_alive(&self) -> Result<(), CommError> {
         if self.dead {

@@ -268,19 +268,6 @@ impl Logger {
         }
     }
 
-    /// Replace the filter (tests, or runtime verbosity changes).
-    pub fn set_filter(&self, filter: Filter) {
-        *lock(&self.filter) = filter;
-    }
-
-    /// Switch output line shape.
-    pub fn set_format(&self, format: Format) {
-        self.format.store(
-            if format == Format::Json { 1 } else { 0 },
-            Ordering::Relaxed,
-        );
-    }
-
     pub fn format(&self) -> Format {
         if self.format.load(Ordering::Relaxed) == 1 {
             Format::Json

@@ -126,11 +126,6 @@ impl SeriesRing {
         self.evicted
     }
 
-    /// The most recent sample, if any.
-    pub fn latest_point(&self) -> Option<&SeriesPoint> {
-        self.points.back()
-    }
-
     /// Differentiate every adjacent pair of samples, oldest first.
     pub fn windows(&self) -> Vec<RateWindow> {
         self.points
