@@ -43,6 +43,11 @@ grep -qxF '#![deny(unsafe_op_in_unsafe_fn)]' crates/dasf/src/lib.rs || {
 }
 
 if [[ $quick -eq 0 ]]; then
+    # One scratch root for every gate below, removed however the run
+    # ends; each gate works in a subdirectory of its own.
+    ci_tmp="$(mktemp -d)"
+    trap 'rm -rf "$ci_tmp"' EXIT
+
     echo "==> tier-1: cargo build --release"
     cargo build --release
     echo "==> tier-1: cargo test -q"
@@ -67,8 +72,8 @@ if [[ $quick -eq 0 ]]; then
     # whose outcome differs between two identically-seeded runs, within
     # a process or across the two passes — fails the gate.
     echo "==> chaos: seeded fault matrix (8 seeds, two passes)"
-    digest_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir"' EXIT
+    digest_dir="$ci_tmp/digest"
+    mkdir "$digest_dir"
     DASSA_CHAOS_SEEDS=8 DASSA_CHAOS_DIGEST="$digest_dir/pass1" \
         cargo test -q -p bench --test chaos
     DASSA_CHAOS_SEEDS=8 DASSA_CHAOS_DIGEST="$digest_dir/pass2" \
@@ -96,8 +101,8 @@ if [[ $quick -eq 0 ]]; then
     # two ways that matter (bit-rot vs torn write), and check das_fsck
     # classifies every file correctly with a nonzero exit.
     echo "==> scrub: das_fsck over a damaged corpus"
-    scrub_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir"' EXIT
+    scrub_dir="$ci_tmp/scrub"
+    mkdir "$scrub_dir"
     target/release/das_gen -d "$scrub_dir" -c 4 -r 20 -m 6 >/dev/null
     members=("$scrub_dir"/*.dasf)
     [[ ${#members[@]} -eq 6 ]] || { echo "scrub: expected 6 members" >&2; exit 1; }
@@ -135,8 +140,8 @@ if [[ $quick -eq 0 ]]; then
     # lossless-compressed corpus, and fsck must still classify a
     # damaged compressed corpus (checksums cover the *stored* bytes).
     echo "==> codec: per-codec corpora + lossless byte-identity + damaged scrub"
-    codec_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir"' EXIT
+    codec_dir="$ci_tmp/codec"
+    mkdir "$codec_dir"
     for codec in raw shuffle-lz quant:0.001; do
         target/release/das_gen -d "$codec_dir/${codec%%:*}" -c 8 -r 50 -m 4 \
             --codec "$codec" >/dev/null
@@ -237,8 +242,8 @@ if [[ $quick -eq 0 ]]; then
     # exits nonzero otherwise), and the documents must carry the fields
     # Perfetto and the cluster parser rely on.
     echo "==> trace: das_pipeline --ranks 4 --trace/--metrics round-trip"
-    trace_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir"' EXIT
+    trace_dir="$ci_tmp/trace"
+    mkdir "$trace_dir"
     target/release/das_gen -d "$trace_dir" -c 8 -r 20 -m 6 >/dev/null
     target/release/das_pipeline -d "$trace_dir" -a localsim --ranks 4 \
         --trace="$trace_dir/trace.json" --metrics="$trace_dir/m.json" \
@@ -297,8 +302,8 @@ if [[ $quick -eq 0 ]]; then
     # scratch directory — timings, ratios and rates are `das_bench`'s to
     # record, not this script's.
     echo "==> bench: exp_* smoke (exit status only)"
-    bench_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir"' EXIT
+    bench_dir="$ci_tmp/bench"
+    mkdir "$bench_dir"
     for exp in exp_fig6 exp_fig9 exp_table1 exp_tuner; do
         DASSA_RESULTS="$bench_dir" "target/release/$exp" --json >/dev/null
     done
@@ -308,8 +313,8 @@ if [[ $quick -eq 0 ]]; then
     # it describes — and the bytecode must actually fuse the adjacent
     # element-wise stages (dasl.fused_stages > 0 in the metrics).
     echo "==> dasl: --program vs hand-wired byte-identity + fusion gate"
-    dasl_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir" "$dasl_dir"' EXIT
+    dasl_dir="$ci_tmp/dasl"
+    mkdir "$dasl_dir"
     target/release/das_gen -d "$dasl_dir/corpus" -c 8 -r 500 -m 2 >/dev/null
     target/release/das_pipeline --program examples/interferometry.das \
         -d "$dasl_dir/corpus" --metrics="$dasl_dir/m.json" \
@@ -352,8 +357,8 @@ if [[ $quick -eq 0 ]]; then
     # metrics prove the chunk cache, the admission control, and the
     # latency histograms all did their jobs.
     echo "==> dassd: serve/query smoke + overload + metrics gate"
-    dassd_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir" "$dasl_dir" "$dassd_dir"' EXIT
+    dassd_dir="$ci_tmp/dassd"
+    mkdir "$dassd_dir"
     target/release/das_gen -d "$dassd_dir/corpus" -c 8 -r 50 -m 3 >/dev/null
     target/release/das_serve -d "$dassd_dir/corpus" --workers 2 --queue 0 \
         --metrics="$dassd_dir/m.json" >"$dassd_dir/serve.log" 2>&1 &
@@ -436,8 +441,8 @@ if [[ $quick -eq 0 ]]; then
     # nothing, and the union of reports from the interrupted run is
     # byte-identical to an uninterrupted drain.
     echo "==> ingest: spool drain under faults + kill/resume gate"
-    ingest_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir" "$dasl_dir" "$dassd_dir" "$ingest_dir"' EXIT
+    ingest_dir="$ci_tmp/ingest"
+    mkdir "$ingest_dir"
     target/release/das_gen -d "$ingest_dir/corpus" -c 6 -r 20 -m 8 >/dev/null
     minute_files=("$ingest_dir/corpus"/*.dasf)
     [[ ${#minute_files[@]} -eq 8 ]] || { echo "ingest: expected 8 members" >&2; exit 1; }
@@ -547,8 +552,8 @@ if [[ $quick -eq 0 ]]; then
         done
         return 1
     }
-    tele_dir="$(mktemp -d)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir" "$dasl_dir" "$dassd_dir" "$ingest_dir" "$tele_dir"' EXIT
+    tele_dir="$ci_tmp/tele"
+    mkdir "$tele_dir"
     target/release/das_gen -d "$tele_dir/corpus" -c 8 -r 50 -m 3 >/dev/null
     target/release/das_serve -d "$tele_dir/corpus" --workers 2 --queue 4 \
         >"$tele_dir/serve.log" 2>/dev/null &
@@ -658,8 +663,7 @@ if [[ $quick -eq 0 ]]; then
     # pipeline. The numbers of a --quick run mean nothing.
     echo "==> benchmark: das_bench tests + all --quick"
     cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
-    bench_log="$(mktemp)"
-    trap 'rm -rf "$digest_dir" "$scrub_dir" "$codec_dir" "$trace_dir" "$bench_dir" "$dasl_dir" "$dassd_dir" "$ingest_dir" "$tele_dir" "$bench_log"' EXIT
+    bench_log="$ci_tmp/bench.log"
     if ! cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
         all --quick >"$bench_log" 2>&1; then
         echo "benchmark: das_bench all --quick failed:" >&2

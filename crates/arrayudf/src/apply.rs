@@ -175,18 +175,6 @@ where
     Array2::from_vec(out_rows, out_cols, result.into_vec())
 }
 
-/// Convenience: run one UDF invocation per channel (Algorithm 3's
-/// shape), returning one `R` per channel.
-pub fn apply_with<T, R, F>(input: &Array2<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Copy + Sync,
-    R: Copy + Default + Send + Sync,
-    F: Fn(&Stencil<T>) -> R + Sync,
-{
-    let stride = Stride::per_channel(input.cols());
-    apply_mt(input, Ghost::none(), stride, threads, f).into_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,8 +223,9 @@ mod tests {
     #[test]
     fn per_channel_stride_runs_once_per_row() {
         let a = grid(5, 32);
-        let out = apply_with(&a, 2, |s| s.channel_series(0)[0]);
-        assert_eq!(out, vec![0.0, 1000.0, 2000.0, 3000.0, 4000.0]);
+        let stride = Stride::per_channel(a.cols());
+        let out = apply_mt(&a, Ghost::none(), stride, 2, |s| s.channel_series(0)[0]);
+        assert_eq!(out.into_vec(), vec![0.0, 1000.0, 2000.0, 3000.0, 4000.0]);
     }
 
     #[test]

@@ -30,12 +30,10 @@
 
 mod apply;
 mod array;
-mod array3;
 pub mod dist;
 pub mod metrics;
 mod stencil;
 
-pub use apply::{apply, apply_mt, apply_with, Ghost, Stride};
+pub use apply::{apply, apply_mt, Ghost, Stride};
 pub use array::{Array2, TileView};
-pub use array3::Array3;
 pub use stencil::Stencil;

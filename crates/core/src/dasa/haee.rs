@@ -6,9 +6,9 @@
 //! and every core issues its own I/O requests. HAEE instead runs **one
 //! MPI process per node with OpenMP threads inside**, sharing the master
 //! channel and issuing one I/O request per node. [`Haee`] captures the
-//! execution configuration; [`MemoryModel`] quantifies the
-//! master-duplication effect that makes pure MPI run out of memory at
-//! 91 nodes in Figure 8.
+//! execution configuration. The master-duplication effect that makes
+//! pure MPI run out of memory at 91 nodes in Figure 8 is priced by
+//! `perfmodel`'s Figure 8 model, which `exp_fig8` prints.
 
 /// Execution configuration: how many processes (ranks) per node and how
 /// many threads inside each process.
@@ -82,31 +82,6 @@ impl Haee {
     }
 }
 
-/// Per-node memory accounting for a cross-correlation analysis
-/// (Figure 8's out-of-memory analysis).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryModel {
-    /// Bytes of the master channel (shared per process).
-    pub master_bytes: u64,
-    /// Bytes of the node's data partition (independent of layout).
-    pub partition_bytes: u64,
-    /// Fixed per-process runtime overhead.
-    pub per_process_overhead: u64,
-}
-
-impl MemoryModel {
-    /// Total bytes resident on one node under `config`.
-    pub fn bytes_per_node(&self, config: &Haee) -> u64 {
-        let p = config.processes_per_node as u64;
-        self.partition_bytes + p * (self.master_bytes + self.per_process_overhead)
-    }
-
-    /// Would the node exceed `capacity` bytes?
-    pub fn exceeds(&self, config: &Haee, capacity: u64) -> bool {
-        self.bytes_per_node(config) > capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,22 +118,6 @@ mod tests {
         let h = Haee::builder().build();
         assert_eq!(h.processes_per_node, 1);
         assert_eq!(h.threads_per_process, omp::num_procs());
-    }
-
-    #[test]
-    fn memory_model_reproduces_oom_asymmetry() {
-        // With a large master channel, 16 processes blow a budget that
-        // the hybrid config fits comfortably.
-        let model = MemoryModel {
-            master_bytes: 8 << 30,     // 8 GiB master (big FFT buffers)
-            partition_bytes: 20 << 30, // 20 GiB data partition
-            per_process_overhead: 64 << 20,
-        };
-        let capacity = 128u64 << 30; // Cori Haswell: 128 GB/node
-        let pure_mpi = Haee::builder().ranks(16).threads(1).build();
-        let hybrid = Haee::builder().threads(16).build();
-        assert!(model.exceeds(&pure_mpi, capacity));
-        assert!(!model.exceeds(&hybrid, capacity));
     }
 
     #[test]

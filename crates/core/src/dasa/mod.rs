@@ -8,22 +8,17 @@
 mod haee;
 mod interferometry;
 mod local_similarity;
-pub mod qc;
 mod rows;
 mod run;
 mod stacking;
 mod vm;
 
-pub use haee::{Haee, HaeeBuilder, MemoryModel};
+pub use haee::{Haee, HaeeBuilder};
 pub use interferometry::{
     cross_correlation_with_master, interferometry, interferometry_dist, prepare_master,
     preprocess_channel, InterferometryParams, MasterSpectrum,
 };
 pub use local_similarity::{local_similarity, local_similarity_dist, LocalSimiParams};
-pub use qc::{channel_metrics, channel_qc, ChannelHealth, ChannelMetrics, QcParams, QcReport};
 pub use run::{run, Analysis, AnalysisOutput, Job};
-pub use stacking::{
-    prepare_master_windows, stack_channel, stacked_interferometry, stacked_interferometry_3d,
-    MasterWindows, StackedCorrelation, StackingParams, TimeNorm,
-};
+pub use stacking::{stacked_interferometry, StackedCorrelation, StackingParams, TimeNorm};
 pub use vm::{execute, BindProgram, BoundProgram};

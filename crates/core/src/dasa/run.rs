@@ -192,6 +192,52 @@ mod tests {
         );
     }
 
+    /// Every `Analysis` and both checked-in programs give the same output
+    /// bits at 1, 2 and 3 threads: the team size only decides which
+    /// thread computes a row, never what the row holds.
+    #[test]
+    fn outputs_do_not_depend_on_the_thread_count() {
+        let data = signal(7, 1500);
+        let analyses = [
+            Analysis::LocalSimilarity(LocalSimiParams {
+                half_window: 4,
+                channel_offset: 1,
+                search_half: 2,
+                time_stride: 8,
+            }),
+            Analysis::Interferometry(InterferometryParams::default()),
+            Analysis::Stacking(StackingParams {
+                window: 128,
+                hop: 128,
+                ..Default::default()
+            }),
+        ];
+        let programs = [
+            include_str!("../../../../examples/interferometry.das"),
+            include_str!("../../../../examples/detect.das"),
+        ]
+        .map(|src| dasl::compile(src).unwrap());
+        let bits = |threads: usize| -> Vec<(Vec<u64>, Vec<u64>)> {
+            let haee = Haee::builder().threads(threads).build();
+            let outputs = analyses.iter().map(|a| run(a, &data, &haee).unwrap());
+            let programs = programs
+                .iter()
+                .map(|p| crate::dasa::execute(p, 500.0, &data, &haee).unwrap());
+            outputs
+                .chain(programs)
+                .map(|out| {
+                    let (dims, values) = out.to_dataset();
+                    (dims, values.iter().map(|v| v.to_bits()).collect())
+                })
+                .collect()
+        };
+        let one = bits(1);
+        assert!(one.iter().all(|(_, values)| !values.is_empty()));
+        for threads in [2, 3] {
+            assert_eq!(bits(threads), one, "{threads} threads");
+        }
+    }
+
     #[test]
     fn run_records_analysis_span() {
         let data = signal(4, 400);

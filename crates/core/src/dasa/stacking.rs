@@ -8,15 +8,16 @@
 //! the master channel, and **stacks** the correlations: coherent
 //! traveltime signal adds linearly while noise adds as √N, so the
 //! empirical Green's function emerges from hours of traffic noise.
-//! This module implements that stacked pipeline on top of DasLib —
-//! including the 3-D `channel × lag × window` intermediate the paper's
-//! §IV mentions ("a 3D data array with a striping size as the third
-//! dimension may be produced" during stacking).
+//! This module implements that stacked pipeline on top of DasLib. The
+//! 3-D `channel × lag × window` intermediate the paper's §IV mentions
+//! ("a 3D data array with a striping size as the third dimension may be
+//! produced" during stacking) is never materialised: each channel's
+//! windows are accumulated in place.
 
 use super::haee::Haee;
 use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch};
 use crate::{DassaError, Result};
-use arrayudf::{Array2, Array3};
+use arrayudf::Array2;
 use dsp::{Complex, Whitener};
 use omp::SharedSlice;
 
@@ -148,7 +149,7 @@ impl StackedCorrelation {
 /// the same memory-sharing story as Algorithm 3's `Mfft`, but one
 /// spectrum per window.
 #[derive(Debug, Clone)]
-pub struct MasterWindows {
+struct MasterWindows {
     spectra: Vec<Vec<Complex>>,
     params: StackingParams,
     chain: Vec<RowKernel>,
@@ -170,20 +171,16 @@ impl WindowCorrelator {
         }
     }
 
-    /// Circular cross-correlation `IFFT(M* · S)` of every window of
-    /// `raw` with the matching master window, handed to `sink` as
-    /// `(window index, correlation)` with zero lag at index 0, in window
-    /// order; the windows are prepared a block at a time.
-    fn correlate(
-        &mut self,
-        raw: &[f64],
-        master: &MasterWindows,
-        mut sink: impl FnMut(usize, &[f64]),
-    ) {
+    /// Mean over the windows of `raw` of the circular cross-correlation
+    /// `IFFT(M* · S)` with the matching master window, zero lag at the
+    /// centre; the windows are prepared a block at a time.
+    fn stack(&mut self, raw: &[f64], master: &MasterWindows) -> StackedCorrelation {
         let p = &master.params;
-        let n_win = p.n_windows(raw.len()).min(master.spectra.len());
-        for block in blocks(0..n_win) {
-            let windows = block.clone().map(|w| &raw[w * p.hop..w * p.hop + p.window]);
+        let len = p.window;
+        let mut stack = vec![0.0f64; len];
+        let n_windows = p.n_windows(raw.len()).min(master.spectra.len());
+        for block in blocks(0..n_windows) {
+            let windows = block.clone().map(|w| &raw[w * p.hop..w * p.hop + len]);
             let prepared = self.rows.run_block(windows, &master.chain);
             for (w, window) in block.zip(prepared) {
                 let spec = self.fft.spectrum(window);
@@ -191,24 +188,12 @@ impl WindowCorrelator {
                     *s = m.conj() * *s;
                 }
                 self.fft.inverse_real_into(&mut self.corr);
-                sink(w, &self.corr);
+                // fftshift: zero lag at the centre, then accumulate.
+                for (i, v) in self.corr.iter().enumerate() {
+                    stack[(i + len / 2) % len] += v;
+                }
             }
         }
-    }
-
-    /// Mean over windows of [`correlate`](Self::correlate), zero lag at
-    /// the centre.
-    fn stack(&mut self, raw: &[f64], master: &MasterWindows) -> StackedCorrelation {
-        let len = master.params.window;
-        let mut stack = vec![0.0f64; len];
-        let mut n_windows = 0;
-        self.correlate(raw, master, |_, corr| {
-            // fftshift: zero lag at the centre, then accumulate.
-            for (i, v) in corr.iter().enumerate() {
-                stack[(i + len / 2) % len] += v;
-            }
-            n_windows += 1;
-        });
         if n_windows > 0 {
             let scale = 1.0 / n_windows as f64;
             for v in &mut stack {
@@ -219,43 +204,32 @@ impl WindowCorrelator {
     }
 }
 
-fn try_prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> Result<MasterWindows> {
-    let chain = p.chain()?;
-    chain_out_len(&chain, p.window)?;
-    let (mut rows, mut fft) = (RowScratch::default(), RowFft::new(p.window));
-    let spectra = (0..p.n_windows(master_raw.len()))
-        .map(|w| {
-            let window = &master_raw[w * p.hop..w * p.hop + p.window];
-            fft.spectrum(rows.run(window, &chain)).to_vec()
+impl MasterWindows {
+    /// Prepare every window of the master channel. A window too short
+    /// for the zero-phase filter, or an order or band the engine does not
+    /// prepare, is an error.
+    fn prepare(master_raw: &[f64], p: &StackingParams) -> Result<MasterWindows> {
+        let chain = p.chain()?;
+        chain_out_len(&chain, p.window)?;
+        let (mut rows, mut fft) = (RowScratch::default(), RowFft::new(p.window));
+        let spectra = (0..p.n_windows(master_raw.len()))
+            .map(|w| {
+                let window = &master_raw[w * p.hop..w * p.hop + p.window];
+                fft.spectrum(rows.run(window, &chain)).to_vec()
+            })
+            .collect();
+        Ok(MasterWindows {
+            spectra,
+            params: *p,
+            chain,
         })
-        .collect();
-    Ok(MasterWindows {
-        spectra,
-        params: *p,
-        chain,
-    })
-}
-
-/// Prepare every window of the master channel.
-///
-/// # Panics
-/// Panics when the window is too short for the zero-phase filter
-/// (`3·2·filter_order` samples or fewer) or the filter order or band is
-/// outside what the engine prepares; [`stacked_interferometry`] reports
-/// both as an error instead.
-pub fn prepare_master_windows(master_raw: &[f64], p: &StackingParams) -> MasterWindows {
-    try_prepare_master_windows(master_raw, p).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Stack one channel against the prepared master windows.
-pub fn stack_channel(raw: &[f64], master: &MasterWindows) -> StackedCorrelation {
-    WindowCorrelator::new(master.params.window).stack(raw, master)
+    }
 }
 
 /// Run the stacked pipeline over every channel of `data` with HAEE
 /// threads. Returns one [`StackedCorrelation`] per channel — the 3-D
-/// `channel × lag × window` array collapsed over its striping (third)
-/// dimension, as in the paper's stacking description.
+/// `channel × lag × window` array of the paper's stacking description,
+/// collapsed over its striping (third) dimension as it is produced.
 pub fn stacked_interferometry(
     data: &Array2<f64>,
     params: &StackingParams,
@@ -283,7 +257,7 @@ pub fn stacked_interferometry(
     let _root = obs::span("stacking");
     let master = {
         let _span = obs::span("prepare_master");
-        try_prepare_master_windows(data.row(params.master_channel), params)?
+        MasterWindows::prepare(data.row(params.master_channel), params)?
     };
     let _span = obs::span("apply");
     let placeholder = StackedCorrelation {
@@ -301,52 +275,6 @@ pub fn stacked_interferometry(
         });
     });
     Ok(out.into_vec())
-}
-
-/// The paper's explicit 3-D stacking intermediate (§IV: "a 3D data
-/// array with a striping size as the third dimension may be produced"):
-/// the full `channel × lag × window` cross-correlation volume, before
-/// the window axis is collapsed.
-///
-/// Memory scales with `channels · window · n_windows`; prefer
-/// [`stacked_interferometry`] (which accumulates in place) unless the
-/// per-window volume itself is the analysis target (e.g. time-lapse
-/// monitoring of the Green's function).
-pub fn stacked_interferometry_3d(
-    data: &Array2<f64>,
-    params: &StackingParams,
-    haee: &Haee,
-) -> Result<Array3<f64>> {
-    if params.master_channel >= data.rows() {
-        return Err(DassaError::BadSelection(format!(
-            "master channel {} out of range for {} channels",
-            params.master_channel,
-            data.rows()
-        )));
-    }
-    if params.window == 0 || params.hop == 0 || params.n_windows(data.cols()) == 0 {
-        return Err(DassaError::BadSelection(
-            "invalid window/hop for this record length".into(),
-        ));
-    }
-    let master = try_prepare_master_windows(data.row(params.master_channel), params)?;
-    let n_win = master.spectra.len();
-    let len = params.window;
-    let volume: SharedSlice<f64> = SharedSlice::zeroed(data.rows() * len * n_win);
-    omp::parallel(haee.threads_per_process, |ctx| {
-        let mut correlator = WindowCorrelator::new(len);
-        ctx.for_static(0..data.rows(), |ch| {
-            correlator.correlate(data.row(ch), &master, |w, corr| {
-                for (i, v) in corr.iter().enumerate() {
-                    let lag = (i + len / 2) % len; // fftshift
-                                                   // SAFETY: (ch, lag, w) cells are owned by this thread
-                                                   // (channels are statically partitioned).
-                    unsafe { volume.write((ch * len + lag) * n_win + w, *v) };
-                }
-            });
-        });
-    });
-    Ok(Array3::from_vec(data.rows(), len, n_win, volume.into_vec()))
 }
 
 #[cfg(test)]
@@ -470,11 +398,11 @@ mod tests {
                         .flat_map(|ch| noise(40 + ch as u64, len))
                         .collect(),
                 );
-                let master = prepare_master_windows(data.row(0), &p);
+                let master = MasterWindows::prepare(data.row(0), &p).unwrap();
                 let want: Vec<StackedCorrelation> = (0..data.rows())
                     .map(|ch| {
-                        // the body `correlate` had: one window through
-                        // the chain, transformed, multiplied, inverted
+                        // one window at a time: through the chain,
+                        // transformed, multiplied, inverted
                         let (mut rows, mut fft) = (RowScratch::default(), RowFft::new(window));
                         let (mut stack, mut corr) = (vec![0.0; window], vec![0.0; window]);
                         for (w, mspec) in master.spectra.iter().enumerate() {
@@ -541,27 +469,6 @@ mod tests {
             delay as isize,
             "transient must not break the stack"
         );
-    }
-
-    #[test]
-    fn volume_collapses_to_the_stack() {
-        // mean over the window axis of the 3-D volume == the in-place
-        // stacked result (the two formulations of the same reduction).
-        let data = delayed_pair(512 * 6, 4, 0.7);
-        let p = params(512);
-        let volume =
-            stacked_interferometry_3d(&data, &p, &Haee::builder().threads(2).build()).unwrap();
-        assert_eq!(volume.dims(), (2, 512, 6));
-        let collapsed = volume.mean_axis2();
-        let direct =
-            stacked_interferometry(&data, &p, &Haee::builder().threads(1).build()).unwrap();
-        for (ch, d) in direct.iter().enumerate() {
-            for lag in 0..512 {
-                let a = collapsed.get(ch, lag);
-                let b = d.stack[lag];
-                assert!((a - b).abs() < 1e-9, "ch={ch} lag={lag}: {a} vs {b}");
-            }
-        }
     }
 
     #[test]

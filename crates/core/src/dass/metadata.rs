@@ -70,12 +70,15 @@ impl DasFileMeta {
         Ok(meta)
     }
 
-    /// Duration covered by this file in whole minutes (paper: 1).
+    /// Duration covered by this file in whole minutes (paper: 1). A rate
+    /// that is not positive, or too large to count a minute of samples in
+    /// a `u64`, covers no whole minute.
     pub fn duration_minutes(&self) -> u64 {
-        if self.sampling_hz <= 0 {
-            return 0;
-        }
-        self.samples / (self.sampling_hz as u64 * 60)
+        u64::try_from(self.sampling_hz)
+            .ok()
+            .and_then(|hz| hz.checked_mul(60))
+            .and_then(|per_minute| self.samples.checked_div(per_minute))
+            .unwrap_or(0)
     }
 }
 
@@ -268,6 +271,8 @@ mod tests {
         meta.samples = 60000;
         assert_eq!(meta.duration_minutes(), 2);
         meta.sampling_hz = 0;
+        assert_eq!(meta.duration_minutes(), 0);
+        meta.sampling_hz = 1 << 62; // a minute's sample count overflows
         assert_eq!(meta.duration_minutes(), 0);
     }
 

@@ -36,7 +36,7 @@ pub use plan::{
     choose_strategy_modeled, Exchange, IoExecutor, IoPlan, ReadOp, ReadReport, ReadStrategy,
     Resilience, Tile, MAX_READ_ATTEMPTS,
 };
-pub use rca::{create_rca, create_rca_parallel, read_rca};
+pub use rca::{create_rca, read_rca};
 pub use search::{FileCatalog, FileEntry};
 pub use timestamp::Timestamp;
 pub use vca::Vca;

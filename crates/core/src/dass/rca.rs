@@ -3,17 +3,17 @@
 //! The paper's Table I / Figure 6 comparison point: RCA doubles storage
 //! during construction and must move every byte, but yields a single
 //! large file that parallel I/O handles well. DASSA supports it mainly
-//! as a baseline; VCA is the recommended path.
+//! as a baseline; VCA is the recommended path. Construction is serial:
+//! no workload budgets an RCA build, so a parallel build (the
+//! parallel-HDF5 concatenation study) would start from [`create_rca`].
 
 use super::metadata::{write_das_file, DasFileMeta};
-use super::plan::ReadStrategy;
 use super::plan::{IoExecutor, IoPlan};
 use super::search::FileEntry;
 use super::vca::Vca;
 use crate::Result;
 use arrayudf::Array2;
 use dasf::File;
-use minimpi::Comm;
 use std::path::Path;
 
 /// Physically concatenate `entries` into a single DAS file at `out`.
@@ -30,41 +30,6 @@ pub fn create_rca(entries: &[FileEntry], out: &Path) -> Result<DasFileMeta> {
     let meta = vca.merged_meta();
     write_das_file(out, &meta, &data)?;
     Ok(meta)
-}
-
-/// Parallel RCA construction: ranks read the VCA with the
-/// communication-avoiding strategy, gather channel blocks to rank 0,
-/// and rank 0 writes the merged file (the paper notes that *reading* a
-/// single large file in parallel is well supported; writing one from
-/// many ranks without MPI-IO is not, so the write is funnelled).
-///
-/// Call from inside a `minimpi::run` world; returns the merged metadata
-/// on rank 0, `None` elsewhere.
-pub fn create_rca_parallel(
-    comm: &Comm,
-    entries: &[FileEntry],
-    out: &Path,
-) -> Result<Option<DasFileMeta>> {
-    let vca = Vca::from_entries(entries)?;
-    let plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, comm.size());
-    let (local, _) = IoExecutor::new(comm).run(&plan)?;
-    let blocks = comm.gather(0, local.into_vec());
-    if comm.rank() != 0 {
-        return Ok(None);
-    }
-    let cols = vca.total_samples() as usize;
-    let arrays: Vec<Array2<f32>> = blocks
-        .expect("rank 0 gathers")
-        .into_iter()
-        .map(|v| {
-            let rows = v.len().checked_div(cols).unwrap_or(0);
-            Array2::from_vec(rows, cols, v)
-        })
-        .collect();
-    let data = Array2::vstack(&arrays);
-    let meta = vca.merged_meta();
-    write_das_file(out, &meta, &data)?;
-    Ok(Some(meta))
 }
 
 /// Read a previously created RCA back as `(metadata, data)`: a
@@ -99,27 +64,6 @@ mod tests {
         let (meta2, data) = read_rca(&out).unwrap();
         assert_eq!(meta2, meta);
         assert_eq!(data, vca.read_all_f32().unwrap());
-    }
-
-    #[test]
-    fn parallel_rca_equals_serial_rca() {
-        let dir = make_files("rca-par", "170728224510", 4, 6, 30);
-        let cat = FileCatalog::scan(&dir).unwrap();
-        let serial_path = dir.join("serial.rca.dasf");
-        create_rca(cat.entries(), &serial_path).unwrap();
-        let (_, serial_data) = read_rca(&serial_path).unwrap();
-
-        for ranks in [1usize, 2, 3] {
-            let par_path = dir.join(format!("par{ranks}.rca.dasf"));
-            let entries = cat.entries().to_vec();
-            let metas = minimpi::run(ranks, |comm| {
-                create_rca_parallel(comm, &entries, &par_path).unwrap()
-            });
-            assert!(metas[0].is_some(), "rank 0 returns metadata");
-            assert!(metas[1..].iter().all(Option::is_none));
-            let (_, par_data) = read_rca(&par_path).unwrap();
-            assert_eq!(par_data, serial_data, "ranks={ranks}");
-        }
     }
 
     #[test]

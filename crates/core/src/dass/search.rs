@@ -82,7 +82,10 @@ impl FileCatalog {
                 "no file at or after timestamp {start}"
             )));
         }
-        let end = (begin + count + 1).min(self.entries.len());
+        let end = begin
+            .saturating_add(count)
+            .saturating_add(1)
+            .min(self.entries.len());
         Ok(self.entries[begin..end].to_vec())
     }
 
@@ -211,6 +214,19 @@ pub(crate) mod tests {
         let cat = FileCatalog::scan(&dir).unwrap();
         let hits = cat.search_range(170728224510, 100).unwrap();
         assert_eq!(hits.len(), 3);
+    }
+
+    #[test]
+    fn range_query_count_near_usize_max_returns_the_tail() {
+        let dir = make_files("huge-count", "170728224510", 4, 2, 60);
+        let cat = FileCatalog::scan(&dir).unwrap();
+        let stamps = |hits: Vec<FileEntry>| -> Vec<String> {
+            hits.iter().map(|e| e.meta.timestamp.to_compact()).collect()
+        };
+        let all = cat.search_range(170728224510, usize::MAX).unwrap();
+        assert_eq!(stamps(all), stamps(cat.entries().to_vec()));
+        let tail = cat.search_range(170728224610, usize::MAX - 1).unwrap();
+        assert_eq!(stamps(tail), stamps(cat.entries()[1..].to_vec()));
     }
 
     #[test]

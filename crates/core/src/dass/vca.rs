@@ -191,7 +191,10 @@ impl Vca {
             .attr("/", "vca.members")
             .and_then(|v| v.as_int())
             .ok_or_else(|| DassaError::Inconsistent("not a VCA descriptor".into()))?;
-        let mut entries = Vec::with_capacity(n as usize);
+        let n = u64::try_from(n)
+            .map_err(|_| DassaError::Inconsistent(format!("negative member count {n}")))?;
+        // Sized by the members found, not by the count the file claims.
+        let mut entries = Vec::new();
         for i in 0..n {
             let member = f
                 .attr("/", &format!("vca.member.{i}"))
@@ -310,6 +313,25 @@ mod tests {
         // Descriptor is tiny: metadata only.
         let size = std::fs::metadata(&desc).unwrap().len();
         assert!(size < 4096, "descriptor unexpectedly large: {size} bytes");
+    }
+
+    #[test]
+    fn load_rejects_hostile_member_counts_without_sizing_from_them() {
+        let cat = catalog("vca-hostile", 1, 2, 30);
+        let member = cat.entries()[0].path.display().to_string();
+        for count in [-1i64, 1 << 40] {
+            let desc =
+                std::env::temp_dir().join(format!("dassa-search-vca-hostile/{count}.vca.dasf"));
+            let mut w = Writer::create(&desc).unwrap();
+            w.set_attr("/", "vca.members", Value::Int(count)).unwrap();
+            w.set_attr("/", "vca.member.0", Value::Str(member.clone()))
+                .unwrap();
+            w.finish().unwrap();
+            assert!(
+                matches!(Vca::load(&desc), Err(DassaError::Inconsistent(_))),
+                "{count} members"
+            );
+        }
     }
 
     #[test]

@@ -275,6 +275,15 @@ impl WindowQueue {
     }
 }
 
+/// Closes its queue when dropped, unwinding included.
+struct CloseOnDrop<'q>(&'q WindowQueue);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// Drain the spool once and return: scan until every discovered file
 /// is terminal, seal every window completed by the final watermark
 /// (`max arrival`, no lateness holdback), evaluate, checkpoint. The
@@ -332,15 +341,16 @@ fn run_loop(cfg: &IngestConfig, stop: Option<&AtomicBool>) -> Result<IngestSumma
     };
 
     std::thread::scope(|s| {
+        // Each side closes the queue however it exits — an error or a
+        // panic included — so the other never waits on it for ever.
         let evaluator = s.spawn(|| {
-            let result = evaluator_loop(cfg, &queue, &checkpoint_path, &cells);
-            // Close on the way out even on error, so a blocked
-            // producer wakes up instead of waiting forever.
-            queue.close();
-            result
+            let _close = CloseOnDrop(&queue);
+            evaluator_loop(cfg, &queue, &checkpoint_path, &cells)
         });
-        let main_result = state.main_loop(stop, &queue, &cells);
-        queue.close();
+        let main_result = {
+            let _close = CloseOnDrop(&queue);
+            state.main_loop(stop, &queue, &cells)
+        };
         let eval_result = evaluator
             .join()
             .unwrap_or_else(|_| Err(DassaError::Inconsistent("evaluator panicked".into())));
@@ -921,5 +931,45 @@ mod tests {
         let text = std::fs::read_to_string(&reports(&out)[0]).unwrap();
         assert!(text.contains("\"job\":\"dasl\""), "{text}");
         assert!(text.contains("\"status\":\"ok\""), "{text}");
+    }
+
+    #[test]
+    fn hostile_sampling_rate_is_quarantined_not_a_hang() {
+        // A checksum-valid minute whose rate overflows a minute's sample
+        // count, beside a good one.
+        use crate::dass::{das_file_name, write_das_file, DasFileMeta};
+        let spool = make_files("daemon-hostile-hz", "170728224510", 1, 4, 240);
+        let ts = Timestamp::parse("170728224610").unwrap();
+        let meta = DasFileMeta {
+            sampling_hz: 1 << 62,
+            spatial_resolution_m: 2.0,
+            timestamp: ts,
+            channels: 4,
+            samples: 240,
+        };
+        let data = Array2::from_fn(4, 240, |r, c| (r + c) as f32);
+        write_das_file(&spool.join(das_file_name(&ts)), &meta, &data).unwrap();
+        let cfg = fast_cfg(spool.clone(), fresh_out("daemon-hostile-hz"));
+        // A detached watchdog: a hang must fail the test, not wedge it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run_once(&cfg).unwrap()));
+        let summary = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("run_once returns instead of hanging");
+        assert_eq!((summary.admitted, summary.quarantined), (1, 1));
+        assert!(spool.join(QUARANTINE_DIR).join(das_file_name(&ts)).exists());
+    }
+
+    #[test]
+    fn a_panicking_side_still_closes_the_queue() {
+        let queue = WindowQueue::new(1);
+        std::thread::scope(|s| {
+            let scanner = s.spawn(|| {
+                let _close = CloseOnDrop(&queue);
+                panic!("scanner died");
+            });
+            assert!(queue.pop().is_none(), "the evaluator wakes, not waits");
+            assert!(scanner.join().is_err());
+        });
     }
 }

@@ -19,18 +19,16 @@ pub use crate::{dasa, dass, dassd, ingest};
 
 // DASA — the analysis engine.
 pub use crate::dasa::{
-    channel_metrics, channel_qc, cross_correlation_with_master, execute, interferometry,
-    interferometry_dist, local_similarity, local_similarity_dist, prepare_master,
-    prepare_master_windows, preprocess_channel, qc, run, stack_channel, stacked_interferometry,
-    stacked_interferometry_3d, Analysis, AnalysisOutput, BindProgram, BoundProgram, ChannelHealth,
-    ChannelMetrics, Haee, HaeeBuilder, InterferometryParams, Job, LocalSimiParams, MasterSpectrum,
-    MasterWindows, MemoryModel, QcParams, QcReport, StackedCorrelation, StackingParams, TimeNorm,
+    cross_correlation_with_master, execute, interferometry, interferometry_dist, local_similarity,
+    local_similarity_dist, prepare_master, preprocess_channel, run, stacked_interferometry,
+    Analysis, AnalysisOutput, BindProgram, BoundProgram, Haee, HaeeBuilder, InterferometryParams,
+    Job, LocalSimiParams, MasterSpectrum, StackedCorrelation, StackingParams, TimeNorm,
 };
 
 // DASS — the storage engine.
 pub use crate::dass::{
-    choose_strategy_modeled, collect_targets, create_rca, create_rca_parallel, das_file_name, fsck,
-    plan, quarantine, read_rca, scrub_file, scrub_paths, write_das_file, write_das_file_with_codec,
+    choose_strategy_modeled, collect_targets, create_rca, das_file_name, fsck, plan, quarantine,
+    read_rca, scrub_file, scrub_paths, write_das_file, write_das_file_with_codec,
     write_das_file_with_layout, DasFileMeta, Exchange, FileCatalog, FileEntry, FileStatus,
     FsckReport, IoExecutor, IoPlan, Lav, ReadOp, ReadReport, ReadStrategy, Resilience, Tile,
     Timestamp, Vca, DATASET_PATH, MAX_READ_ATTEMPTS,

@@ -409,13 +409,6 @@ impl Writer {
         self.write_dataset(path, dims, data)
     }
 
-    /// Bytes of dataset payload written so far — stored (on-disk)
-    /// bytes, which with a non-raw codec can be fewer than the raw
-    /// payload bytes.
-    pub fn data_bytes_written(&self) -> u64 {
-        self.cursor - 16
-    }
-
     /// Write the object table and commit record, patch the superblock,
     /// fsync, and atomically rename the temp file to its final path.
     /// Consumes the writer; dropping without calling this — or any
@@ -526,14 +519,6 @@ mod tests {
         Writer::create(&p).unwrap().finish().unwrap();
         let f = File::open(&p).unwrap();
         assert!(f.dataset_paths().is_empty());
-    }
-
-    #[test]
-    fn data_bytes_written_tracks_payload() {
-        let mut w = Writer::create(tmp("count.dasf")).unwrap();
-        assert_eq!(w.data_bytes_written(), 0);
-        w.write_dataset_f64("/a", &[8], &[0.0; 8]).unwrap();
-        assert_eq!(w.data_bytes_written(), 64);
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub mod linalg;
 pub mod normalize;
 pub mod resample;
 pub mod stft;
-pub mod welch;
 pub mod whiten;
 pub mod window;
 
@@ -101,6 +100,5 @@ pub use interp::interp1;
 pub use normalize::{clip_std, one_bit, one_bit_in_place, running_abs_mean, running_abs_mean_into};
 pub use resample::{decimate, resample, Resampler};
 pub use stft::{spectrogram, Spectrogram};
-pub use welch::{band_power, welch_psd};
 pub use whiten::{whiten, Whitener};
 pub use window::{hamming, hann, kaiser, tukey};

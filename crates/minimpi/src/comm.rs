@@ -219,8 +219,7 @@ impl Comm {
         }
         // 2. Drain the channel until a match appears. Already-delivered
         //    messages are always drained first (non-blocking), so a
-        //    zero-duration timeout still observes them — `RecvRequest::
-        //    test` relies on that.
+        //    zero-duration timeout still observes them.
         let deadline = timeout.map(|t| std::time::Instant::now() + t);
         loop {
             while let Ok(env) = self.receiver.try_recv() {

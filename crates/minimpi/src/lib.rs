@@ -32,7 +32,6 @@
 mod collectives;
 mod comm;
 mod error;
-mod nonblocking;
 mod stats;
 
 pub use collectives::WirePayload;
@@ -40,7 +39,6 @@ pub use comm::{
     run, run_chaos, run_chaos_in_registry, run_in_registry, run_with_stats, Comm, RecvError,
 };
 pub use error::{CommError, RetryPolicy};
-pub use nonblocking::RecvRequest;
 pub use stats::{names as metric_names, CommStats, StatsSnapshot};
 
 #[cfg(test)]

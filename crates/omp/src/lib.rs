@@ -15,21 +15,20 @@
 //! }
 //! ```
 //!
-//! Rust has no OpenMP, so this crate reproduces the constructs the paper
-//! uses, with the same fork-join semantics:
+//! Rust has no OpenMP, so this crate reproduces exactly the constructs
+//! Algorithm 1 uses, with the same fork-join semantics, and no others:
 //!
 //! * [`parallel`] — a parallel region executed by a team of threads
 //!   (SPMD: every thread runs the same closure),
-//! * [`Ctx::for_static`] / [`Ctx::for_dynamic`] — worksharing loops with
-//!   `schedule(static)` / `schedule(dynamic, chunk)` semantics,
-//! * [`Ctx::barrier`], [`Ctx::single`], [`Ctx::critical`],
+//! * [`Ctx::for_static`] — the `schedule(static)` worksharing loop,
+//! * [`Ctx::barrier`], [`Ctx::single`],
 //! * [`SharedSlice`] — a disjoint-write shared output buffer, needed for
 //!   the final `R[p[h-1] : p[h]] = Rp` scatter of Algorithm 1.
 //!
 //! # Example: a three-point moving average, OpenMP style
 //! ```
 //! let input: Vec<f64> = (0..100).map(|i| i as f64).collect();
-//! let out = omp::SharedVec::zeroed(input.len());
+//! let out = omp::SharedSlice::zeroed(input.len());
 //! omp::parallel(4, |ctx| {
 //!     ctx.for_static(0..input.len(), |i| {
 //!         let lo = i.saturating_sub(1);
@@ -46,8 +45,8 @@
 mod shared;
 mod team;
 
-pub use shared::{SharedSlice, SharedVec};
-pub use team::{parallel, parallel_reduce, Ctx, Schedule};
+pub use shared::SharedSlice;
+pub use team::{parallel, Ctx};
 
 /// Returns the "number of processors" a default team would use, analogous
 /// to `omp_get_num_procs()`. Honors the `OMP_NUM_THREADS` environment

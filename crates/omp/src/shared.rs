@@ -14,9 +14,8 @@ use std::cell::UnsafeCell;
 /// # Safety contract
 /// Callers must guarantee that between synchronization points no element
 /// index is written by more than one thread, and that elements are not
-/// read while another thread may be writing them. Worksharing loops with
-/// static or dynamic schedules hand out disjoint index sets, satisfying
-/// this by construction.
+/// read while another thread may be writing them. The static worksharing
+/// loop hands out disjoint index sets, satisfying this by construction.
 pub struct SharedSlice<T> {
     data: UnsafeCell<Box<[T]>>,
 }
@@ -91,12 +90,9 @@ impl<T> SharedSlice<T> {
     }
 }
 
-/// Convenience alias used throughout DASSA: a [`SharedSlice`] constructed
-/// zero-filled, like a freshly `calloc`ed OpenMP output array.
-pub type SharedVec<T> = SharedSlice<T>;
-
 impl<T: Default + Clone> SharedSlice<T> {
-    /// Allocate `n` default-initialized elements.
+    /// Allocate `n` default-initialized elements, like a freshly `calloc`ed
+    /// OpenMP output array.
     pub fn zeroed(n: usize) -> Self {
         SharedSlice::from_vec(vec![T::default(); n])
     }

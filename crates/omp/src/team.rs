@@ -4,31 +4,15 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-
-/// Loop schedule, mirroring OpenMP's `schedule(...)` clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Contiguous blocks of ~`n / num_threads` iterations per thread
-    /// (OpenMP's default static schedule).
-    Static,
-    /// Fixed-size chunks dealt round-robin to threads.
-    StaticChunked(usize),
-    /// Fixed-size chunks claimed on demand from a shared counter.
-    Dynamic(usize),
-}
+use std::sync::Barrier;
 
 /// Team-wide state shared by every thread of a parallel region.
 struct Team {
     num_threads: usize,
     barrier: Barrier,
-    critical: Mutex<()>,
     /// `single` constructs claimed so far, keyed by construct sequence
     /// number (threads execute constructs in the same SPMD order).
     singles: Mutex<HashMap<usize, ()>>,
-    /// Shared iteration counters for dynamic loops, keyed the same way.
-    dyn_counters: Mutex<HashMap<usize, Arc<AtomicUsize>>>,
 }
 
 /// Per-thread handle inside a parallel region, analogous to the implicit
@@ -37,7 +21,6 @@ pub struct Ctx<'t> {
     team: &'t Team,
     thread_num: usize,
     single_seq: Cell<usize>,
-    loop_seq: Cell<usize>,
 }
 
 impl<'t> Ctx<'t> {
@@ -54,12 +37,6 @@ impl<'t> Ctx<'t> {
     /// `#pragma omp barrier`: wait until every team member arrives.
     pub fn barrier(&self) {
         self.team.barrier.wait();
-    }
-
-    /// `#pragma omp critical`: run `f` under the team-wide mutex.
-    pub fn critical<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.team.critical.lock();
-        f()
     }
 
     /// `#pragma omp single`: exactly one thread runs `f`; all threads then
@@ -87,76 +64,11 @@ impl<'t> Ctx<'t> {
     /// `#pragma omp for schedule(static)`: each thread runs its contiguous
     /// block of `range`. No implied barrier (pair with [`Ctx::barrier`]
     /// when the original pragma has one, as Algorithm 1 does).
-    pub fn for_static(&self, range: Range<usize>, f: impl FnMut(usize)) {
-        self.for_schedule(range, Schedule::Static, f)
-    }
-
-    /// `#pragma omp for schedule(dynamic, chunk)`.
-    pub fn for_dynamic(&self, range: Range<usize>, chunk: usize, f: impl FnMut(usize)) {
-        self.for_schedule(range, Schedule::Dynamic(chunk.max(1)), f)
-    }
-
-    /// Worksharing loop with an explicit [`Schedule`].
-    pub fn for_schedule(&self, range: Range<usize>, sched: Schedule, mut f: impl FnMut(usize)) {
+    pub fn for_static(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
         let base = range.start;
-        let n = range.end.saturating_sub(range.start);
-        match sched {
-            Schedule::Static => {
-                for i in self.static_block(n) {
-                    f(base + i);
-                }
-            }
-            Schedule::StaticChunked(chunk) => {
-                let chunk = chunk.max(1);
-                let t = self.team.num_threads;
-                let mut start = self.thread_num * chunk;
-                while start < n {
-                    let end = (start + chunk).min(n);
-                    for i in start..end {
-                        f(base + i);
-                    }
-                    start += t * chunk;
-                }
-            }
-            Schedule::Dynamic(chunk) => {
-                let seq = self.loop_seq.get();
-                self.loop_seq.set(seq + 1);
-                let counter = {
-                    let mut map = self.team.dyn_counters.lock();
-                    Arc::clone(
-                        map.entry(seq)
-                            .or_insert_with(|| Arc::new(AtomicUsize::new(0))),
-                    )
-                };
-                loop {
-                    let start = counter.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    for i in start..end {
-                        f(base + i);
-                    }
-                }
-            }
+        for i in self.static_block(range.len()) {
+            f(base + i);
         }
-    }
-}
-
-impl<'t> Ctx<'t> {
-    /// `#pragma omp sections`: distribute the section closures across
-    /// the team round-robin, with the pragma's implicit end barrier.
-    /// Called SPMD (every thread passes the same list); each section
-    /// executes exactly once, on the thread that owns its slot.
-    pub fn sections(&self, sections: &[&dyn Fn()]) {
-        let n = sections.len();
-        let t = self.team.num_threads;
-        let mut i = self.thread_num;
-        while i < n {
-            (sections[i])();
-            i += t;
-        }
-        self.barrier();
     }
 }
 
@@ -181,16 +93,13 @@ where
     let team = Team {
         num_threads,
         barrier: Barrier::new(num_threads),
-        critical: Mutex::new(()),
         singles: Mutex::new(HashMap::new()),
-        dyn_counters: Mutex::new(HashMap::new()),
     };
     if num_threads == 1 {
         let ctx = Ctx {
             team: &team,
             thread_num: 0,
             single_seq: Cell::new(0),
-            loop_seq: Cell::new(0),
         };
         f(&ctx);
         return;
@@ -204,37 +113,11 @@ where
                     team,
                     thread_num: h,
                     single_seq: Cell::new(0),
-                    loop_seq: Cell::new(0),
                 };
                 f(&ctx);
             });
         }
     });
-}
-
-/// Parallel map-reduce over `range`: `reduce(map(i))` folded across the
-/// team, analogous to `#pragma omp parallel for reduction(op:acc)`.
-pub fn parallel_reduce<T, M, R>(
-    num_threads: usize,
-    range: Range<usize>,
-    identity: T,
-    map: M,
-    reduce: R,
-) -> T
-where
-    T: Send + Sync + Clone,
-    M: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync,
-{
-    let partials: Mutex<Vec<T>> = Mutex::new(Vec::new());
-    parallel(num_threads, |ctx| {
-        let mut acc = identity.clone();
-        ctx.for_static(range.clone(), |i| {
-            acc = reduce(acc.clone(), map(i));
-        });
-        partials.lock().push(acc);
-    });
-    partials.into_inner().into_iter().fold(identity, &reduce)
 }
 
 #[cfg(test)]
@@ -271,46 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn for_dynamic_visits_all_indices_once() {
-        let n = 1000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel(4, |ctx| {
-            ctx.for_dynamic(0..n, 16, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn repeated_dynamic_loops_use_fresh_counters() {
-        let n = 64;
-        let total = AtomicUsize::new(0);
-        parallel(3, |ctx| {
-            for _ in 0..4 {
-                ctx.for_dynamic(0..n, 8, |_| {
-                    total.fetch_add(1, Ordering::Relaxed);
-                });
-                ctx.barrier();
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 4 * n);
-    }
-
-    #[test]
-    fn static_chunked_round_robin() {
-        let n = 10;
-        let owner: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        parallel(2, |ctx| {
-            ctx.for_schedule(0..n, Schedule::StaticChunked(2), |i| {
-                owner[i].store(ctx.thread_num(), Ordering::Relaxed);
-            });
-        });
-        let owners: Vec<usize> = owner.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        assert_eq!(owners, vec![0, 0, 1, 1, 0, 0, 1, 1, 0, 0]);
-    }
-
-    #[test]
     fn single_executes_exactly_once_per_construct() {
         let count = AtomicUsize::new(0);
         parallel(8, |ctx| {
@@ -335,22 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_is_mutually_exclusive() {
-        // A non-atomic counter mutated only inside `critical` must end up
-        // exact; races would lose increments.
-        let cell = crate::SharedSlice::from_vec(vec![0u64]);
-        parallel(8, |ctx| {
-            for _ in 0..100 {
-                ctx.critical(|| unsafe {
-                    let v = cell.read(0);
-                    cell.write(0, v + 1);
-                });
-            }
-        });
-        assert_eq!(cell.into_vec()[0], 800);
-    }
-
-    #[test]
     fn barrier_orders_phases() {
         // Phase 1 writes; barrier; phase 2 reads — the reads must observe
         // every phase-1 write.
@@ -367,47 +194,6 @@ mod tests {
             sum.fetch_add(local, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn parallel_reduce_sums() {
-        let total = parallel_reduce(4, 0..1000, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(total, 499_500);
-    }
-
-    #[test]
-    fn parallel_reduce_empty_range() {
-        let total = parallel_reduce(4, 10..10, 7u64, |i| i as u64, |a, b| a.max(b));
-        assert_eq!(total, 7);
-    }
-
-    #[test]
-    fn sections_each_run_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-        let owner: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        parallel(3, |ctx| {
-            let fns: Vec<Box<dyn Fn()>> = (0..5)
-                .map(|i| {
-                    let h = &hits[i];
-                    let o = &owner[i];
-                    let me = ctx.thread_num();
-                    Box::new(move || {
-                        h.fetch_add(1, Ordering::Relaxed);
-                        o.store(me, Ordering::Relaxed);
-                    }) as Box<dyn Fn()>
-                })
-                .collect();
-            let refs: Vec<&dyn Fn()> = fns.iter().map(|b| &**b).collect();
-            ctx.sections(&refs);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(
-                h.load(Ordering::Relaxed),
-                1,
-                "section {i} runs exactly once"
-            );
-            assert_eq!(owner[i].load(Ordering::Relaxed), i % 3, "round-robin owner");
-        }
     }
 
     #[test]
