@@ -528,6 +528,37 @@ if [[ $quick -eq 0 ]]; then
     done
     echo "    report union byte-identical across kill/resume ($(echo "$a_reports" | wc -l) windows)"
 
+    # Run C: the always-on loop with a 5 s poll. A minute renamed into
+    # the spool after start must be reported within 2 s, which only the
+    # spool watch can do: the poll alone scans 2.5-5 s later.
+    mkdir -p "$ingest_dir/spoolC" "$ingest_dir/stageC"
+    cp "${minute_files[@]:4:2}" "$ingest_dir/spoolC/"
+    cp "${minute_files[6]}" "$ingest_dir/stageC/"
+    target/release/das_ingest --spool "$ingest_dir/spoolC" --out "$ingest_dir/outC" \
+        --window 1 --poll-ms 5000 >"$ingest_dir/ingestC.log" 2>&1 &
+    ingest_pid=$!
+    # The first report means the first scan is over and the loop waits.
+    for _ in $(seq 1 200); do
+        compgen -G "$ingest_dir/outC/window_000000_*.json" >/dev/null && break
+        sleep 0.1
+    done
+    mv "$ingest_dir/stageC/$(basename "${minute_files[6]}")" "$ingest_dir/spoolC/"
+    t0=$(date +%s%N)
+    while (($(date +%s%N) - t0 < 2000000000)); do
+        compgen -G "$ingest_dir/outC/window_000001_*.json" >/dev/null && break
+        sleep 0.05
+    done
+    woke=0
+    compgen -G "$ingest_dir/outC/window_000001_*.json" >/dev/null && woke=1
+    kill -TERM "$ingest_pid" 2>/dev/null || true
+    wait "$ingest_pid" 2>/dev/null || true
+    if [[ $woke -ne 1 ]]; then
+        echo "ingest: a minute renamed into a --poll-ms 5000 spool was not reported within 2 s" >&2
+        cat "$ingest_dir/ingestC.log" >&2
+        exit 1
+    fi
+    echo "    run C: a minute renamed in under --poll-ms 5000 was reported within 2 s"
+
     # Telemetry gate: liveness probes, windowed rates, and the panic
     # flight recorder. Three claims, each checked with the real
     # binaries: Health answers with a nonzero uptime; a request burst

@@ -80,7 +80,8 @@ fn usage() -> ! {
          \x20 --lateness <minutes>   watermark grace for out-of-order arrival (default 1)\n\
          \x20 --max-attempts <n>     validation attempts before quarantine (default 3)\n\
          \x20 --backoff-ms <ms>      first retry backoff, doubles per attempt (default 50)\n\
-         \x20 --poll-ms <ms>         longest sleep between spool scans (default 200)\n\
+         \x20 --poll-ms <ms>         longest wait between spool scans; an arrival ends\n\
+         \x20                        it early where the spool can be watched (default 200)\n\
          \x20 --inflight <n>         sealed windows buffered ahead of detection (default 4)\n\
          \x20 --threads <n>          evaluator engine threads (default 2)\n\
          \x20 --job <name>           built-in pipeline: interferometry (default),\n\

@@ -28,6 +28,7 @@
 use super::journal::{write_atomic, Checkpoint};
 use super::spool::{SpoolEvent, SpoolScanner, DUPLICATE_DIR, LATE_DIR, QUARANTINE_DIR};
 use super::stream::{Admit, MinuteIndex, WindowData};
+use super::watch::SpoolWatch;
 use crate::dasa::{execute, run as run_job, Analysis, AnalysisOutput, Haee, InterferometryParams};
 use crate::dass::Timestamp;
 use crate::{DassaError, Result};
@@ -93,8 +94,11 @@ pub struct IngestConfig {
     pub max_attempts: u32,
     /// First retry backoff; doubles per attempt, jittered.
     pub base_backoff: Duration,
-    /// Longest idle sleep between spool scans in the always-on loop;
-    /// each sleep is drawn from `[poll/2, poll)`.
+    /// Longest wait between spool scans in the always-on loop; each
+    /// wait is drawn from `[poll/2, poll)`. A file landing in the spool
+    /// ends the wait at once where the spool can be watched (Linux
+    /// inotify); `poll` still bounds how late a retry, the stop flag
+    /// and, without a watch, an arrival is seen.
     pub poll: Duration,
     /// Sealed windows buffered between scanner and evaluator; the
     /// memory bound and the backpressure threshold.
@@ -267,6 +271,10 @@ impl WindowQueue {
         }
     }
 
+    fn is_closed(&self) -> bool {
+        self.state.lock().unwrap_or_else(|p| p.into_inner()).closed
+    }
+
     fn close(&self) {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         st.closed = true;
@@ -292,7 +300,8 @@ pub fn run_once(cfg: &IngestConfig) -> Result<IngestSummary> {
     run_loop(cfg, None)
 }
 
-/// The always-on loop: poll the spool at `cfg.poll`, admit arrivals,
+/// The always-on loop: scan the spool whenever a file lands in it (and
+/// at least every `cfg.poll`), admit arrivals,
 /// seal windows as the watermark (newest arrival − `lateness_minutes`)
 /// passes them, until `stop` becomes true. Designed to be killed hard:
 /// every externally visible effect (reports, checkpoint, quarantine
@@ -330,8 +339,14 @@ fn run_loop(cfg: &IngestConfig, stop: Option<&AtomicBool>) -> Result<IngestSumma
 
     let queue = WindowQueue::new(cfg.max_inflight);
     let cells = SummaryCells::default();
+    // The caller's fault plan reaches the evaluator's writes too.
+    let plan = faultline::current();
     let mut state = MainState {
         cfg,
+        // Made before the first scan, so no arrival falls between a
+        // listing and a wait. Drain mode never waits for arrivals and
+        // makes none: closing an inotify instance costs milliseconds.
+        watch: stop.map(|_| SpoolWatch::new(&cfg.spool)),
         scanner: SpoolScanner::new(cfg.spool.clone(), cfg.max_attempts, cfg.base_backoff),
         index: MinuteIndex::new(),
         base: resumed.map(|cp| cp.base_minute),
@@ -344,6 +359,7 @@ fn run_loop(cfg: &IngestConfig, stop: Option<&AtomicBool>) -> Result<IngestSumma
         // Each side closes the queue however it exits — an error or a
         // panic included — so the other never waits on it for ever.
         let evaluator = s.spawn(|| {
+            let _plan = plan.map(faultline::PlanGuard::install);
             let _close = CloseOnDrop(&queue);
             evaluator_loop(cfg, &queue, &checkpoint_path, &cells)
         });
@@ -361,6 +377,8 @@ fn run_loop(cfg: &IngestConfig, stop: Option<&AtomicBool>) -> Result<IngestSumma
 
 struct MainState<'a> {
     cfg: &'a IngestConfig,
+    /// Ends idle waits when a file lands (always-on loop only).
+    watch: Option<SpoolWatch>,
     scanner: SpoolScanner,
     index: MinuteIndex,
     /// Window anchor, pinned at the first seal (or restored).
@@ -407,6 +425,11 @@ impl MainState<'_> {
                     return Ok(());
                 }
             }
+            // A failed evaluator closed the queue: nothing sealed from
+            // here on could be reported, and its error is the result.
+            if queue.is_closed() {
+                return Ok(());
+            }
             let events = self.scanner.poll()?;
             for event in events {
                 self.handle(event, cells)?;
@@ -438,7 +461,10 @@ impl MainState<'_> {
                 .next_ready_in(Instant::now())
                 .map_or(idle, |d| d.min(idle));
             if !wait.is_zero() {
-                std::thread::sleep(wait);
+                match &self.watch {
+                    Some(watch) => watch.wait(wait),
+                    None => std::thread::sleep(wait),
+                }
             }
         }
     }
@@ -905,6 +931,108 @@ mod tests {
         // 5 minutes, watermark 5−1=4 → windows [0,2) and [2,4).
         assert_eq!(summary.windows_emitted, 2);
         assert_eq!(summary.admitted, 5);
+    }
+
+    #[test]
+    fn an_arrival_wakes_a_long_poll() {
+        let src = make_files("daemon-wake-src", "170728224510", 4, 4, 240);
+        let mut names: Vec<_> = std::fs::read_dir(&src)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        let spool = fresh_out("daemon-wake-spool");
+        std::fs::create_dir_all(&spool).unwrap();
+        let deliver = |names: &[std::ffi::OsString]| {
+            for n in names {
+                std::fs::rename(src.join(n), spool.join(n)).unwrap();
+            }
+        };
+        deliver(&names[..2]);
+        let out = fresh_out("daemon-wake");
+        let mut cfg = fast_cfg(spool.clone(), out.clone());
+        cfg.lateness_minutes = 0;
+        cfg.poll = Duration::from_secs(30);
+        let stop = AtomicBool::new(false);
+        let reported_within = |n: usize, limit: Duration| {
+            let t0 = Instant::now();
+            while reports(&out).len() < n && t0.elapsed() < limit {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            t0.elapsed()
+        };
+        let (took, summary) = std::thread::scope(|s| {
+            let h = s.spawn(|| run(&cfg, &stop));
+            // Window 0's report: the first scan is over, the loop waits.
+            reported_within(1, Duration::from_secs(20));
+            deliver(&names[2..]);
+            let took = reported_within(2, Duration::from_secs(3));
+            stop.store(true, Ordering::Relaxed);
+            // Ring the doorbell so the loop sees the flag now.
+            std::fs::write(spool.join("stop.tmp"), b"").unwrap();
+            (took, h.join().unwrap())
+        });
+        assert!(took < Duration::from_secs(3), "window 1 after {took:?}");
+        assert_eq!(summary.unwrap().windows_emitted, 2);
+    }
+
+    #[test]
+    fn a_failed_report_write_is_a_typed_error_and_a_rerun_heals() {
+        use faultline::{key_of, site, FaultPlan};
+        let out_ref = fresh_out("daemon-enospc-ref");
+        let spool_ref = make_files("daemon-enospc-ref", "170728224510", 6, 4, 240);
+        run_once(&fast_cfg(spool_ref, out_ref.clone())).unwrap();
+
+        // A plan under which window 1's report cannot be written while
+        // window 0's report and the checkpoint can.
+        let m0 = Timestamp::parse("170728224510").unwrap().epoch_minutes();
+        let plan = (0u64..)
+            .map(|seed| FaultPlan::new(seed).with(site::INGEST_REPORT_WRITE, 0.5))
+            .find(|p| {
+                let fires =
+                    |name: &str| p.fires(site::INGEST_REPORT_WRITE, key_of(name.as_bytes()));
+                !fires(&report_name(0, m0))
+                    && fires(&report_name(1, m0 + 2))
+                    && !fires("checkpoint.json")
+            })
+            .expect("some seed fails exactly window 1");
+        let out = fresh_out("daemon-enospc");
+        let spool = make_files("daemon-enospc", "170728224510", 6, 4, 240);
+        let cfg = fast_cfg(spool, out.clone());
+        let err = faultline::with_plan(std::sync::Arc::new(plan), || run_once(&cfg)).unwrap_err();
+        assert!(matches!(err, DassaError::Io(_)), "{err}");
+        // Window 0 published and committed, window 1 neither, no `.tmp`.
+        let mut left: Vec<String> = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["checkpoint.json".to_string(), report_name(0, m0)]);
+        let cp = Checkpoint::load(&cfg.checkpoint_path()).unwrap().unwrap();
+        assert_eq!(cp.next_window, 1, "no commit past the missing report");
+        // A clean rerun finishes the run byte for byte.
+        run_once(&cfg).unwrap();
+        assert_eq!(concat_reports(&out), concat_reports(&out_ref));
+    }
+
+    #[test]
+    fn the_always_on_loop_ends_when_its_evaluator_fails() {
+        use faultline::{site, FaultPlan};
+        let spool = make_files("daemon-enospc-loop", "170728224510", 2, 4, 240);
+        let mut cfg = fast_cfg(spool, fresh_out("daemon-enospc-loop"));
+        cfg.lateness_minutes = 0;
+        let plan = std::sync::Arc::new(FaultPlan::new(1).with(site::INGEST_REPORT_WRITE, 1.0));
+        // A detached watchdog: a loop that never ends fails the test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let stop = AtomicBool::new(false);
+            tx.send(faultline::with_plan(plan, || run(&cfg, &stop)))
+                .ok();
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("run returns without a stop signal");
+        assert!(matches!(result, Err(DassaError::Io(_))), "{result:?}");
     }
 
     #[test]

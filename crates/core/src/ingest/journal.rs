@@ -16,6 +16,7 @@
 //! duplicate windows, which is the property the chaos suite's
 //! kill-and-resume matrix pins down.
 
+use faultline::{fires, key_of, site};
 use obs::json::{parse, JsonValue, JsonWriter};
 use std::fs;
 use std::io::{self, Write};
@@ -93,18 +94,17 @@ impl Checkpoint {
 /// Write `bytes` to `path` crash-consistently: sibling `.tmp`, fsync,
 /// atomic rename over the target, fsync of the parent directory so the
 /// rename itself survives power loss. Shared by the checkpoint journal
-/// and the window reports.
+/// and the window reports. On error the `.tmp` is gone and `path` holds
+/// what it held before.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+    if let Err(e) = publish(&tmp, path, bytes) {
+        fs::remove_file(&tmp).ok();
+        return Err(e);
     }
-    fs::rename(&tmp, path)?;
     if let Some(dir) = dir {
         // Directory fsync is best-effort on filesystems that refuse
         // opening directories; the rename is already atomic.
@@ -113,6 +113,22 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Write and sync `tmp`, then rename it over `path`. The
+/// `ingest.report.write` fault site fails the write.
+fn publish(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = fs::File::create(tmp)?;
+    let name = path.file_name().unwrap_or_default();
+    if fires(site::INGEST_REPORT_WRITE, key_of(name.as_encoded_bytes())) {
+        return Err(io::Error::other(
+            "faultline: injected write failure (ingest.report.write)",
+        ));
+    }
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    fs::rename(tmp, path)
 }
 
 #[cfg(test)]
@@ -169,5 +185,28 @@ mod tests {
         write_atomic(&path, b"old").unwrap();
         write_atomic(&path, b"new").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new");
+    }
+
+    #[test]
+    fn a_failed_publish_leaves_no_tmp_behind() {
+        let dir = tmpdir("failed-publish");
+        // A non-empty directory squats on the report's name, so the
+        // rename over it fails after the `.tmp` was written.
+        let path = dir.join("window_000000.json");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(write_atomic(&path, b"{}").is_err());
+        assert!(!dir.join("window_000000.json.tmp").exists());
+    }
+
+    #[test]
+    fn an_injected_write_failure_publishes_nothing() {
+        use faultline::FaultPlan;
+        let path = tmpdir("injected").join("checkpoint.json");
+        write_atomic(&path, b"old").unwrap();
+        let plan = std::sync::Arc::new(FaultPlan::new(1).with(site::INGEST_REPORT_WRITE, 1.0));
+        let err = faultline::with_plan(plan, || write_atomic(&path, b"new")).unwrap_err();
+        assert!(err.to_string().contains("ingest.report.write"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old");
+        assert!(!path.with_extension("json.tmp").exists());
     }
 }

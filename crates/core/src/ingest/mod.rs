@@ -53,6 +53,7 @@ mod journal;
 mod probe;
 mod spool;
 mod stream;
+mod watch;
 
 pub use daemon::{run, run_once, IngestConfig, IngestJob, IngestSummary};
 pub use journal::Checkpoint;

@@ -98,6 +98,12 @@ pub mod site {
     /// scanner re-queues the same path once — models at-least-once
     /// upstream transports. Key: hash of file name.
     pub const INGEST_ARRIVAL_DUPLICATE: &str = "ingest.arrival.duplicate";
+    /// An ingest output write (a window report or the checkpoint
+    /// journal) fails with an I/O error after its `.tmp` was created —
+    /// a full or failing disk. The `.tmp` is removed and nothing is
+    /// published under the final name. Key: hash of the target's file
+    /// name.
+    pub const INGEST_REPORT_WRITE: &str = "ingest.report.write";
 
     /// Every site this workspace injects at, for spec validation and
     /// docs.
@@ -116,5 +122,6 @@ pub mod site {
         INGEST_SPOOL_TORN,
         INGEST_ARRIVAL_DELAY,
         INGEST_ARRIVAL_DUPLICATE,
+        INGEST_REPORT_WRITE,
     ];
 }

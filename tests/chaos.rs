@@ -660,8 +660,9 @@ fn ingest_chaos_outcomes(tag: &str, seed: u64, stages: &[std::ops::Range<usize>]
     cfg.base_backoff = std::time::Duration::from_millis(1);
     cfg.poll = std::time::Duration::from_millis(1);
 
-    // Thread-local install: validation and window reads both happen on
-    // this thread (the daemon keeps faulted I/O off the evaluator).
+    // Thread-local install: validation and window reads happen on this
+    // thread, and the daemon hands the plan to its evaluator, which
+    // only writes (no plan here names `ingest.report.write`).
     let _guard = faultline::PlanGuard::install(ingest_chaos_plan(seed));
     let mut lines = Vec::new();
     for stage in stages {
