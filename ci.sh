@@ -309,9 +309,10 @@ if [[ $quick -eq 0 ]]; then
     done
 
     # dasl gate: the example .das program, compiled to bytecode and run
-    # through the VM, must be byte-identical to the hand-wired pipeline
-    # it describes — and the bytecode must actually fuse the adjacent
-    # element-wise stages (dasl.fused_stages > 0 in the metrics).
+    # through the VM, must be byte-identical to `-a interferometry`, the
+    # named program it spells out — and the bytecode must actually fuse
+    # the adjacent element-wise stages (dasl.fused_stages > 0 in the
+    # metrics).
     echo "==> dasl: --program vs hand-wired byte-identity + fusion gate"
     dasl_dir="$ci_tmp/dasl"
     mkdir "$dasl_dir"
@@ -351,6 +352,33 @@ if [[ $quick -eq 0 ]]; then
         fi
     done
     echo "    byte-identical, $(grep -oE '"dasl\.fused_stages":[0-9]+' "$dasl_dir/m.json" | cut -d: -f2) stages fused; oversized kernel arguments exit 2"
+    # `-a` names a program: each analysis and its dasl spelling at the
+    # ops' own defaults must write the same file.
+    for row in 'localsim|load("corpus") | localsim' \
+        'stack|load("corpus") | stack(master=ch[0])'; do
+        analysis="${row%%|*}"
+        target/release/das_pipeline -d "$dasl_dir/corpus" -a "$analysis" \
+            -o "$dasl_dir/a_$analysis.dasf" >/dev/null 2>&1
+        target/release/das_pipeline -d "$dasl_dir/corpus" --eval "${row#*|}" \
+            -o "$dasl_dir/eval_$analysis.dasf" >/dev/null 2>&1
+        if ! cmp "$dasl_dir/a_$analysis.dasf" "$dasl_dir/eval_$analysis.dasf"; then
+            echo "dasl: -a $analysis diverged from --eval '${row#*|}'" >&2
+            exit 1
+        fi
+    done
+    # A flag the named analysis has no parameter for is a bad
+    # invocation, not something to drop.
+    for bad in 'interferometry --window' 'localsim --master'; do
+        rc=0
+        target/release/das_pipeline -d "$dasl_dir/corpus" -a ${bad% *} ${bad#* } 3 \
+            >/dev/null 2>"$dasl_dir/flag.log" || rc=$?
+        if [[ $rc -ne 2 ]] || ! grep -qF -- "${bad#* } does not apply to -a ${bad% *}" "$dasl_dir/flag.log"; then
+            echo "dasl: -a $bad 3 exited $rc, want 2 naming the flag and the analysis:" >&2
+            tail -n 5 "$dasl_dir/flag.log" >&2
+            exit 1
+        fi
+    done
+    echo "    -a localsim and -a stack equal their --eval spellings; inapplicable -a flags exit 2"
 
     # dassd gate: stand the data server up over a generated corpus, run
     # a query and an overload burst against it, then check the shutdown

@@ -45,14 +45,15 @@ fn main() {
 
     // ---------------- DASSA ------------------------------------------
     let (data64, dassa_read_s) = time(|| vca.read_all_f64().expect("read"));
-    let (dassa_scores, dassa_compute_s) = time(|| {
-        interferometry(&data64, &params, &Haee::builder().threads(threads).build())
-            .expect("dassa pipeline")
+    let haee = Haee::builder().threads(threads).build();
+    let (dassa_out, dassa_compute_s) = time(|| {
+        dasa::run(&Analysis::Interferometry(params), &data64, &haee).expect("dassa pipeline")
     });
+    let dassa_scores = dassa_out.as_scores().expect("one score per channel");
     let out_path = dir.join("fig9.dassa.out.dasf");
     let ((), dassa_write_s) = time(|| {
         let mut w = dasf::Writer::create(&out_path).expect("writer");
-        w.write_dataset_f64("/scores", &[dassa_scores.len() as u64], &dassa_scores)
+        w.write_dataset_f64("/scores", &[dassa_scores.len() as u64], dassa_scores)
             .expect("write");
         w.finish().expect("finish");
     });

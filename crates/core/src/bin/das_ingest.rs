@@ -84,8 +84,8 @@ fn usage() -> ! {
          \x20                        it early where the spool can be watched (default 200)\n\
          \x20 --inflight <n>         sealed windows buffered ahead of detection (default 4)\n\
          \x20 --threads <n>          evaluator engine threads (default 2)\n\
-         \x20 --job <name>           built-in pipeline: interferometry (default),\n\
-         \x20                        local_similarity, stacking\n\
+         \x20 --job <name>           built-in analysis: interferometry (default),\n\
+         \x20                        local_similarity|localsim, stacking|stack\n\
          \x20 --eval '<program>'     run a dasl program per window instead of --job\n\
          \x20 --metrics[=<file>]     dump the obs registry on exit (stderr or file)\n\
          \x20 --probe-addr <addr>    serve Ping/Health/Metrics/MetricsSeries probes locally\n\
@@ -145,20 +145,13 @@ fn parse_args() -> Args {
             "--poll-ms" => poll_ms = numeric("--poll-ms", &value("--poll-ms")),
             "--inflight" => inflight = numeric("--inflight", &value("--inflight")),
             "--threads" => threads = numeric("--threads", &value("--threads")),
-            "--job" => {
-                let name = value("--job");
-                job = Some(IngestJob::Analysis(match name.as_str() {
-                    "interferometry" => dassa::dasa::Analysis::Interferometry(Default::default()),
-                    "local_similarity" => {
-                        dassa::dasa::Analysis::LocalSimilarity(Default::default())
-                    }
-                    "stacking" => dassa::dasa::Analysis::Stacking(Default::default()),
-                    other => {
-                        eprintln!("unknown --job {other:?} (want interferometry, local_similarity, or stacking)");
-                        usage()
-                    }
-                }));
-            }
+            "--job" => match Analysis::from_name(&value("--job")) {
+                Ok(analysis) => job = Some(IngestJob::Analysis(analysis)),
+                Err(e) => {
+                    eprintln!("das_ingest: {e}");
+                    usage()
+                }
+            },
             "--eval" => {
                 let src = value("--eval");
                 match dasl::compile(&src) {

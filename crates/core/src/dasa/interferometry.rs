@@ -86,7 +86,7 @@ impl InterferometryParams {
 /// detrend → zero-phase bandpass → resample.
 ///
 /// # Panics
-/// Panics on parameters [`interferometry`] reports as an error (filter
+/// Panics on parameters [`run`](super::run) reports as an error (filter
 /// order, band or resampling ratio outside what the engine prepares) and
 /// on a row too short to filter.
 pub fn preprocess_channel(x: &[f64], p: &InterferometryParams) -> Vec<f64> {
@@ -145,40 +145,6 @@ pub(super) fn master_spectrum(raw: &[f64], chain: &[RowKernel], n_out: usize) ->
     }
 }
 
-/// Run the interferometry pipeline over every channel with the hybrid
-/// engine's threads. Returns one correlation score per channel.
-///
-/// The master spectrum is computed **once** and shared by all threads —
-/// the paper's hybrid-execution advantage.
-pub fn interferometry(
-    data: &Array2<f64>,
-    params: &InterferometryParams,
-    haee: &Haee,
-) -> Result<Vec<f64>> {
-    if params.master_channel >= data.rows() {
-        return Err(DassaError::BadSelection(format!(
-            "master channel {} out of range for {} channels",
-            params.master_channel,
-            data.rows()
-        )));
-    }
-    let chain = params.chain()?;
-    let n_out = chain_out_len(&chain, data.cols())?;
-    let _root = obs::span("interferometry");
-    let master = {
-        let _span = obs::span("prepare_master");
-        master_spectrum(data.row(params.master_channel), &chain, n_out)
-    };
-    let _span = obs::span("apply");
-    Ok(score_rows(
-        data,
-        &chain,
-        &master,
-        Some(params.master_channel),
-        haee,
-    ))
-}
-
 /// Distributed variant. The master channel lives on the rank that owns
 /// it; it is broadcast once (its *spectrum*), then each rank processes
 /// its channel block. In pure-MPI mode every rank holds a master copy
@@ -235,6 +201,17 @@ pub fn cross_correlation_with_master(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dasa::{run, Analysis};
+
+    /// `Analysis::Interferometry(p)`'s scores on `threads` threads.
+    fn scores(data: &Array2<f64>, p: &InterferometryParams, threads: usize) -> Result<Vec<f64>> {
+        let haee = Haee::builder().threads(threads).build();
+        let out = run(&Analysis::Interferometry(*p), data, &haee)?;
+        Ok(out
+            .as_scores()
+            .expect("interferometry scores channels")
+            .to_vec())
+    }
 
     /// Band-limited deterministic test signal with per-channel phase.
     fn channel_signal(ch: usize, n: usize, coherent: bool) -> Vec<f64> {
@@ -285,7 +262,7 @@ mod tests {
         // is scored from its own spectrum).
         let x = channel_signal(0, 600, true);
         let data = Array2::from_vec(2, 600, [x.clone(), x].concat());
-        let scores = interferometry(&data, &params(), &Haee::builder().threads(1).build()).unwrap();
+        let scores = scores(&data, &params(), 1).unwrap();
         assert!(
             (scores[1] - 1.0).abs() < 1e-9,
             "self-correlation = {}",
@@ -297,7 +274,7 @@ mod tests {
     fn scores_lie_in_unit_interval() {
         let p = params();
         let data = array(6, 500, false);
-        let scores = interferometry(&data, &p, &Haee::builder().threads(2).build()).unwrap();
+        let scores = scores(&data, &p, 2).unwrap();
         assert_eq!(scores.len(), 6);
         for &s in &scores {
             assert!((0.0..=1.0 + 1e-9).contains(&s), "score {s}");
@@ -308,18 +285,8 @@ mod tests {
     #[test]
     fn coherent_channels_score_higher() {
         let p = params();
-        let coh = interferometry(
-            &array(5, 600, true),
-            &p,
-            &Haee::builder().threads(2).build(),
-        )
-        .unwrap();
-        let inc = interferometry(
-            &array(5, 600, false),
-            &p,
-            &Haee::builder().threads(2).build(),
-        )
-        .unwrap();
+        let coh = scores(&array(5, 600, true), &p, 2).unwrap();
+        let inc = scores(&array(5, 600, false), &p, 2).unwrap();
         let mean = |v: &[f64]| v[1..].iter().sum::<f64>() / (v.len() - 1) as f64;
         assert!(
             mean(&coh) > mean(&inc),
@@ -333,8 +300,8 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let p = params();
         let data = array(7, 400, true);
-        let one = interferometry(&data, &p, &Haee::builder().threads(1).build()).unwrap();
-        let four = interferometry(&data, &p, &Haee::builder().threads(4).build()).unwrap();
+        let one = scores(&data, &p, 1).unwrap();
+        let four = scores(&data, &p, 4).unwrap();
         assert_eq!(one, four);
     }
 
@@ -343,7 +310,7 @@ mod tests {
         let p = params();
         let total = 9;
         let data = array(total, 400, true);
-        let expected = interferometry(&data, &p, &Haee::builder().threads(1).build()).unwrap();
+        let expected = scores(&data, &p, 1).unwrap();
         let blocks = minimpi::run(3, |comm| {
             let own = dist::partition(total, comm.size(), comm.rank());
             let local = data.row_block(own.start, own.end);
@@ -362,7 +329,7 @@ mod tests {
         let total = 8;
         p.master_channel = 6; // owned by the last rank when size=2
         let data = array(total, 400, true);
-        let expected = interferometry(&data, &p, &Haee::builder().threads(1).build()).unwrap();
+        let expected = scores(&data, &p, 1).unwrap();
         let blocks = minimpi::run(2, |comm| {
             let own = dist::partition(total, comm.size(), comm.rank());
             let local = data.row_block(own.start, own.end);
@@ -381,7 +348,7 @@ mod tests {
         p.master_channel = 99;
         let data = array(3, 400, true);
         assert!(matches!(
-            interferometry(&data, &p, &Haee::builder().threads(1).build()),
+            scores(&data, &p, 1),
             Err(DassaError::BadSelection(_))
         ));
     }

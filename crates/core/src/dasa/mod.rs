@@ -2,8 +2,12 @@
 //!
 //! Couples DasLib kernels (the [`dsp`] crate) with the Hybrid ArrayUDF
 //! Execution Engine ([`Haee`]) and ships the paper's two case-study
-//! pipelines: [`local_similarity`] (earthquake detection via Algorithm 2)
-//! and [`interferometry`] (traffic-noise interferometry via Algorithm 3).
+//! pipelines — earthquake detection by [`local_similarity`]
+//! (Algorithm 2) and traffic-noise interferometry (Algorithm 3) — plus
+//! window [stacking](stacked_interferometry). Each is an [`Analysis`]: a
+//! named `dasl` program that the VM ([`execute`]) runs, bound at a
+//! Nyquist of 1 so its band corners, fractions of Nyquist, keep their
+//! bits. [`run`] is the one dispatcher.
 
 mod haee;
 mod interferometry;
@@ -15,8 +19,8 @@ mod vm;
 
 pub use haee::{Haee, HaeeBuilder};
 pub use interferometry::{
-    cross_correlation_with_master, interferometry, interferometry_dist, prepare_master,
-    preprocess_channel, InterferometryParams, MasterSpectrum,
+    cross_correlation_with_master, interferometry_dist, prepare_master, preprocess_channel,
+    InterferometryParams, MasterSpectrum,
 };
 pub use local_similarity::{local_similarity, local_similarity_dist, LocalSimiParams};
 pub use run::{run, Analysis, AnalysisOutput, Job};

@@ -21,9 +21,10 @@
 //!
 //! * [`dasa`] — the **DAS data Analysis engine**: the hybrid ArrayUDF
 //!   execution engine ([`dasa::Haee`]) and the two flagship pipelines,
-//!   [`dasa::local_similarity`] (earthquake detection, Algorithm 2) and
-//!   [`dasa::interferometry`] (traffic-noise interferometry,
-//!   Algorithm 3), built on DasLib kernels from the [`dsp`] crate.
+//!   local similarity (earthquake detection, Algorithm 2) and
+//!   traffic-noise interferometry (Algorithm 3), built on DasLib kernels
+//!   from the [`dsp`] crate. Each is a [`dasa::Analysis`], a named `dasl`
+//!   program that [`dasa::run`] executes on the VM.
 //!
 //! A third module, [`dassd`], wraps both engines in a long-running TCP
 //! server (the `das_serve` binary) with a shared chunk cache, admission

@@ -30,19 +30,3 @@ mod writer;
 pub use events::Event;
 pub use scene::Scene;
 pub use writer::{write_minute_files, write_minute_files_with_codec};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_scale_scene_constructs() {
-        // The real acquisition's parameters (not rendered here — just the
-        // arithmetic).
-        let scene = Scene::paper_scale(42);
-        assert_eq!(scene.channels, 11648);
-        assert_eq!(scene.sampling_hz, 500.0);
-        let samples_per_minute = (scene.sampling_hz * 60.0) as usize;
-        assert_eq!(samples_per_minute, 30000);
-    }
-}

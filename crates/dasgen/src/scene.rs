@@ -27,20 +27,6 @@ pub struct Scene {
 }
 
 impl Scene {
-    /// The paper's acquisition geometry with no events.
-    pub fn paper_scale(seed: u64) -> Scene {
-        Scene {
-            channels: 11648,
-            sampling_hz: 500.0,
-            spatial_resolution_m: 2.0,
-            noise_level: 1.0,
-            events: Vec::new(),
-            dead_channels: Vec::new(),
-            noisy_channels: Vec::new(),
-            seed,
-        }
-    }
-
     /// A laptop-friendly scaled-down geometry keeping the paper's
     /// structure (the scaling applied throughout local experiments).
     pub fn small(channels: usize, sampling_hz: f64, seed: u64) -> Scene {

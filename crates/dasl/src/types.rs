@@ -336,7 +336,8 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                 ],
             )?;
             let (channels, samples) = want_waveforms(stage, input)?;
-            let window = positive(stage, "window", &bound[0], 512)?;
+            let d = StackSpec::default();
+            let window = positive(stage, "window", &bound[0], d.window)?;
             let hop = positive(stage, "hop", &bound[1], window)?;
             let (master, mspan) = bound[2].as_ref().map_or((0, stage.name_span), chan);
             if let Dim::Known(c) = channels {
@@ -365,6 +366,7 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                     window,
                     hop,
                     master,
+                    ..d
                 }),
                 Ty::Stacks { channels },
             ))

@@ -35,11 +35,6 @@ pub fn envelope(x: &[f64]) -> Vec<f64> {
     analytic(x).iter().map(|z| z.abs()).collect()
 }
 
-/// Instantaneous phase of the analytic signal, radians in (−π, π].
-pub fn instantaneous_phase(x: &[f64]) -> Vec<f64> {
-    analytic(x).iter().map(|z| z.arg()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,22 +90,6 @@ mod tests {
         for (i, z) in a.iter().enumerate().skip(8).take(n - 16) {
             let expect_im = (w * i as f64).sin();
             assert!((z.im - expect_im).abs() < 1e-6, "i={i}");
-        }
-    }
-
-    #[test]
-    fn phase_advances_linearly_for_tone() {
-        let n = 256;
-        let w = 2.0 * std::f64::consts::PI * 4.0 / n as f64;
-        let x: Vec<f64> = (0..n).map(|i| (w * i as f64).cos()).collect();
-        let ph = instantaneous_phase(&x);
-        // Unwrapped phase difference between consecutive samples ≈ w.
-        for i in 20..60 {
-            let mut d = ph[i + 1] - ph[i];
-            if d < -std::f64::consts::PI {
-                d += 2.0 * std::f64::consts::PI;
-            }
-            assert!((d - w).abs() < 1e-6, "i={i}: {d} vs {w}");
         }
     }
 

@@ -95,10 +95,10 @@ pub use correlate::{
 pub use detrend::{detrend, detrend_constant, detrend_constant_in_place, detrend_in_place};
 pub use fft::{fft, fft_real, ifft, ifft_real, FftPlan};
 pub use filter::{filtfilt, lfilter, lfilter_zi, FiltFilt};
-pub use hilbert::{analytic, envelope, instantaneous_phase};
+pub use hilbert::{analytic, envelope};
 pub use interp::interp1;
-pub use normalize::{clip_std, one_bit, one_bit_in_place, running_abs_mean, running_abs_mean_into};
+pub use normalize::{one_bit, one_bit_in_place, running_abs_mean, running_abs_mean_into};
 pub use resample::{decimate, resample, Resampler};
 pub use stft::{spectrogram, Spectrogram};
 pub use whiten::{whiten, Whitener};
-pub use window::{hamming, hann, kaiser, tukey};
+pub use window::{hann, kaiser};

@@ -65,20 +65,6 @@ pub fn running_abs_mean_into(x: &[f64], half: usize, out: &mut Vec<f64>, prefix:
     }));
 }
 
-/// Clip samples beyond `k` standard deviations (another common
-/// transient-suppression step).
-pub fn clip_std(x: &[f64], k: f64) -> Vec<f64> {
-    if x.is_empty() {
-        return Vec::new();
-    }
-    let mean = x.iter().sum::<f64>() / x.len() as f64;
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / x.len() as f64;
-    let limit = k * var.sqrt();
-    x.iter()
-        .map(|&v| (v - mean).clamp(-limit, limit) + mean)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,19 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn clip_std_bounds_outliers() {
-        let mut x: Vec<f64> = (0..100).map(|i| ((i as f64) * 0.31).sin()).collect();
-        x[50] = 50.0;
-        let y = clip_std(&x, 3.0);
-        assert!(y[50] < x[50], "outlier clipped");
-        // In-range samples barely move.
-        assert!((y[10] - x[10]).abs() < 0.2);
-    }
-
-    #[test]
     fn empty_inputs() {
         assert!(one_bit(&[]).is_empty());
         assert!(running_abs_mean(&[], 4).is_empty());
-        assert!(clip_std(&[], 2.0).is_empty());
     }
 }

@@ -7,11 +7,6 @@ pub fn hann(n: usize) -> Vec<f64> {
     symmetric_cosine(n, 0.5, 0.5)
 }
 
-/// Hamming window of length `n`.
-pub fn hamming(n: usize) -> Vec<f64> {
-    symmetric_cosine(n, 0.54, 0.46)
-}
-
 fn symmetric_cosine(n: usize, a0: f64, a1: f64) -> Vec<f64> {
     match n {
         0 => Vec::new(),
@@ -58,33 +53,6 @@ pub fn kaiser(n: usize, beta: f64) -> Vec<f64> {
     }
 }
 
-/// Tukey (tapered cosine) window with taper fraction `alpha` in `[0,1]`;
-/// `alpha = 0` is rectangular, `alpha = 1` is Hann. Standard ambient-noise
-/// pre-processing taper.
-pub fn tukey(n: usize, alpha: f64) -> Vec<f64> {
-    let alpha = alpha.clamp(0.0, 1.0);
-    match n {
-        0 => Vec::new(),
-        1 => vec![1.0],
-        _ => {
-            let m = (n - 1) as f64;
-            let edge = alpha * m / 2.0;
-            (0..n)
-                .map(|i| {
-                    let t = i as f64;
-                    if t < edge {
-                        0.5 * (1.0 + (PI * (t / edge - 1.0)).cos())
-                    } else if t > m - edge {
-                        0.5 * (1.0 + (PI * ((t - m + edge) / edge)).cos())
-                    } else {
-                        1.0
-                    }
-                })
-                .collect()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,16 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn hamming_endpoints() {
-        let w = hamming(11);
-        assert!((w[0] - 0.08).abs() < 1e-12);
-        assert!((w[10] - 0.08).abs() < 1e-12);
-        assert!((w[5] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn windows_are_symmetric() {
-        for w in [hann(32), hamming(33), kaiser(40, 5.0), tukey(25, 0.4)] {
+        for w in [hann(32), hann(33), kaiser(40, 5.0), kaiser(25, 3.0)] {
             let n = w.len();
             for i in 0..n / 2 {
                 assert!((w[i] - w[n - 1 - i]).abs() < 1e-12, "asymmetry at {i}");
@@ -139,22 +99,9 @@ mod tests {
     }
 
     #[test]
-    fn tukey_extremes() {
-        for v in tukey(16, 0.0) {
-            assert!((v - 1.0).abs() < 1e-12);
-        }
-        let t = tukey(33, 1.0);
-        let h = hann(33);
-        for (a, b) in t.iter().zip(&h) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn degenerate_lengths() {
         assert!(hann(0).is_empty());
         assert_eq!(hann(1), vec![1.0]);
         assert_eq!(kaiser(1, 3.0), vec![1.0]);
-        assert_eq!(tukey(1, 0.5), vec![1.0]);
     }
 }

@@ -49,8 +49,9 @@ fn main() {
     };
 
     println!("running interferometry (Algorithm 3) over {channels} channels...");
-    let scores =
-        interferometry(&data, &params, &Haee::builder().threads(4).build()).expect("pipeline");
+    let haee = Haee::builder().threads(4).build();
+    let scores = dasa::run(&Analysis::Interferometry(params), &data, &haee).expect("pipeline");
+    let scores = scores.as_scores().expect("one score per channel");
     println!("\nchannel  |cos| vs master   xcorr peak lag (samples)");
     let master = prepare_master(data.row(0), &params);
     let mut lags = Vec::new();

@@ -124,8 +124,12 @@ fn distributed_pipelines_equal_single_process_results() {
         band: (0.02, 0.45),
         ..Default::default()
     };
-    let if_serial =
-        interferometry(&data, &if_params, &Haee::builder().threads(1).build()).expect("serial");
+    let haee = Haee::builder().threads(1).build();
+    let if_serial = dasa::run(&Analysis::Interferometry(if_params), &data, &haee).expect("serial");
+    let if_serial = if_serial
+        .as_scores()
+        .expect("one score per channel")
+        .to_vec();
     let read_plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, 4);
     let if_blocks = minimpi::run(4, |comm| {
         let (local32, _) = IoExecutor::new(comm).run(&read_plan).expect("read");

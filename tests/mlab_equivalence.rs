@@ -23,8 +23,9 @@ fn interferometry_pipeline_matches_native_bitwise_tolerance() {
         resample_q: 2,
         master_channel: 0,
     };
-    let native =
-        interferometry(&data, &params, &Haee::builder().threads(2).build()).expect("native");
+    let haee = Haee::builder().threads(2).build();
+    let native = dasa::run(&Analysis::Interferometry(params), &data, &haee).expect("native");
+    let native = native.as_scores().expect("one score per channel").to_vec();
 
     let mut interp = Interp::new();
     interp.set(
