@@ -1,7 +1,7 @@
 //! Per-row kernel chains over per-thread scratch.
 //!
-//! The VM's fused `apply`, the hand-wired interferometry and the stacked
-//! pipeline all do the same thing to a channel row: run a short chain of
+//! The VM's fused `apply` and `xcorr`, the distributed interferometry and
+//! the stacked pipeline all do the same thing to a channel row: run a short chain of
 //! [`dsp`] kernels over it, then (often) take its spectrum. The kernels
 //! are prepared once per run ([`RowKernel`]: filter coefficients solved,
 //! resampling FIR designed — for an order and a ratio inside the limits

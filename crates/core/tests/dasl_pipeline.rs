@@ -1,12 +1,12 @@
 //! End-to-end `dasl` pipeline tests: a compiled program, run against a
 //! real on-disk corpus through `IoPlan::for_load` and the `IoExecutor`,
-//! must be *byte-identical* to the hand-wired analysis it describes —
-//! and the bytecode must show the promised fusion.
+//! must be *byte-identical* to the named `Analysis` it spells out — and
+//! the bytecode must show the promised fusion.
 
 use dassa::prelude::*;
 
-/// The ISSUE's flagship example, lowered to the defaults the hand-wired
-/// interferometry pipeline uses at 500 Hz: 0.5 Hz = 0.002 × Nyquist,
+/// The flagship example, written for the defaults of
+/// `Analysis::Interferometry` at 500 Hz: 0.5 Hz = 0.002 × Nyquist,
 /// 24 Hz = 0.096 × Nyquist, resample 1:2.
 const EXAMPLE: &str =
     "load(\"corpus\") | detrend | bandpass(0.5, 24) | resample(2) | xcorr(master=ch[0])";
