@@ -8,6 +8,7 @@
 
 use super::haee::Haee;
 use arrayudf::{apply_mt, dist, Array2, Ghost, Stencil, Stride};
+use dasl::LocalSimSpec;
 use dsp::{energy, max_abscorr_lags};
 use minimpi::Comm;
 use std::borrow::Cow;
@@ -30,13 +31,31 @@ pub struct LocalSimiParams {
     pub time_stride: usize,
 }
 
+/// The defaults of a `dasl` `localsim` stage.
 impl Default for LocalSimiParams {
     fn default() -> Self {
+        LocalSimSpec::default().into()
+    }
+}
+
+impl From<LocalSimSpec> for LocalSimiParams {
+    fn from(s: LocalSimSpec) -> Self {
         LocalSimiParams {
-            half_window: 25,
-            channel_offset: 1,
-            search_half: 10,
-            time_stride: 25,
+            half_window: s.half_window as usize,
+            channel_offset: s.channel_offset as usize,
+            search_half: s.search_half as usize,
+            time_stride: s.time_stride as usize,
+        }
+    }
+}
+
+impl From<LocalSimiParams> for LocalSimSpec {
+    fn from(p: LocalSimiParams) -> Self {
+        LocalSimSpec {
+            half_window: p.half_window as u64,
+            channel_offset: p.channel_offset as u64,
+            search_half: p.search_half as u64,
+            time_stride: p.time_stride as u64,
         }
     }
 }
