@@ -2,12 +2,10 @@
 //!
 //! [`apply`] is the sequential engine; [`apply_mt`] is the DASSA paper's
 //! Algorithm 1 — the multithreaded Apply of the Hybrid ArrayUDF Execution
-//! Engine, with per-thread result vectors merged by a prefix scan.
+//! Engine, each thread writing the static block of results it owns.
 
 use crate::array::Array2;
 use crate::stencil::Stencil;
-use omp::SharedSlice;
-use std::sync::Mutex;
 
 /// Declared stencil reach. Not used for bounds (the stencil clamps) but
 /// for the distributed halo exchange, which must ship this many ghost
@@ -105,15 +103,15 @@ where
 
 /// Algorithm 1: multithreaded Apply (`ApplyMT`).
 ///
-/// Faithful to the paper's structure: an OpenMP parallel region; a
-/// `schedule(static)` worksharing loop appending to a **per-thread**
-/// result vector `Rp`; a barrier; a `single` block computing the prefix
-/// displacement of each thread's chunk; and a concurrent scatter
-/// `R[p[h-1] : p[h]] = Rp` into the shared result.
+/// The paper's `schedule(static)` loop appends each thread's results to
+/// a private vector `Rp`, then a barrier, a `single` prefix scan over the
+/// `Rp` sizes and a scatter `R[p[h-1] : p[h]] = Rp` place them. Every
+/// evaluated cell yields exactly one result, so `p[h]` is the static
+/// block boundary, known before the region: each thread's `Rp` *is* its
+/// block of `R`, written in place ([`omp::for_blocks`]).
 ///
-/// Because the static schedule hands each thread a contiguous block of
-/// flattened indices, the merged result is identical to [`apply`]'s —
-/// asserted by tests and usable as a differential oracle.
+/// The result is therefore identical to [`apply`]'s — asserted by tests
+/// and usable as a differential oracle.
 pub fn apply_mt<T, R, F>(
     input: &Array2<T>,
     ghost: Ghost,
@@ -127,52 +125,42 @@ where
     F: Fn(&Stencil<T>) -> R + Sync,
 {
     let _ = ghost;
+    let (out_rows, out_cols) = output_dims(input.rows(), input.cols(), stride);
+    let out = apply_cells(out_rows * out_cols, threads, |i| {
+        let (orow, ocol) = (i / out_cols, i % out_cols);
+        f(&Stencil::new(
+            input,
+            orow * stride.channel,
+            ocol * stride.time,
+        ))
+    });
+    Array2::from_vec(out_rows, out_cols, out)
+}
+
+/// The body of Algorithm 1 shared by [`apply_mt`] and
+/// [`crate::dist::apply_dist`]: evaluate `cell(i)` for every flattened
+/// output cell `i` of `0..total`, each thread writing its static block.
+pub(crate) fn apply_cells<R, F>(total: usize, threads: usize, cell: F) -> Vec<R>
+where
+    R: Copy + Default + Send,
+    F: Fn(usize) -> R + Sync,
+{
     let m = crate::metrics::metrics();
     m.apply_calls.inc();
-    let (out_rows, out_cols) = output_dims(input.rows(), input.cols(), stride);
-    let total = out_rows * out_cols;
-    let result: SharedSlice<R> = SharedSlice::from_vec(vec![R::default(); total]);
-    // p[h] = number of results thread h produced (then prefix-scanned).
-    let prefix = Mutex::new(vec![0usize; threads.max(1) + 1]);
-
+    let mut out = vec![R::default(); total];
     // omp workers are fresh threads: forward the caller's rank tag so
     // their trace events land on the right process row of the timeline.
     let rank = obs::trace::current_rank();
-    omp::parallel(threads, |ctx| {
+    omp::for_blocks(threads, &mut out, 1, |cells, rp| {
         obs::trace::set_rank(rank);
-        // -- #pragma omp for schedule(static): private result vector Rp.
-        let compute_trace = obs::trace::scope("arrayudf.compute");
-        let compute_started = std::time::Instant::now();
-        let mut rp: Vec<R> = Vec::new();
-        ctx.for_static(0..total, |i| {
-            let (orow, ocol) = (i / out_cols, i % out_cols);
-            let s = Stencil::new(input, orow * stride.channel, ocol * stride.time);
-            rp.push(f(&s));
-        });
-        m.apply_thread_ns.record_duration(compute_started.elapsed());
-        drop(compute_trace);
-        // -- p[h] = Rp.size()
-        prefix.lock().expect("prefix lock")[ctx.thread_num() + 1] = rp.len();
-        // -- #pragma omp barrier
-        ctx.barrier();
-        // -- #pragma omp single: exclusive prefix scan of p.
-        ctx.single(|| {
-            let mut p = prefix.lock().expect("prefix lock");
-            for h in 1..p.len() {
-                p[h] += p[h - 1];
-            }
-        });
-        // -- R[p[h-1] : p[h]] = Rp (disjoint by construction).
-        let _merge_trace = obs::trace::scope("arrayudf.merge");
-        let merge_started = std::time::Instant::now();
-        let offset = prefix.lock().expect("prefix lock")[ctx.thread_num()];
-        // SAFETY: prefix offsets partition 0..total disjointly across
-        // threads, and all threads passed the barrier before writing.
-        unsafe { result.write_slice(offset, &rp) };
-        m.apply_merge_ns.record_duration(merge_started.elapsed());
+        let _trace = obs::trace::scope("arrayudf.compute");
+        let started = std::time::Instant::now();
+        for (slot, i) in rp.iter_mut().zip(cells) {
+            *slot = cell(i);
+        }
+        m.apply_thread_ns.record_duration(started.elapsed());
     });
-
-    Array2::from_vec(out_rows, out_cols, result.into_vec())
+    out
 }
 
 #[cfg(test)]

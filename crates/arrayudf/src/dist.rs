@@ -7,13 +7,11 @@
 //! execution**. The hybrid engine (§V-B) keeps one rank per node and
 //! fans the rank's partition across OpenMP threads.
 
-use crate::apply::{Ghost, Stride};
+use crate::apply::{apply_cells, Ghost, Stride};
 use crate::array::Array2;
 use crate::stencil::Stencil;
 use minimpi::Comm;
-use omp::SharedSlice;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Balanced contiguous row partition: the first `total % size` ranks own
 /// one extra row.
@@ -166,45 +164,12 @@ where
         .filter(|g| g % stride.channel == 0)
         .collect();
     let out_cols = local.cols().div_ceil(stride.time);
-    let total_cells = eval_rows.len() * out_cols;
-    let result: SharedSlice<R> = SharedSlice::from_vec(vec![R::default(); total_cells]);
-    let prefix = Mutex::new(vec![0usize; threads.max(1) + 1]);
-
-    let m = crate::metrics::metrics();
-    m.apply_calls.inc();
-    // Forward this rank's tag into the fresh omp worker threads so their
-    // compute/merge spans are attributed to the right rank row.
-    let rank_tag = obs::trace::current_rank();
-    omp::parallel(threads, |ctx| {
-        obs::trace::set_rank(rank_tag);
-        let compute_trace = obs::trace::scope("arrayudf.compute");
-        let compute_started = std::time::Instant::now();
-        let mut rp: Vec<R> = Vec::new();
-        ctx.for_static(0..total_cells, |i| {
-            let (ri, ci) = (i / out_cols, i % out_cols);
-            let local_row = eval_rows[ri] - own.start + offset;
-            let s = Stencil::new(&extended, local_row, ci * stride.time);
-            rp.push(f(&s));
-        });
-        m.apply_thread_ns.record_duration(compute_started.elapsed());
-        drop(compute_trace);
-        prefix.lock().expect("prefix lock")[ctx.thread_num() + 1] = rp.len();
-        ctx.barrier();
-        ctx.single(|| {
-            let mut p = prefix.lock().expect("prefix lock");
-            for h in 1..p.len() {
-                p[h] += p[h - 1];
-            }
-        });
-        let _merge_trace = obs::trace::scope("arrayudf.merge");
-        let merge_started = std::time::Instant::now();
-        let off = prefix.lock().expect("prefix lock")[ctx.thread_num()];
-        // SAFETY: prefix offsets partition the output disjointly.
-        unsafe { result.write_slice(off, &rp) };
-        m.apply_merge_ns.record_duration(merge_started.elapsed());
+    let out = apply_cells(eval_rows.len() * out_cols, threads, |i| {
+        let (ri, ci) = (i / out_cols, i % out_cols);
+        let local_row = eval_rows[ri] - own.start + offset;
+        f(&Stencil::new(&extended, local_row, ci * stride.time))
     });
-
-    Array2::from_vec(eval_rows.len(), out_cols, result.into_vec())
+    Array2::from_vec(eval_rows.len(), out_cols, out)
 }
 
 /// Gather per-rank output blocks to `root`, stacked in rank order.

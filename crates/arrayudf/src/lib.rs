@@ -12,8 +12,8 @@
 //!   and a *channel* offset, matching the paper's `S(-M:M, +K)` notation.
 //! * [`apply`] — run a UDF over every cell (optionally strided), like
 //!   `B = Apply(A, f)`.
-//! * [`apply_mt`] — Algorithm 1's `ApplyMT`: OpenMP-team execution with
-//!   per-thread result vectors merged by a prefix scan.
+//! * [`apply_mt`] — Algorithm 1's `ApplyMT`: OpenMP-style static
+//!   worksharing, each thread writing the block of results it owns.
 //! * [`dist`] — MPI-style distribution: row-block partitioning and ghost
 //!   zone (halo) exchange so per-rank applies need no communication
 //!   during execution.
@@ -27,6 +27,8 @@
 //! });
 //! assert_eq!(b.get(0, 4), 4.0); // interior: exact average
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod apply;
 mod array;

@@ -1,9 +1,11 @@
 //! Instrumentation handles into the global `obs` registry.
 //!
 //! The hybrid engine's cost model (paper §V-B) splits Apply time into
-//! per-thread compute, ghost-zone exchange, and the prefix-scan merge.
-//! These histograms expose that breakdown for every Apply in the
-//! process, feeding `das_pipeline --metrics` and perfmodel calibration.
+//! per-thread compute and ghost-zone exchange; its prefix-scan merge
+//! costs nothing here, because each thread writes its results straight
+//! into the output block it owns. These histograms expose that breakdown
+//! for every Apply in the process, feeding `das_pipeline --metrics` and
+//! perfmodel calibration.
 
 use obs::{Counter, Histogram};
 use std::sync::OnceLock;
@@ -14,8 +16,6 @@ pub mod names {
     pub const APPLY_CALLS: &str = "arrayudf.apply.calls";
     /// Histogram of per-thread compute time (UDF evaluation loop), ns.
     pub const APPLY_THREAD_NS: &str = "arrayudf.apply.thread_ns";
-    /// Histogram of per-thread merge (scatter into shared result), ns.
-    pub const APPLY_MERGE_NS: &str = "arrayudf.apply.merge_ns";
     /// Count of ghost-zone halo exchanges (per rank).
     pub const HALO_EXCHANGES: &str = "arrayudf.halo.exchanges";
     /// Histogram of per-exchange wall time, ns.
@@ -27,7 +27,6 @@ pub mod names {
 pub(crate) struct Metrics {
     pub apply_calls: Counter,
     pub apply_thread_ns: Histogram,
-    pub apply_merge_ns: Histogram,
     pub halo_exchanges: Counter,
     pub halo_ns: Histogram,
     pub halo_bytes: Counter,
@@ -40,7 +39,6 @@ pub(crate) fn metrics() -> &'static Metrics {
         Metrics {
             apply_calls: reg.counter(names::APPLY_CALLS),
             apply_thread_ns: reg.histogram(names::APPLY_THREAD_NS),
-            apply_merge_ns: reg.histogram(names::APPLY_MERGE_NS),
             halo_exchanges: reg.counter(names::HALO_EXCHANGES),
             halo_ns: reg.histogram(names::HALO_NS),
             halo_bytes: reg.counter(names::HALO_BYTES),

@@ -5,6 +5,8 @@
 //! timing, local calibration of the `perfmodel` cost model, standard
 //! scaled-down datasets, and tabular/CSV reporting.
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod datasets;
 pub mod report;

@@ -52,6 +52,10 @@ mod sig {
         }
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal` is libc's, declared with a signature of the
+        // same ABI (the handler's address passes as a pointer-sized int);
+        // the handler is an `extern "C"` fn that lives for the whole
+        // process and makes one async-signal-safe atomic store.
         unsafe {
             signal(SIGINT, on_signal as *const () as usize);
             signal(SIGTERM, on_signal as *const () as usize);

@@ -22,7 +22,6 @@ use crate::{DassaError, Result};
 use arrayudf::{dist, Array2};
 use dsp::{abscorr_complex, fft_real, ifft, Complex};
 use minimpi::Comm;
-use omp::SharedSlice;
 
 /// Pipeline parameters for Algorithm 3.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,26 +114,23 @@ pub(super) fn score_rows(
     master_row: Option<usize>,
     haee: &Haee,
 ) -> Vec<f64> {
-    let out: SharedSlice<f64> = SharedSlice::zeroed(data.rows());
-    omp::parallel(haee.threads_per_process, |ctx| {
+    let mut out = vec![0.0; data.rows()];
+    omp::for_blocks(haee.threads_per_process, &mut out, 1, |mine, out| {
+        let first = mine.start;
         let mut rows = RowScratch::default();
         let mut fft = RowFft::new(master.spectrum.len());
-        for block in blocks(ctx.static_block(data.rows())) {
+        for block in blocks(mine) {
             if let Some(ch) = master_row.filter(|ch| block.contains(ch)) {
-                let v = abscorr_complex(&master.spectrum, &master.spectrum);
-                // SAFETY: static schedule gives each channel to one thread.
-                unsafe { out.write(ch, v) };
+                out[ch - first] = abscorr_complex(&master.spectrum, &master.spectrum);
             }
             let others = block.filter(|&ch| Some(ch) != master_row);
             let processed = rows.run_block(others.clone().map(|ch| data.row(ch)), chain);
             for (ch, row) in others.zip(processed) {
-                let v = abscorr_complex(fft.spectrum(row), &master.spectrum);
-                // SAFETY: as above.
-                unsafe { out.write(ch, v) };
+                out[ch - first] = abscorr_complex(fft.spectrum(row), &master.spectrum);
             }
         }
     });
-    out.into_vec()
+    out
 }
 
 /// `Mfft` of one raw row through an already prepared chain.

@@ -21,7 +21,6 @@ use arrayudf::Array2;
 use dasl::StackSpec;
 pub use dasl::TimeNorm;
 use dsp::{Complex, Whitener};
-use omp::SharedSlice;
 
 /// Parameters of the stacked cross-correlation pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -276,17 +275,14 @@ pub fn stacked_interferometry(
         stack: Vec::new(),
         n_windows: 0,
     };
-    let out: SharedSlice<StackedCorrelation> =
-        SharedSlice::from_vec(vec![placeholder; data.rows()]);
-    omp::parallel(haee.threads_per_process, |ctx| {
+    let mut out = vec![placeholder; data.rows()];
+    omp::for_blocks(haee.threads_per_process, &mut out, 1, |mine, out| {
         let mut correlator = WindowCorrelator::new(params.window);
-        ctx.for_static(0..data.rows(), |ch| {
-            let r = correlator.stack(data.row(ch), &master);
-            // SAFETY: static schedule assigns each channel to one thread.
-            unsafe { out.write(ch, r) };
-        });
+        for (ch, slot) in mine.zip(out) {
+            *slot = correlator.stack(data.row(ch), &master);
+        }
     });
-    Ok(out.into_vec())
+    Ok(out)
 }
 
 #[cfg(test)]

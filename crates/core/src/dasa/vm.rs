@@ -29,7 +29,6 @@ use super::stacking::{stacked_interferometry, StackingParams};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use dasl::{Const, Instr, Kernel, Program};
-use omp::SharedSlice;
 use std::borrow::Cow;
 
 /// A [`Program`] bound to the sampling rate of the corpus it will run
@@ -228,19 +227,24 @@ fn bad_const(what: &str, idx: u8) -> DassaError {
 fn fused_pass(wave: &Array2<f64>, chain: &[RowKernel], haee: &Haee) -> Result<Array2<f64>> {
     let n_out = chain_out_len(chain, wave.cols())?;
     let rows = wave.rows();
-    let flat: SharedSlice<f64> = SharedSlice::zeroed(rows * n_out);
-    omp::parallel(haee.threads_per_process, |ctx| {
-        let mut scratch = RowScratch::default();
-        for block in blocks(ctx.static_block(rows)) {
-            let outs = scratch.run_block(block.clone().map(|ch| wave.row(ch)), chain);
-            for (ch, out) in block.zip(outs) {
-                // SAFETY: static schedule gives each row range to exactly
-                // one thread.
-                unsafe { flat.write_slice(ch * n_out, out) };
+    let mut flat = vec![0.0; rows * n_out];
+    // rows of no samples leave `flat` empty, and then no thread runs
+    omp::for_blocks(
+        haee.threads_per_process,
+        &mut flat,
+        n_out.max(1),
+        |mine, flat| {
+            let first = mine.start;
+            let mut scratch = RowScratch::default();
+            for block in blocks(mine) {
+                let outs = scratch.run_block(block.clone().map(|ch| wave.row(ch)), chain);
+                for (ch, out) in block.zip(outs) {
+                    flat[(ch - first) * n_out..][..n_out].copy_from_slice(out);
+                }
             }
-        }
-    });
-    Ok(Array2::from_vec(rows, n_out, flat.into_vec()))
+        },
+    );
+    Ok(Array2::from_vec(rows, n_out, flat))
 }
 
 /// Per-channel spectral correlation against the master channel — the

@@ -22,6 +22,8 @@
 //! Determinism: everything derives from `Scene::seed`, so experiments
 //! regenerate identical data on every run.
 
+#![forbid(unsafe_code)]
+
 mod events;
 mod noise;
 mod scene;

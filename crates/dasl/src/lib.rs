@@ -33,6 +33,7 @@
 //!    |                            ^^^^^^^
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

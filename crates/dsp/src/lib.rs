@@ -71,6 +71,8 @@
 //! them first, by [`butter::MAX_ORDER`] and [`resample::MAX_FACTOR`]:
 //! both size what preparation builds.
 
+#![forbid(unsafe_code)]
+
 pub mod butter;
 pub mod complex;
 pub mod correlate;

@@ -34,6 +34,8 @@
 //! assert_eq!(again.fires(site::DASF_READ_ERR, 3), a);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod plan;
 mod scope;
 

@@ -29,6 +29,8 @@
 //! assert_eq!(results, vec![6, 6, 6, 6]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod collectives;
 mod comm;
 mod error;

@@ -34,6 +34,8 @@
 //! assert_eq!(interp.get_scalar("y").unwrap(), 30.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod builtins;
 pub mod dassa_bridge;

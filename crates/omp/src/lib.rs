@@ -1,4 +1,4 @@
-//! `omp` — an OpenMP-style thread-team substrate.
+//! `omp` — the OpenMP-style static worksharing the DASSA engine runs on.
 //!
 //! The DASSA paper extends ArrayUDF with a *hybrid MPI + OpenMP* execution
 //! engine (HAEE, Section V-B). Its core algorithm, `ApplyMT` (Algorithm 1),
@@ -15,38 +15,34 @@
 //! }
 //! ```
 //!
-//! Rust has no OpenMP, so this crate reproduces exactly the constructs
-//! Algorithm 1 uses, with the same fork-join semantics, and no others:
-//!
-//! * [`parallel`] — a parallel region executed by a team of threads
-//!   (SPMD: every thread runs the same closure),
-//! * [`Ctx::for_static`] — the `schedule(static)` worksharing loop,
-//! * [`Ctx::barrier`], [`Ctx::single`],
-//! * [`SharedSlice`] — a disjoint-write shared output buffer, needed for
-//!   the final `R[p[h-1] : p[h]] = Rp` scatter of Algorithm 1.
+//! Its one rule is that each thread owns a contiguous static block of the
+//! output. Rust has no OpenMP; this crate states that rule as one safe
+//! construct, [`for_blocks`], which splits the output at the static
+//! schedule's block boundaries and hands every thread its items together
+//! with the `&mut` block it owns. Every output item of the engine's loops
+//! is known before the region, so the barrier, the `single` and the
+//! prefix scan that Algorithm 1 needs to place per-thread results are the
+//! block split itself.
 //!
 //! # Example: a three-point moving average, OpenMP style
 //! ```
 //! let input: Vec<f64> = (0..100).map(|i| i as f64).collect();
-//! let out = omp::SharedSlice::zeroed(input.len());
-//! omp::parallel(4, |ctx| {
-//!     ctx.for_static(0..input.len(), |i| {
+//! let mut out = vec![0.0; input.len()];
+//! omp::for_blocks(4, &mut out, 1, |items, block| {
+//!     for (i, slot) in items.zip(block) {
 //!         let lo = i.saturating_sub(1);
 //!         let hi = (i + 1).min(input.len() - 1);
-//!         let avg = (input[lo] + input[i] + input[hi]) / 3.0;
-//!         // Each index is written by exactly one thread.
-//!         unsafe { out.write(i, avg) };
-//!     });
+//!         *slot = (input[lo] + input[i] + input[hi]) / 3.0;
+//!     }
 //! });
-//! let out = out.into_vec();
 //! assert!((out[50] - 50.0).abs() < 1e-12);
 //! ```
 
-mod shared;
+#![forbid(unsafe_code)]
+
 mod team;
 
-pub use shared::SharedSlice;
-pub use team::{parallel, Ctx};
+pub use team::for_blocks;
 
 /// Returns the "number of processors" a default team would use, analogous
 /// to `omp_get_num_procs()`. Honors the `OMP_NUM_THREADS` environment
@@ -65,7 +61,8 @@ pub fn num_procs() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::HashSet;
+    use std::sync::Mutex;
 
     #[test]
     fn num_procs_at_least_one() {
@@ -74,23 +71,24 @@ mod tests {
 
     #[test]
     fn parallel_runs_every_thread_once() {
-        let count = AtomicUsize::new(0);
-        parallel(7, |ctx| {
-            assert_eq!(ctx.num_threads(), 7);
-            assert!(ctx.thread_num() < 7);
-            count.fetch_add(1, Ordering::Relaxed);
+        let threads = Mutex::new(HashSet::new());
+        for_blocks(7, &mut [0u8; 7], 1, |items, _| {
+            assert_eq!(items.len(), 1);
+            assert!(threads.lock().unwrap().insert(std::thread::current().id()));
         });
-        assert_eq!(count.load(Ordering::Relaxed), 7);
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 7);
+        assert!(!threads.contains(&std::thread::current().id()));
     }
 
     #[test]
     fn single_thread_team_runs_inline() {
-        let hit = std::sync::atomic::AtomicBool::new(false);
-        parallel(1, |ctx| {
-            assert_eq!(ctx.thread_num(), 0);
-            ctx.barrier();
-            ctx.single(|| hit.store(true, Ordering::Relaxed));
+        let mut out = [0u8; 3];
+        for_blocks(1, &mut out, 1, |items, block| {
+            assert_eq!(items, 0..3);
+            assert_eq!(block.len(), 3);
+            block.fill(1);
         });
-        assert!(hit.load(Ordering::Relaxed));
+        assert_eq!(out, [1; 3]);
     }
 }

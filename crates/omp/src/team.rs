@@ -1,80 +1,10 @@
-//! Parallel regions, worksharing loops, and team synchronization.
+//! The static worksharing team: one scoped thread per output block.
 
-use parking_lot::Mutex;
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Barrier;
-
-/// Team-wide state shared by every thread of a parallel region.
-struct Team {
-    num_threads: usize,
-    barrier: Barrier,
-    /// `single` constructs claimed so far, keyed by construct sequence
-    /// number (threads execute constructs in the same SPMD order).
-    singles: Mutex<HashMap<usize, ()>>,
-}
-
-/// Per-thread handle inside a parallel region, analogous to the implicit
-/// state behind `omp_get_thread_num()` etc.
-pub struct Ctx<'t> {
-    team: &'t Team,
-    thread_num: usize,
-    single_seq: Cell<usize>,
-}
-
-impl<'t> Ctx<'t> {
-    /// This thread's index within the team (`omp_get_thread_num`).
-    pub fn thread_num(&self) -> usize {
-        self.thread_num
-    }
-
-    /// Team size (`omp_get_num_threads`).
-    pub fn num_threads(&self) -> usize {
-        self.team.num_threads
-    }
-
-    /// `#pragma omp barrier`: wait until every team member arrives.
-    pub fn barrier(&self) {
-        self.team.barrier.wait();
-    }
-
-    /// `#pragma omp single`: exactly one thread runs `f`; all threads then
-    /// synchronize on the implicit end-of-single barrier.
-    ///
-    /// Returns `Some(result)` on the executing thread, `None` elsewhere.
-    pub fn single<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
-        let seq = self.single_seq.get();
-        self.single_seq.set(seq + 1);
-        let won = {
-            let mut claimed = self.team.singles.lock();
-            claimed.insert(seq, ()).is_none()
-        };
-        let out = if won { Some(f()) } else { None };
-        self.barrier();
-        out
-    }
-
-    /// The contiguous iteration block this thread owns under the default
-    /// static schedule for a loop of `n` iterations.
-    pub fn static_block(&self, n: usize) -> Range<usize> {
-        static_block(n, self.thread_num, self.team.num_threads)
-    }
-
-    /// `#pragma omp for schedule(static)`: each thread runs its contiguous
-    /// block of `range`. No implied barrier (pair with [`Ctx::barrier`]
-    /// when the original pragma has one, as Algorithm 1 does).
-    pub fn for_static(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
-        let base = range.start;
-        for i in self.static_block(range.len()) {
-            f(base + i);
-        }
-    }
-}
 
 /// The contiguous block of `0..n` owned by thread `h` of `t` under the
 /// default static schedule: ceil-divided chunks, front-loaded.
-pub(crate) fn static_block(n: usize, h: usize, t: usize) -> Range<usize> {
+fn static_block(n: usize, h: usize, t: usize) -> Range<usize> {
     debug_assert!(h < t);
     let chunk = n.div_ceil(t.max(1));
     let start = (h * chunk).min(n);
@@ -82,40 +12,51 @@ pub(crate) fn static_block(n: usize, h: usize, t: usize) -> Range<usize> {
     start..end
 }
 
-/// `#pragma omp parallel num_threads(n)`: run `f` on a team of `n`
-/// threads and join them all (fork-join). The closure receives a per-thread
-/// [`Ctx`]. With `n == 1` the region runs inline on the caller's thread.
-pub fn parallel<F>(num_threads: usize, f: F)
+/// `#pragma omp parallel for schedule(static) num_threads(threads)` over
+/// the `out.len() / per_item` items of `out`, each item owning
+/// `per_item` consecutive elements.
+///
+/// Thread `h` owns the items of its static block and receives them
+/// together with the `&mut` sub-slice of `out` that holds them, so the
+/// block it writes is the block it owns. Only non-empty blocks run,
+/// each on a scoped thread joined before this returns; with
+/// `threads <= 1` the one block runs inline on the caller's thread, and
+/// an empty `out` runs nothing.
+///
+/// # Panics
+/// If `per_item` is zero or does not divide `out.len()`, or if `f`
+/// panics on any thread.
+pub fn for_blocks<T, F>(threads: usize, out: &mut [T], per_item: usize, f: F)
 where
-    F: Fn(&Ctx) + Sync,
+    T: Send,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
 {
-    let num_threads = num_threads.max(1);
-    let team = Team {
-        num_threads,
-        barrier: Barrier::new(num_threads),
-        singles: Mutex::new(HashMap::new()),
-    };
-    if num_threads == 1 {
-        let ctx = Ctx {
-            team: &team,
-            thread_num: 0,
-            single_seq: Cell::new(0),
-        };
-        f(&ctx);
+    assert!(
+        per_item > 0 && out.len().is_multiple_of(per_item),
+        "{} elements are not whole items of {per_item}",
+        out.len()
+    );
+    let n = out.len() / per_item;
+    if n == 0 {
+        return;
+    }
+    let threads = threads.max(1);
+    if threads == 1 {
+        f(0..n, out);
         return;
     }
     std::thread::scope(|scope| {
-        for h in 0..num_threads {
-            let team = &team;
+        let mut rest = out;
+        for h in 0..threads {
+            let items = static_block(n, h, threads);
+            // front-loaded: once one block is empty, so are the rest
+            if items.is_empty() {
+                break;
+            }
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(items.len() * per_item);
+            rest = tail;
             let f = &f;
-            scope.spawn(move || {
-                let ctx = Ctx {
-                    team,
-                    thread_num: h,
-                    single_seq: Cell::new(0),
-                };
-                f(&ctx);
-            });
+            scope.spawn(move || f(items, mine));
         }
     });
 }
@@ -123,7 +64,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     #[test]
     fn static_block_covers_range_disjointly() {
@@ -143,65 +87,110 @@ mod tests {
 
     #[test]
     fn for_static_visits_all_indices_once() {
-        let n = 1000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel(4, |ctx| {
-            ctx.for_static(0..n, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn single_executes_exactly_once_per_construct() {
-        let count = AtomicUsize::new(0);
-        parallel(8, |ctx| {
-            for _ in 0..5 {
-                ctx.single(|| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
+        let mut hits = vec![0u32; 1000];
+        for_blocks(4, &mut hits, 1, |_, out| {
+            for h in out {
+                *h += 1;
             }
         });
-        assert_eq!(count.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn single_returns_value_on_winner_only() {
-        let winners = AtomicUsize::new(0);
-        parallel(6, |ctx| {
-            if ctx.single(|| 42) == Some(42) {
-                winners.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(winners.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn barrier_orders_phases() {
-        // Phase 1 writes; barrier; phase 2 reads — the reads must observe
-        // every phase-1 write.
-        let n = 128;
-        let buf = crate::SharedSlice::<u64>::zeroed(n);
-        let sum = AtomicUsize::new(0);
-        parallel(4, |ctx| {
-            ctx.for_static(0..n, |i| unsafe { buf.write(i, i as u64) });
-            ctx.barrier();
-            let mut local = 0usize;
-            ctx.for_static(0..n, |i| {
-                local += unsafe { buf.read(i) } as usize;
-            });
-            sum.fetch_add(local, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
+        assert!(hits.iter().all(|&h| h == 1));
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        let hit = AtomicUsize::new(0);
-        parallel(0, |_| {
-            hit.fetch_add(1, Ordering::Relaxed);
+        let calls = Mutex::new(Vec::new());
+        for_blocks(0, &mut [0u8; 5], 1, |items, _| {
+            calls
+                .lock()
+                .unwrap()
+                .push((items, std::thread::current().id()));
         });
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            calls.into_inner().unwrap(),
+            vec![(0..5, std::thread::current().id())]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole items of 3")]
+    fn a_partial_item_is_rejected() {
+        for_blocks(2, &mut [0u8; 7], 3, |_, _| {});
+    }
+
+    /// One closure call: the items it was handed and the thread it ran on.
+    type Call = (Range<usize>, ThreadId);
+
+    /// Run `for_blocks` over `n` items of `per_item` elements, each
+    /// element recording which item wrote it and how often.
+    fn run(n: usize, t: usize, per_item: usize) -> (Vec<(usize, u32)>, Vec<Call>) {
+        let mut out = vec![(usize::MAX, 0u32); n * per_item];
+        let calls = Mutex::new(Vec::new());
+        for_blocks(t, &mut out, per_item, |items, block| {
+            assert_eq!(block.len(), items.len() * per_item);
+            for (k, slot) in block.iter_mut().enumerate() {
+                *slot = (items.start + k / per_item, slot.1 + 1);
+            }
+            calls
+                .lock()
+                .unwrap()
+                .push((items, std::thread::current().id()));
+        });
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort_by_key(|(items, _)| items.start);
+        (out, calls)
+    }
+
+    proptest! {
+        #[test]
+        fn every_element_is_written_once_by_its_item(
+            n in 0usize..200, t in 1usize..20, per_item in 1usize..4,
+        ) {
+            let (out, _) = run(n, t, per_item);
+            for (e, &(item, writes)) in out.iter().enumerate() {
+                prop_assert_eq!(writes, 1, "element {} written {} times", e, writes);
+                prop_assert_eq!(item, e / per_item);
+            }
+        }
+
+        #[test]
+        fn each_item_runs_on_the_thread_of_its_static_block(
+            n in 0usize..200, t in 1usize..20, per_item in 1usize..4,
+        ) {
+            let (_, calls) = run(n, t, per_item);
+            let blocks: Vec<Range<usize>> =
+                (0..t).map(|h| static_block(n, h, t)).filter(|b| !b.is_empty()).collect();
+            let handed: Vec<Range<usize>> = calls.iter().map(|(b, _)| b.clone()).collect();
+            prop_assert_eq!(handed, blocks);
+            // one closure call per block, each on a thread of its own
+            let threads: HashSet<ThreadId> = calls.iter().map(|&(_, id)| id).collect();
+            prop_assert_eq!(threads.len(), calls.len());
+            if t == 1 {
+                prop_assert!(calls.iter().all(|&(_, id)| id == std::thread::current().id()));
+            }
+        }
+
+        #[test]
+        fn no_thread_runs_for_no_items(t in 1usize..20, per_item in 1usize..4) {
+            let (_, calls) = run(0, t, per_item);
+            prop_assert!(calls.is_empty());
+        }
+    }
+
+    /// Threads that would own an empty block are not spawned: the closure
+    /// runs once per non-empty block, `min(t, ceil(n / ceil(n/t)))` times.
+    #[test]
+    fn only_non_empty_blocks_run() {
+        // n = 10, t = 6: blocks of 2 leave thread 5 with nothing
+        for (n, t, runs) in [
+            (10, 6, 5),
+            (3, 16, 3),
+            (7, 7, 7),
+            (100, 8, 8),
+            (1, 2, 1),
+            (5, 1, 1),
+        ] {
+            assert_eq!(run(n, t, 1).1.len(), runs, "n={n} t={t}");
+            assert_eq!(runs, t.min(n.div_ceil(n.div_ceil(t))));
+        }
     }
 }

@@ -21,6 +21,8 @@
 //! The model's claims are tested qualitatively (who wins, where the
 //! knees are), mirroring how the paper's evaluation is read.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 mod machine;
 pub mod tuner;

@@ -24,6 +24,8 @@
 //! assert!(!re.is_match("westSac_170728224810.dasf"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod compile;
 mod parse;
