@@ -95,6 +95,10 @@ if [[ $quick -eq 0 ]]; then
     # references, lane isolation) on the code that ships.
     echo "==> dsp: release-mode bit-equality"
     cargo test --release -q -p dsp
+    # The engine's row blocks ride those lanes: its pinned analysis
+    # digests and window-block stacking test run on the same build.
+    echo "==> dasa: release-mode pinned output bits"
+    cargo test --release -q -p dassa --lib dasa::
 
     # Same for dasf's writer: its match finder and plane scatter are
     # only what ships once optimised, and their tests are byte-for-byte

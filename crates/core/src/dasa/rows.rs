@@ -8,15 +8,15 @@
 //! its constructors hold), and each thread of a parallel region owns one
 //! [`RowScratch`] and one [`RowFft`], so after a thread's first block
 //! nothing on the row path allocates. Rows go through a scratch in
-//! [`blocks`] of up to four, which is what lets the zero-phase filter run
-//! four of them in lockstep; a row's result does not depend on the block
-//! it was in.
+//! [`blocks`] of up to four, which is what lets the zero-phase filter and
+//! the detrend/demean sums run four of them in lockstep; a row's result
+//! does not depend on the block it was in.
 
 use crate::{DassaError, Result};
 use dsp::fft::plan;
 use dsp::{
-    butter, detrend_constant_in_place, detrend_in_place, one_bit_in_place, running_abs_mean_into,
-    Complex, FftPlan, FiltFilt, FilterBand, Resampler, Whitener,
+    butter, detrend_block_in_place, detrend_constant_block_in_place, one_bit_in_place,
+    running_abs_mean_into, Complex, FftPlan, FiltFilt, FilterBand, Resampler, Whitener,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -104,8 +104,8 @@ pub(crate) fn chain_out_len(chain: &[RowKernel], n_in: usize) -> Result<usize> {
 }
 
 /// Rows a [`RowScratch`] takes through a chain at once: the lockstep
-/// width of [`FiltFilt`], the one kernel whose cost per row falls when
-/// rows travel together.
+/// width of [`FiltFilt`] and of the detrend/demean sums, the kernels
+/// whose cost per row falls when rows travel together.
 const BLOCK: usize = dsp::filter::LANES;
 
 /// `range` cut into consecutive blocks of at most [`BLOCK`] rows — how a
@@ -140,9 +140,9 @@ impl RowScratch {
 
     /// [`run`](Self::run) over up to [`BLOCK`] rows of one length, stage
     /// by stage; results come back in the order the rows went in. A full
-    /// block goes through the zero-phase filter in lockstep, a shorter
-    /// one row by row — with the same bits either way, so how rows fall
-    /// into blocks never shows in an output.
+    /// block goes through the zero-phase filter and the detrend/demean
+    /// sums in lockstep, a shorter one row by row — with the same bits
+    /// either way, so how rows fall into blocks never shows in an output.
     pub(crate) fn run_block<'a>(
         &mut self,
         raw: impl IntoIterator<Item = &'a [f64]>,
@@ -157,8 +157,8 @@ impl RowScratch {
         for kernel in chain {
             let (rows, spare) = (&mut self.rows[..n], &mut self.spare[..n]);
             match kernel {
-                RowKernel::Detrend => rows.iter_mut().for_each(|r| detrend_in_place(r)),
-                RowKernel::Demean => rows.iter_mut().for_each(|r| detrend_constant_in_place(r)),
+                RowKernel::Detrend => detrend_block_in_place(rows),
+                RowKernel::Demean => detrend_constant_block_in_place(rows),
                 RowKernel::OneBit => rows.iter_mut().for_each(|r| one_bit_in_place(r)),
                 RowKernel::RunningAbsMean(half) => {
                     for (row, out) in rows.iter().zip(spare) {

@@ -309,6 +309,24 @@ mod tests {
                 }),
                 0x578C_1F49_CF56_804F,
             ),
+            (
+                "whitened stacking, odd window 127",
+                Analysis::Stacking(StackingParams {
+                    window: 127,
+                    hop: 127,
+                    ..Default::default()
+                }),
+                0xAAAC_D555_8B8E_15C1,
+            ),
+            (
+                "whitened stacking, window 130 (Bluestein half)",
+                Analysis::Stacking(StackingParams {
+                    window: 130,
+                    hop: 130,
+                    ..Default::default()
+                }),
+                0xF7BC_002F_6E12_9B01,
+            ),
         ];
         let data = seeded(6, 1536, 0x5EED);
         let want: Vec<(&str, u64)> = cases.iter().map(|&(what, _, d)| (what, d)).collect();

@@ -199,9 +199,15 @@ impl WindowCorrelator {
                     *s = m.conj() * *s;
                 }
                 self.fft.inverse_real_into(&mut self.corr);
-                // fftshift: zero lag at the centre, then accumulate.
-                for (i, v) in self.corr.iter().enumerate() {
-                    stack[(i + len / 2) % len] += v;
+                // fftshift: zero lag at the centre, then accumulate — lags
+                // 0, 1, … from the centre on, the negative ones before it.
+                let (lags, negative_lags) = self.corr.split_at(len - len / 2);
+                let (before, from_centre) = stack.split_at_mut(len / 2);
+                for (s, v) in from_centre.iter_mut().zip(lags) {
+                    *s += v;
+                }
+                for (s, v) in before.iter_mut().zip(negative_lags) {
+                    *s += v;
                 }
             }
         }

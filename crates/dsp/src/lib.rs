@@ -29,15 +29,16 @@
 //!   bits whether its plan was cached, evicted and rebuilt, built by
 //!   another thread at the same moment, or never cached at all.
 //!
-//! * **lockstep lanes, one value's operations unchanged** — three
+//! * **lockstep lanes, one value's operations unchanged** — four
 //!   kernels are a single floating-point dependency chain each: the
 //!   direct-form recurrence of [`FiltFilt`] (sample `t+1` needs the state
-//!   sample `t` left), the tap-by-tap sum behind one [`Resampler`]
-//!   output, and the `dot`/`n2` sums behind one lag of
-//!   [`max_abscorr_lags`]. The work *around* each chain is independent —
-//!   across rows, across outputs, across lags — so these kernels advance
-//!   several chains through one loop: the four rows of a block
-//!   ([`FiltFilt::apply_block_into`]), sixteen outputs that share a
+//!   sample `t` left), the sample-by-sample sums of a row's [`detrend`]
+//!   fit, the tap-by-tap sum behind one [`Resampler`] output, and the
+//!   `dot`/`n2` sums behind one lag of [`max_abscorr_lags`]. The work
+//!   *around* each chain is independent — across rows, across outputs,
+//!   across lags — so these kernels advance several chains through one
+//!   loop: the four rows of a block ([`FiltFilt::apply_block_into`],
+//!   [`detrend_block_in_place`]), sixteen outputs that share a
 //!   polyphase branch, eight neighbouring lags. Chains run *side by
 //!   side*, never *combined*: no sum is split, reordered or fused, each
 //!   value is produced by the operations, in the order, that produce it
@@ -94,7 +95,10 @@ pub use correlate::{
     abscorr, abscorr_complex, abscorr_with_energy, energy, max_abscorr_lags, xcorr_direct,
     xcorr_fft, CorrMode,
 };
-pub use detrend::{detrend, detrend_constant, detrend_constant_in_place, detrend_in_place};
+pub use detrend::{
+    detrend, detrend_block_in_place, detrend_constant, detrend_constant_block_in_place,
+    detrend_constant_in_place, detrend_in_place,
+};
 pub use fft::{fft, fft_real, ifft, ifft_real, FftPlan};
 pub use filter::{filtfilt, lfilter, lfilter_zi, FiltFilt};
 pub use hilbert::{analytic, envelope};

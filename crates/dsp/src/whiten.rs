@@ -56,24 +56,46 @@ impl Whitener {
 
     /// Whiten `x` in place.
     ///
+    /// `|S|` is taken once per distinct bin. For an even length the real
+    /// transform writes bin `n − k` as the exact conjugate of bin `k`, and
+    /// `hypot` ignores sign, so bins `0..=n/2` hold every magnitude and
+    /// bin `n − k` is scaled by the factor of bin `k`. An odd length
+    /// goes through one full complex transform, which promises no exact
+    /// mirror, so every bin is its own. Either way each bin gets the bits
+    /// it would get from its own magnitude.
+    ///
     /// # Panics
     /// Panics when `x` is not of the prepared length or `scratch` is
     /// shorter than `scratch_len()`.
     pub fn apply_in_place(&self, x: &mut [f64], scratch: &mut [Complex]) {
-        let (spec, rest) = scratch.split_at_mut(self.weights.len());
+        let n = self.weights.len();
+        let bins = if n.is_multiple_of(2) { n / 2 + 1 } else { n };
+        let (spec, rest) = scratch.split_at_mut(n);
         self.plan.forward_real_into(x, spec, rest);
+        // The row is read; until the inverse writes it, it holds the
+        // magnitudes.
+        let mags = &mut x[..bins];
+        for (mag, s) in mags.iter_mut().zip(&*spec) {
+            *mag = s.abs();
+        }
         // Water level: bins far below the spectral peak are numerical noise
         // with arbitrary phase; normalizing them to unit amplitude would
         // inject garbage. Divide by max(|S|, ε·max|S|) instead.
-        let max_mag = spec.iter().map(|s| s.abs()).fold(0.0f64, f64::max);
+        let max_mag = mags.iter().copied().fold(0.0f64, f64::max);
         let floor = 1e-8 * max_mag;
-        for (s, &weight) in spec.iter_mut().zip(&self.weights) {
-            let mag = s.abs();
-            *s = if mag > 0.0 && weight > 0.0 {
-                s.scale(weight / mag.max(floor))
-            } else {
-                Complex::ZERO
+        for (k, (&mag, &weight)) in mags.iter().zip(&self.weights).enumerate() {
+            let whiten = |s: Complex| {
+                if mag > 0.0 && weight > 0.0 {
+                    s.scale(weight / mag.max(floor))
+                } else {
+                    Complex::ZERO
+                }
             };
+            spec[k] = whiten(spec[k]);
+            // bin n − k when it is not one of the distinct bins itself
+            if k > 0 && n - k >= bins {
+                spec[n - k] = whiten(spec[n - k]);
+            }
         }
         self.plan.inverse_real_into(spec, x, rest);
     }
@@ -201,5 +223,67 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(whiten(&[], 0.1, 0.5, 0.02).is_empty());
+    }
+
+    /// FNV-1a over the bits of every value.
+    fn digest(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
+    /// The output bits of `whiten` for odd lengths (one full complex
+    /// transform), even ones through a radix-2/4 half, a Bluestein half
+    /// (130 = 2 · 5 · 13) and the degenerate 1, 2 and 3, over seeded
+    /// noise, silence, a tone on bin `n/4` (exact-zero bins elsewhere)
+    /// and noise holding one `inf`, in a tapered band and over the whole
+    /// spectrum. Recorded before the half-spectrum scaling.
+    #[test]
+    fn whitened_bits_are_pinned() {
+        let noise = |n: usize, seed: u64| -> Vec<f64> {
+            (0..n as u64)
+                .map(|i| {
+                    let mut z = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                })
+                .collect()
+        };
+        let cases = [
+            (1, 0x34B3_D385_CD89_BAA0),
+            (2, 0x40F8_56A4_0487_C561),
+            (3, 0x4DF2_212E_23AA_E849),
+            (8, 0xFF6D_47AE_483F_CCF7),
+            (127, 0x59AD_8BFE_8C02_6AA2),
+            (130, 0x2CF8_6E5B_F801_567C),
+            (512, 0x5649_498B_4710_3B97),
+        ];
+        let got: Vec<(usize, u64)> = cases
+            .iter()
+            .map(|&(n, _)| {
+                let mut with_inf = noise(n, 3);
+                with_inf[n / 2] = f64::INFINITY;
+                let rows = [
+                    noise(n, 1),
+                    vec![0.0; n],
+                    (0..n).map(|i| [1.0, 0.0, -1.0, 0.0][i % 4]).collect(),
+                    with_inf,
+                ];
+                let out: Vec<f64> = rows
+                    .iter()
+                    .flat_map(|x| {
+                        let mut both = whiten(x, 0.05, 0.6, 0.025);
+                        both.extend(whiten(x, 0.0, 1.0, 0.0));
+                        both
+                    })
+                    .collect();
+                (n, digest(&out))
+            })
+            .collect();
+        assert_eq!(got, cases);
     }
 }

@@ -114,15 +114,34 @@ pub fn call(interp: &mut Interp, name: &str, argv: Vec<Value>) -> Result<Vec<Val
             one(Value::reshape_like(out, x))
         }
         "butter" => {
-            let n = arg(&argv, 0)?.as_scalar()? as usize;
+            let order = arg(&argv, 0)?.as_scalar()?;
+            let n = order as usize;
+            if n == 0 {
+                return Err(format!("butter: order N must be at least 1, got {order}"));
+            }
             let wn = arg(&argv, 1)?;
+            let cutoff = |w: f64| {
+                if w > 0.0 && w < 1.0 {
+                    Ok(w)
+                } else {
+                    Err(format!(
+                        "butter: cutoff Wn must lie in (0, 1) (a fraction of Nyquist), got {w}"
+                    ))
+                }
+            };
             let band = match wn.numel() {
                 2 => {
                     let v = wn.to_real_vec()?;
-                    FilterBand::Bandpass(v[0], v[1])
+                    let (lo, hi) = (cutoff(v[0])?, cutoff(v[1])?);
+                    if lo >= hi {
+                        return Err(format!(
+                            "butter: bandpass Wn = [low high] needs low < high, got [{lo} {hi}]"
+                        ));
+                    }
+                    FilterBand::Bandpass(lo, hi)
                 }
                 1 => {
-                    let w = wn.as_scalar()?;
+                    let w = cutoff(wn.as_scalar()?)?;
                     if argv.len() >= 3 && matches!(arg(&argv, 2)?, Value::Str(s) if s == "high") {
                         FilterBand::Highpass(w)
                     } else {
@@ -154,8 +173,14 @@ pub fn call(interp: &mut Interp, name: &str, argv: Vec<Value>) -> Result<Vec<Val
         }
         "resample" => {
             let x = arg(&argv, 0)?.to_real_vec()?;
-            let p = arg(&argv, 1)?.as_scalar()? as usize;
-            let q = arg(&argv, 2)?.as_scalar()? as usize;
+            let (p_arg, q_arg) = (arg(&argv, 1)?.as_scalar()?, arg(&argv, 2)?.as_scalar()?);
+            let (p, q) = (p_arg as usize, q_arg as usize);
+            if p == 0 || q == 0 {
+                return Err(format!(
+                    "resample: factors P and Q must be positive integers, \
+                     got P = {p_arg}, Q = {q_arg}"
+                ));
+            }
             one(Value::row(dsp::resample(&x, p, q)))
         }
         "interp1" => {
@@ -204,6 +229,12 @@ pub fn call(interp: &mut Interp, name: &str, argv: Vec<Value>) -> Result<Vec<Val
             let x = arg(&argv, 0)?;
             let lo = arg(&argv, 1)?.as_scalar()?;
             let hi = arg(&argv, 2)?.as_scalar()?;
+            if !((0.0..1.0).contains(&lo) && lo < hi && hi <= 1.0) {
+                return Err(format!(
+                    "whiten: band LO..HI must satisfy 0 <= LO < HI <= 1 (fractions of Nyquist), \
+                     got LO = {lo}, HI = {hi}"
+                ));
+            }
             one(Value::reshape_like(
                 dsp::whiten(&x.to_real_vec()?, lo, hi, (lo / 2.0).max(1e-3)),
                 x,
