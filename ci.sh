@@ -348,9 +348,9 @@ if [[ $quick -eq 0 ]]; then
         DASSA_RESULTS="$bench_dir" "target/release/$exp" --json >/dev/null
     done
 
-    # dasl gate: the example .das program, compiled to bytecode and run
-    # through the VM, must be byte-identical to `-a interferometry`, the
-    # named program it spells out — and the bytecode must actually fuse
+    # dasl gate: the example .das program, typechecked into its plan and
+    # run through the VM, must be byte-identical to `-a interferometry`, the
+    # named program it spells out — and the plan must actually fuse
     # the adjacent element-wise stages (dasl.fused_stages > 0 in the
     # metrics).
     echo "==> dasl: --program vs hand-wired byte-identity + fusion gate"
@@ -433,6 +433,24 @@ if [[ $quick -eq 0 ]]; then
         fi
     done
     echo "    -t 1 and -t 3 write the same file for every -a analysis and examples/*.das"
+    # No count in a program is byte-sized: 300 `onebit` stages run, and
+    # since onebit is idempotent bit for bit they write what one does.
+    long_eval='load("corpus")'
+    for _ in $(seq 300); do long_eval+=' | onebit'; done
+    long_eval+=' | xcorr(master=ch[0])'
+    target/release/das_pipeline -d "$dasl_dir/corpus" --eval "$long_eval" \
+        -o "$dasl_dir/onebit_300.dasf" >/dev/null 2>&1 || {
+        echo "dasl: a 300-stage onebit program failed to run" >&2
+        exit 1
+    }
+    target/release/das_pipeline -d "$dasl_dir/corpus" \
+        --eval 'load("corpus") | onebit | xcorr(master=ch[0])' \
+        -o "$dasl_dir/onebit_1.dasf" >/dev/null 2>&1
+    if ! cmp "$dasl_dir/onebit_300.dasf" "$dasl_dir/onebit_1.dasf"; then
+        echo "dasl: onebit x300 diverged from a single onebit" >&2
+        exit 1
+    fi
+    echo "    onebit x300 | xcorr writes the same file as onebit | xcorr"
 
     # dassd gate: stand the data server up over a generated corpus, run
     # a query and an overload burst against it, then check the shutdown

@@ -19,14 +19,14 @@
 //!   it stands for (`--master` and `--window` set its parameters, and
 //!   are rejected where the analysis has no such parameter);
 //! * `--program <file.das>` or `--eval <expr>` is source text, compiled
-//!   — lexed, typechecked, lowered to bytecode with adjacent element-wise
-//!   stages fused — with the disassembly logged to stderr.
+//!   — lexed and typechecked into its plan, the element-wise stages one
+//!   fused pass — with the plan's listing logged to stderr.
 //!
 //! The program's `load(...)` clause lowers into the chunk-granular
 //! [`IoPlan`] every read path uses (`-d` overrides the corpus it names;
 //! `-a` loads the full extent), the serial, resilient or distributed
-//! [`IoExecutor`] reads it, the block is widened once, and the register
-//! VM executes the bytecode. Compile errors render as caret diagnostics
+//! [`IoExecutor`] reads it, the block is widened once, and the VM
+//! executes the plan. Compile errors render as caret diagnostics
 //! and exit with status 2, as does a program or analysis the selected
 //! data cannot satisfy (a `bandpass` over rows too short to filter, a
 //! master channel out of range).
@@ -307,8 +307,8 @@ fn compile_program(args: &Args) -> (String, Program) {
 /// Run the program `-a`, `--program` or `--eval` gives: its `load(...)`
 /// clause lowers into an [`IoPlan`] (the corpus it names is the dataset
 /// directory unless `-d` overrides it), the plan runs through the
-/// serial, resilient or distributed executor, and the register VM
-/// executes the bytecode — an [`Analysis`] at the rate it is lowered
+/// serial, resilient or distributed executor, and the VM executes the
+/// plan — an [`Analysis`] at the rate it is lowered
 /// for, source text at the corpus sampling rate.
 fn run(args: &Args) -> dassa::Result<Option<obs::ClusterSnapshot>> {
     let program = match &args.analysis {

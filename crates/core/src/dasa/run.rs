@@ -1,12 +1,12 @@
 //! One entry point for every DASA analysis.
 //!
-//! DASA runs an analysis one way: the register VM ([`execute`]) applies
+//! DASA runs an analysis one way: the `dasl` VM ([`execute`]) applies
 //! DasLib kernels over the merged `channel × time` array (the paper's
 //! ArrayUDF `Apply`). An [`Analysis`] is a *named* `dasl` program:
-//! [`Analysis::program`] lowers its parameters to `dasl` stages and
-//! compiles them, and [`run`] executes that program like any other, so
-//! `das_pipeline -a`, `--program` and `--eval`, the ingest daemon and the
-//! MATLAB bridge all reach the kernels through the same instructions.
+//! [`Analysis::program`] lowers its parameters to a `dasl` plan, and
+//! [`run`] executes that program like any other, so `das_pipeline -a`,
+//! `--program` and `--eval`, the ingest daemon and the MATLAB bridge all
+//! reach the kernels through the same code.
 //!
 //! The parameter structs give bandpass corners as fractions of Nyquist,
 //! and `dasl`'s `bandpass` takes Hz that the VM divides by the corpus
@@ -22,7 +22,7 @@ use super::stacking::{StackedCorrelation, StackingParams};
 use super::vm::execute;
 use crate::{DassaError, Result};
 use arrayudf::Array2;
-use dasl::{Checked, CheckedStage, Dim, Kernel, LoadSpec, Strategy, Ty};
+use dasl::{Dim, Kernel, LoadSpec, Op, Strategy, Ty};
 
 /// The sampling rate a lowered [`Analysis`] is bound at: Nyquist 1, so a
 /// `bandpass` corner written in "Hz" is the fraction of Nyquist the
@@ -69,8 +69,8 @@ impl Analysis {
         })
     }
 
-    /// The `dasl` program this analysis names, built from checked stages
-    /// (never from source text) and meant to run at [`ANALYSIS_HZ`]:
+    /// The `dasl` program this analysis names, built as a plan (never
+    /// from source text) and meant to run at [`ANALYSIS_HZ`]:
     ///
     /// * interferometry — `load | detrend | bandpass | resample(p, q) |
     ///   xcorr(master)`, the corners in fractions of Nyquist;
@@ -78,46 +78,48 @@ impl Analysis {
     /// * stacking — `load | stack(..)`, with the window normalization the
     ///   source syntax does not spell carried in the [`dasl::StackSpec`].
     pub fn program(&self) -> dasl::Program {
-        let load = CheckedStage::Load(LoadSpec {
-            corpus: "corpus".to_string(),
-            time: None,
-            channels: None,
-            strategy: Strategy::Auto,
-        });
         let channels = Dim::Unknown;
-        let (stages, result) = match *self {
+        let (kernels, op, result) = match *self {
             Analysis::Interferometry(p) => (
                 vec![
-                    CheckedStage::Kernel(Kernel::Detrend),
+                    Kernel::Detrend,
                     // at ANALYSIS_HZ a fraction of Nyquist is its own Hz
-                    CheckedStage::Kernel(Kernel::Bandpass {
+                    Kernel::Bandpass {
                         lo_hz: p.band.0,
                         hi_hz: p.band.1,
                         order: p.filter_order,
-                    }),
-                    CheckedStage::Kernel(Kernel::Resample {
+                    },
+                    Kernel::Resample {
                         p: p.resample_p,
                         q: p.resample_q,
-                    }),
-                    CheckedStage::Xcorr {
-                        master: p.master_channel as u64,
                     },
                 ],
+                Op::Xcorr {
+                    master: p.master_channel as u64,
+                },
                 Ty::Scores { channels },
             ),
             Analysis::LocalSimilarity(p) => (
-                vec![CheckedStage::LocalSim(p.into())],
+                Vec::new(),
+                Op::LocalSim(p.into()),
                 Ty::Map {
                     channels,
                     samples: Dim::Unknown,
                 },
             ),
-            Analysis::Stacking(p) => (vec![CheckedStage::Stack(p.into())], Ty::Stacks { channels }),
+            Analysis::Stacking(p) => (Vec::new(), Op::Stack(p.into()), Ty::Stacks { channels }),
         };
-        dasl::compile::compile(&Checked {
-            stages: [load].into_iter().chain(stages).collect(),
+        dasl::Program {
+            load: LoadSpec {
+                corpus: "corpus".to_string(),
+                time: None,
+                channels: None,
+                strategy: Strategy::Auto,
+            },
+            kernels,
+            op: Some(op),
             result,
-        })
+        }
     }
 }
 
@@ -201,11 +203,12 @@ impl Job for Analysis {
 /// merged `channel × time` array with the hybrid engine. The single
 /// dispatcher every caller goes through.
 ///
-/// The VM times itself as `span.dasl`, with a child span per
-/// instruction (`apply`, `xcorr`, `localsim`, `stack`); an [`Analysis`]
-/// opens `span.<name>` around it. The paths nest under whatever span
-/// the caller has open, so `das_pipeline -a interferometry` produces
-/// e.g. `span.pipeline.analyze.interferometry.dasl.apply`.
+/// The VM times itself as `span.dasl`, with a child span for the fused
+/// pass (`apply`) and one for the op (`xcorr`, `localsim`, `stack`); an
+/// [`Analysis`] opens `span.<name>` around it. The paths nest under
+/// whatever span the caller has open, so `das_pipeline -a
+/// interferometry` produces e.g.
+/// `span.pipeline.analyze.interferometry.dasl.apply`.
 pub fn run<J: Job + ?Sized>(job: &J, data: &Array2<f64>, haee: &Haee) -> Result<AnalysisOutput> {
     job.run(data, haee)
 }

@@ -1,24 +1,23 @@
-//! The register VM that executes compiled `dasl` programs.
+//! The VM that executes typechecked `dasl` programs.
 //!
-//! The [`dasl`] crate is a pure front end — lexer, typechecker, bytecode
-//! compiler — with no I/O and no kernels. This module is its back end,
-//! and the only code that dispatches an analysis to its kernels: a small
-//! register machine whose instructions map one-to-one onto the engine's
-//! building blocks. A source program and an
-//! [`Analysis`](super::Analysis) (a named program) run the same code:
+//! The [`dasl`] crate is a pure front end — lexer, parser, typechecker —
+//! with no I/O and no kernels; what it hands over is the typed plan
+//! `load | kernel* | op?`. This module is its back end, and the only
+//! code that dispatches an analysis to its kernels. A source program and
+//! an [`Analysis`](super::Analysis) (a named program) run the same code:
 //!
-//! * `load` binds the caller-provided `channel × time` array (the I/O
+//! * `load` is the caller-provided `channel × time` array (the I/O
 //!   already happened through the lowered `IoPlan`, same planner and
 //!   executor as every other read path);
-//! * `apply` runs its fused kernel list over every channel row in one
+//! * `apply` runs the plan's kernel list over every channel row in one
 //!   thread-parallel pass — `detrend | bandpass(..) | resample(..)`
 //!   touches each row once, through the prepared kernels and per-thread
 //!   scratch of [`rows`](super::rows);
-//! * `xcorr` / `localsim` / `stack` call the flagship kernels.
+//! * the op — `xcorr` / `localsim` / `stack` — calls a flagship kernel.
 //!
-//! Each `apply` with `k > 1` kernels bumps the `dasl.fused_stages`
-//! counter by `k - 1` — the whole-array passes fusion eliminated — which
-//! CI gates on.
+//! An `apply` of `k > 1` kernels bumps the `dasl.fused_stages` counter
+//! by `k - 1` — the whole-array passes fusion eliminated — which CI
+//! gates on.
 
 use super::haee::Haee;
 use super::interferometry::{master_spectrum, score_rows};
@@ -28,7 +27,7 @@ use super::run::{AnalysisOutput, Job};
 use super::stacking::{stacked_interferometry, StackingParams};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
-use dasl::{Const, Instr, Kernel, Program};
+use dasl::{Kernel, Op, Program};
 use std::borrow::Cow;
 
 /// A [`Program`] bound to the sampling rate of the corpus it will run
@@ -100,32 +99,9 @@ fn prepare_kernel(k: &Kernel, sampling_hz: f64) -> Result<RowKernel> {
     }
 }
 
-/// One register slot.
-#[derive(Debug, Clone)]
-enum Value<'a> {
-    Wave(Cow<'a, Array2<f64>>),
-    Done(AnalysisOutput),
-}
-
-impl<'a> Value<'a> {
-    fn wave(&self, what: &str) -> Result<&Array2<f64>> {
-        match self {
-            Value::Wave(w) => Ok(w),
-            Value::Done(_) => Err(DassaError::BadSelection(format!(
-                "`{what}` expects waveforms (compiler invariant broken)"
-            ))),
-        }
-    }
-}
-
-fn const_at<'p>(program: &'p Program, idx: u8, what: &str) -> Result<&'p Const> {
-    program
-        .consts
-        .get(idx as usize)
-        .ok_or_else(|| DassaError::BadSelection(format!("{what}: constant c{idx} out of range")))
-}
-
-/// Execute a compiled program over a merged `channel × time` array.
+/// Execute a typechecked program over a merged `channel × time` array:
+/// the kernels as one fused pass, if there are any, then the op, if
+/// there is one.
 ///
 /// `sampling_hz` must be the corpus' sampling rate (it normalizes
 /// `bandpass` corners). The array is whatever the lowered `IoPlan`
@@ -137,86 +113,41 @@ pub fn execute(
     haee: &Haee,
 ) -> Result<AnalysisOutput> {
     let _root = obs::span("dasl");
-    let mut regs: Vec<Option<Value>> = vec![None; program.n_regs as usize];
-    let mut result = None;
-    for (_, instr) in program.decode() {
-        match instr {
-            Instr::Load { dst, spec } => {
-                // The I/O already happened: the caller lowered the load
-                // clause into an IoPlan and ran it. Binding is free.
-                let Const::Load(_) = const_at(program, spec, "load")? else {
-                    return Err(bad_const("load", spec));
-                };
-                regs[dst as usize] = Some(Value::Wave(Cow::Borrowed(data)));
-            }
-            Instr::Apply { dst, src, kernels } => {
-                let _span = obs::span("apply");
-                let input = take(&mut regs, src)?;
-                let wave = input.wave("apply")?;
-                let chain: Vec<RowKernel> = kernels
-                    .iter()
-                    .map(|&k| match const_at(program, k, "apply")? {
-                        Const::Kernel(kernel) => prepare_kernel(kernel, sampling_hz),
-                        _ => Err(bad_const("apply", k)),
-                    })
-                    .collect::<Result<_>>()?;
-                if chain.len() > 1 {
-                    obs::global()
-                        .counter("dasl.fused_stages")
-                        .add(chain.len() as u64 - 1);
-                }
-                let out = fused_pass(wave, &chain, haee)?;
-                regs[dst as usize] = Some(Value::Wave(Cow::Owned(out)));
-            }
-            Instr::Xcorr { dst, src, master } => {
-                let _span = obs::span("xcorr");
-                let input = take(&mut regs, src)?;
-                let wave = input.wave("xcorr")?;
-                let Const::Chan(k) = const_at(program, master, "xcorr")? else {
-                    return Err(bad_const("xcorr", master));
-                };
-                let scores = xcorr(wave, *k as usize, haee)?;
-                regs[dst as usize] = Some(Value::Done(AnalysisOutput::Scores(scores)));
-            }
-            Instr::LocalSim { dst, src, params } => {
-                let _span = obs::span("localsim");
-                let input = take(&mut regs, src)?;
-                let wave = input.wave("localsim")?;
-                let Const::LocalSim(p) = const_at(program, params, "localsim")? else {
-                    return Err(bad_const("localsim", params));
-                };
-                let map = local_similarity(wave, &LocalSimiParams::from(*p), haee);
-                regs[dst as usize] = Some(Value::Done(AnalysisOutput::Map(map)));
-            }
-            Instr::Stack { dst, src, params } => {
-                let _span = obs::span("stack");
-                let input = take(&mut regs, src)?;
-                let wave = input.wave("stack")?;
-                let Const::Stack(p) = const_at(program, params, "stack")? else {
-                    return Err(bad_const("stack", params));
-                };
-                let stacks = stacked_interferometry(wave, &StackingParams::from(*p), haee)?;
-                regs[dst as usize] = Some(Value::Done(AnalysisOutput::Stacks(stacks)));
-            }
-            Instr::Ret { src } => {
-                result = Some(match take(&mut regs, src)? {
-                    Value::Wave(w) => AnalysisOutput::Map(w.into_owned()),
-                    Value::Done(out) => out,
-                });
-            }
+    let wave = if program.kernels.is_empty() {
+        Cow::Borrowed(data)
+    } else {
+        let _span = obs::span("apply");
+        let chain: Vec<RowKernel> = program
+            .kernels
+            .iter()
+            .map(|k| prepare_kernel(k, sampling_hz))
+            .collect::<Result<_>>()?;
+        if chain.len() > 1 {
+            obs::global()
+                .counter("dasl.fused_stages")
+                .add(chain.len() as u64 - 1);
         }
-    }
-    result.ok_or_else(|| DassaError::BadSelection("program has no `ret` instruction".to_string()))
-}
-
-fn take<'a>(regs: &mut [Option<Value<'a>>], r: u8) -> Result<Value<'a>> {
-    regs.get_mut(r as usize)
-        .and_then(Option::take)
-        .ok_or_else(|| DassaError::BadSelection(format!("register r{r} read before write")))
-}
-
-fn bad_const(what: &str, idx: u8) -> DassaError {
-    DassaError::BadSelection(format!("`{what}`: constant c{idx} has the wrong kind"))
+        Cow::Owned(fused_pass(data, &chain, haee)?)
+    };
+    Ok(match &program.op {
+        None => AnalysisOutput::Map(wave.into_owned()),
+        Some(Op::Xcorr { master }) => {
+            let _span = obs::span("xcorr");
+            AnalysisOutput::Scores(xcorr(&wave, *master as usize, haee)?)
+        }
+        Some(Op::LocalSim(p)) => {
+            let _span = obs::span("localsim");
+            AnalysisOutput::Map(local_similarity(&wave, &LocalSimiParams::from(*p), haee))
+        }
+        Some(Op::Stack(p)) => {
+            let _span = obs::span("stack");
+            AnalysisOutput::Stacks(stacked_interferometry(
+                &wave,
+                &StackingParams::from(*p),
+                haee,
+            )?)
+        }
+    })
 }
 
 /// Run the fused kernel chain over every channel row in one
@@ -361,22 +292,21 @@ mod tests {
         let haee = Haee::builder().threads(2).build();
         let data = signal(4, 2000);
         let exec = |kernel: Kernel| {
-            let checked = dasl::Checked {
-                stages: vec![
-                    dasl::CheckedStage::Load(dasl::LoadSpec {
-                        corpus: "c".into(),
-                        time: None,
-                        channels: None,
-                        strategy: dasl::Strategy::Auto,
-                    }),
-                    dasl::CheckedStage::Kernel(kernel),
-                ],
+            let program = Program {
+                load: dasl::LoadSpec {
+                    corpus: "c".into(),
+                    time: None,
+                    channels: None,
+                    strategy: dasl::Strategy::Auto,
+                },
+                kernels: vec![kernel],
+                op: None,
                 result: dasl::Ty::Waveforms {
                     channels: dasl::Dim::Unknown,
                     samples: dasl::Dim::Unknown,
                 },
             };
-            execute(&dasl::compile::compile(&checked), 500.0, &data, &haee)
+            execute(&program, 500.0, &data, &haee)
         };
         let bandpass = |order| Kernel::Bandpass {
             lo_hz: 0.5,
@@ -580,6 +510,36 @@ mod tests {
             out.as_stacks().unwrap(),
             stacked_interferometry(&data, &p, &haee).unwrap().as_slice()
         );
+    }
+
+    /// `onebit` is idempotent bit for bit (a sign becomes ±1 or 0), so a
+    /// chain of N of them is one. Chains of 255 and more stages used to
+    /// fail: a byte-sized constant index wrapped into the wrong constant,
+    /// and a byte-sized kernel count wrapped into a stream that did not
+    /// decode.
+    #[test]
+    fn long_kernel_chains_run_and_equal_their_one_stage_program() {
+        let data = signal(5, 400);
+        let one = dasl::compile("load(\"c\") | onebit | xcorr(master=ch[0])").unwrap();
+        for n in [255, 256, 300] {
+            let src = format!("load(\"c\"){} | xcorr(master=ch[0])", " | onebit".repeat(n));
+            let program = dasl::compile(&src).unwrap();
+            assert_eq!(program.kernels.len(), n);
+            for threads in [1, 3] {
+                let haee = Haee::builder().threads(threads).build();
+                let want = execute(&one, 100.0, &data, &haee).unwrap();
+                let got = execute(&program, 100.0, &data, &haee)
+                    .unwrap_or_else(|e| panic!("{n} stages on {threads} threads: {e}"));
+                let bits = |out: &AnalysisOutput| -> Vec<u64> {
+                    out.as_scores()
+                        .unwrap()
+                        .iter()
+                        .map(|s| s.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{n} stages on {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end `dasl` pipeline tests: a compiled program, run against a
 //! real on-disk corpus through `IoPlan::for_load` and the `IoExecutor`,
 //! must be *byte-identical* to the named `Analysis` it spells out — and
-//! the bytecode must show the promised fusion.
+//! the plan must show the promised fusion.
 
 use dassa::prelude::*;
 
@@ -28,7 +28,8 @@ fn read_f64(vca: &Vca) -> arrayudf::Array2<f64> {
 fn example_program_fuses_three_stages_into_one_apply() {
     let program = dasl::compile(EXAMPLE).expect("compile");
     assert_eq!(
-        program.fused_stages, 2,
+        program.fused_stages(),
+        2,
         "3 element-wise stages → 2 passes saved"
     );
 
@@ -37,11 +38,7 @@ fn example_program_fuses_three_stages_into_one_apply() {
         asm.contains("; 3 kernels, one pass"),
         "disassembly must show the fused apply:\n{asm}"
     );
-    assert_eq!(
-        asm.matches("apply").count(),
-        1,
-        "exactly one apply instruction:\n{asm}"
-    );
+    assert_eq!(asm.matches("apply").count(), 1, "exactly one apply:\n{asm}");
     assert!(asm.contains("2 stages fused"), "{asm}");
 }
 
@@ -60,7 +57,7 @@ fn program_through_ioplan_matches_hand_wired_interferometry() {
     .expect("hand-wired");
 
     // Program: load lowers through IoPlan::for_load, the serial
-    // executor reads the same chunks, the VM runs the bytecode.
+    // executor reads the same chunks, the VM runs the plan.
     let program = dasl::compile(EXAMPLE).expect("compile");
     let plan = IoPlan::for_load(&vca, program.load_spec(), 1).expect("plan");
     let (block, report) = IoExecutor::serial().run(&plan).expect("read");

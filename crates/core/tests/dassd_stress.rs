@@ -358,6 +358,60 @@ fn oversized_kernel_arguments_are_a_typed_error_and_every_worker_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A 256-stage program used to panic the worker that decoded it (a
+/// byte-sized kernel count wrapped), and two such `Eval`s stopped a
+/// two-worker server for good: the next `ping` hung. A program is its
+/// typed plan now, with no byte-sized count in it, so each `Eval` of
+/// the long chain returns what its one-stage program does, and the
+/// server still answers. Bounded by a timeout, since the failure was a
+/// hang.
+#[test]
+fn long_programs_run_and_every_worker_survives() {
+    let (dir, _) = build_dataset(2, 4, SAMPLES, 37);
+    let server = Server::start(
+        &dir,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server");
+    let addr = server.addr();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let bits = |(dims, values): (Vec<u64>, Vec<f64>)| {
+            (dims, values.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let eval = |src: &str| {
+            let mut client = Client::connect(addr).expect("connect");
+            bits(client.eval(src).unwrap_or_else(|e| panic!("{e:?}")))
+        };
+        let want = eval("load(\"corpus\") | onebit | xcorr(master=ch[0])");
+        let long = format!(
+            "load(\"corpus\"){} | xcorr(master=ch[0])",
+            " | onebit".repeat(256)
+        );
+        // one connection each, so every worker sees the long program
+        for _ in 0..3 {
+            assert_eq!(eval(&long), want);
+        }
+        Client::connect(addr)
+            .expect("connect")
+            .ping()
+            .expect("ping");
+        done.send(()).expect("report");
+    });
+    assert!(
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .is_ok(),
+        "a long program failed or the server stopped answering"
+    );
+    let snap = server.stop();
+    assert_eq!(snap.counter("dassd.errors"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A member whose object table carries valid CRCs and a unit header
 /// that contradicts the dataset's geometry (one raw unit of 100 bytes
 /// for a 19 200-byte payload) opens and scrubs clean at the parent of

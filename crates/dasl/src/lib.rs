@@ -9,16 +9,16 @@
 //!
 //! The crate is a pure front end with no I/O and no dependencies: it
 //! lexes ([`lexer`]), parses into a spanned AST ([`parser`], [`ast`]),
-//! typechecks array shapes and element kinds ([`types`]), and compiles
-//! to a compact register-style bytecode ([`bytecode`], [`compile`])
-//! that the `dassa` engine's VM executes. Two properties the compiler
-//! guarantees:
+//! and typechecks array shapes and element kinds ([`types`]) straight
+//! into the typed plan the `dassa` engine's VM walks ([`program`]). The
+//! type rules give every program one shape, `load | kernel* | op?`, so
+//! the plan keeps two promises by construction:
 //!
 //! * the leading `load(...)` clause survives as a structured
 //!   [`LoadSpec`] the engine lowers into a chunk-granular `IoPlan`
 //!   (the same planner every read path uses), and
-//! * adjacent element-wise stages fuse into a single `apply`
-//!   instruction, so however long the preprocessing chain is, the
+//! * the element-wise stages form one kernel list that runs as a single
+//!   fused pass, so however long the preprocessing chain is, the
 //!   waveform block is traversed once ([`Program::fused_stages`] counts
 //!   the passes eliminated).
 //!
@@ -37,28 +37,25 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod bytecode;
-pub mod compile;
 pub mod lexer;
 pub mod parser;
+pub mod program;
 pub mod span;
 pub mod types;
 
-pub use bytecode::{
-    Const, Instr, Kernel, LoadSpec, LocalSimSpec, Program, StackSpec, Strategy, TimeNorm,
-    MAX_BANDPASS_ORDER, MAX_RESAMPLE_FACTOR,
+pub use program::{
+    Kernel, LoadSpec, LocalSimSpec, Op, Program, StackSpec, Strategy, TimeNorm, MAX_BANDPASS_ORDER,
+    MAX_RESAMPLE_FACTOR,
 };
 pub use span::{Error, Span};
-pub use types::{Checked, CheckedStage, Dim, Ty};
+pub use types::{Dim, Ty};
 
-/// Front-to-back convenience: lex, parse, typecheck, and compile `src`.
+/// Front-to-back: lex, parse and typecheck `src` into its [`Program`].
 ///
 /// On failure the [`Error`] carries a span; render it against `src`
 /// with [`Error::render`] for a caret diagnostic.
 pub fn compile(src: &str) -> Result<Program, Error> {
-    let pipeline = parser::parse(src)?;
-    let checked = types::check(&pipeline)?;
-    Ok(compile::compile(&checked))
+    types::check(&parser::parse(src)?)
 }
 
 #[cfg(test)]
@@ -72,7 +69,7 @@ mod tests {
              | xcorr(master=ch[0])",
         )
         .unwrap();
-        assert_eq!(p.fused_stages, 2);
+        assert_eq!(p.fused_stages(), 2);
         assert_eq!(p.load_spec().corpus, "corpus");
         assert_eq!(p.load_spec().time, Some((0, 60)));
     }

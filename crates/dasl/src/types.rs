@@ -9,12 +9,14 @@
 //! [`Dim::Unknown`] until the corpus' sampling rate is known (the time
 //! window is in seconds), so the checker never guesses.
 //!
-//! On success the pipeline lowers to a list of [`CheckedStage`]s — the
-//! compiler's input — plus the pipeline's result [`Ty`].
+//! On success the pipeline is its typed plan, a [`Program`]: every stage
+//! after `load` wants waveforms and only the element-wise kernels make
+//! them, so a well-typed pipeline is `load | kernel* | op?` and checking
+//! a kernel appends it to the plan's one fused pass.
 
 use crate::ast::{Arg, Expr, Pipeline, Stage};
-use crate::bytecode::{
-    gcd, Kernel, LoadSpec, LocalSimSpec, StackSpec, Strategy, MAX_BANDPASS_ORDER,
+use crate::program::{
+    gcd, Kernel, LoadSpec, LocalSimSpec, Op, Program, StackSpec, Strategy, MAX_BANDPASS_ORDER,
     MAX_RESAMPLE_FACTOR,
 };
 use crate::span::{Error, Span};
@@ -92,75 +94,43 @@ impl fmt::Display for Ty {
     }
 }
 
-/// A typechecked stage, ready for the compiler.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckedStage {
-    /// The leading `load(...)` clause.
-    Load(LoadSpec),
-    /// An element-wise kernel (fusion candidate).
-    Kernel(Kernel),
-    /// `xcorr(master=ch[k])`.
-    Xcorr {
-        /// Master channel index.
-        master: u64,
-    },
-    /// `localsim(...)`.
-    LocalSim(LocalSimSpec),
-    /// `stack(...)`.
-    Stack(StackSpec),
-}
-
-/// A typechecked pipeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checked {
-    /// The stages, in pipe order; always starts with
-    /// [`CheckedStage::Load`].
-    pub stages: Vec<CheckedStage>,
-    /// The pipeline's result type.
-    pub result: Ty,
-}
-
 /// Every stage the language knows, for `did you mean` suggestions.
 pub const STAGE_NAMES: &[&str] = &[
     "load", "detrend", "demean", "onebit", "bandpass", "resample", "xcorr", "localsim", "stack",
 ];
 
-/// Typecheck a parsed pipeline.
-pub fn check(p: &Pipeline) -> Result<Checked, Error> {
-    let mut stages = Vec::with_capacity(p.stages.len());
-    let mut ty: Option<Ty> = None;
-    for (i, stage) in p.stages.iter().enumerate() {
+/// Typecheck a parsed pipeline into its [`Program`].
+pub fn check(p: &Pipeline) -> Result<Program, Error> {
+    let (first, rest) = p
+        .stages
+        .split_first()
+        .expect("parser guarantees at least one stage");
+    if first.name != "load" {
+        return Err(Error::new(
+            format!(
+                "the pipeline must start with `load(...)`, not `{}`",
+                first.name
+            ),
+            first.name_span,
+        ));
+    }
+    let mut program = check_load(first)?;
+    for stage in rest {
         if stage.name == "load" {
-            if i != 0 {
-                return Err(Error::new(
-                    "`load` must be the first stage of the pipeline",
-                    stage.name_span,
-                ));
-            }
-        } else if i == 0 {
             return Err(Error::new(
-                format!(
-                    "the pipeline must start with `load(...)`, not `{}`",
-                    stage.name
-                ),
+                "`load` must be the first stage of the pipeline",
                 stage.name_span,
             ));
         }
-        let input = ty;
-        let (checked, out) = check_stage(stage, input)?;
-        stages.push(checked);
-        ty = Some(out);
+        check_stage(stage, &mut program)?;
     }
-    Ok(Checked {
-        stages,
-        result: ty.expect("parser guarantees at least one stage"),
-    })
+    Ok(program)
 }
 
 /// What waveform input a non-`load` stage sees, or an error if the
 /// previous stage already ended the pipeline.
-fn want_waveforms(stage: &Stage, input: Option<Ty>) -> Result<(Dim, Dim), Error> {
-    match input.expect("non-first stage has an input") {
+fn want_waveforms(stage: &Stage, input: Ty) -> Result<(Dim, Dim), Error> {
+    match input {
         Ty::Waveforms { channels, samples } => Ok((channels, samples)),
         other => Err(Error::new(
             format!(
@@ -172,9 +142,11 @@ fn want_waveforms(stage: &Stage, input: Option<Ty>) -> Result<(Dim, Dim), Error>
     }
 }
 
-fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), Error> {
-    match stage.name.as_str() {
-        "load" => check_load(stage),
+/// Check one stage after `load` against the plan so far, and append it:
+/// a kernel to the fused pass, an op as the plan's end.
+fn check_stage(stage: &Stage, program: &mut Program) -> Result<(), Error> {
+    let input = program.result;
+    program.result = match stage.name.as_str() {
         "detrend" | "demean" | "onebit" => {
             bind(stage, &[])?;
             let (channels, samples) = want_waveforms(stage, input)?;
@@ -183,10 +155,8 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                 "demean" => Kernel::Demean,
                 _ => Kernel::OneBit,
             };
-            Ok((
-                CheckedStage::Kernel(kernel),
-                Ty::Waveforms { channels, samples },
-            ))
+            program.kernels.push(kernel);
+            Ty::Waveforms { channels, samples }
         }
         "bandpass" => {
             let bound = bind(
@@ -226,14 +196,12 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                     Ok(v as usize)
                 }
             })?;
-            Ok((
-                CheckedStage::Kernel(Kernel::Bandpass {
-                    lo_hz: lo.0,
-                    hi_hz: hi.0,
-                    order,
-                }),
-                Ty::Waveforms { channels, samples },
-            ))
+            program.kernels.push(Kernel::Bandpass {
+                lo_hz: lo.0,
+                hi_hz: hi.0,
+                order,
+            });
+            Ty::Waveforms { channels, samples }
         }
         "resample" => {
             // `resample(q)` decimates by q; `resample(p, q)` is the full
@@ -278,10 +246,8 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                 Dim::Known(n) => Dim::Known(kernel.out_len(n as usize) as u64),
                 Dim::Unknown => Dim::Unknown,
             };
-            Ok((
-                CheckedStage::Kernel(kernel),
-                Ty::Waveforms { channels, samples },
-            ))
+            program.kernels.push(kernel);
+            Ty::Waveforms { channels, samples }
         }
         "xcorr" => {
             let bound = bind(stage, &[Param::req("master", Kind::Chan)])?;
@@ -298,7 +264,8 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                     ));
                 }
             }
-            Ok((CheckedStage::Xcorr { master }, Ty::Scores { channels }))
+            program.op = Some(Op::Xcorr { master });
+            Ty::Scores { channels }
         }
         "localsim" => {
             let bound = bind(
@@ -318,13 +285,11 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                 search_half: bound[2].as_ref().map_or(d.search_half, |a| int(a).0),
                 time_stride: positive(stage, "time_stride", &bound[3], d.time_stride)?,
             };
-            Ok((
-                CheckedStage::LocalSim(spec),
-                Ty::Map {
-                    channels,
-                    samples: Dim::Unknown,
-                },
-            ))
+            program.op = Some(Op::LocalSim(spec));
+            Ty::Map {
+                channels,
+                samples: Dim::Unknown,
+            }
         }
         "stack" => {
             let bound = bind(
@@ -361,27 +326,26 @@ fn check_stage(stage: &Stage, input: Option<Ty>) -> Result<(CheckedStage, Ty), E
                     ));
                 }
             }
-            Ok((
-                CheckedStage::Stack(StackSpec {
-                    window,
-                    hop,
-                    master,
-                    ..d
-                }),
-                Ty::Stacks { channels },
-            ))
+            program.op = Some(Op::Stack(StackSpec {
+                window,
+                hop,
+                master,
+                ..d
+            }));
+            Ty::Stacks { channels }
         }
         other => {
             let mut msg = format!("unknown stage `{other}`");
             if let Some(s) = suggest(other) {
                 msg.push_str(&format!(" (did you mean `{s}`?)"));
             }
-            Err(Error::new(msg, stage.name_span))
+            return Err(Error::new(msg, stage.name_span));
         }
-    }
+    };
+    Ok(())
 }
 
-fn check_load(stage: &Stage) -> Result<(CheckedStage, Ty), Error> {
+fn check_load(stage: &Stage) -> Result<Program, Error> {
     let bound = bind(
         stage,
         &[
@@ -419,21 +383,23 @@ fn check_load(stage: &Stage) -> Result<(CheckedStage, Ty), Error> {
         },
     };
     let ch_dim = channels.map_or(Dim::Unknown, |(a, b)| Dim::Known(b - a));
-    Ok((
-        CheckedStage::Load(LoadSpec {
+    Ok(Program {
+        load: LoadSpec {
             corpus,
             time,
             channels,
             strategy,
-        }),
-        Ty::Waveforms {
+        },
+        kernels: Vec::new(),
+        op: None,
+        result: Ty::Waveforms {
             channels: ch_dim,
             // The time window is in seconds; the sample count needs the
             // corpus' sampling rate, which the engine learns at scan
             // time.
             samples: Dim::Unknown,
         },
-    ))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -658,7 +624,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn check_src(src: &str) -> Result<Checked, Error> {
+    fn check_src(src: &str) -> Result<Program, Error> {
         check(&parse(src).unwrap())
     }
 
@@ -669,12 +635,10 @@ mod tests {
              | xcorr(master=ch[0])",
         )
         .unwrap();
-        assert_eq!(c.stages.len(), 5);
-        assert!(matches!(c.stages[0], CheckedStage::Load(_)));
-        assert!(matches!(
-            c.stages[3],
-            CheckedStage::Kernel(Kernel::Resample { p: 1, q: 4 })
-        ));
+        assert_eq!(c.load.corpus, "corpus");
+        assert_eq!(c.kernels.len(), 3);
+        assert!(matches!(c.kernels[2], Kernel::Resample { p: 1, q: 4 }));
+        assert_eq!(c.op, Some(Op::Xcorr { master: 0 }));
         assert!(matches!(c.result, Ty::Scores { .. }));
     }
 
@@ -761,15 +725,9 @@ mod tests {
     #[test]
     fn resample_forms() {
         let c = check_src("load(\"c\") | resample(3)").unwrap();
-        assert!(matches!(
-            c.stages[1],
-            CheckedStage::Kernel(Kernel::Resample { p: 1, q: 3 })
-        ));
+        assert!(matches!(c.kernels[..], [Kernel::Resample { p: 1, q: 3 }]));
         let c = check_src("load(\"c\") | resample(2, 5)").unwrap();
-        assert!(matches!(
-            c.stages[1],
-            CheckedStage::Kernel(Kernel::Resample { p: 2, q: 5 })
-        ));
+        assert!(matches!(c.kernels[..], [Kernel::Resample { p: 2, q: 5 }]));
         assert!(check_src("load(\"c\") | resample(0)").is_err());
     }
 
@@ -788,10 +746,7 @@ mod tests {
         assert_eq!(&src[e.span.start..e.span.end], "2048");
         assert!(check_src("load(\"c\") | bandpass(0.5, 24, order=9)").is_err());
         let c = check_src("load(\"c\") | bandpass(0.5, 24, order=8)").unwrap();
-        assert!(matches!(
-            c.stages[1],
-            CheckedStage::Kernel(Kernel::Bandpass { order: 8, .. })
-        ));
+        assert!(matches!(c.kernels[..], [Kernel::Bandpass { order: 8, .. }]));
 
         let src = "load(\"c\") | detrend | resample(1000000007) | xcorr(master=ch[0])";
         let e = check_src(src).unwrap_err();
@@ -813,10 +768,7 @@ mod tests {
     #[test]
     fn strategy_values_validated() {
         let c = check_src("load(\"c\", strategy=\"modeled\") | detrend").unwrap();
-        let CheckedStage::Load(spec) = &c.stages[0] else {
-            panic!()
-        };
-        assert_eq!(spec.strategy, Strategy::Modeled);
+        assert_eq!(c.load.strategy, Strategy::Modeled);
         let e = check_src("load(\"c\", strategy=\"fastest\") | detrend").unwrap_err();
         assert!(e.message.contains("unknown strategy `fastest`"), "{e}");
     }

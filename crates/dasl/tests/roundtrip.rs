@@ -5,12 +5,15 @@
 //!   compare by bit pattern, so the trip is exact).
 //! * Pretty-printing is a fixed point: printing the re-parsed tree
 //!   reproduces the same text.
-//! * Randomly assembled *well-typed* programs compile, and the fusion
-//!   counter equals the one-pass saving the kernel chain promises.
+//! * Randomly assembled *well-typed* programs compile — chains long
+//!   enough to cross any byte-sized count included — into a plan that
+//!   holds every kernel in source order, and the fusion counter equals
+//!   the one-pass saving the kernel chain promises.
 
 use dasl::ast::{Arg, Expr, Pipeline, Stage};
 use dasl::parser::parse;
 use dasl::span::Span;
+use dasl::Kernel;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -102,26 +105,33 @@ fn pipeline() -> BoxedStrategy<Pipeline> {
         .boxed()
 }
 
-/// One source-level element-wise stage, for the well-typed generator.
-fn kernel_stage() -> BoxedStrategy<String> {
+/// One source-level element-wise stage and the kernel it checks to, for
+/// the well-typed generator.
+fn kernel_stage() -> BoxedStrategy<(String, Kernel)> {
     prop_oneof![
-        Just("detrend".to_string()),
-        Just("demean".to_string()),
-        Just("onebit".to_string()),
+        Just(("detrend".to_string(), Kernel::Detrend)),
+        Just(("demean".to_string(), Kernel::Demean)),
+        Just(("onebit".to_string(), Kernel::OneBit)),
         (1u32..100, 1u32..100).prop_map(|(lo, hi)| {
             // 0 < lo < hi, both with one decimal place.
-            let (lo, hi) = (f64::from(lo) / 10.0, f64::from(lo + hi) / 10.0);
-            format!("bandpass({lo}, {hi})")
+            let (lo_hz, hi_hz) = (f64::from(lo) / 10.0, f64::from(lo + hi) / 10.0);
+            let kernel = Kernel::Bandpass {
+                lo_hz,
+                hi_hz,
+                order: 4,
+            };
+            (format!("bandpass({lo_hz}, {hi_hz})"), kernel)
         }),
-        (1u64..8).prop_map(|q| format!("resample({q})")),
-        (1u64..8, 1u64..8).prop_map(|(p, q)| format!("resample({p}, {q})")),
+        (1usize..8).prop_map(|q| (format!("resample({q})"), Kernel::Resample { p: 1, q })),
+        (1usize..8, 1usize..8)
+            .prop_map(|(p, q)| (format!("resample({p}, {q})"), Kernel::Resample { p, q })),
     ]
     .boxed()
 }
 
 /// A whole well-typed program: `load` + kernel chain + optional
-/// terminal. Returns `(source, n_kernels)`.
-fn well_typed_program() -> BoxedStrategy<(String, usize)> {
+/// terminal. Returns `(source, kernels)`.
+fn well_typed_program() -> BoxedStrategy<(String, Vec<Kernel>)> {
     let load = prop_oneof![
         Just("load(\"corpus\")".to_string()),
         (0u64..100, 1u64..100).prop_map(|(a, d)| format!("load(\"corpus\", {a}..{})", a + d)),
@@ -135,16 +145,17 @@ fn well_typed_program() -> BoxedStrategy<(String, usize)> {
         " | localsim".to_string(),
         " | stack(window=256)".to_string(),
     ]);
-    (load, vec(kernel_stage(), 0..6), terminal)
-        .prop_map(|(load, kernels, terminal)| {
-            let n = kernels.len();
+    (load, vec(kernel_stage(), 0..300), terminal)
+        .prop_map(|(load, stages, terminal)| {
             let mut src = load;
-            for k in &kernels {
+            let mut kernels = Vec::with_capacity(stages.len());
+            for (stage, kernel) in stages {
                 src.push_str(" | ");
-                src.push_str(k);
+                src.push_str(&stage);
+                kernels.push(kernel);
             }
             src.push_str(&terminal);
-            (src, n)
+            (src, kernels)
         })
         .boxed()
 }
@@ -169,8 +180,8 @@ proptest! {
     }
 
     #[test]
-    fn well_typed_programs_compile_and_fuse(src_n in well_typed_program()) {
-        let (src, n_kernels) = src_n;
+    fn well_typed_programs_compile_and_fuse(src_kernels in well_typed_program()) {
+        let (src, kernels) = src_kernels;
         let program = dasl::compile(&src);
         prop_assert!(
             program.is_ok(),
@@ -179,9 +190,11 @@ proptest! {
             program.unwrap_err().render(&src)
         );
         let program = program.unwrap();
-        // A chain of k adjacent element-wise kernels runs as one pass,
-        // eliminating k-1 traversals.
-        prop_assert_eq!(program.fused_stages, n_kernels.saturating_sub(1) as u64);
+        // The plan holds every kernel, in source order, and a chain of k
+        // element-wise kernels runs as one pass, eliminating k-1
+        // traversals.
+        prop_assert_eq!(&program.kernels, &kernels);
+        prop_assert_eq!(program.fused_stages(), kernels.len().saturating_sub(1) as u64);
         prop_assert_eq!(program.load_spec().corpus.as_str(), "corpus");
     }
 }
