@@ -107,6 +107,16 @@ if [[ $quick -eq 0 ]]; then
     echo "==> dasf: release-mode byte-equality"
     cargo test --release -q -p dasf
 
+    # The crate's one `unsafe` block calls the `#[target_feature]` CRC32C
+    # code, the three-stream `crc32` loops every read and scrub hashes
+    # through: run the crate's unit and integration tests under
+    # AddressSanitizer (nightly), in a target directory of its own so
+    # the instrumented build never mixes with the tier-1 one.
+    echo "==> dasf: AddressSanitizer over the unit and integration tests"
+    RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR="$ci_tmp/asan" \
+        cargo +nightly test --offline -q -p dasf --lib --tests \
+        --target x86_64-unknown-linux-gnu
+
     # Chaos matrix: the seeded fault-injection suite over 8 seeds, run
     # twice with outcome digests. Any nondeterminism — a fault plan
     # whose outcome differs between two identically-seeded runs, within

@@ -570,21 +570,26 @@ impl<'a> IoExecutor<'a> {
     /// Scrub `targets` with `threads` worker threads (clamped to ≥ 1):
     /// the `das_fsck` verification path, run through the same engine as
     /// the data reads. Returns the aggregate report, verdicts sorted by
-    /// path.
+    /// path. One thread scrubs on the caller's.
     pub fn run_scrub(&self, targets: &[PathBuf], threads: usize) -> FsckReport {
         let threads = threads.clamp(1, targets.len().max(1));
         let next = AtomicUsize::new(0);
         let verdicts = Mutex::new(Vec::with_capacity(targets.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(path) = targets.get(i) else { break };
-                    let v = scrub_file(path);
-                    verdicts.lock().unwrap().push(v);
-                });
-            }
-        });
+        let scrub_rest = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(path) = targets.get(i) else { break };
+            let v = scrub_file(path);
+            verdicts.lock().unwrap().push(v);
+        };
+        if threads == 1 {
+            scrub_rest();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(scrub_rest);
+                }
+            });
+        }
         let mut files = verdicts.into_inner().unwrap();
         files.sort_by(|a, b| a.path.cmp(&b.path));
         FsckReport { files }

@@ -15,11 +15,14 @@
 //! [`IDLE_LIMIT`] with no frame in progress, or for a started frame to
 //! complete; a shutdown is observed within one [`POLL_TICK`], even
 //! mid-frame; a framed payload that does not parse is a `BadRequest`
-//! and the connection stays.
+//! and the connection stays; a request that panics is an `Internal`
+//! error, its connection is closed and its worker serves the next one.
 
 use super::protocol::{is_timeout, read_frame, ErrorKind, HealthInfo, Request, Response};
+use std::any::Any;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -60,7 +63,8 @@ pub(crate) struct Daemon {
 pub(crate) trait Handler: Send + Sync + 'static {
     /// Count one decoded request, before it is answered.
     fn count(&self, req: &Request);
-    /// Record a payload that did not parse, for `Health.last_error`.
+    /// Record a failed request for `Health.last_error`: a payload that
+    /// did not parse (`BadRequest`) or one that panicked (`Internal`).
     fn note_error(&self, kind: ErrorKind, message: &str);
     /// Add to `Health` past identity, uptime and pool occupancy.
     fn health(&self, info: &mut HealthInfo);
@@ -317,10 +321,34 @@ fn serve_conn<H: Handler>(shared: &Shared<H>, stream: TcpStream) -> io::Result<(
             }
         };
         shared.handler.count(&req);
-        if shared.answer(&mut conn, req)? {
+        let answered = panic::catch_unwind(AssertUnwindSafe(|| shared.answer(&mut conn, req)));
+        let shutdown = match answered {
+            Ok(answered) => answered?,
+            // The panic unwound out of the handler between two frames
+            // (a frame leaves in one `write_all`), so the peer can still
+            // be told; the connection is then closed, the worker kept.
+            Err(payload) => {
+                let message = format!("request panicked: {}", panic_message(&*payload));
+                shared.handler.note_error(ErrorKind::Internal, &message);
+                let kind = ErrorKind::Internal;
+                let _ = conn.send(&Response::Error { kind, message });
+                return Ok(());
+            }
+        };
+        if shutdown {
             shared.initiate_shutdown();
             return Ok(());
         }
+    }
+}
+
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("non-string panic payload", String::as_str),
     }
 }
 
@@ -397,11 +425,77 @@ impl Conn {
 
 #[cfg(test)]
 mod tests {
+    use super::{Conn, Core, Daemon, Handler, PoolMetrics};
     use crate::dass::{das_file_name, write_das_file, DasFileMeta, Timestamp};
-    use crate::dassd::{Client, Server, ServerConfig};
-    use std::io::Read;
+    use crate::dassd::protocol::{ErrorKind, HealthInfo, Request};
+    use crate::dassd::{Client, ClientError, Server, ServerConfig};
+    use std::io::{self, Read};
     use std::net::TcpStream;
+    use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
+
+    /// Panics on every data-plane request; remembers what the core told
+    /// it.
+    #[derive(Default)]
+    struct Panicky {
+        errors: Mutex<Vec<(ErrorKind, String)>>,
+    }
+
+    impl Handler for Panicky {
+        fn count(&self, _: &Request) {}
+        fn note_error(&self, kind: ErrorKind, message: &str) {
+            self.errors.lock().unwrap().push((kind, message.into()));
+        }
+        fn health(&self, _: &mut HealthInfo) {}
+        fn serve(&self, _: &mut Conn, req: Request) -> io::Result<bool> {
+            panic!("handler bug on {req:?}");
+        }
+    }
+
+    /// Three panicking requests on fresh connections, more than the two
+    /// workers: each gets `Internal` and is recorded, and a `Ping` after
+    /// them is still answered — no worker was lost.
+    #[test]
+    fn a_panicking_request_is_an_internal_error_and_the_worker_stays() {
+        let registry = Arc::new(obs::Registry::new());
+        let daemon = Daemon {
+            component: "conn-test",
+            name: "conn-test",
+            registry: Arc::clone(&registry),
+            sampler: Arc::new(obs::Sampler::start(registry, Duration::from_secs(3600), 2)),
+            uptime: None,
+            workers: 2,
+            queue_cap: 4,
+            fault_plan: None,
+            admission: PoolMetrics::new(&obs::Registry::new(), "conn-test"),
+            idle_limit: Duration::from_secs(30),
+        };
+        let mut core = Core::start("127.0.0.1:0", daemon, Panicky::default()).unwrap();
+        let addr = core.addr();
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let panics: Vec<_> = (0..3)
+                .map(|_| Client::connect(addr).unwrap().read_all().unwrap_err())
+                .collect();
+            let pong = Client::connect(addr).unwrap().ping();
+            done.send((panics, pong)).unwrap();
+        });
+        let (panics, pong) = outcome
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a ping after three panicking requests was never answered");
+        for e in panics {
+            assert!(
+                matches!(&e, ClientError::Server { kind: ErrorKind::Internal, message }
+                    if message.contains("handler bug on ReadAll")),
+                "{e:?}"
+            );
+        }
+        pong.unwrap();
+        let errors = core.handler().errors.lock().unwrap().clone();
+        assert_eq!(errors.len(), 3, "{errors:?}");
+        assert!(errors.iter().all(|(kind, _)| *kind == ErrorKind::Internal));
+        core.stop();
+    }
 
     /// With one worker, a peer that connects and says nothing holds it
     /// only until the idle limit; the client queued behind it is then

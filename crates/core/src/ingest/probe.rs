@@ -79,9 +79,14 @@ impl Handler for ProbeHandler {
         metrics().probe_requests.inc();
     }
 
-    fn note_error(&self, _: ErrorKind, message: &str) {
-        obs::log_warn!("ingest.probe", "malformed probe request: {message}");
-        metrics().note_error(&format!("malformed: {message}"));
+    fn note_error(&self, kind: ErrorKind, message: &str) {
+        if kind == ErrorKind::BadRequest {
+            obs::log_warn!("ingest.probe", "malformed probe request: {message}");
+            metrics().note_error(&format!("malformed: {message}"));
+        } else {
+            obs::log_warn!("ingest.probe", "probe request failed: {message}");
+            metrics().note_error(&format!("{}: {message}", kind.name()));
+        }
     }
 
     fn health(&self, info: &mut HealthInfo) {
