@@ -570,7 +570,8 @@ impl<'a> IoExecutor<'a> {
     /// Scrub `targets` with `threads` worker threads (clamped to ≥ 1):
     /// the `das_fsck` verification path, run through the same engine as
     /// the data reads. Returns the aggregate report, verdicts sorted by
-    /// path. One thread scrubs on the caller's.
+    /// path. The caller is one of the workers, so one thread spawns
+    /// none.
     pub fn run_scrub(&self, targets: &[PathBuf], threads: usize) -> FsckReport {
         let threads = threads.clamp(1, targets.len().max(1));
         let next = AtomicUsize::new(0);
@@ -581,15 +582,12 @@ impl<'a> IoExecutor<'a> {
             let v = scrub_file(path);
             verdicts.lock().unwrap().push(v);
         };
-        if threads == 1 {
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(scrub_rest);
+            }
             scrub_rest();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(scrub_rest);
-                }
-            });
-        }
+        });
         let mut files = verdicts.into_inner().unwrap();
         files.sort_by(|a, b| a.path.cmp(&b.path));
         FsckReport { files }

@@ -80,13 +80,13 @@ impl Handler for ProbeHandler {
     }
 
     fn note_error(&self, kind: ErrorKind, message: &str) {
-        if kind == ErrorKind::BadRequest {
-            obs::log_warn!("ingest.probe", "malformed probe request: {message}");
-            metrics().note_error(&format!("malformed: {message}"));
+        let label = if kind == ErrorKind::BadRequest {
+            "malformed"
         } else {
-            obs::log_warn!("ingest.probe", "probe request failed: {message}");
-            metrics().note_error(&format!("{}: {message}", kind.name()));
-        }
+            kind.name()
+        };
+        obs::log_warn!("ingest.probe", "{label} probe request: {message}");
+        metrics().note_error(&format!("{label}: {message}"));
     }
 
     fn health(&self, info: &mut HealthInfo) {
