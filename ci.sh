@@ -51,6 +51,7 @@ grep -qxF '#![deny(unsafe_op_in_unsafe_fn)]' crates/dasf/src/lib.rs || {
 echo "==> unsafe allow-list: crates/, tests/ and examples/, each site under a SAFETY comment"
 unsafe_allowed=(
     'dasf/src/crc.rs|1|SIMD CRC32C: the call into the sse4.2 target-feature function'
+    'dsp/src/tier.rs|1|AVX2 tier: the call into the avx2 target-feature runner'
     'obs/src/trace.rs|4|per-thread trace ring: Send/Sync for the buffer, its one writer, its readers'
     'core/src/ingest/watch.rs|4|inotify/ppoll FFI: the spool doorbell'
     'core/src/bin/das_ingest.rs|1|signal(2) FFI: SIGINT/SIGTERM stop the daemon'
@@ -107,14 +108,15 @@ if [[ $quick -eq 0 ]]; then
     echo "==> dasf: release-mode byte-equality"
     cargo test --release -q -p dasf
 
-    # The crate's one `unsafe` block calls the `#[target_feature]` CRC32C
+    # dasf's one `unsafe` block calls the `#[target_feature]` CRC32C
     # code, the three-stream `crc32` loops every read and scrub hashes
-    # through: run the crate's unit and integration tests under
+    # through, and dsp's calls the AVX2 copy of its lockstep lane
+    # kernels: run both crates' unit and integration tests under
     # AddressSanitizer (nightly), in a target directory of its own so
     # the instrumented build never mixes with the tier-1 one.
-    echo "==> dasf: AddressSanitizer over the unit and integration tests"
+    echo "==> dasf, dsp: AddressSanitizer over the unit and integration tests"
     RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR="$ci_tmp/asan" \
-        cargo +nightly test --offline -q -p dasf --lib --tests \
+        cargo +nightly test --offline -q -p dasf -p dsp --lib --tests \
         --target x86_64-unknown-linux-gnu
 
     # Chaos matrix: the seeded fault-injection suite over 8 seeds, run

@@ -20,7 +20,7 @@ use super::haee::Haee;
 use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch};
 use crate::{DassaError, Result};
 use arrayudf::{dist, Array2};
-use dsp::{abscorr_complex, fft_real, ifft, Complex};
+use dsp::{abscorr_complex_with_energy, energy_complex, fft_real, ifft, Complex};
 use minimpi::Comm;
 
 /// Pipeline parameters for Algorithm 3.
@@ -115,18 +115,22 @@ pub(super) fn score_rows(
     haee: &Haee,
 ) -> Vec<f64> {
     let mut out = vec![0.0; data.rows()];
+    // Every row meets the one master spectrum: its energy is summed once.
+    let n2 = energy_complex(&master.spectrum);
     omp::for_blocks(haee.threads_per_process, &mut out, 1, |mine, out| {
         let first = mine.start;
         let mut rows = RowScratch::default();
         let mut fft = RowFft::new(master.spectrum.len());
         for block in blocks(mine) {
             if let Some(ch) = master_row.filter(|ch| block.contains(ch)) {
-                out[ch - first] = abscorr_complex(&master.spectrum, &master.spectrum);
+                out[ch - first] =
+                    abscorr_complex_with_energy(&master.spectrum, &master.spectrum, n2);
             }
             let others = block.filter(|&ch| Some(ch) != master_row);
             let processed = rows.run_block(others.clone().map(|ch| data.row(ch)), chain);
             for (ch, row) in others.zip(processed) {
-                out[ch - first] = abscorr_complex(fft.spectrum(row), &master.spectrum);
+                out[ch - first] =
+                    abscorr_complex_with_energy(fft.spectrum(row), &master.spectrum, n2);
             }
         }
     });

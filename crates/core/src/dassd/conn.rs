@@ -38,6 +38,13 @@ pub(crate) const IDLE_LIMIT: Duration = Duration::from_secs(30);
 /// flag and the deadline.
 const POLL_TICK: Duration = Duration::from_millis(200);
 
+/// The acceptor's pause after a failed `accept`, doubling with each
+/// failure in a row up to [`ACCEPT_BACKOFF_MAX`]; an accepted connection
+/// resets it. At `EMFILE` the pending connection stays in the backlog,
+/// so an acceptor that retried at once would spin a core.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
 /// What a daemon tells the core about itself.
 pub(crate) struct Daemon {
     /// `component` in `Health` and the metrics JSON.
@@ -73,16 +80,19 @@ pub(crate) trait Handler: Send + Sync + 'static {
     fn serve(&self, w: &mut Conn, req: Request) -> io::Result<bool>;
 }
 
-/// Admission metrics: `<prefix>.{busy,queue_depth,workers_busy}`.
+/// Admission metrics:
+/// `<prefix>.{busy,queue_depth,workers_busy,accept.errors}`.
 pub(crate) struct PoolMetrics {
     busy: obs::Counter,
     queue_depth: obs::Gauge,
     workers_busy: obs::Gauge,
+    accept_errors: obs::Counter,
 }
 
 impl PoolMetrics {
     pub(crate) fn new(reg: &obs::Registry, prefix: &str) -> PoolMetrics {
         PoolMetrics {
+            accept_errors: reg.counter(&format!("{prefix}.accept.errors")),
             busy: reg.counter(&format!("{prefix}.busy")),
             queue_depth: reg.gauge(&format!("{prefix}.queue_depth")),
             workers_busy: reg.gauge(&format!("{prefix}.workers_busy")),
@@ -174,6 +184,22 @@ impl<H: Handler> Shared<H> {
         }
     }
 
+    /// Sleep `pause` in slices of at most one [`POLL_TICK`], looking at
+    /// the shutdown flag before and after each; false once it is set.
+    fn pause_unless_stopped(&self, pause: Duration) -> bool {
+        let until = Instant::now() + pause;
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                return false;
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return true;
+            }
+            std::thread::sleep(left.min(POLL_TICK));
+        }
+    }
+
     /// Milliseconds since start, with the uptime gauge moved there (by
     /// a delta against its last value, so ancestor aggregation stays
     /// correct).
@@ -236,13 +262,40 @@ fn accept_loop<H: Handler>(
     admit: SyncSender<TcpStream>,
 ) {
     let m = &shared.daemon.admission;
+    let mut injected = shared
+        .daemon
+        .fault_plan
+        .as_deref()
+        .map_or(0, injected_accept_failures);
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     loop {
-        let accepted = listener.accept();
+        let accepted = if injected > 0 {
+            injected -= 1;
+            Err(io::Error::other("injected accept failure"))
+        } else {
+            listener.accept()
+        };
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        // An accept failure is transient; keep listening.
-        let Ok((stream, _)) = accepted else { continue };
+        // An accept failure is transient (a full descriptor table, an
+        // aborted handshake): count it, pause, keep listening.
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                m.accept_errors.inc();
+                obs::log_debug!(
+                    shared.daemon.name,
+                    "accept failed ({e}); retrying in {backoff:?}"
+                );
+                if !shared.pause_unless_stopped(backoff) {
+                    return;
+                }
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                continue;
+            }
+        };
+        backoff = ACCEPT_BACKOFF_MIN;
         match admit.try_send(stream) {
             Ok(()) => m.queue_depth.add(1),
             Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
@@ -251,6 +304,18 @@ fn accept_loop<H: Handler>(
                 reject_busy(stream);
             }
         }
+    }
+}
+
+/// How many of its first attempts the acceptor fails under `plan`
+/// ([`faultline::site::DASSD_ACCEPT_ERR`]): none unless the site fires,
+/// else 1 to 8, drawn from the seed.
+fn injected_accept_failures(plan: &faultline::FaultPlan) -> u32 {
+    let site = faultline::site::DASSD_ACCEPT_ERR;
+    if plan.fires(site, 0) {
+        1 + plan.value_below(site, 0, 8) as u32
+    } else {
+        0
     }
 }
 
@@ -425,10 +490,11 @@ impl Conn {
 
 #[cfg(test)]
 mod tests {
-    use super::{Conn, Core, Daemon, Handler, PoolMetrics};
+    use super::{injected_accept_failures, Conn, Core, Daemon, Handler, PoolMetrics};
     use crate::dass::{das_file_name, write_das_file, DasFileMeta, Timestamp};
     use crate::dassd::protocol::{ErrorKind, HealthInfo, Request};
     use crate::dassd::{Client, ClientError, Server, ServerConfig};
+    use faultline::FaultPlan;
     use std::io::{self, Read};
     use std::net::TcpStream;
     use std::sync::{Arc, Mutex};
@@ -455,10 +521,10 @@ mod tests {
     /// Three panicking requests on fresh connections, more than the two
     /// workers: each gets `Internal` and is recorded, and a `Ping` after
     /// them is still answered — no worker was lost.
-    #[test]
-    fn a_panicking_request_is_an_internal_error_and_the_worker_stays() {
+    /// Two workers, four queue slots, admission counted in `admission`.
+    fn daemon(fault_plan: Option<Arc<FaultPlan>>, admission: &obs::Registry) -> Daemon {
         let registry = Arc::new(obs::Registry::new());
-        let daemon = Daemon {
+        Daemon {
             component: "conn-test",
             name: "conn-test",
             registry: Arc::clone(&registry),
@@ -466,10 +532,15 @@ mod tests {
             uptime: None,
             workers: 2,
             queue_cap: 4,
-            fault_plan: None,
-            admission: PoolMetrics::new(&obs::Registry::new(), "conn-test"),
+            fault_plan,
+            admission: PoolMetrics::new(admission, "conn-test"),
             idle_limit: Duration::from_secs(30),
-        };
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_is_an_internal_error_and_the_worker_stays() {
+        let daemon = daemon(None, &obs::Registry::new());
         let mut core = Core::start("127.0.0.1:0", daemon, Panicky::default()).unwrap();
         let addr = core.addr();
         let (done, outcome) = std::sync::mpsc::channel();
@@ -494,6 +565,43 @@ mod tests {
         let errors = core.handler().errors.lock().unwrap().clone();
         assert_eq!(errors.len(), 3, "{errors:?}");
         assert!(errors.iter().all(|(kind, _)| *kind == ErrorKind::Internal));
+        core.stop();
+    }
+
+    /// `accept` failing as at `EMFILE`, eight times in a row: the
+    /// acceptor pauses 5 ms, doubling, between attempts instead of
+    /// spinning, counts every failure, and serves the client that waited
+    /// in the backlog once the fault clears.
+    #[test]
+    fn a_failing_accept_backs_off_then_serves_the_waiting_client() {
+        let site = faultline::site::DASSD_ACCEPT_ERR;
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(seed).with(site, 1.0))
+            .find(|plan| injected_accept_failures(plan) == 8)
+            .expect("some seed draws the longest run");
+        let admission = obs::Registry::new();
+        let errors = admission.counter("conn-test.accept.errors");
+        let t0 = Instant::now();
+        let daemon = daemon(Some(Arc::new(plan)), &admission);
+        let mut core = Core::start("127.0.0.1:0", daemon, Panicky::default()).unwrap();
+        let addr = core.addr();
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pong = Client::connect(addr).map(|mut c| c.ping());
+            done.send((pong, t0.elapsed())).unwrap();
+        });
+        // Attempts at ≈ 0, 5, 15, 35, 75 and 155 ms: a spinning acceptor
+        // makes thousands.
+        std::thread::sleep(Duration::from_millis(200));
+        let early = errors.get();
+        assert!(early <= 7, "{early} accept attempts in the first 200 ms");
+        let (pong, at) = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the waiting client was never served");
+        pong.unwrap().unwrap();
+        // the eight pauses: 5 + 10 + … + 640 ms
+        assert!(at >= Duration::from_millis(1275), "served after {at:?}");
+        assert_eq!(errors.get(), 8);
         core.stop();
     }
 

@@ -2,6 +2,7 @@
 //! zero-phase `filtfilt` — the paper's `Das_filtfilt`.
 
 use crate::linalg::solve;
+use crate::tier;
 
 /// Apply the rational filter `b / a` to `x` (like MATLAB `filter`).
 ///
@@ -93,9 +94,10 @@ pub const LANES: usize = 4;
 /// block of one). For 3, 5, 7 and 9 coefficients — bandpass orders 1 to
 /// 4 of the [`MAX_ORDER`](crate::butter::MAX_ORDER) a caller may ask for
 /// — the lanes' state is a fixed-size local the compiler keeps in
-/// registers, two lanes to a vector; for any other count it lives in the
-/// scratch and each sample runs the recurrence lane after lane, the four
-/// chains overlapping in the pipeline.
+/// registers, two lanes to a vector (all four on a CPU with AVX2, chosen
+/// at run time, same bits); for any other count it lives in the scratch
+/// and each sample runs the recurrence lane after lane, the four chains
+/// overlapping in the pipeline.
 #[derive(Debug, Clone)]
 pub struct FiltFilt {
     b: Vec<f64>,
@@ -228,11 +230,21 @@ impl FiltFilt {
     }
 
     /// The forward then the backward pass over the interleaved
-    /// extension for a filter of exactly `N` coefficients.
+    /// extension for a filter of exactly `N` coefficients, each on the
+    /// widest [`tier`] this CPU has.
     fn passes_n<const L: usize, const N: usize>(&self, ext: &mut [[f64; L]]) {
-        pass_n::<L, N>(&self.b, &self.a, &self.zi, ext[0], ext.iter_mut());
-        let last = ext[ext.len() - 1];
-        pass_n::<L, N>(&self.b, &self.a, &self.zi, last, ext.iter_mut().rev());
+        let first = ext[0];
+        tier::run(PassN::<_, L, N> {
+            filter: self,
+            first,
+            samples: ext.iter_mut(),
+        });
+        let first = ext[ext.len() - 1];
+        tier::run(PassN::<_, L, N> {
+            filter: self,
+            first,
+            samples: ext.iter_mut().rev(),
+        });
     }
 
     /// [`passes_n`](Self::passes_n) for any coefficient count: `state`
@@ -279,41 +291,56 @@ impl FiltFilt {
     }
 }
 
-/// [`FiltFilt::pass_any`] for a filter of exactly `N` coefficients, with
-/// state and coefficients as `N`-entry locals of one `[f64; L]` cell
+/// [`FiltFilt::pass_any`] for a filter of exactly `N` coefficients, over
+/// `samples` from the state scaled by `first`, as a [`tier::Kernel`]:
+/// state and coefficients are `N`-entry locals of one `[f64; L]` cell
 /// each (`b` and `a` repeat each coefficient across a cell) and the lanes
-/// innermost: the loops over the coefficients unroll, the state lives in
-/// registers and one vector instruction advances two lanes. Per lane the
-/// operations, and their order, are those of the scalar recurrence.
-///
-/// One function per `(L, N, direction)`, never inlined: its code must not
-/// depend on what the caller looks like.
-#[inline(never)]
-fn pass_n<'a, const L: usize, const N: usize>(
-    b: &[f64],
-    a: &[f64],
-    zi: &[f64],
+/// innermost, so the loops over the coefficients unroll, the state lives
+/// in registers and one vector instruction advances two lanes (four on
+/// the AVX2 tier). Per lane the operations, and their order, are those of
+/// the scalar recurrence. Each tier's runner compiles its own copy per
+/// `(L, N, direction)`, whose code does not depend on what the caller
+/// looks like.
+struct PassN<'f, I, const L: usize, const N: usize> {
+    filter: &'f FiltFilt,
     first: [f64; L],
-    samples: impl Iterator<Item = &'a mut [f64; L]>,
-) {
-    let b: [[f64; L]; N] = std::array::from_fn(|i| [b[i]; L]);
-    let a: [[f64; L]; N] = std::array::from_fn(|i| [a[i]; L]);
-    let mut z = [[0.0; L]; N];
-    for i in 0..N - 1 {
-        z[i] = first.map(|v| zi[i] * v);
-    }
-    for v in samples {
-        let xn = *v;
-        let mut yn = [0.0; L];
-        for lane in 0..L {
-            yn[lane] = b[0][lane] * xn[lane] + z[0][lane];
+    samples: I,
+}
+
+impl<'a, I, const L: usize, const N: usize> tier::Kernel for PassN<'_, I, L, N>
+where
+    I: Iterator<Item = &'a mut [f64; L]>,
+{
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let PassN {
+            filter,
+            first,
+            samples,
+        } = self;
+        let b: [[f64; L]; N] = std::array::from_fn(|i| [filter.b[i]; L]);
+        let a: [[f64; L]; N] = std::array::from_fn(|i| [filter.a[i]; L]);
+        // `zi` has N − 1 entries: the last state entry stays 0.
+        let mut z = [[0.0; L]; N];
+        for (z, &zi) in z.iter_mut().zip(&filter.zi) {
+            *z = first.map(|v| zi * v);
         }
-        for i in 0..N - 1 {
+        for v in samples {
+            let xn = *v;
+            let mut yn = [0.0; L];
             for lane in 0..L {
-                z[i][lane] = b[i + 1][lane] * xn[lane] + z[i + 1][lane] - a[i + 1][lane] * yn[lane];
+                yn[lane] = b[0][lane] * xn[lane] + z[0][lane];
             }
+            for i in 0..N - 1 {
+                for lane in 0..L {
+                    z[i][lane] =
+                        b[i + 1][lane] * xn[lane] + z[i + 1][lane] - a[i + 1][lane] * yn[lane];
+                }
+            }
+            *v = yn;
         }
-        *v = yn;
     }
 }
 
@@ -504,44 +531,49 @@ mod tests {
 
     #[test]
     fn lockstep_blocks_have_the_one_row_reference_bits() {
-        let mut scratch = vec![f64::NAN; 5];
-        for f in designs() {
-            let edge = f.edge_len();
-            let coeffs = f.b.len();
-            for n in [edge + 1, edge + 2, 97, 5000] {
-                // every block size up to two full lockstep groups and a
-                // leftover: each remainder, each lane position
-                let sizes: &[usize] = if n == 5000 {
-                    &[9]
-                } else {
-                    &[1, 2, 3, 4, 5, 6, 7, 8, 9]
-                };
-                for &k in sizes {
-                    let rows: Vec<Vec<f64>> = (0..k).map(|r| row(r, n)).collect();
-                    let want: Vec<Vec<f64>> = rows.iter().map(|x| reference(&f, x)).collect();
-                    let mut outs = vec![vec![f64::NAN; 3]; k];
-                    f.apply_block_into(&rows, &mut outs, &mut scratch);
-                    assert_eq!(outs, want, "{coeffs} coefficients, {k} rows of {n}");
-                    // rows given in another order ride in other lanes
-                    let reversed: Vec<Vec<f64>> = rows.iter().rev().cloned().collect();
-                    f.apply_block_into(&reversed, &mut outs, &mut scratch);
-                    outs.reverse();
+        tier::each(|tier| {
+            let mut scratch = vec![f64::NAN; 5];
+            for f in designs() {
+                let edge = f.edge_len();
+                let coeffs = f.b.len();
+                for n in [edge + 1, edge + 2, 97, 5000] {
+                    // every block size up to two full lockstep groups and a
+                    // leftover: each remainder, each lane position
+                    let sizes: &[usize] = if n == 5000 {
+                        &[9]
+                    } else {
+                        &[1, 2, 3, 4, 5, 6, 7, 8, 9]
+                    };
+                    for &k in sizes {
+                        let rows: Vec<Vec<f64>> = (0..k).map(|r| row(r, n)).collect();
+                        let want: Vec<Vec<f64>> = rows.iter().map(|x| reference(&f, x)).collect();
+                        let mut outs = vec![vec![f64::NAN; 3]; k];
+                        f.apply_block_into(&rows, &mut outs, &mut scratch);
+                        assert_eq!(
+                            outs, want,
+                            "{tier:?}: {coeffs} coefficients, {k} rows of {n}"
+                        );
+                        // rows given in another order ride in other lanes
+                        let reversed: Vec<Vec<f64>> = rows.iter().rev().cloned().collect();
+                        f.apply_block_into(&reversed, &mut outs, &mut scratch);
+                        outs.reverse();
+                        assert_eq!(
+                            outs, want,
+                            "{tier:?}: {coeffs} coefficients, {k} rows of {n}, reversed"
+                        );
+                    }
+                    let x = row(0, n);
+                    let mut out = vec![f64::NAN; 2];
+                    f.apply_into(&x, &mut out, &mut scratch);
                     assert_eq!(
-                        outs, want,
-                        "{coeffs} coefficients, {k} rows of {n}, reversed"
+                        out,
+                        reference(&f, &x),
+                        "{tier:?}: {coeffs} coefficients, one row of {n}"
                     );
+                    assert_eq!(out, filtfilt_reference(&f.b, &f.a, &x));
                 }
-                let x = row(0, n);
-                let mut out = vec![f64::NAN; 2];
-                f.apply_into(&x, &mut out, &mut scratch);
-                assert_eq!(
-                    out,
-                    reference(&f, &x),
-                    "{coeffs} coefficients, one row of {n}"
-                );
-                assert_eq!(out, filtfilt_reference(&f.b, &f.a, &x));
             }
-        }
+        });
     }
 
     /// A lane never reads another lane's state: a row of NaN, infinities
@@ -550,43 +582,46 @@ mod tests {
     /// a run-time-count filter.
     #[test]
     fn a_poisoned_row_stays_in_its_lane() {
-        let n = 120;
-        let poisons: [fn(usize) -> f64; 4] = [
-            |_| f64::NAN,
-            |i| {
-                if i % 2 == 0 {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                }
-            },
-            |i| {
-                if i == 60 {
-                    f64::INFINITY
-                } else {
-                    (i as f64 * 0.3).sin()
-                }
-            },
-            |i| f64::MIN_POSITIVE / (1 + i % 7) as f64,
-        ];
-        let mut scratch = Vec::new();
-        for order in [4, 5] {
-            let (b, a) = butter(order, FilterBand::Bandpass(0.05, 0.8));
-            let f = FiltFilt::new(&b, &a);
-            for poison in poisons {
-                for lane in 0..LANES {
-                    let mut rows: Vec<Vec<f64>> = (0..LANES).map(|r| row(r, n)).collect();
-                    rows[lane] = (0..n).map(poison).collect();
-                    let mut outs = vec![Vec::new(); LANES];
-                    f.apply_block_into(&rows, &mut outs, &mut scratch);
-                    for (r, (out, x)) in outs.iter().zip(&rows).enumerate() {
-                        let what = format!("order {order}, poison in lane {lane}, row {r}");
-                        assert_same_bits(out, &reference(&f, x), &what);
-                        assert_eq!(r == lane, out.iter().any(|v| !v.is_normal()), "{what}");
+        tier::each(|tier| {
+            let n = 120;
+            let poisons: [fn(usize) -> f64; 4] = [
+                |_| f64::NAN,
+                |i| {
+                    if i % 2 == 0 {
+                        f64::INFINITY
+                    } else {
+                        f64::NEG_INFINITY
+                    }
+                },
+                |i| {
+                    if i == 60 {
+                        f64::INFINITY
+                    } else {
+                        (i as f64 * 0.3).sin()
+                    }
+                },
+                |i| f64::MIN_POSITIVE / (1 + i % 7) as f64,
+            ];
+            let mut scratch = Vec::new();
+            for order in [4, 5] {
+                let (b, a) = butter(order, FilterBand::Bandpass(0.05, 0.8));
+                let f = FiltFilt::new(&b, &a);
+                for poison in poisons {
+                    for lane in 0..LANES {
+                        let mut rows: Vec<Vec<f64>> = (0..LANES).map(|r| row(r, n)).collect();
+                        rows[lane] = (0..n).map(poison).collect();
+                        let mut outs = vec![Vec::new(); LANES];
+                        f.apply_block_into(&rows, &mut outs, &mut scratch);
+                        for (r, (out, x)) in outs.iter().zip(&rows).enumerate() {
+                            let what =
+                                format!("{tier:?}: order {order}, poison in lane {lane}, row {r}");
+                            assert_same_bits(out, &reference(&f, x), &what);
+                            assert_eq!(r == lane, out.iter().any(|v| !v.is_normal()), "{what}");
+                        }
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -600,30 +635,37 @@ mod tests {
 
     #[test]
     fn prepared_filter_has_the_reference_bits() {
-        let x: Vec<f64> = (0..400)
-            .map(|i| (i as f64 * 0.21).sin() + ((i * 7919) % 1000) as f64 / 500.0 - 1.0)
-            .collect();
-        let filters = [
-            butter(4, FilterBand::Bandpass(0.002, 0.096)),
-            butter(3, FilterBand::Bandpass(0.05, 0.8)),
-            butter(2, FilterBand::Lowpass(0.3)),
-            butter(5, FilterBand::Highpass(0.4)),
-            (vec![0.5, 0.25], vec![2.0]),
-            (vec![3.0], vec![1.5]),
-        ];
-        for (b, a) in &filters {
-            let prepared = FiltFilt::new(b, a);
-            let edge = prepared.edge_len();
-            assert_eq!(edge, 3 * (b.len().max(a.len()) - 1));
-            let (mut out, mut scratch) = (vec![f64::NAN; 3], vec![f64::NAN; 7]);
-            // from the shortest row the filter takes
-            for n in [edge + 1, edge + 2, 2 * edge + 1, 97, 400] {
-                let want = filtfilt_reference(b, a, &x[..n]);
-                prepared.apply_into(&x[..n], &mut out, &mut scratch);
-                assert_eq!(out, want, "{} coefficients over {n} samples", b.len());
-                assert_eq!(filtfilt(b, a, &x[..n]), want);
+        tier::each(|tier| {
+            let x: Vec<f64> = (0..400)
+                .map(|i| (i as f64 * 0.21).sin() + ((i * 7919) % 1000) as f64 / 500.0 - 1.0)
+                .collect();
+            let filters = [
+                butter(4, FilterBand::Bandpass(0.002, 0.096)),
+                butter(3, FilterBand::Bandpass(0.05, 0.8)),
+                butter(2, FilterBand::Lowpass(0.3)),
+                butter(5, FilterBand::Highpass(0.4)),
+                (vec![0.5, 0.25], vec![2.0]),
+                (vec![3.0], vec![1.5]),
+            ];
+            for (b, a) in &filters {
+                let prepared = FiltFilt::new(b, a);
+                let edge = prepared.edge_len();
+                assert_eq!(edge, 3 * (b.len().max(a.len()) - 1));
+                let (mut out, mut scratch) = (vec![f64::NAN; 3], vec![f64::NAN; 7]);
+                // from the shortest row the filter takes
+                for n in [edge + 1, edge + 2, 2 * edge + 1, 97, 400] {
+                    let want = filtfilt_reference(b, a, &x[..n]);
+                    prepared.apply_into(&x[..n], &mut out, &mut scratch);
+                    assert_eq!(
+                        out,
+                        want,
+                        "{tier:?}: {} coefficients over {n} samples",
+                        b.len()
+                    );
+                    assert_eq!(filtfilt(b, a, &x[..n]), want);
+                }
             }
-        }
+        });
     }
 
     #[test]

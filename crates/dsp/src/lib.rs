@@ -49,10 +49,14 @@
 //!   the equality is asserted bit for bit, in debug and in release. Lane
 //!   counts are constants sized for the sixteen vector registers of the
 //!   baseline `x86-64` target; what selects a path is the row count and
-//!   the filter's coefficient count, never a CPU-feature probe, a
-//!   per-function instruction-set attribute, a Cargo feature or an
-//!   environment variable — one build computes one thing on every
-//!   machine.
+//!   the filter's coefficient count, never a Cargo feature or an
+//!   environment variable. Two kernels, [`FiltFilt`]'s fixed-size passes
+//!   and [`max_abscorr_lags`], also have a copy compiled for AVX2 that
+//!   one CPU probe picks at run time: the same source on 256-bit
+//!   vectors, four lanes to an instruction instead of two, with FMA left
+//!   off so no multiply and add are fused. Each lane runs the same
+//!   operations in the same order in either copy, so one build computes
+//!   one thing on every machine, and the lane suites assert it on both.
 //!
 //! The plan cache is bounded: at most 16 plans and 4 MiB of tables,
 //! least recently used out first (a 2500-point plan is 70 KB, a
@@ -72,7 +76,7 @@
 //! them first, by [`butter::MAX_ORDER`] and [`resample::MAX_FACTOR`]:
 //! both size what preparation builds.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod butter;
 pub mod complex;
@@ -86,14 +90,16 @@ pub mod linalg;
 pub mod normalize;
 pub mod resample;
 pub mod stft;
+#[allow(unsafe_code)]
+mod tier;
 pub mod whiten;
 pub mod window;
 
 pub use butter::{butter, FilterBand};
 pub use complex::Complex;
 pub use correlate::{
-    abscorr, abscorr_complex, abscorr_with_energy, energy, max_abscorr_lags, xcorr_direct,
-    xcorr_fft, CorrMode,
+    abscorr, abscorr_complex, abscorr_complex_with_energy, abscorr_with_energy, energy,
+    energy_complex, max_abscorr_lags, xcorr_direct, xcorr_fft, CorrMode,
 };
 pub use detrend::{
     detrend, detrend_block_in_place, detrend_constant, detrend_constant_block_in_place,

@@ -106,6 +106,11 @@ pub mod site {
     /// published under the final name. Key: hash of the target's file
     /// name.
     pub const INGEST_REPORT_WRITE: &str = "ingest.report.write";
+    /// A daemon's acceptor fails its first attempts as `accept` does at
+    /// `EMFILE`, the pending connection left in the backlog: when the
+    /// site fires, attempts `0..1 + value_below(site, 0, 8)` fail, then
+    /// the fault clears. Key: 0.
+    pub const DASSD_ACCEPT_ERR: &str = "dassd.accept.err";
 
     /// Every site this workspace injects at, for spec validation and
     /// docs.
@@ -125,5 +130,6 @@ pub mod site {
         INGEST_ARRIVAL_DELAY,
         INGEST_ARRIVAL_DUPLICATE,
         INGEST_REPORT_WRITE,
+        DASSD_ACCEPT_ERR,
     ];
 }
