@@ -464,6 +464,31 @@ if [[ $quick -eq 0 ]]; then
     fi
     echo "    onebit x300 | xcorr writes the same file as onebit | xcorr"
 
+    # Memory gate: the engine reads the block in its stored f32 and
+    # widens one row at a time, so no run holds an f64 copy of the whole
+    # block. 64 ch x 500 Hz x 4 min is 30.7 MB as f32 and 61.4 MB as
+    # f64: `-t 1` needs 51 MiB of address space, and needed 105 MiB
+    # while the pipeline widened the block whole (smallest passing
+    # `--as`, bisected). The limit sits between the two.
+    echo "==> memory: das_pipeline under prlimit --as, below the block's f64 widening"
+    mem_dir="$ci_tmp/mem"
+    mkdir "$mem_dir"
+    target/release/das_gen -d "$mem_dir/corpus" -c 64 -r 500 -m 4 >/dev/null
+    target/release/das_pipeline --program examples/interferometry.das -d "$mem_dir/corpus" \
+        -t 1 -o "$mem_dir/free.dasf" >/dev/null 2>&1
+    if ! prlimit --as=$((75 * 1024 * 1024)) target/release/das_pipeline \
+        --program examples/interferometry.das -d "$mem_dir/corpus" -t 1 \
+        -o "$mem_dir/capped.dasf" >/dev/null 2>"$mem_dir/capped.log"; then
+        echo "memory: das_pipeline failed under a 75 MiB address-space limit:" >&2
+        tail -n 5 "$mem_dir/capped.log" >&2
+        exit 1
+    fi
+    if ! cmp "$mem_dir/free.dasf" "$mem_dir/capped.dasf"; then
+        echo "memory: the run under the limit wrote a different file" >&2
+        exit 1
+    fi
+    echo "    interferometry.das over 64 ch x 500 Hz x 4 min ran in 75 MiB of address space, same file"
+
     # dassd gate: stand the data server up over a generated corpus, run
     # a query and an overload burst against it, then check the shutdown
     # metrics prove the chunk cache, the admission control, and the
@@ -796,6 +821,61 @@ if [[ $quick -eq 0 ]]; then
         }
     done
     echo "    uptime_ms=$uptime, burst peak=$peak req/s, flight record well-formed"
+
+    # Descriptor exhaustion: with 9 descriptors, 40 idle clients fill the
+    # table, and every accept fails until they leave. The accept loop
+    # must back off, not spin: under 5 % of a core (utime + stime) over
+    # 2 s, the failures counted, and a ping answered once the clients
+    # close.
+    echo "==> dassd: descriptor exhaustion under prlimit --nofile"
+    fd_dir="$ci_tmp/nofile"
+    mkdir "$fd_dir"
+    target/release/das_gen -d "$fd_dir/corpus" -c 4 -r 50 -m 1 >/dev/null
+    prlimit --nofile=9 target/release/das_serve -d "$fd_dir/corpus" --workers 2 --queue 4 \
+        --metrics="$fd_dir/m.json" >"$fd_dir/serve.log" 2>/dev/null &
+    fd_pid=$!
+    for _ in $(seq 1 100); do
+        grep -q '^dassd listening on ' "$fd_dir/serve.log" && break
+        sleep 0.1
+    done
+    fd_addr="$(sed -n 's/^dassd listening on //p' "$fd_dir/serve.log" | head -1)"
+    [[ -n "$fd_addr" ]] || { echo "nofile: server never announced" >&2; exit 1; }
+    clients=()
+    for _ in $(seq 1 40); do
+        exec {client}<>"/dev/tcp/${fd_addr%:*}/${fd_addr##*:}"
+        clients+=("$client")
+    done
+    sleep 0.5
+    # utime + stime in clock ticks: fields 14 and 15 of /proc/<pid>/stat,
+    # counted after the parenthesised command name
+    cpu_ticks() { awk '{ sub(/^.*\) /, ""); print $12 + $13 }' "/proc/$1/stat"; }
+    ticks0=$(cpu_ticks "$fd_pid")
+    sleep 2
+    used=$(($(cpu_ticks "$fd_pid") - ticks0))
+    tick_budget=$((2 * $(getconf CLK_TCK) / 20))
+    for client in "${clients[@]}"; do exec {client}>&-; done
+    if [[ $used -ge $tick_budget ]]; then
+        echo "nofile: das_serve used $used clock ticks in 2 s with its descriptors exhausted (budget $tick_budget)" >&2
+        exit 1
+    fi
+    pong=0
+    for _ in $(seq 1 20); do
+        if timeout 5 target/release/das_query --addr "$fd_addr" --ping >/dev/null 2>&1; then
+            pong=1
+            break
+        fi
+        sleep 0.2
+    done
+    [[ $pong -eq 1 ]] || { echo "nofile: no ping answered after the clients closed" >&2; exit 1; }
+    target/release/das_query --addr "$fd_addr" --shutdown >/dev/null
+    gone_within_3s "$fd_pid" || { echo "nofile: das_serve outlived --shutdown" >&2; exit 1; }
+    wait "$fd_pid" || { echo "nofile: das_serve exited nonzero" >&2; exit 1; }
+    accept_errors=$(grep -oE '"dassd\.accept\.errors":[0-9]+' "$fd_dir/m.json" | cut -d: -f2 || true)
+    if [[ -z "$accept_errors" || "$accept_errors" -eq 0 ]]; then
+        echo "nofile: no accept errors counted: the descriptor table never filled" >&2
+        exit 1
+    fi
+    echo "    40 idle clients on 9 descriptors: $used of $tick_budget ticks, $accept_errors accept errors, ping answered"
 
     # Benchmark gate: benchmark/ is a package of its own that consumes
     # the workspace's public API (dsp kernels, dasa::run, IoPlan, dassd,

@@ -18,7 +18,7 @@ fn main() {
     let scene = datasets::minute_scene(channels, hz, minutes);
     let catalog = FileCatalog::scan(&dir).expect("scan");
     let vca = Vca::from_entries(catalog.entries()).expect("vca");
-    let data = vca.read_all_f64().expect("read");
+    let data = vca.read_all_f32().expect("read");
 
     let params = LocalSimiParams {
         half_window: 25,

@@ -39,14 +39,9 @@ fn main() {
         let (blocks, wall) = time(|| {
             minimpi::run(ranks, |comm| {
                 let (local, _) = IoExecutor::new(comm).run(&plan).expect("read");
-                let local64 = arrayudf::Array2::from_vec(
-                    local.rows(),
-                    local.cols(),
-                    local.as_slice().iter().map(|&v| v as f64).collect(),
-                );
                 interferometry_dist(
                     comm,
-                    &local64,
+                    &local,
                     total_ch,
                     &params,
                     &Haee::builder().threads(1).build(),

@@ -19,7 +19,9 @@ fn main() {
     let scene = datasets::minute_scene(channels, hz, minutes);
     let catalog = FileCatalog::scan(&dir).expect("scan");
     let vca = Vca::from_entries(catalog.entries()).expect("vca");
-    let data = vca.read_all_f64().expect("read");
+    let data = vca.read_all_f32().expect("read");
+    // the dsp helpers below take one f64 row
+    let row = |ch: usize| -> Vec<f64> { data.row(ch).iter().map(|&v| f64::from(v)).collect() };
 
     // ---- amplitude map (the 2-D array of Figure 1b) -------------------
     println!("Figure 1b: |amplitude| map, channels across, time downward");
@@ -32,7 +34,7 @@ fn main() {
             let hi = (t0 + stride).min(data.cols());
             let peak = data.row(ch)[t0..hi]
                 .iter()
-                .fold(0.0f64, |m, &v| m.max(v.abs()));
+                .fold(0.0f64, |m, &v| m.max(f64::from(v).abs()));
             line.push(match peak {
                 p if p >= 4.0 => '#',
                 p if p >= 2.0 => '+',
@@ -52,7 +54,7 @@ fn main() {
             _ => None,
         })
         .expect("demo scene has a persistent source");
-    let spec = spectrogram(data.row(persistent_ch), 128, 64);
+    let spec = spectrogram(&row(persistent_ch), 128, 64);
     let dom = spec.dominant_bin();
     let dom_freq_hz = spec.bin_freq(dom) * hz / 2.0;
     println!("\nspectrogram of channel {persistent_ch} (persistent source):");
@@ -74,7 +76,7 @@ fn main() {
             _ => None,
         })
         .expect("demo scene has an earthquake");
-    let env = envelope(data.row(quake_epicenter));
+    let env = envelope(&row(quake_epicenter));
     // Pick: first sample whose envelope exceeds 6x the pre-event median.
     let pre: usize = (quake_origin_s * hz) as usize / 2;
     let mut baseline: Vec<f64> = env[..pre].to_vec();
@@ -106,7 +108,7 @@ fn main() {
             let hi = (t0 + stride).min(data.cols());
             let peak = data.row(ch)[t0..hi]
                 .iter()
-                .fold(0.0f64, |m, &v| m.max(v.abs()));
+                .fold(0.0f64, |m, &v| m.max(f64::from(v).abs()));
             t.row(&[ch.to_string(), (bi * 5).to_string(), format!("{peak:.3}")]);
         }
     }

@@ -35,14 +35,9 @@ fn main() {
         let ((), wall) = time(|| {
             minimpi::run(ranks, |comm| {
                 let (local, _) = IoExecutor::new(comm).run(&plan).expect("read");
-                let local64 = arrayudf::Array2::from_vec(
-                    local.rows(),
-                    local.cols(),
-                    local.as_slice().iter().map(|&v| v as f64).collect(),
-                );
                 interferometry_dist(
                     comm,
-                    &local64,
+                    &local,
                     total_ch,
                     &params,
                     &Haee::builder().threads(threads).build(),
@@ -52,14 +47,9 @@ fn main() {
         });
         let (_, stats) = minimpi::run_with_stats(ranks, |comm| {
             let (local, _) = IoExecutor::new(comm).run(&plan).expect("read");
-            let local64 = arrayudf::Array2::from_vec(
-                local.rows(),
-                local.cols(),
-                local.as_slice().iter().map(|&v| v as f64).collect(),
-            );
             interferometry_dist(
                 comm,
-                &local64,
+                &local,
                 total_ch,
                 &params,
                 &Haee::builder().threads(threads).build(),

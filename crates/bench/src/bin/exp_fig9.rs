@@ -61,10 +61,10 @@ fn main() {
     };
 
     // ---------------- DASSA ------------------------------------------
-    let (data64, dassa_read_s) = time(|| vca.read_all_f64().expect("read"));
+    let (data, dassa_read_s) = time(|| vca.read_all_f32().expect("read"));
     let haee = Haee::builder().threads(threads).build();
     let (dassa_out, dassa_compute_s) = median_time(|| {
-        dasa::run(&Analysis::Interferometry(params), &data64, &haee).expect("dassa pipeline")
+        dasa::run(&Analysis::Interferometry(params), &data, &haee).expect("dassa pipeline")
     });
     let dassa_scores = dassa_out.as_scores().expect("one score per channel");
     let out_path = dir.join("fig9.dassa.out.dasf");
@@ -76,18 +76,18 @@ fn main() {
     });
 
     // ---------------- "MATLAB" (mlab) ---------------------------------
-    let (data_m, mlab_read_s) = time(|| vca.read_all_f64().expect("read"));
-    let rows = data_m.rows();
-    let cols = data_m.cols();
-    let mut interp = Interp::new();
-    interp.set(
-        "data",
+    // the interpreter's matrices are f64: widened as they are read
+    let (data_m, mlab_read_s) = time(|| {
+        let data = vca.read_all_f32().expect("read");
         Value::Matrix {
-            rows,
-            cols,
-            data: data_m.into_vec(),
-        },
-    );
+            rows: data.rows(),
+            cols: data.cols(),
+            data: data.as_slice().iter().map(|&v| f64::from(v)).collect(),
+        }
+    });
+    let rows = data.rows();
+    let mut interp = Interp::new();
+    interp.set("data", data_m);
     interp.set("nch", Value::Num(rows as f64));
     let ((), mlab_compute_s) = median_time(|| interp.run(PIPELINE).expect("mlab pipeline"));
     let mlab_scores = match interp.get("scores").expect("scores exist") {

@@ -347,12 +347,7 @@ fn run(args: &Args) -> dassa::Result<Option<obs::ClusterSnapshot>> {
     let t1 = std::time::Instant::now();
     let (data, cluster) = {
         let _s = obs::span("read");
-        let (block, cluster) = read(&vca, &io_plan, args.ranks, args.fault_plan.as_ref())?;
-        let wide = block.as_slice().iter().map(|&v| v as f64).collect();
-        (
-            arrayudf::Array2::from_vec(block.rows(), block.cols(), wide),
-            cluster,
-        )
+        read(&vca, &io_plan, args.ranks, args.fault_plan.as_ref())?
     };
     eprintln!("read {:.1} ms", t1.elapsed().as_secs_f64() * 1e3);
 

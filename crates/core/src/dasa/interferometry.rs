@@ -17,11 +17,13 @@
 //! hybrid execution that Figure 8 measures.
 
 use super::haee::Haee;
-use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch};
+use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch, Sample};
 use crate::{DassaError, Result};
 use arrayudf::{dist, Array2};
 use dsp::{abscorr_complex_with_energy, energy_complex, fft_real, ifft, Complex};
 use minimpi::Comm;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Pipeline parameters for Algorithm 3.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,46 +105,86 @@ pub fn prepare_master(raw_master: &[f64], p: &InterferometryParams) -> MasterSpe
 /// Algorithm 3's per-channel UDF — pre-process, FFT, `|cos θ|` against
 /// the master spectrum — over every row of `data` with the hybrid
 /// engine's threads, each holding one scratch set and one FFT plan for
-/// the whole region and taking its rows through the chain a block at a
-/// time. `master_row`, when the master channel is a row of
-/// `data`, is scored from the master spectrum itself instead of being
-/// pre-processed and transformed a second time.
-pub(super) fn score_rows(
-    data: &Array2<f64>,
+/// the whole region and taking its raw rows — widened as they enter the
+/// scratch — through the chain a block at a time. The rows `scored`
+/// already holds (the master's block) are not taken again, and the first
+/// thread to start works in the buffers that took them.
+pub(super) fn score_rows<T: Sample>(
+    data: &Array2<T>,
     chain: &[RowKernel],
     master: &MasterSpectrum,
-    master_row: Option<usize>,
+    scored: Scored,
     haee: &Haee,
 ) -> Vec<f64> {
     let mut out = vec![0.0; data.rows()];
     // Every row meets the one master spectrum: its energy is summed once.
     let n2 = energy_complex(&master.spectrum);
+    let Scored {
+        rows: skip,
+        scores,
+        buffers,
+    } = scored;
+    // the master block's buffers are warm: fresh ones pay for their
+    // first block's allocations again
+    let buffers = Mutex::new(buffers);
     omp::for_blocks(haee.threads_per_process, &mut out, 1, |mine, out| {
         let first = mine.start;
-        let mut rows = RowScratch::default();
-        let mut fft = RowFft::new(master.spectrum.len());
-        for block in blocks(mine) {
-            if let Some(ch) = master_row.filter(|ch| block.contains(ch)) {
-                out[ch - first] =
-                    abscorr_complex_with_energy(&master.spectrum, &master.spectrum, n2);
-            }
-            let others = block.filter(|&ch| Some(ch) != master_row);
-            let processed = rows.run_block(others.clone().map(|ch| data.row(ch)), chain);
-            for (ch, row) in others.zip(processed) {
+        let warm = buffers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let (mut rows, mut fft) =
+            warm.unwrap_or_else(|| (RowScratch::default(), RowFft::new(master.spectrum.len())));
+        let before = mine.start..skip.start.clamp(mine.start, mine.end);
+        let after = skip.end.clamp(mine.start, mine.end)..mine.end;
+        for block in blocks(before).chain(blocks(after)) {
+            let processed = rows.run_block(block.clone().map(|ch| data.row(ch)), chain);
+            for (ch, row) in block.zip(processed) {
                 out[ch - first] =
                     abscorr_complex_with_energy(fft.spectrum(row), &master.spectrum, n2);
             }
         }
     });
+    out[skip].copy_from_slice(&scores);
     out
 }
 
-/// `Mfft` of one raw row through an already prepared chain.
-pub(super) fn master_spectrum(raw: &[f64], chain: &[RowKernel], n_out: usize) -> MasterSpectrum {
-    let mut rows = RowScratch::default();
-    MasterSpectrum {
-        spectrum: RowFft::new(n_out).spectrum(rows.run(raw, chain)).to_vec(),
-    }
+/// Rows of an array already taken through the chain and scored, and the
+/// buffers that took them.
+#[derive(Default)]
+pub(super) struct Scored {
+    rows: Range<usize>,
+    scores: Vec<f64>,
+    buffers: Option<(RowScratch, RowFft)>,
+}
+
+/// `Mfft` of row `master` of `data` through an already prepared chain,
+/// with the other rows of its block in [`blocks`] beside it — so they
+/// keep their lockstep pass — and those rows' scores against it.
+pub(super) fn master_block<T: Sample>(
+    data: &Array2<T>,
+    chain: &[RowKernel],
+    master: usize,
+    n_out: usize,
+) -> (MasterSpectrum, Scored) {
+    let rows = blocks(0..data.rows())
+        .find(|block| block.contains(&master))
+        .expect("the master channel is a row of the array");
+    let mut scratch = RowScratch::default();
+    let mut fft = RowFft::new(n_out);
+    let processed = scratch.run_block(rows.clone().map(|ch| data.row(ch)), chain);
+    let spectrum = fft.spectrum(&processed[master - rows.start]).to_vec();
+    let n2 = energy_complex(&spectrum);
+    let scores = processed
+        .iter()
+        .map(|row| abscorr_complex_with_energy(fft.spectrum(row), &spectrum, n2))
+        .collect();
+    let scored = Scored {
+        rows,
+        scores,
+        buffers: Some((scratch, fft)),
+    };
+    (MasterSpectrum { spectrum }, scored)
 }
 
 /// Distributed variant. The master channel lives on the rank that owns
@@ -151,9 +193,9 @@ pub(super) fn master_spectrum(raw: &[f64], chain: &[RowKernel], n_out: usize) ->
 /// (`processes × master.bytes()` per node); hybrid holds one.
 ///
 /// Returns this rank's per-channel scores.
-pub fn interferometry_dist(
+pub fn interferometry_dist<T: Sample>(
     comm: &Comm,
-    local: &Array2<f64>,
+    local: &Array2<T>,
     total_channels: usize,
     params: &InterferometryParams,
     haee: &Haee,
@@ -170,12 +212,17 @@ pub fn interferometry_dist(
         })?;
     let chain = params.chain()?;
     let n_out = chain_out_len(&chain, local.cols())?;
-    let master_row = (comm.rank() == owner).then(|| params.master_channel - own.start);
-    let payload = master_row.map(|row| master_spectrum(local.row(row), &chain, n_out).spectrum);
+    let (payload, scored) = if comm.rank() == owner {
+        let (master, scored) =
+            master_block(local, &chain, params.master_channel - own.start, n_out);
+        (Some(master.spectrum), scored)
+    } else {
+        (None, Scored::default())
+    };
     let master = MasterSpectrum {
         spectrum: comm.bcast(owner, payload),
     };
-    Ok(score_rows(local, &chain, &master, master_row, haee))
+    Ok(score_rows(local, &chain, &master, scored, haee))
 }
 
 /// Time-domain cross-correlation of a channel with the master — the

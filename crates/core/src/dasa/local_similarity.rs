@@ -7,6 +7,7 @@
 //! noise scores low. Figure 10 of the paper is exactly this map.
 
 use super::haee::Haee;
+use super::rows::Sample;
 use arrayudf::{apply_mt, dist, Array2, Ghost, Stencil, Stride};
 use dasl::LocalSimSpec;
 use dsp::{energy, max_abscorr_lags};
@@ -88,7 +89,7 @@ impl LocalSimiParams {
 /// span, `S(−L−M : L+M, ±K)` — the stencil clamps each sample to the
 /// array on its own, so a clamped span holds exactly the clamped windows
 /// — and [`max_abscorr_lags`] scores them side by side.
-pub fn local_simi_udf(s: &Stencil<f64>, p: &LocalSimiParams) -> f64 {
+pub fn local_simi_udf<T: Sample>(s: &Stencil<T>, p: &LocalSimiParams) -> f64 {
     let m = p.half_window as isize;
     let k = p.channel_offset as isize;
     let reach = p.search_half as isize + m;
@@ -100,19 +101,30 @@ pub fn local_simi_udf(s: &Stencil<f64>, p: &LocalSimiParams) -> f64 {
     0.5 * (c_plus + c_minus)
 }
 
-/// `S(t_lo : t_hi, dc)`: borrowed from the array wherever the window lies
-/// inside it, copied with edge clamping only at the array's borders.
-fn window<'a>(s: &Stencil<'a, f64>, t_lo: isize, t_hi: isize, dc: isize) -> Cow<'a, [f64]> {
+/// `S(t_lo : t_hi, dc)` in `f64`: borrowed from an `f64` array wherever
+/// the window lies inside it; widened into a copy from any other sample
+/// type, and copied with edge clamping at the array's borders.
+fn window<'a, T: Sample>(
+    s: &Stencil<'a, T>,
+    t_lo: isize,
+    t_hi: isize,
+    dc: isize,
+) -> Cow<'a, [f64]> {
+    let widen = |w: &[T]| w.iter().map(|&v| v.into()).collect();
     match s.window_slice(t_lo, t_hi, dc) {
-        Some(slice) => Cow::Borrowed(slice),
-        None => Cow::Owned(s.window(t_lo, t_hi, dc)),
+        Some(slice) => T::as_f64(slice).map_or_else(|| Cow::Owned(widen(slice)), Cow::Borrowed),
+        None => Cow::Owned(widen(&s.window(t_lo, t_hi, dc))),
     }
 }
 
 /// Run local similarity over a full `channel × time` array with the
 /// hybrid engine's threads (ApplyMT). Output shape:
 /// `channels × ceil(time / time_stride)`, values in `[0, 1]`.
-pub fn local_similarity(data: &Array2<f64>, params: &LocalSimiParams, haee: &Haee) -> Array2<f64> {
+pub fn local_similarity<T: Sample>(
+    data: &Array2<T>,
+    params: &LocalSimiParams,
+    haee: &Haee,
+) -> Array2<f64> {
     let _root = obs::span("local_similarity");
     let _span = obs::span("apply");
     apply_mt(
@@ -127,9 +139,9 @@ pub fn local_similarity(data: &Array2<f64>, params: &LocalSimiParams, haee: &Hae
 /// Distributed variant: each rank processes its channel block of a
 /// `total_channels`-row global array (ghost channels exchanged
 /// automatically); returns the rank's block of the similarity map.
-pub fn local_similarity_dist(
+pub fn local_similarity_dist<T: Sample>(
     comm: &Comm,
-    local: &Array2<f64>,
+    local: &Array2<T>,
     total_channels: usize,
     params: &LocalSimiParams,
     haee: &Haee,

@@ -23,6 +23,7 @@ pub use interferometry::{
     InterferometryParams, MasterSpectrum,
 };
 pub use local_similarity::{local_similarity, local_similarity_dist, LocalSimiParams};
+pub use rows::Sample;
 pub use run::{run, Analysis, AnalysisOutput, Job};
 pub use stacking::{stacked_interferometry, StackedCorrelation, StackingParams, TimeNorm};
 pub use vm::{execute, BindProgram, BoundProgram};

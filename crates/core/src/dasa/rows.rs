@@ -11,6 +11,10 @@
 //! [`blocks`] of up to four, which is what lets the zero-phase filter and
 //! the detrend/demean sums run four of them in lockstep; a row's result
 //! does not depend on the block it was in.
+//!
+//! The input is the block in the type it was stored in (any [`Sample`]):
+//! a row is widened to `f64` as it is copied into its scratch, so no
+//! caller holds a widened copy of the whole array.
 
 use crate::{DassaError, Result};
 use dsp::fft::plan;
@@ -20,6 +24,28 @@ use dsp::{
 };
 use std::ops::Range;
 use std::sync::Arc;
+
+/// A stored sample type the engine reads as it is: `f32` (the storage
+/// type) or `f64`. Every kernel runs in `f64`; a row becomes `f64` when
+/// it enters a thread's scratch, through `Into<f64>`, which is exact for
+/// `f32`, so an `f32` block and its widened copy give the same bits.
+pub trait Sample: Copy + Default + Into<f64> + Send + Sync + 'static {
+    /// `row` itself when it already holds `f64`, so a window the engine
+    /// only reads can be borrowed instead of widened into a copy.
+    fn as_f64(row: &[Self]) -> Option<&[f64]>;
+}
+
+impl Sample for f32 {
+    fn as_f64(_: &[f32]) -> Option<&[f64]> {
+        None
+    }
+}
+
+impl Sample for f64 {
+    fn as_f64(row: &[f64]) -> Option<&[f64]> {
+        Some(row)
+    }
+}
 
 /// One element-wise stage with its prepare-once state.
 #[derive(Debug, Clone)]
@@ -131,10 +157,10 @@ pub(crate) struct RowScratch {
 }
 
 impl RowScratch {
-    /// Run `chain` over a copy of `raw`; the result lives in the scratch
-    /// until the next call. The chain must have passed [`chain_out_len`]
-    /// for rows of this length.
-    pub(crate) fn run(&mut self, raw: &[f64], chain: &[RowKernel]) -> &mut [f64] {
+    /// Run `chain` over a copy of `raw`, widened to `f64`; the result
+    /// lives in the scratch until the next call. The chain must have
+    /// passed [`chain_out_len`] for rows of this length.
+    pub(crate) fn run<T: Sample>(&mut self, raw: &[T], chain: &[RowKernel]) -> &mut [f64] {
         &mut self.run_block([raw], chain)[0]
     }
 
@@ -143,15 +169,15 @@ impl RowScratch {
     /// block goes through the zero-phase filter and the detrend/demean
     /// sums in lockstep, a shorter one row by row — with the same bits
     /// either way, so how rows fall into blocks never shows in an output.
-    pub(crate) fn run_block<'a>(
+    pub(crate) fn run_block<'a, T: Sample>(
         &mut self,
-        raw: impl IntoIterator<Item = &'a [f64]>,
+        raw: impl IntoIterator<Item = &'a [T]>,
         chain: &[RowKernel],
     ) -> &mut [Vec<f64>] {
         let mut n = 0;
         for raw in raw {
             self.rows[n].clear();
-            self.rows[n].extend_from_slice(raw);
+            self.rows[n].extend(raw.iter().map(|&v| v.into()));
             n += 1;
         }
         for kernel in chain {

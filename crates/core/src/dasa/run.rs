@@ -2,11 +2,12 @@
 //!
 //! DASA runs an analysis one way: the `dasl` VM ([`execute`]) applies
 //! DasLib kernels over the merged `channel × time` array (the paper's
-//! ArrayUDF `Apply`). An [`Analysis`] is a *named* `dasl` program:
-//! [`Analysis::program`] lowers its parameters to a `dasl` plan, and
-//! [`run`] executes that program like any other, so `das_pipeline -a`,
-//! `--program` and `--eval`, the ingest daemon and the MATLAB bridge all
-//! reach the kernels through the same code.
+//! ArrayUDF `Apply`), in the type it was stored in ([`Sample`]). An
+//! [`Analysis`] is a *named* `dasl` program: [`Analysis::program`]
+//! lowers its parameters to a `dasl` plan, and [`run`] executes that
+//! program like any other, so `das_pipeline -a`, `--program` and
+//! `--eval`, the ingest daemon and the MATLAB bridge all reach the
+//! kernels through the same code.
 //!
 //! The parameter structs give bandpass corners as fractions of Nyquist,
 //! and `dasl`'s `bandpass` takes Hz that the VM divides by the corpus
@@ -18,6 +19,7 @@
 use super::haee::Haee;
 use super::interferometry::InterferometryParams;
 use super::local_similarity::LocalSimiParams;
+use super::rows::Sample;
 use super::stacking::{StackedCorrelation, StackingParams};
 use super::vm::execute;
 use crate::{DassaError, Result};
@@ -184,8 +186,9 @@ pub trait Job {
     /// Stable short name, used for span names and logging.
     fn name(&self) -> &'static str;
 
-    /// Execute over `data` with the hybrid engine.
-    fn run(&self, data: &Array2<f64>, haee: &Haee) -> Result<AnalysisOutput>;
+    /// Execute over `data` — `f32` as stored, or `f64` — with the hybrid
+    /// engine.
+    fn run<T: Sample>(&self, data: &Array2<T>, haee: &Haee) -> Result<AnalysisOutput>;
 }
 
 impl Job for Analysis {
@@ -193,7 +196,7 @@ impl Job for Analysis {
         Analysis::name(self)
     }
 
-    fn run(&self, data: &Array2<f64>, haee: &Haee) -> Result<AnalysisOutput> {
+    fn run<T: Sample>(&self, data: &Array2<T>, haee: &Haee) -> Result<AnalysisOutput> {
         let _root = obs::span(self.name());
         execute(&self.program(), ANALYSIS_HZ, data, haee)
     }
@@ -201,22 +204,25 @@ impl Job for Analysis {
 
 /// Run a [`Job`] — an [`Analysis`] or a bound `dasl` program — over a
 /// merged `channel × time` array with the hybrid engine. The single
-/// dispatcher every caller goes through.
+/// dispatcher every caller goes through. Pass the block as it was read
+/// (`f32`): the engine widens one row at a time, and an `f64` block
+/// gives the same bits as the `f32` block it was widened from.
 ///
 /// The VM times itself as `span.dasl`, with a child span for the fused
 /// pass (`apply`) and one for the op (`xcorr`, `localsim`, `stack`); an
-/// [`Analysis`] opens `span.<name>` around it. The paths nest under
-/// whatever span the caller has open, so `das_pipeline -a
-/// interferometry` produces e.g.
+/// [`Analysis`] opens `span.<name>` around it. Ahead of `xcorr`, which
+/// takes each row through the chain itself, `apply` times only the
+/// chain's preparation. The paths nest under whatever span the caller
+/// has open, so `das_pipeline -a interferometry` produces e.g.
 /// `span.pipeline.analyze.interferometry.dasl.apply`.
-pub fn run<J: Job + ?Sized>(job: &J, data: &Array2<f64>, haee: &Haee) -> Result<AnalysisOutput> {
+pub fn run<J: Job, T: Sample>(job: &J, data: &Array2<T>, haee: &Haee) -> Result<AnalysisOutput> {
     job.run(data, haee)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dasa::TimeNorm;
+    use crate::dasa::{BindProgram, TimeNorm};
 
     fn signal(channels: usize, n: usize) -> Array2<f64> {
         Array2::from_fn(channels, n, |c, t| {
@@ -252,10 +258,14 @@ mod tests {
     }
 
     /// The output bits of every `Analysis` shape `das_pipeline -a`,
-    /// `das_ingest --job` and the library reach, pinned by digest. The
-    /// constants were recorded from the hand-wired dispatch (one
-    /// function per analysis) before analyses became `dasl` programs;
-    /// the lowered programs must reproduce them bit for bit.
+    /// `das_ingest --job` and the library reach, and of both checked-in
+    /// programs, pinned by digest. The `f64` constants were recorded from
+    /// the hand-wired dispatch (one function per analysis) before
+    /// analyses became `dasl` programs; the lowered programs must
+    /// reproduce them bit for bit. The `f32` constants were recorded from
+    /// the whole-array widening the engine's callers used to make: an
+    /// `f32` block, widened one row at a time, and its widened `f64`
+    /// copy must both reproduce them.
     #[test]
     fn analyses_keep_their_pinned_output_bits() {
         // a corner whose trip through a 500 Hz corpus' Nyquist is not
@@ -267,15 +277,18 @@ mod tests {
                 "default localsim",
                 Analysis::LocalSimilarity(LocalSimiParams::default()),
                 0xDA22_5D53_EA63_A775,
+                0x8F81_7619_BB53_4F48,
             ),
             (
                 "default interferometry",
                 Analysis::Interferometry(InterferometryParams::default()),
                 0x5527_8D5C_A1F8_C0AA,
+                0xD857_12DF_A97C_5349,
             ),
             (
                 "default stacking",
                 Analysis::Stacking(StackingParams::default()),
+                0xD740_7FAD_2E28_CC3A,
                 0xD740_7FAD_2E28_CC3A,
             ),
             (
@@ -288,6 +301,7 @@ mod tests {
                     master_channel: 4,
                 }),
                 0xE6C6_0DB4_B3E8_4054,
+                0x4565_61D2_C540_2F9F,
             ),
             (
                 "localsim 4/2/3/1",
@@ -298,6 +312,7 @@ mod tests {
                     time_stride: 1,
                 }),
                 0x4C43_64E3_9B51_4ACA,
+                0x9E1D_C9CA_D57C_BEAC,
             ),
             (
                 "stacking: every field set",
@@ -311,6 +326,7 @@ mod tests {
                     master_channel: 2,
                 }),
                 0x578C_1F49_CF56_804F,
+                0xE2B5_F69C_A5D1_3623,
             ),
             (
                 "whitened stacking, odd window 127",
@@ -319,6 +335,7 @@ mod tests {
                     hop: 127,
                     ..Default::default()
                 }),
+                0xAAAC_D555_8B8E_15C1,
                 0xAAAC_D555_8B8E_15C1,
             ),
             (
@@ -329,16 +346,62 @@ mod tests {
                     ..Default::default()
                 }),
                 0xF7BC_002F_6E12_9B01,
+                0xF7BC_002F_6E12_9B01,
             ),
         ];
+        // the checked-in programs at 500 Hz: interferometry.das on the
+        // f32 block is `-a interferometry`'s bits, as `ci.sh` asserts
+        let programs = [
+            (
+                "examples/interferometry.das",
+                include_str!("../../../../examples/interferometry.das"),
+                0x5527_8D5C_A1F8_C0AA,
+                0xD857_12DF_A97C_5349,
+            ),
+            (
+                "examples/detect.das",
+                include_str!("../../../../examples/detect.das"),
+                0x9923_696B_4717_04A9,
+                0x9923_696B_4717_04A9,
+            ),
+        ]
+        .map(|(what, src, d64, d32)| (what, dasl::compile(src).unwrap(), d64, d32));
         let data = seeded(6, 1536, 0x5EED);
-        let want: Vec<(&str, u64)> = cases.iter().map(|&(what, _, d)| (what, d)).collect();
+        let block = Array2::from_fn(6, 1536, |c, t| data.get(c, t) as f32);
+        let widened = Array2::from_fn(6, 1536, |c, t| f64::from(block.get(c, t)));
+        // a job's digests over `data`, the f32 block and its widened copy
+        fn three<J: Job>(
+            job: &J,
+            inputs: (&Array2<f64>, &Array2<f32>, &Array2<f64>),
+            haee: &Haee,
+        ) -> [u64; 3] {
+            let (data, block, widened) = inputs;
+            [
+                digest(&run(job, data, haee).unwrap()),
+                digest(&run(job, block, haee).unwrap()),
+                digest(&run(job, widened, haee).unwrap()),
+            ]
+        }
+        let want: Vec<(&str, [u64; 3])> = cases
+            .iter()
+            .map(|&(what, _, d64, d32)| (what, [d64, d32, d32]))
+            .chain(
+                programs
+                    .iter()
+                    .map(|&(what, _, d64, d32)| (what, [d64, d32, d32])),
+            )
+            .collect();
         for threads in [1, 3] {
             let haee = Haee::builder().threads(threads).build();
-            let got: Vec<(&str, u64)> = cases
-                .iter()
-                .map(|(what, analysis, _)| (*what, digest(&run(analysis, &data, &haee).unwrap())))
-                .collect();
+            let inputs = (&data, &block, &widened);
+            let got: Vec<(&str, [u64; 3])> =
+                cases
+                    .iter()
+                    .map(|(what, analysis, ..)| (*what, three(analysis, inputs, &haee)))
+                    .chain(programs.iter().map(|(what, program, ..)| {
+                        (*what, three(&program.bind(500.0), inputs, &haee))
+                    }))
+                    .collect();
             assert_eq!(got, want, "{threads} threads");
         }
     }

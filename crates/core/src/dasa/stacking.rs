@@ -15,7 +15,7 @@
 //! windows are accumulated in place.
 
 use super::haee::Haee;
-use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch};
+use super::rows::{blocks, chain_out_len, RowFft, RowKernel, RowScratch, Sample};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use dasl::StackSpec;
@@ -185,7 +185,7 @@ impl WindowCorrelator {
     /// Mean over the windows of `raw` of the circular cross-correlation
     /// `IFFT(M* · S)` with the matching master window, zero lag at the
     /// centre; the windows are prepared a block at a time.
-    fn stack(&mut self, raw: &[f64], master: &MasterWindows) -> StackedCorrelation {
+    fn stack<T: Sample>(&mut self, raw: &[T], master: &MasterWindows) -> StackedCorrelation {
         let p = &master.params;
         let len = p.window;
         let mut stack = vec![0.0f64; len];
@@ -225,7 +225,7 @@ impl MasterWindows {
     /// Prepare every window of the master channel. A window too short
     /// for the zero-phase filter, or an order or band the engine does not
     /// prepare, is an error.
-    fn prepare(master_raw: &[f64], p: &StackingParams) -> Result<MasterWindows> {
+    fn prepare<T: Sample>(master_raw: &[T], p: &StackingParams) -> Result<MasterWindows> {
         let chain = p.chain()?;
         chain_out_len(&chain, p.window)?;
         let (mut rows, mut fft) = (RowScratch::default(), RowFft::new(p.window));
@@ -247,8 +247,8 @@ impl MasterWindows {
 /// threads. Returns one [`StackedCorrelation`] per channel — the 3-D
 /// `channel × lag × window` array of the paper's stacking description,
 /// collapsed over its striping (third) dimension as it is produced.
-pub fn stacked_interferometry(
-    data: &Array2<f64>,
+pub fn stacked_interferometry<T: Sample>(
+    data: &Array2<T>,
     params: &StackingParams,
     haee: &Haee,
 ) -> Result<Vec<StackedCorrelation>> {

@@ -8,27 +8,30 @@
 //!
 //! * `load` is the caller-provided `channel × time` array (the I/O
 //!   already happened through the lowered `IoPlan`, same planner and
-//!   executor as every other read path);
+//!   executor as every other read path), in the type it was stored in:
+//!   a row is widened to `f64` as it enters a thread's scratch;
 //! * `apply` runs the plan's kernel list over every channel row in one
 //!   thread-parallel pass — `detrend | bandpass(..) | resample(..)`
 //!   touches each row once, through the prepared kernels and per-thread
 //!   scratch of [`rows`](super::rows);
 //! * the op — `xcorr` / `localsim` / `stack` — calls a flagship kernel.
+//!   `xcorr` is fused with the `apply` before it: each row goes through
+//!   the chain and straight into its score, so the chain's output array
+//!   is never built.
 //!
 //! An `apply` of `k > 1` kernels bumps the `dasl.fused_stages` counter
 //! by `k - 1` — the whole-array passes fusion eliminated — which CI
 //! gates on.
 
 use super::haee::Haee;
-use super::interferometry::{master_spectrum, score_rows};
+use super::interferometry::{master_block, score_rows};
 use super::local_similarity::{local_similarity, LocalSimiParams};
-use super::rows::{blocks, chain_out_len, RowKernel, RowScratch};
+use super::rows::{blocks, chain_out_len, RowKernel, RowScratch, Sample};
 use super::run::{AnalysisOutput, Job};
 use super::stacking::{stacked_interferometry, StackingParams};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use dasl::{Kernel, Op, Program};
-use std::borrow::Cow;
 
 /// A [`Program`] bound to the sampling rate of the corpus it will run
 /// over — needed to normalize `bandpass` corners (written in Hz) by the
@@ -63,7 +66,7 @@ impl Job for BoundProgram<'_> {
         "dasl"
     }
 
-    fn run(&self, data: &Array2<f64>, haee: &Haee) -> Result<AnalysisOutput> {
+    fn run<T: Sample>(&self, data: &Array2<T>, haee: &Haee) -> Result<AnalysisOutput> {
         execute(self.program, self.sampling_hz, data, haee)
     }
 }
@@ -99,50 +102,63 @@ fn prepare_kernel(k: &Kernel, sampling_hz: f64) -> Result<RowKernel> {
     }
 }
 
-/// Execute a typechecked program over a merged `channel × time` array:
-/// the kernels as one fused pass, if there are any, then the op, if
-/// there is one.
+/// Execute a typechecked program over a merged `channel × time` array,
+/// `f32` as stored or `f64`: the kernels as one fused pass, if there are
+/// any, then the op, if there is one — `xcorr` takes the kernels into
+/// its own pass.
 ///
 /// `sampling_hz` must be the corpus' sampling rate (it normalizes
 /// `bandpass` corners). The array is whatever the lowered `IoPlan`
 /// produced — full extent or the `load` clause's window.
-pub fn execute(
+pub fn execute<T: Sample>(
     program: &Program,
     sampling_hz: f64,
-    data: &Array2<f64>,
+    data: &Array2<T>,
     haee: &Haee,
 ) -> Result<AnalysisOutput> {
     let _root = obs::span("dasl");
-    let wave = if program.kernels.is_empty() {
-        Cow::Borrowed(data)
-    } else {
-        let _span = obs::span("apply");
-        let chain: Vec<RowKernel> = program
-            .kernels
-            .iter()
-            .map(|k| prepare_kernel(k, sampling_hz))
-            .collect::<Result<_>>()?;
-        if chain.len() > 1 {
-            obs::global()
-                .counter("dasl.fused_stages")
-                .add(chain.len() as u64 - 1);
-        }
-        Cow::Owned(fused_pass(data, &chain, haee)?)
-    };
-    Ok(match &program.op {
-        None => AnalysisOutput::Map(wave.into_owned()),
+    let apply = (!program.kernels.is_empty()).then(|| obs::span("apply"));
+    let chain: Vec<RowKernel> = program
+        .kernels
+        .iter()
+        .map(|k| prepare_kernel(k, sampling_hz))
+        .collect::<Result<_>>()?;
+    if chain.len() > 1 {
+        obs::global()
+            .counter("dasl.fused_stages")
+            .add(chain.len() as u64 - 1);
+    }
+    let op = match &program.op {
         Some(Op::Xcorr { master }) => {
+            drop(apply);
             let _span = obs::span("xcorr");
-            AnalysisOutput::Scores(xcorr(&wave, *master as usize, haee)?)
+            return xcorr(data, &chain, *master as usize, haee).map(AnalysisOutput::Scores);
         }
-        Some(Op::LocalSim(p)) => {
+        Some(op) if chain.is_empty() => return grid_op(op, data, haee),
+        op => op,
+    };
+    let wave = fused_pass(data, &chain, haee)?;
+    drop(apply);
+    match op {
+        None => Ok(AnalysisOutput::Map(wave)),
+        Some(op) => grid_op(op, &wave, haee),
+    }
+}
+
+/// `localsim` or `stack` over the whole array: the ops that need more
+/// than one row of their input at a time (neighbouring channels, the
+/// master's windows).
+fn grid_op<T: Sample>(op: &Op, data: &Array2<T>, haee: &Haee) -> Result<AnalysisOutput> {
+    Ok(match op {
+        Op::Xcorr { .. } => unreachable!("xcorr runs fused with the kernel chain"),
+        Op::LocalSim(p) => {
             let _span = obs::span("localsim");
-            AnalysisOutput::Map(local_similarity(&wave, &LocalSimiParams::from(*p), haee))
+            AnalysisOutput::Map(local_similarity(data, &LocalSimiParams::from(*p), haee))
         }
-        Some(Op::Stack(p)) => {
+        Op::Stack(p) => {
             let _span = obs::span("stack");
             AnalysisOutput::Stacks(stacked_interferometry(
-                &wave,
+                data,
                 &StackingParams::from(*p),
                 haee,
             )?)
@@ -155,9 +171,13 @@ pub fn execute(
 /// `bandpass` stage gets rows long enough to filter — is known from the
 /// chain before any row runs, so the output array is allocated once and
 /// each thread's rows go through one [`RowScratch`], a block at a time.
-fn fused_pass(wave: &Array2<f64>, chain: &[RowKernel], haee: &Haee) -> Result<Array2<f64>> {
-    let n_out = chain_out_len(chain, wave.cols())?;
-    let rows = wave.rows();
+fn fused_pass<T: Sample>(
+    data: &Array2<T>,
+    chain: &[RowKernel],
+    haee: &Haee,
+) -> Result<Array2<f64>> {
+    let n_out = chain_out_len(chain, data.cols())?;
+    let rows = data.rows();
     let mut flat = vec![0.0; rows * n_out];
     // rows of no samples leave `flat` empty, and then no thread runs
     omp::for_blocks(
@@ -168,7 +188,7 @@ fn fused_pass(wave: &Array2<f64>, chain: &[RowKernel], haee: &Haee) -> Result<Ar
             let first = mine.start;
             let mut scratch = RowScratch::default();
             for block in blocks(mine) {
-                let outs = scratch.run_block(block.clone().map(|ch| wave.row(ch)), chain);
+                let outs = scratch.run_block(block.clone().map(|ch| data.row(ch)), chain);
                 for (ch, out) in block.zip(outs) {
                     flat[(ch - first) * n_out..][..n_out].copy_from_slice(out);
                 }
@@ -179,19 +199,26 @@ fn fused_pass(wave: &Array2<f64>, chain: &[RowKernel], haee: &Haee) -> Result<Ar
 }
 
 /// Per-channel spectral correlation against the master channel — the
-/// back half of Algorithm 3, applied to rows that the preceding `apply`
-/// already pre-processed. The master's own row reuses the master
-/// spectrum instead of transforming it a second time.
-fn xcorr(wave: &Array2<f64>, master: usize, haee: &Haee) -> Result<Vec<f64>> {
-    if master >= wave.rows() {
+/// back half of Algorithm 3, fused with the kernel chain before it: the
+/// master's block of raw rows goes through the chain first, for the
+/// master spectrum and those rows' scores, then every other raw row goes
+/// through the chain and into its score, so the chain's output array is
+/// never built.
+fn xcorr<T: Sample>(
+    data: &Array2<T>,
+    chain: &[RowKernel],
+    master: usize,
+    haee: &Haee,
+) -> Result<Vec<f64>> {
+    let n_out = chain_out_len(chain, data.cols())?;
+    if master >= data.rows() {
         return Err(DassaError::BadSelection(format!(
             "master channel {master} out of range for {} channels",
-            wave.rows()
+            data.rows()
         )));
     }
-    // the rows are already pre-processed: an empty chain
-    let spectrum = master_spectrum(wave.row(master), &[], wave.cols());
-    Ok(score_rows(wave, &[], &spectrum, Some(master), haee))
+    let (spectrum, scored) = master_block(data, chain, master, n_out);
+    Ok(score_rows(data, chain, &spectrum, scored, haee))
 }
 
 #[cfg(test)]
@@ -199,6 +226,16 @@ mod tests {
     use super::*;
     use crate::dasa::interferometry::InterferometryParams;
     use crate::dasa::{run, Analysis};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::time::Duration;
+
+    /// Taken by the tests here that count `dasl.fused_stages` and by the
+    /// ones that run many fused programs, which would bump the
+    /// process-wide counter in the middle of a count.
+    fn fusion_counted() -> MutexGuard<'static, ()> {
+        static COUNTING: Mutex<()> = Mutex::new(());
+        COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn signal(channels: usize, n: usize) -> Array2<f64> {
         Array2::from_fn(channels, n, |c, t| {
@@ -235,6 +272,7 @@ mod tests {
     /// `fused_pass` and `score_rows` return what one row at a time does.
     #[test]
     fn row_blocks_never_show_in_an_output() {
+        let _counting = fusion_counted();
         use crate::dasa::interferometry::{prepare_master, preprocess_channel};
         let p = InterferometryParams::default();
         let chain = [
@@ -277,6 +315,82 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `kernels | xcorr` takes each raw row through the chain and into
+    /// its score without building the chain's output array. It must
+    /// score what the materialised two steps do — `apply`, then `xcorr`
+    /// over its output — for every remainder of rows a thread can hold,
+    /// with the master first, in the middle and last; and it still
+    /// counts the `k - 1` passes its `k` kernels fused.
+    #[test]
+    fn fused_xcorr_equals_apply_then_xcorr() {
+        let _counting = fusion_counted();
+        let kernels = "load(\"c\") | detrend | bandpass(0.5, 24) | resample(2)";
+        let apply = dasl::compile(kernels).unwrap();
+        // the scores of `fused`, and of `apply` then `xcorr`, over `data`
+        fn both<T: Sample>(
+            programs: [&Program; 3],
+            data: &Array2<T>,
+            haee: &Haee,
+        ) -> (Vec<u64>, Vec<u64>) {
+            let [fused, apply, xcorr] = programs;
+            let bits = |out: AnalysisOutput| -> Vec<u64> {
+                out.as_scores()
+                    .unwrap()
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect()
+            };
+            let wave = execute(apply, 500.0, data, haee).unwrap();
+            let materialised = execute(xcorr, 500.0, wave.as_map().unwrap(), haee).unwrap();
+            (
+                bits(execute(fused, 500.0, data, haee).unwrap()),
+                bits(materialised),
+            )
+        }
+        for rows in [1usize, 2, 3, 4, 5, 8, 9, 17] {
+            let data = signal(rows, 601);
+            let block = Array2::from_fn(rows, 601, |c, t| data.get(c, t) as f32);
+            for master in [0, rows / 2, rows - 1] {
+                let fused =
+                    dasl::compile(&format!("{kernels} | xcorr(master=ch[{master}])")).unwrap();
+                let xcorr =
+                    dasl::compile(&format!("load(\"c\") | xcorr(master=ch[{master}])")).unwrap();
+                let programs = [&fused, &apply, &xcorr];
+                for threads in [1, 2, 3] {
+                    let haee = Haee::builder().threads(threads).build();
+                    let what = format!("{rows} rows, master {master}, {threads} threads");
+                    let (got, want) = both(programs, &data, &haee);
+                    assert_eq!(got, want, "f64, {what}");
+                    let (got, want) = both(programs, &block, &haee);
+                    assert_eq!(got, want, "f32, {what}");
+                }
+            }
+        }
+        let fused = dasl::compile(&format!("{kernels} | xcorr(master=ch[1])")).unwrap();
+        let (data, haee) = (signal(3, 601), Haee::builder().threads(2).build());
+        let added = fused_stages_added_by(|| {
+            execute(&fused, 500.0, &data, &haee).unwrap();
+        });
+        assert_eq!(added, 2);
+    }
+
+    /// What one call of `run` adds to the `dasl.fused_stages` counter.
+    /// The counter is process-wide, and tests in other modules that run
+    /// fused programs bump it too, which only ever adds: the count is
+    /// the smallest increase over calls spread out in time.
+    fn fused_stages_added_by(run: impl Fn()) -> u64 {
+        let count = || obs::global().snapshot().counter("dasl.fused_stages");
+        (0..50)
+            .map(|_| {
+                std::thread::sleep(Duration::from_micros(100));
+                let before = count();
+                run();
+                count() - before
+            })
+            .min()
+            .unwrap()
     }
 
     /// `bandpass` order and `resample` factors size what a kernel's
@@ -399,14 +513,15 @@ mod tests {
 
     #[test]
     fn fusion_counter_accumulates() {
+        let _counting = fusion_counted();
         let data = signal(2, 400);
         let haee = Haee::builder().threads(1).build();
-        let before = obs::global().snapshot().counter("dasl.fused_stages");
         let program =
             dasl::compile("load(\"c\") | detrend | demean | onebit | xcorr(master=ch[0])").unwrap();
-        execute(&program, 100.0, &data, &haee).unwrap();
-        let after = obs::global().snapshot().counter("dasl.fused_stages");
-        assert_eq!(after - before, 2);
+        let added = fused_stages_added_by(|| {
+            execute(&program, 100.0, &data, &haee).unwrap();
+        });
+        assert_eq!(added, 2);
     }
 
     #[test]
@@ -470,7 +585,7 @@ mod tests {
         assert_eq!(scores[0].to_bits(), scores[2].to_bits());
         assert!((scores[0] - 1.0).abs() < 1e-12 && scores[1] < 0.99);
         // no columns: no energy, every score 0
-        let empty = Array2::from_vec(2, 0, Vec::new());
+        let empty = Array2::<f32>::from_vec(2, 0, Vec::new());
         assert_eq!(
             execute(&program, 100.0, &empty, &haee)
                 .unwrap()
@@ -519,6 +634,7 @@ mod tests {
     /// decode.
     #[test]
     fn long_kernel_chains_run_and_equal_their_one_stage_program() {
+        let _counting = fusion_counted();
         let data = signal(5, 400);
         let one = dasl::compile("load(\"c\") | onebit | xcorr(master=ch[0])").unwrap();
         for n in [255, 256, 300] {

@@ -85,17 +85,6 @@ impl Lav {
     pub fn read_f32(&self, vca: &Vca) -> Result<Array2<f32>> {
         Ok(IoExecutor::serial().run(&self.plan(vca)?)?.0)
     }
-
-    /// Materialize widened to `f64`.
-    pub fn read_f64(&self, vca: &Vca) -> Result<Array2<f64>> {
-        let a = self.read_f32(vca)?;
-        let (rows, cols) = (a.rows(), a.cols());
-        Ok(Array2::from_vec(
-            rows,
-            cols,
-            a.into_vec().into_iter().map(|v| v as f64).collect(),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -156,16 +145,5 @@ mod tests {
         assert!(lav.select_channels(0..7).is_err());
         assert!(lav.select_channels(3..3).is_err());
         assert!(lav.select_time(0..61).is_err());
-    }
-
-    #[test]
-    fn f64_read_widens_values() {
-        let vca = sample_vca("lav-f64");
-        let lav = Lav::full(&vca).select_channels(0..1).unwrap();
-        let a32 = lav.read_f32(&vca).unwrap();
-        let a64 = lav.read_f64(&vca).unwrap();
-        for (x, y) in a32.as_slice().iter().zip(a64.as_slice()) {
-            assert_eq!(*x as f64, *y);
-        }
     }
 }

@@ -235,7 +235,7 @@ impl IoPlan {
     /// columns with the corpus' sampling rate, clamped to the corpus
     /// extent (asking for `0..3600` of a 60 s corpus reads all of it).
     /// Windowed loads plan serial region reads ([`IoPlan::for_region`],
-    /// the same path as `Vca::read_all_f64`); full-extent loads on more
+    /// the same path as `Vca::read_all_f32`); full-extent loads on more
     /// than one rank plan a §IV-B parallel read with the clause's
     /// strategy — `auto` resolves heuristically, `modeled` prices both
     /// strategies on [`perfmodel::Machine::cori_haswell`].

@@ -156,14 +156,6 @@ impl Vca {
         self.read_region_f32(0..self.channels, 0..self.total_samples())
     }
 
-    /// Read the whole logical array widened to `f64` for analysis.
-    pub fn read_all_f64(&self) -> Result<Array2<f64>> {
-        let a = self.read_all_f32()?;
-        let (rows, cols) = (a.rows(), a.cols());
-        let data = a.into_vec().into_iter().map(|v| v as f64).collect();
-        Ok(Array2::from_vec(rows, cols, data))
-    }
-
     /// Persist the VCA as a *logical file*: only member paths and shape
     /// metadata, no data — the paper's "VCA creates a logical file which
     /// only contains the metadata (e.g., name) of all files to merge".

@@ -386,17 +386,15 @@ fn serve_eval(state: &State, w: &mut Conn, src: &str) -> io::Result<()> {
 }
 
 /// Execute a serial plan through the chunk cache instead of
-/// [`IoExecutor`]'s direct reads: same ops, same assembly, widened from
-/// the cached rows straight into the `f64` block `dasa::run` takes.
-fn run_plan_cached(state: &State, plan: &IoPlan) -> Result<arrayudf::Array2<f64>> {
+/// [`IoExecutor`]'s direct reads: same ops, same assembly, the cached
+/// rows copied into the `f32` block `dasa::run` takes as stored.
+fn run_plan_cached(state: &State, plan: &IoPlan) -> Result<arrayudf::Array2<f32>> {
     let mut out = arrayudf::Array2::zeroed(plan.rows, plan.cols);
     for op in &plan.ops {
         let chunk = state.chunk(op)?;
         for (r, row) in chunk.slab_rows(op.selection).enumerate() {
             let at = r * plan.cols + op.t0;
-            for (wide, &v) in out.as_mut_slice()[at..at + row.len()].iter_mut().zip(row) {
-                *wide = v as f64;
-            }
+            out.as_mut_slice()[at..at + row.len()].copy_from_slice(row);
         }
     }
     Ok(out)

@@ -62,7 +62,8 @@ impl IngestJob {
         }
     }
 
-    fn eval(&self, data: &Array2<f64>, sampling_hz: f64, haee: &Haee) -> Result<AnalysisOutput> {
+    /// Run the job over a window as stored (`f32`).
+    fn eval(&self, data: &Array2<f32>, sampling_hz: f64, haee: &Haee) -> Result<AnalysisOutput> {
         match self {
             IngestJob::Analysis(a) => run_job(a, data, haee),
             IngestJob::Program(p) => execute(p, sampling_hz, data, haee),
@@ -657,12 +658,7 @@ fn digest_output(dims: &[u64], values: &[f64]) -> u64 {
 /// admitted files produces the same bytes in any run, which is what
 /// lets the kill-and-resume gate compare report unions byte-for-byte.
 fn render_report(cfg: &IngestConfig, task: &WindowTask, wd: &WindowData, haee: &Haee) -> String {
-    let data_f64 = Array2::from_vec(
-        wd.data.rows(),
-        wd.data.cols(),
-        wd.data.as_slice().iter().map(|&v| v as f64).collect(),
-    );
-    let outcome = cfg.job.eval(&data_f64, task.sampling_hz as f64, haee);
+    let outcome = cfg.job.eval(&wd.data, task.sampling_hz as f64, haee);
 
     let mut w = JsonWriter::with_capacity(512);
     w.begin_object();

@@ -51,8 +51,9 @@
 //! let vca = Vca::from_entries(&hits)?;
 //!
 //! // Detect events with local similarity on 8 threads. Every analysis
-//! // goes through the same dispatcher; the engine comes from a builder.
-//! let data = vca.read_all_f64()?;
+//! // goes through the same dispatcher, over the block as stored (f32):
+//! // the engine widens one row at a time; it comes from a builder.
+//! let data = vca.read_all_f32()?;
 //! let haee = Haee::builder().threads(8).build();
 //! let out = run(&Analysis::LocalSimilarity(LocalSimiParams::default()), &data, &haee)?;
 //! let simi = out.as_map().expect("local similarity yields a channel × time map");

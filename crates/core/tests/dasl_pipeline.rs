@@ -20,8 +20,8 @@ fn corpus(name: &str, channels: usize, minutes: usize) -> std::path::PathBuf {
     dir
 }
 
-fn read_f64(vca: &Vca) -> arrayudf::Array2<f64> {
-    vca.read_all_f64().expect("read")
+fn read_f32(vca: &Vca) -> arrayudf::Array2<f32> {
+    vca.read_all_f32().expect("read")
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn program_through_ioplan_matches_hand_wired_interferometry() {
     // Hand-wired: full read + default interferometry.
     let hand = dasa::run(
         &Analysis::Interferometry(InterferometryParams::default()),
-        &read_f64(&vca),
+        &read_f32(&vca),
         &Haee::builder().threads(2).build(),
     )
     .expect("hand-wired");
@@ -62,13 +62,10 @@ fn program_through_ioplan_matches_hand_wired_interferometry() {
     let plan = IoPlan::for_load(&vca, program.load_spec(), 1).expect("plan");
     let (block, report) = IoExecutor::serial().run(&plan).expect("read");
     assert!(report.is_clean());
-    let data: Vec<f64> = block.as_slice().iter().map(|&v| v as f64).collect();
-    let data = arrayudf::Array2::from_vec(block.rows(), block.cols(), data);
-
     let before = obs::global().snapshot().counter("dasl.fused_stages");
     let prog_out = dasa::run(
         &program.bind(vca.sampling_hz() as f64),
-        &data,
+        &block,
         &Haee::builder().threads(2).build(),
     )
     .expect("program");

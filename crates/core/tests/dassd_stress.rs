@@ -220,10 +220,10 @@ fn errors_are_typed_and_connection_survives() {
     let (dims, flat) = client.eval(src).expect("valid eval");
     let cat = FileCatalog::scan(&dir).expect("scan");
     let vca = Vca::from_entries(cat.entries()).expect("vca");
-    let wide = vca.read_all_f64().expect("read");
+    let block = vca.read_all_f32().expect("read");
     let program = dasl::compile(src).expect("compile");
     let haee = Haee::builder().threads(1).build();
-    let local = dasa::run(&program.bind(vca.sampling_hz() as f64), &wide, &haee).expect("run");
+    let local = dasa::run(&program.bind(vca.sampling_hz() as f64), &block, &haee).expect("run");
     let (ldims, lflat) = local.to_dataset();
     assert_eq!(dims, ldims);
     assert_eq!(

@@ -64,12 +64,8 @@ fn das_read(argv: &[Value]) -> Result<Vec<Value>, String> {
         .search_range(start, count)
         .map_err(|e| e.to_string())?;
     let vca = Vca::from_entries(&hits).map_err(|e| e.to_string())?;
-    let data = vca.read_all_f64().map_err(|e| e.to_string())?;
-    Ok(vec![Value::Matrix {
-        rows: data.rows(),
-        cols: data.cols(),
-        data: data.into_vec(),
-    }])
+    let data = vca.read_all_f32().map_err(|e| e.to_string())?;
+    Ok(vec![matrix_of(&data)])
 }
 
 /// `names = das_search(dir, regex)` — type-2 regex query; returns hit
@@ -104,11 +100,16 @@ fn das_generate(argv: &[Value]) -> Result<Vec<Value>, String> {
     let seed = usize_arg(argv, 3)? as u64;
     let scene = Scene::demo(channels, hz, seconds, seed);
     let rendered = scene.render(0.0, scene.samples_for(seconds));
-    Ok(vec![Value::Matrix {
-        rows: rendered.rows(),
-        cols: rendered.cols(),
-        data: rendered.as_slice().iter().map(|&v| v as f64).collect(),
-    }])
+    Ok(vec![matrix_of(&rendered)])
+}
+
+/// An `f32` block as an interpreter matrix, whose numbers are `f64`.
+fn matrix_of(block: &arrayudf::Array2<f32>) -> Value {
+    Value::Matrix {
+        rows: block.rows(),
+        cols: block.cols(),
+        data: block.as_slice().iter().map(|&v| f64::from(v)).collect(),
+    }
 }
 
 fn matrix_arg(argv: &[Value], i: usize) -> Result<arrayudf::Array2<f64>, String> {

@@ -18,12 +18,7 @@ fn main() {
     let scene = Scene::demo(channels, hz, duration_s, 21);
     println!("rendering {channels}-channel, {duration_s}-second scene...");
     let samples = scene.samples_for(duration_s);
-    let raw32 = scene.render(0.0, samples);
-    let data = arrayudf::Array2::from_vec(
-        raw32.rows(),
-        raw32.cols(),
-        raw32.as_slice().iter().map(|&v| v as f64).collect(),
-    );
+    let data = scene.render(0.0, samples);
 
     let params = LocalSimiParams {
         half_window: 25,

@@ -47,9 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vca.is_contiguous()
     );
 
-    // 4. Subset channels 8..24 through a LAV and materialize as f64.
+    // 4. Subset channels 8..24 through a LAV and materialize it as
+    //    stored (f32); the engine widens one row at a time.
     let lav = Lav::full(&vca).select_channels(8..24)?;
-    let data = lav.read_f64(&vca)?;
+    let data = lav.read_f32(&vca)?;
     println!("LAV read: {} x {} samples", data.rows(), data.cols());
 
     // 5. Local similarity (Algorithm 2) on 4 threads.

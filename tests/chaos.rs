@@ -793,9 +793,7 @@ fn analysis_on_chaos_read_is_deterministic() {
     let mut outputs = Vec::new();
     for _ in 0..2 {
         let (full, _) = chaos_read(&vca, &plan, ReadStrategy::CommAvoiding);
-        let data: Vec<f64> = full.as_slice().iter().map(|&v| v as f64).collect();
-        let data = arrayudf::Array2::from_vec(full.rows(), full.cols(), data);
-        let out = dasa::run(&analysis, &data, &haee).expect("analysis");
+        let out = dasa::run(&analysis, &full, &haee).expect("analysis");
         outputs.push(out.to_dataset());
     }
     assert_eq!(outputs[0], outputs[1], "same seed ⇒ same analysis output");

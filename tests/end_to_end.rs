@@ -95,7 +95,7 @@ fn distributed_pipelines_equal_single_process_results() {
     let (dir, _) = fresh_dataset("dist", 12, 20.0, 2);
     let catalog = FileCatalog::scan(&dir).expect("scan");
     let vca = Vca::from_entries(catalog.entries()).expect("vca");
-    let data = vca.read_all_f64().expect("read");
+    let data = vca.read_all_f32().expect("read");
     let total = data.rows();
 
     // Local similarity.
@@ -132,12 +132,7 @@ fn distributed_pipelines_equal_single_process_results() {
         .to_vec();
     let read_plan = IoPlan::for_vca(&vca, ReadStrategy::CommAvoiding, 4);
     let if_blocks = minimpi::run(4, |comm| {
-        let (local32, _) = IoExecutor::new(comm).run(&read_plan).expect("read");
-        let local = Array2::from_vec(
-            local32.rows(),
-            local32.cols(),
-            local32.as_slice().iter().map(|&v| v as f64).collect(),
-        );
+        let (local, _) = IoExecutor::new(comm).run(&read_plan).expect("read");
         interferometry_dist(
             comm,
             &local,
