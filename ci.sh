@@ -885,9 +885,9 @@ if [[ $quick -eq 0 ]]; then
     # matches its oracle — fails here and not in the measurement
     # pipeline. The numbers of a --quick run mean nothing.
     echo "==> benchmark: das_bench tests + all --quick"
-    cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+    cargo test --release --offline --locked -q --manifest-path benchmark/Cargo.toml
     bench_log="$ci_tmp/bench.log"
-    if ! cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+    if ! cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml -- \
         all --quick >"$bench_log" 2>&1; then
         echo "benchmark: das_bench all --quick failed:" >&2
         tail -n 40 "$bench_log" >&2

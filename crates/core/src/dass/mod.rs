@@ -40,13 +40,3 @@ pub use rca::{create_rca, read_rca};
 pub use search::{FileCatalog, FileEntry};
 pub use timestamp::Timestamp;
 pub use vca::Vca;
-
-// The executor's multi-rank tests sit beside it, in `plan/`, under the
-// module path they have had since the seed: a moved test is still the
-// same test to whoever tracks it by name.
-#[cfg(test)]
-#[path = "plan"]
-mod par_read {
-    #[path = "world_tests.rs"]
-    mod tests;
-}

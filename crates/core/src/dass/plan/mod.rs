@@ -404,6 +404,9 @@ pub fn for_vca_modeled(vca: &Vca, machine: &perfmodel::Machine, ranks: usize) ->
 }
 
 #[cfg(test)]
+mod world_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dass::search::tests::make_files;

@@ -1,8 +1,6 @@
 //! The executor driven over whole worlds: both §IV-B exchanges against
 //! the serial read, their collective counts, retry/quarantine under
-//! seeded faults, and fail-fast over a rotten member. Declared from
-//! `dass/mod.rs` as `par_read::tests`, the module path — and so the test
-//! ids — these have had since before the executor was the only reader.
+//! seeded faults, and fail-fast over a rotten member.
 
 use crate::dass::plan::{IoExecutor, IoPlan, ReadReport, ReadStrategy, MAX_READ_ATTEMPTS};
 use crate::dass::search::tests::make_files;

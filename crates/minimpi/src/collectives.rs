@@ -1,17 +1,20 @@
-//! Collective operations built on point-to-point messaging.
+//! The collectives DASSA sends, built on point-to-point messaging.
 //!
-//! Algorithms follow the classic MPICH implementations (binomial trees,
-//! dissemination barrier, ring allgather, pairwise all-to-all) so that the
-//! *message counts* observed through [`crate::CommStats`] match what the
-//! DASSA paper reasons about — e.g. the "merge-read-broadcast" pattern of
-//! collective I/O costing one broadcast per file.
+//! The collective-per-file reader pays one broadcast per file
+//! ([`Comm::try_bcast_payload`]), the communication-avoiding reader one
+//! all-to-all ([`Comm::try_alltoallv_payload`]), HAEE's master spectrum
+//! travels as a [`Comm::bcast`], and distributed ArrayUDF results and
+//! cluster snapshots come home through [`Comm::gather`]. The algorithms
+//! follow the classic MPICH implementations (binomial-tree broadcast,
+//! pairwise all-to-all) so that the *message counts* observed through
+//! [`crate::CommStats`] match what the DASSA paper reasons about.
 //!
-//! Every collective comes in two forms. The classic form (`bcast`,
-//! `allgather`, …) keeps MPI's contract: block until done, panic on
-//! misuse. The fallible `try_*` form returns [`CommError`] instead —
-//! misuse is [`CommError::Protocol`], a rank killed by the world's fault
-//! plan refuses with [`CommError::RankDead`], and in a bounded-policy
-//! world ([`crate::run_chaos`]) a silent peer surfaces as
+//! `bcast` and `gather` come in two forms. The classic form keeps MPI's
+//! contract: block until done, panic on misuse. The fallible `try_*`
+//! form returns [`CommError`] instead — misuse is
+//! [`CommError::Protocol`], a rank killed by the world's fault plan
+//! refuses with [`CommError::RankDead`], and in a bounded-policy world
+//! ([`crate::run_chaos`]) a silent peer surfaces as
 //! [`CommError::Timeout`] after the retry budget, never as a hang. The
 //! classic forms are thin wrappers that panic on the error the `try_*`
 //! core reports. The [`WirePayload`] collectives, which move the
@@ -52,17 +55,23 @@ impl<T: WirePayload> WirePayload for std::sync::Arc<T> {
 }
 
 /// Collective kinds, embedded in internal tags.
+///
+/// The discriminants are fixed: [`coll_tag`] shifts them into every tag
+/// and [`edge_key`] hashes the tag, so renumbering a kind would move
+/// every seeded message drop and delay of a chaos world.
 #[derive(Clone, Copy)]
 #[repr(u64)]
 enum Kind {
-    Barrier = 1,
-    Bcast,
-    Gather,
-    Allgather,
-    Scatter,
-    Reduce,
-    Alltoall,
-    Alltoallv,
+    Bcast = 2,
+    Gather = 3,
+    Alltoallv = 8,
+}
+
+/// The internal tag for round `round` of collective number `seq`. All
+/// ranks must invoke collectives in the same order (an MPI requirement
+/// too), which keeps their per-rank sequence counters in lock-step.
+fn coll_tag(kind: Kind, seq: u64, round: u64) -> u64 {
+    INTERNAL_TAG_BASE + ((kind as u64) << 56) + (seq << 8) + round
 }
 
 /// Deterministic identity of one receive edge of one collective round:
@@ -75,64 +84,20 @@ fn edge_key(tag: u64, src: usize, dst: usize) -> u64 {
 }
 
 impl Comm {
-    /// Build the internal tag for round `round` of the current collective.
-    /// All ranks must invoke collectives in the same order (an MPI
-    /// requirement too), which keeps their per-rank sequence counters in
-    /// lock-step.
-    fn coll_tag(&self, kind: Kind, seq: u64, round: u64) -> u64 {
-        INTERNAL_TAG_BASE + ((kind as u64) << 56) + (seq << 8) + round
-    }
-
     fn next_seq(&self) -> u64 {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq + 1);
         seq
     }
 
-    /// `MPI_Barrier`: dissemination algorithm, ⌈log₂ p⌉ rounds.
-    pub fn barrier(&self) {
-        self.try_barrier()
-            .unwrap_or_else(|e| panic!("barrier failed: {e}"))
-    }
-
-    /// Fallible [`Comm::barrier`].
-    pub fn try_barrier(&self) -> Result<(), CommError> {
-        self.check_alive()?;
-        let _span = obs::span_in(self.registry(), "minimpi.barrier");
-        let seq = self.next_seq();
-        self.stats().barriers.inc();
-        let (rank, size) = (self.rank(), self.size());
-        let mut round = 0u64;
-        let mut dist = 1usize;
-        while dist < size {
-            let tag = self.coll_tag(Kind::Barrier, seq, round);
-            let dst = (rank + dist) % size;
-            let src = (rank + size - dist) % size;
-            self.send_internal(dst, tag, (), 0);
-            self.recv_coll::<()>(src, tag, edge_key(tag, src, rank))?;
-            dist <<= 1;
-            round += 1;
-        }
-        Ok(())
-    }
-
     /// `MPI_Bcast`: binomial tree from `root`. The root passes
     /// `Some(value)`, everyone else `None`; all ranks return the value.
     ///
     /// Byte accounting uses `size_of::<T>()`; for heap payloads use
-    /// [`Comm::bcast_vec`] so [`crate::CommStats`] sees the true volume.
+    /// [`Comm::try_bcast_payload`] so [`crate::CommStats`] sees the true
+    /// volume.
     pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
         self.try_bcast(root, value)
-            .unwrap_or_else(|e| panic!("bcast failed: {e}"))
-    }
-
-    /// [`Comm::bcast`] for vectors, counting the real payload volume.
-    pub fn bcast_vec<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        value: Option<Vec<T>>,
-    ) -> Vec<T> {
-        self.try_bcast_vec(root, value)
             .unwrap_or_else(|e| panic!("bcast failed: {e}"))
     }
 
@@ -145,19 +110,10 @@ impl Comm {
         self.try_bcast_with_size(root, value, |_| std::mem::size_of::<T>())
     }
 
-    /// Fallible [`Comm::bcast_vec`].
-    pub fn try_bcast_vec<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        value: Option<Vec<T>>,
-    ) -> Result<Vec<T>, CommError> {
-        self.try_bcast_with_size(root, value, |v| v.len() * std::mem::size_of::<T>())
-    }
-
     /// [`Comm::try_bcast`] for [`WirePayload`] values: the transfer is a
     /// `clone()` per tree edge (an `Arc` bump for shared buffers), while
-    /// byte counters record [`WirePayload::wire_bytes`] — the same volume
-    /// the equivalent `bcast_vec` would report.
+    /// byte counters record [`WirePayload::wire_bytes`] — the volume the
+    /// equivalent `Vec<T>` broadcast would put on a wire.
     pub fn try_bcast_payload<T: WirePayload + Clone + Send + 'static>(
         &self,
         root: usize,
@@ -185,7 +141,7 @@ impl Comm {
             return Err(CommError::Protocol("bcast root out of range"));
         }
         let vrank = (rank + size - root) % size;
-        let tag = self.coll_tag(Kind::Bcast, seq, 0);
+        let tag = coll_tag(Kind::Bcast, seq, 0);
 
         let value = if rank == root {
             value.ok_or(CommError::Protocol("bcast root must supply a value"))?
@@ -238,7 +194,7 @@ impl Comm {
         let seq = self.next_seq();
         self.stats().gathers.inc();
         let _span = obs::span_in(self.registry(), "minimpi.gather");
-        let tag = self.coll_tag(Kind::Gather, seq, 0);
+        let tag = coll_tag(Kind::Gather, seq, 0);
         if self.rank() == root {
             let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
             out[root] = Some(value);
@@ -258,210 +214,15 @@ impl Comm {
         }
     }
 
-    /// `MPI_Allgather`: ring algorithm, p−1 rounds; all ranks return the
-    /// full vector in rank order.
-    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        self.try_allgather(value)
-            .unwrap_or_else(|e| panic!("allgather failed: {e}"))
-    }
-
-    /// Fallible [`Comm::allgather`].
-    pub fn try_allgather<T: Clone + Send + 'static>(&self, value: T) -> Result<Vec<T>, CommError> {
-        self.check_alive()?;
-        let seq = self.next_seq();
-        self.stats().allgathers.inc();
-        let _span = obs::span_in(self.registry(), "minimpi.allgather");
-        let (rank, size) = (self.rank(), self.size());
-        let mut out: Vec<Option<T>> = (0..size).map(|_| None).collect();
-        out[rank] = Some(value);
-        let right = (rank + 1) % size;
-        let left = (rank + size - 1) % size;
-        for round in 0..size.saturating_sub(1) {
-            let tag = self.coll_tag(Kind::Allgather, seq, round as u64);
-            // In round k we forward the block that originated k hops back.
-            let send_origin = (rank + size - round) % size;
-            let recv_origin = (rank + size - round - 1) % size;
-            let block = out[send_origin]
-                .clone()
-                .ok_or(CommError::Protocol("allgather ring invariant broken"))?;
-            self.send_internal(right, tag, block, std::mem::size_of::<T>());
-            out[recv_origin] = Some(self.recv_coll(left, tag, edge_key(tag, left, rank))?);
-        }
-        out.into_iter()
-            .map(|v| v.ok_or(CommError::Protocol("allgather slot unfilled")))
-            .collect()
-    }
-
-    /// `MPI_Scatter`: the root supplies one element per rank; each rank
-    /// returns its own element.
-    pub fn scatter<T: Send + 'static>(&self, root: usize, values: Option<Vec<T>>) -> T {
-        self.try_scatter(root, values)
-            .unwrap_or_else(|e| panic!("scatter failed: {e}"))
-    }
-
-    /// Fallible [`Comm::scatter`].
-    pub fn try_scatter<T: Send + 'static>(
-        &self,
-        root: usize,
-        values: Option<Vec<T>>,
-    ) -> Result<T, CommError> {
-        self.check_alive()?;
-        let seq = self.next_seq();
-        self.stats().scatters.inc();
-        let _span = obs::span_in(self.registry(), "minimpi.scatter");
-        let tag = self.coll_tag(Kind::Scatter, seq, 0);
-        if self.rank() == root {
-            let values = values.ok_or(CommError::Protocol("scatter root must supply values"))?;
-            if values.len() != self.size() {
-                return Err(CommError::Protocol("scatter needs one element per rank"));
-            }
-            let mut own = None;
-            for (dst, v) in values.into_iter().enumerate() {
-                if dst == root {
-                    own = Some(v);
-                } else {
-                    self.send_internal(dst, tag, v, std::mem::size_of::<T>());
-                }
-            }
-            own.ok_or(CommError::Protocol("scatter root element missing"))
-        } else {
-            self.recv_coll(root, tag, edge_key(tag, root, self.rank()))
-        }
-    }
-
-    /// `MPI_Reduce` with operator `op`: binomial-tree reduction to `root`,
-    /// which returns `Some(result)`.
-    ///
-    /// `op` should be associative; commutativity is also assumed, as by
-    /// most MPI implementations for built-in operators.
-    pub fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Option<T>
-    where
-        T: Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.try_reduce(root, value, op)
-            .unwrap_or_else(|e| panic!("reduce failed: {e}"))
-    }
-
-    /// Fallible [`Comm::reduce`].
-    pub fn try_reduce<T, F>(&self, root: usize, value: T, op: F) -> Result<Option<T>, CommError>
-    where
-        T: Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.check_alive()?;
-        let seq = self.next_seq();
-        self.stats().reduces.inc();
-        let _span = obs::span_in(self.registry(), "minimpi.reduce");
-        let (rank, size) = (self.rank(), self.size());
-        if root >= size {
-            return Err(CommError::Protocol("reduce root out of range"));
-        }
-        let vrank = (rank + size - root) % size;
-        let tag = self.coll_tag(Kind::Reduce, seq, 0);
-        let mut acc = value;
-        let mut mask = 1usize;
-        while mask < size {
-            if vrank & mask == 0 {
-                let peer_v = vrank | mask;
-                if peer_v < size {
-                    let src = (rank + mask) % size;
-                    let other: T = self.recv_coll(src, tag, edge_key(tag, src, rank))?;
-                    acc = op(acc, other);
-                }
-            } else {
-                let dst = (rank + size - mask) % size;
-                self.send_internal(dst, tag, acc, std::mem::size_of::<T>());
-                return Ok(None);
-            }
-            mask <<= 1;
-        }
-        debug_assert_eq!(rank, root);
-        Ok(Some(acc))
-    }
-
-    /// `MPI_Allreduce`: reduce to rank 0 then broadcast (MPICH's default
-    /// for large payloads is fancier; the message count here is the
-    /// classic 2·log₂ p).
-    pub fn allreduce<T, F>(&self, value: T, op: F) -> T
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.try_allreduce(value, op)
-            .unwrap_or_else(|e| panic!("allreduce failed: {e}"))
-    }
-
-    /// Fallible [`Comm::allreduce`].
-    pub fn try_allreduce<T, F>(&self, value: T, op: F) -> Result<T, CommError>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.check_alive()?;
-        self.stats().allreduces.inc();
-        let _span = obs::span_in(self.registry(), "minimpi.allreduce");
-        let reduced = self.try_reduce(0, value, op)?;
-        self.try_bcast(0, reduced)
-    }
-
-    /// `MPI_Alltoall`: `values[j]` goes to rank `j`; returns the vector
-    /// whose element `i` came from rank `i`. Pairwise-exchange algorithm,
-    /// p−1 rounds of concurrent disjoint transfers — exactly the
-    /// "lots of concurrent transfers among node pairs" the paper's
-    /// communication-avoiding method relies on.
-    pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Vec<T> {
-        self.try_alltoall(values)
-            .unwrap_or_else(|e| panic!("alltoall failed: {e}"))
-    }
-
-    /// Fallible [`Comm::alltoall`].
-    pub fn try_alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Result<Vec<T>, CommError> {
-        self.check_alive()?;
-        self.stats().alltoalls.inc();
-        let _span = obs::span_in(self.registry(), "minimpi.alltoall");
-        let size = self.size();
-        if values.len() != size {
-            return Err(CommError::Protocol("alltoall needs one element per rank"));
-        }
-        let mut slots: Vec<Option<T>> = values.into_iter().map(Some).collect();
-        let seq = self.next_seq();
-        self.try_exchange_pairwise(Kind::Alltoall, seq, &mut slots, |v| {
-            std::mem::size_of_val(v)
-        })
-    }
-
-    /// `MPI_Alltoallv` for variable-size blocks: `buffers[j]` goes to rank
-    /// `j`; returns blocks indexed by source rank.
-    pub fn alltoallv<T: Send + 'static>(&self, buffers: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        self.try_alltoallv(buffers)
-            .unwrap_or_else(|e| panic!("alltoallv failed: {e}"))
-    }
-
-    /// Fallible [`Comm::alltoallv`].
-    pub fn try_alltoallv<T: Send + 'static>(
-        &self,
-        buffers: Vec<Vec<T>>,
-    ) -> Result<Vec<Vec<T>>, CommError> {
-        self.check_alive()?;
-        self.stats().alltoallvs.inc();
-        let _span = obs::span_in(self.registry(), "minimpi.alltoallv");
-        let size = self.size();
-        if buffers.len() != size {
-            return Err(CommError::Protocol("alltoallv needs one buffer per rank"));
-        }
-        let mut slots: Vec<Option<Vec<T>>> = buffers.into_iter().map(Some).collect();
-        let seq = self.next_seq();
-        self.try_exchange_pairwise(Kind::Alltoallv, seq, &mut slots, |v| {
-            v.len() * std::mem::size_of::<T>()
-        })
-    }
-
-    /// [`Comm::try_alltoallv`] for blocks of [`WirePayload`] values: each
-    /// block moves by `clone()`-free handoff (the vectors themselves are
-    /// sent), with byte counters summing [`WirePayload::wire_bytes`] over
-    /// the block instead of `size_of::<T>()` — so tile handles account
-    /// for the sample bytes they reference, not the handle size.
+    /// `MPI_Alltoallv` for blocks of [`WirePayload`] values: `buffers[j]`
+    /// goes to rank `j`; returns blocks indexed by source rank.
+    /// Pairwise-exchange algorithm, p−1 rounds of concurrent disjoint
+    /// transfers — the "lots of concurrent transfers among node pairs"
+    /// the paper's communication-avoiding method relies on. Each block
+    /// moves by handoff (the vectors themselves are sent), with byte
+    /// counters summing [`WirePayload::wire_bytes`] over the block — so
+    /// tile handles account for the sample bytes they reference, not the
+    /// handle size.
     pub fn try_alltoallv_payload<T: WirePayload + Send + 'static>(
         &self,
         buffers: Vec<Vec<T>>,
@@ -469,40 +230,22 @@ impl Comm {
         self.check_alive()?;
         self.stats().alltoallvs.inc();
         let _span = obs::span_in(self.registry(), "minimpi.alltoallv");
-        let size = self.size();
+        let (rank, size) = (self.rank(), self.size());
         if buffers.len() != size {
             return Err(CommError::Protocol("alltoallv needs one buffer per rank"));
         }
         let mut slots: Vec<Option<Vec<T>>> = buffers.into_iter().map(Some).collect();
         let seq = self.next_seq();
-        self.try_exchange_pairwise(Kind::Alltoallv, seq, &mut slots, |v| {
-            v.iter().map(WirePayload::wire_bytes).sum()
-        })
-    }
-
-    /// Shared pairwise-exchange engine for alltoall(v).
-    fn try_exchange_pairwise<T, S>(
-        &self,
-        kind: Kind,
-        seq: u64,
-        slots: &mut [Option<T>],
-        sizer: S,
-    ) -> Result<Vec<T>, CommError>
-    where
-        T: Send + 'static,
-        S: Fn(&T) -> usize,
-    {
-        let (rank, size) = (self.rank(), self.size());
-        let mut out: Vec<Option<T>> = (0..size).map(|_| None).collect();
+        let mut out: Vec<Option<Vec<T>>> = (0..size).map(|_| None).collect();
         out[rank] = slots[rank].take();
         for step in 1..size {
-            let tag = self.coll_tag(kind, seq, step as u64);
+            let tag = coll_tag(Kind::Alltoallv, seq, step as u64);
             let dst = (rank + step) % size;
             let src = (rank + size - step) % size;
             let block = slots[dst]
                 .take()
                 .ok_or(CommError::Protocol("pairwise block already sent"))?;
-            let bytes = sizer(&block);
+            let bytes = block.iter().map(WirePayload::wire_bytes).sum();
             self.send_internal(dst, tag, block, bytes);
             out[src] = Some(self.recv_coll(src, tag, edge_key(tag, src, rank))?);
         }
@@ -514,19 +257,41 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use super::{coll_tag, edge_key, Kind, WirePayload};
     use crate::{run, run_chaos, run_with_stats, CommError, RetryPolicy};
     use faultline::{site, FaultPlan};
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// One rank's block for rank `dst` in the all-to-all tests: `dst + 1`
+    /// copies of the sender's id, wrapped as the single [`WirePayload`]
+    /// item of the block.
+    fn blocks_from(rank: usize, p: usize) -> Vec<Vec<Vec<u8>>> {
+        (0..p).map(|dst| vec![vec![rank as u8; dst + 1]]).collect()
+    }
+
+    /// What rank `rank` receives when every rank sends [`blocks_from`].
+    fn blocks_to(rank: usize, p: usize) -> Vec<Vec<Vec<u8>>> {
+        (0..p).map(|src| vec![vec![src as u8; rank + 1]]).collect()
+    }
+
     #[test]
-    fn barrier_completes_on_many_sizes() {
-        for p in [1usize, 2, 3, 5, 8] {
-            run(p, |comm| {
-                for _ in 0..3 {
-                    comm.barrier();
-                }
-            });
+    fn tag_layout_is_pinned() {
+        // Seeded drops and delays fire on `edge_key(coll_tag(..))`, so
+        // these values are the chaos schedule: a renumbered `Kind` or a
+        // changed mix moves every injected fault.
+        let (seq, round, src, dst) = (3, 1, 2, 5);
+        for (kind, tag, key) in [
+            (Kind::Bcast, 0x0200_0001_0000_0301, 0xf313_9442_39bc_63a0),
+            (Kind::Gather, 0x0300_0001_0000_0301, 0xf213_9442_39bc_63a0),
+            (
+                Kind::Alltoallv,
+                0x0800_0001_0000_0301,
+                0xf913_9442_39bc_63a0,
+            ),
+        ] {
+            assert_eq!(coll_tag(kind, seq, round), tag);
+            assert_eq!(edge_key(tag, src, dst), key);
         }
     }
 
@@ -564,108 +329,52 @@ mod tests {
     }
 
     #[test]
-    fn allgather_ring() {
-        for p in [1usize, 2, 4, 6] {
-            let out = run(p, |comm| comm.allgather(comm.rank() as u64));
-            let expect: Vec<u64> = (0..p as u64).collect();
-            assert!(out.iter().all(|v| v == &expect));
-        }
-    }
-
-    #[test]
-    fn scatter_delivers_per_rank() {
-        let out = run(4, |comm| {
-            let values = if comm.rank() == 1 {
-                Some(vec![10, 11, 12, 13])
-            } else {
-                None
-            };
-            comm.scatter(1, values)
-        });
-        assert_eq!(out, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn reduce_sum_every_root() {
-        for p in [1usize, 3, 4, 6] {
-            for root in 0..p {
-                let out = run(p, |comm| {
-                    comm.reduce(root, comm.rank() as u64 + 1, |a, b| a + b)
-                });
-                let total: u64 = (1..=p as u64).sum();
-                assert_eq!(out[root], Some(total));
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let out = run(6, |comm| {
-            comm.allreduce(comm.rank() as i64 * 7 % 5, i64::max)
-        });
-        assert!(out.iter().all(|&v| v == 4));
-    }
-
-    #[test]
-    fn alltoall_transpose() {
-        let p = 4;
-        let out = run(p, |comm| {
-            // values[j] = rank * 100 + j
-            let values: Vec<usize> = (0..p).map(|j| comm.rank() * 100 + j).collect();
-            comm.alltoall(values)
-        });
-        for (rank, row) in out.iter().enumerate() {
-            let expect: Vec<usize> = (0..p).map(|src| src * 100 + rank).collect();
-            assert_eq!(row, &expect);
-        }
-    }
-
-    #[test]
     fn alltoallv_variable_blocks() {
         let p = 3;
         let out = run(p, |comm| {
-            // Send `dst + 1` copies of our rank id to each dst.
-            let buffers: Vec<Vec<u8>> =
-                (0..p).map(|dst| vec![comm.rank() as u8; dst + 1]).collect();
-            comm.alltoallv(buffers)
+            comm.try_alltoallv_payload(blocks_from(comm.rank(), p))
+                .unwrap()
         });
         for (rank, blocks) in out.iter().enumerate() {
-            for (src, block) in blocks.iter().enumerate() {
-                assert_eq!(block, &vec![src as u8; rank + 1]);
-            }
+            assert_eq!(blocks, &blocks_to(rank, p));
         }
     }
 
     #[test]
     fn back_to_back_collectives_do_not_cross_talk() {
         let out = run(4, |comm| {
-            let a = comm.allreduce(1u32, |x, y| x + y);
-            let b = comm.allreduce(2u32, |x, y| x + y);
-            let c = comm.allgather(comm.rank());
-            (a, b, c)
+            let a = comm.bcast(0, (comm.rank() == 0).then_some(1u32));
+            let b = comm.bcast(3, (comm.rank() == 3).then_some(2u32));
+            let c = comm.gather(1, comm.rank());
+            let d = comm.try_alltoallv_payload(blocks_from(comm.rank(), 4));
+            let e = comm.gather(1, comm.rank() * 10);
+            (a, b, c, d.unwrap(), e)
         });
-        for (a, b, c) in out {
-            assert_eq!(a, 4);
-            assert_eq!(b, 8);
-            assert_eq!(c, vec![0, 1, 2, 3]);
+        for (rank, (a, b, c, d, e)) in out.into_iter().enumerate() {
+            assert_eq!(a, 1);
+            assert_eq!(b, 2);
+            let at_root = |v: Vec<usize>| (rank == 1).then_some(v);
+            assert_eq!(c, at_root(vec![0, 1, 2, 3]));
+            assert_eq!(d, blocks_to(rank, 4));
+            assert_eq!(e, at_root(vec![0, 10, 20, 30]));
         }
     }
 
     #[test]
     fn alltoallv_bytes_are_counted() {
         let (_, stats) = run_with_stats(2, |comm| {
-            comm.alltoallv(vec![vec![0u64; 10], vec![0u64; 20]]);
+            comm.try_alltoallv_payload(vec![vec![vec![0u64; 10]], vec![vec![0u64; 20]]])
+                .unwrap();
         });
-        // Each rank sends one off-diagonal block.
+        // Each rank sends one off-diagonal block: rank 0 the 20-element
+        // one, rank 1 the 10-element one.
         assert_eq!(stats.alltoallvs, 2);
-        assert!(stats.p2p_bytes >= 2 * 8 * 10);
+        assert_eq!(stats.p2p_messages, 2);
+        assert_eq!(stats.p2p_bytes, 8 * (20 + 10));
     }
 
     #[test]
     fn payload_collectives_match_vec_forms_and_byte_counts() {
-        use crate::collectives::WirePayload;
-        use std::sync::Arc;
-
         /// Stand-in for a zero-copy tile: a shared buffer plus a row
         /// window, reporting the referenced bytes as its wire size.
         #[derive(Clone)]
@@ -679,12 +388,11 @@ mod tests {
                 (self.hi - self.lo) * std::mem::size_of::<f32>()
             }
         }
+        let f32s = std::mem::size_of::<f32>() as u64;
 
+        // A binomial broadcast of 40 f32 over 3 ranks: p − 1 messages,
+        // each the 160 bytes the `Vec<f32>` itself would put on a wire.
         let p = 3;
-        let (vec_out, vec_stats) = run_with_stats(p, |comm| {
-            let payload = (comm.rank() == 1).then(|| vec![comm.rank() as f32; 40]);
-            comm.bcast_vec(1, payload)
-        });
         let (pay_out, pay_stats) = run_with_stats(p, |comm| {
             let payload = (comm.rank() == 1).then(|| {
                 Arc::new(Window {
@@ -697,17 +405,13 @@ mod tests {
         });
         assert!(pay_out
             .iter()
-            .all(|w| w.buf[w.lo..w.hi] == vec_out[0][..] && w.wire_bytes() == 160));
-        assert_eq!(pay_stats.p2p_bytes, vec_stats.p2p_bytes);
-        assert_eq!(pay_stats.p2p_messages, vec_stats.p2p_messages);
-        assert_eq!(pay_stats.bcasts, vec_stats.bcasts);
+            .all(|w| w.buf[w.lo..w.hi] == vec![1.0; 40][..] && w.wire_bytes() == 160));
+        assert_eq!(pay_stats.p2p_messages, p as u64 - 1);
+        assert_eq!(pay_stats.p2p_bytes, (p as u64 - 1) * 40 * f32s);
+        assert_eq!(pay_stats.bcasts, p as u64);
 
-        let (vec_out, vec_stats) = run_with_stats(p, |comm| {
-            let buffers: Vec<Vec<f32>> = (0..p)
-                .map(|dst| vec![comm.rank() as f32; (dst + 1) * 5])
-                .collect();
-            comm.alltoallv(buffers)
-        });
+        // Rank r sends (dst + 1)·5 f32 to each dst ≠ r: the bytes of every
+        // off-diagonal block, as the `Vec<f32>` blocks would count them.
         let (win_out, win_stats) = run_with_stats(p, |comm| {
             let buffers: Vec<Vec<Window>> = (0..p)
                 .map(|dst| {
@@ -725,34 +429,38 @@ mod tests {
                 assert_eq!(block.len(), 1);
                 assert_eq!(
                     block[0].buf[block[0].lo..block[0].hi],
-                    vec_out[rank][src][..]
+                    vec![src as f32; (rank + 1) * 5][..]
                 );
             }
         }
-        assert_eq!(win_stats.p2p_bytes, vec_stats.p2p_bytes);
-        assert_eq!(win_stats.p2p_messages, vec_stats.p2p_messages);
-        assert_eq!(win_stats.alltoallvs, vec_stats.alltoallvs);
+        let off_diagonal: u64 = (0..p)
+            .flat_map(|src| (0..p).filter(move |&dst| dst != src))
+            .map(|dst| (dst as u64 + 1) * 5 * f32s)
+            .sum();
+        assert_eq!(win_stats.p2p_bytes, off_diagonal);
+        assert_eq!(win_stats.p2p_messages, (p * (p - 1)) as u64);
+        assert_eq!(win_stats.alltoallvs, p as u64);
     }
 
     #[test]
     fn try_collectives_match_infallible() {
         let out = run(4, |comm| {
             let a = comm
-                .try_allreduce(comm.rank() as u64, |x, y| x + y)
+                .try_bcast(2, (comm.rank() == 2).then_some(9u8))
                 .unwrap();
-            let b = comm.try_allgather(comm.rank()).unwrap();
-            let c = comm
-                .try_bcast(0, (comm.rank() == 0).then_some(9u8))
+            let b = comm.bcast(2, (comm.rank() == 2).then_some(9u8));
+            let c = comm.try_gather(1, comm.rank() as u32).unwrap();
+            let d = comm.gather(1, comm.rank() as u32);
+            let e = comm
+                .try_alltoallv_payload(blocks_from(comm.rank(), 4))
                 .unwrap();
-            comm.try_barrier().unwrap();
-            let d = comm.try_gather(1, comm.rank() as u32).unwrap();
-            (a, b, c, d)
+            (a, b, c, d, e)
         });
-        for (rank, (a, b, c, d)) in out.into_iter().enumerate() {
-            assert_eq!(a, 6);
-            assert_eq!(b, vec![0, 1, 2, 3]);
-            assert_eq!(c, 9);
-            assert_eq!(d.is_some(), rank == 1);
+        for (rank, (a, b, c, d, e)) in out.into_iter().enumerate() {
+            assert_eq!((a, b), (9, 9));
+            assert_eq!(c, d);
+            assert_eq!(c.is_some(), rank == 1);
+            assert_eq!(e, blocks_to(rank, 4));
         }
     }
 
@@ -806,16 +514,17 @@ mod tests {
         let (out, _) = run_chaos(2, plan, policy, |comm| {
             if comm.rank() == 1 {
                 vec![
-                    comm.try_barrier().err(),
-                    comm.try_allgather(0u8).err(),
-                    comm.try_scatter(0, None::<Vec<u8>>).err(),
-                    comm.try_allreduce(1u8, |a, b| a | b).err(),
-                    comm.try_alltoallv(vec![vec![0u8]; 2]).err(),
+                    comm.try_bcast(0, None::<u8>).err(),
+                    comm.try_gather(0, 0u8).err(),
+                    comm.try_bcast_payload(0, None::<Vec<u8>>).err(),
+                    comm.try_alltoallv_payload(vec![vec![vec![0u8]]; 2]).err(),
+                    comm.try_cluster_snapshot().err(),
                 ]
             } else {
                 vec![]
             }
         });
+        assert_eq!(out[1].len(), 5);
         for err in &out[1] {
             assert_eq!(err.as_ref(), Some(&CommError::RankDead(1)));
         }
@@ -830,10 +539,12 @@ mod tests {
         let policy = RetryPolicy::bounded(4, Duration::from_millis(50));
         let mut retry_counts = Vec::new();
         for _ in 0..2 {
-            let (out, stats) = run_chaos(2, Arc::clone(&plan), policy, |comm| {
-                comm.try_allreduce(comm.rank() as u64 + 1, |a, b| a + b)
+            let (out, stats) = run_chaos(3, Arc::clone(&plan), policy, |comm| {
+                comm.try_alltoallv_payload(blocks_from(comm.rank(), 3))
             });
-            assert_eq!(out, vec![Ok(3), Ok(3)]);
+            for (rank, got) in out.into_iter().enumerate() {
+                assert_eq!(got, Ok(blocks_to(rank, 3)));
+            }
             assert!(stats.retries >= 1);
             retry_counts.push(stats.retries);
         }

@@ -2,12 +2,12 @@
 
 use crate::error::{CommError, RetryPolicy};
 use crate::stats::CommStats;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use faultline::{site, FaultPlan};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -95,11 +95,6 @@ impl Comm {
     /// counters.
     pub fn registry(&self) -> &std::sync::Arc<obs::Registry> {
         &self.rank_registry
-    }
-
-    /// The world-level registry every rank's metrics aggregate into.
-    pub fn world_registry(&self) -> &std::sync::Arc<obs::Registry> {
-        self.stats.registry()
     }
 
     /// Gather every rank's metric snapshot to rank 0: the root returns
@@ -253,16 +248,6 @@ impl Comm {
 }
 
 impl Comm {
-    /// This world's retry policy (blocking for [`run`] worlds).
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// The active fault plan, if this is a chaos world.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
     /// Fallible collectives refuse to run on a dead rank.
     pub(crate) fn check_alive(&self) -> Result<(), CommError> {
         if self.dead {
@@ -441,7 +426,7 @@ where
     // World-level handle bundle: every rank's increments chain up into
     // `registry`, so this snapshot sees the whole world's traffic.
     let world_stats = Arc::new(CommStats::in_registry(Arc::clone(&registry)));
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_ranks).map(|_| unbounded()).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_ranks).map(|_| channel()).unzip();
     let senders = Arc::new(senders);
 
     let mut results: Vec<Option<R>> = (0..n_ranks).map(|_| None).collect();
@@ -631,7 +616,7 @@ mod tests {
         let registry = Arc::new(obs::Registry::new());
         registry.install_tracer(Arc::new(obs::Tracer::new()));
         run_in_registry(3, Arc::clone(&registry), |comm| {
-            comm.barrier();
+            comm.bcast(0, (comm.rank() == 0).then_some(1u8));
         });
         let trace = registry.tracer().expect("installed").collect();
         assert_eq!(trace.dropped, 0);
@@ -640,7 +625,7 @@ mod tests {
         assert!(trace
             .events
             .iter()
-            .any(|e| e.name.contains("minimpi.barrier")));
+            .any(|e| e.name.contains("minimpi.bcast")));
     }
 
     #[test]

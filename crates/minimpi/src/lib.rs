@@ -10,23 +10,25 @@
 //! * [`run`] spawns `n` ranks as OS threads and hands each a [`Comm`];
 //! * point-to-point [`Comm::send`] / [`Comm::recv`] with tag matching and
 //!   an unexpected-message queue, like a real MPI progress engine;
-//! * textbook collectives built on p2p — binomial-tree
-//!   [`Comm::bcast`], dissemination [`Comm::barrier`], [`Comm::gather`],
-//!   ring [`Comm::allgather`], [`Comm::scatter`], [`Comm::reduce`],
-//!   [`Comm::allreduce`], pairwise [`Comm::alltoall`] /
-//!   [`Comm::alltoallv`] — so message counts match what a classic MPI
-//!   implementation would issue;
+//! * the collectives DASSA sends, built on p2p — binomial-tree
+//!   [`Comm::bcast`] (and [`Comm::try_bcast_payload`], one per file for
+//!   the collective-per-file reader), [`Comm::gather`], and the pairwise
+//!   [`Comm::try_alltoallv_payload`] that ends the communication-avoiding
+//!   reader — so message counts match what a classic MPI implementation
+//!   would issue;
 //! * per-world [`CommStats`] counting messages, bytes, and collective
 //!   calls. The DASSA performance model consumes these counters to price
 //!   runs at supercomputer scale.
 //!
 //! # Example
 //! ```
-//! // Sum of ranks via allreduce, on 4 ranks.
+//! // Rank 0 broadcasts a value; every rank answers; rank 0 gathers.
 //! let results = minimpi::run(4, |comm| {
-//!     comm.allreduce(comm.rank() as u64, |a, b| a + b)
+//!     let base = comm.bcast(0, (comm.rank() == 0).then_some(10u64));
+//!     comm.gather(0, base + comm.rank() as u64)
 //! });
-//! assert_eq!(results, vec![6, 6, 6, 6]);
+//! assert_eq!(results[0], Some(vec![10, 11, 12, 13]));
+//! assert!(results[1..].iter().all(Option::is_none));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,10 +54,12 @@ mod tests {
         let out = run(1, |comm| {
             assert_eq!(comm.rank(), 0);
             assert_eq!(comm.size(), 1);
-            comm.barrier();
-            comm.allreduce(5u32, |a, b| a + b)
+            let b = comm.bcast(0, Some(5u32));
+            let g = comm.gather(0, b);
+            let a = comm.try_alltoallv_payload(vec![vec![vec![b]]]).unwrap();
+            (g, a)
         });
-        assert_eq!(out, vec![5]);
+        assert_eq!(out, vec![(Some(vec![5]), vec![vec![vec![5]]])]);
     }
 
     #[test]

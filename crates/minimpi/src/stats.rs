@@ -21,14 +21,8 @@ pub mod names {
     pub const P2P_BYTES: &str = "minimpi.p2p.bytes";
     /// Histogram of per-message payload sizes in bytes.
     pub const P2P_MESSAGE_BYTES: &str = "minimpi.p2p.message_bytes";
-    pub const BARRIERS: &str = "minimpi.coll.barriers";
     pub const BCASTS: &str = "minimpi.coll.bcasts";
     pub const GATHERS: &str = "minimpi.coll.gathers";
-    pub const ALLGATHERS: &str = "minimpi.coll.allgathers";
-    pub const SCATTERS: &str = "minimpi.coll.scatters";
-    pub const REDUCES: &str = "minimpi.coll.reduces";
-    pub const ALLREDUCES: &str = "minimpi.coll.allreduces";
-    pub const ALLTOALLS: &str = "minimpi.coll.alltoalls";
     pub const ALLTOALLVS: &str = "minimpi.coll.alltoallvs";
     /// Receive attempts that had to be repeated (timeouts waited out and
     /// injected message drops) before a fallible collective succeeded or
@@ -42,21 +36,13 @@ pub mod names {
 /// Shared, thread-safe communication counters for one world.
 ///
 /// A thin bundle of [`obs::Counter`] handles into the world's registry;
-/// the same values are reachable by name through
-/// [`CommStats::registry`].
+/// the same values are reachable there by name ([`names`]).
 pub struct CommStats {
-    registry: Arc<Registry>,
     pub(crate) p2p_messages: Counter,
     pub(crate) p2p_bytes: Counter,
     pub(crate) p2p_message_bytes: Histogram,
-    pub(crate) barriers: Counter,
     pub(crate) bcasts: Counter,
     pub(crate) gathers: Counter,
-    pub(crate) allgathers: Counter,
-    pub(crate) scatters: Counter,
-    pub(crate) reduces: Counter,
-    pub(crate) allreduces: Counter,
-    pub(crate) alltoalls: Counter,
     pub(crate) alltoallvs: Counter,
     pub(crate) retries: Counter,
     pub(crate) suppressed_sends: Counter,
@@ -69,24 +55,12 @@ impl CommStats {
             p2p_messages: registry.counter(names::P2P_MESSAGES),
             p2p_bytes: registry.counter(names::P2P_BYTES),
             p2p_message_bytes: registry.histogram(names::P2P_MESSAGE_BYTES),
-            barriers: registry.counter(names::BARRIERS),
             bcasts: registry.counter(names::BCASTS),
             gathers: registry.counter(names::GATHERS),
-            allgathers: registry.counter(names::ALLGATHERS),
-            scatters: registry.counter(names::SCATTERS),
-            reduces: registry.counter(names::REDUCES),
-            allreduces: registry.counter(names::ALLREDUCES),
-            alltoalls: registry.counter(names::ALLTOALLS),
             alltoallvs: registry.counter(names::ALLTOALLVS),
             retries: registry.counter(names::RETRIES),
             suppressed_sends: registry.counter(names::SUPPRESSED_SENDS),
-            registry,
         }
-    }
-
-    /// The registry these counters live in (one per world).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 
     pub(crate) fn count_message(&self, bytes: usize) {
@@ -100,14 +74,8 @@ impl CommStats {
         StatsSnapshot {
             p2p_messages: self.p2p_messages.get(),
             p2p_bytes: self.p2p_bytes.get(),
-            barriers: self.barriers.get(),
             bcasts: self.bcasts.get(),
             gathers: self.gathers.get(),
-            allgathers: self.allgathers.get(),
-            scatters: self.scatters.get(),
-            reduces: self.reduces.get(),
-            allreduces: self.allreduces.get(),
-            alltoalls: self.alltoalls.get(),
             alltoallvs: self.alltoallvs.get(),
             retries: self.retries.get(),
             suppressed_sends: self.suppressed_sends.get(),
@@ -139,14 +107,8 @@ impl std::fmt::Debug for CommStats {
 pub struct StatsSnapshot {
     pub p2p_messages: u64,
     pub p2p_bytes: u64,
-    pub barriers: u64,
     pub bcasts: u64,
     pub gathers: u64,
-    pub allgathers: u64,
-    pub scatters: u64,
-    pub reduces: u64,
-    pub allreduces: u64,
-    pub alltoalls: u64,
     pub alltoallvs: u64,
     /// Repeated receive attempts in fallible collectives (see
     /// [`names::RETRIES`]).
