@@ -406,6 +406,24 @@ mod tests {
         }
     }
 
+    /// `examples/interferometry.das` at the shape `das_ingest` evaluates:
+    /// 100 Hz, an `f32` block of 12 000-sample rows. Its resample runs the
+    /// lane loop over thousands of outputs a row and its transforms have
+    /// every pass of a 6000-point plan; the digest was recorded before
+    /// either kernel ran on an instruction-set tier.
+    #[test]
+    fn interferometry_at_the_ingest_shape_keeps_its_pinned_output_bits() {
+        let program = dasl::compile(include_str!("../../../../examples/interferometry.das"));
+        let program = program.unwrap();
+        let data = seeded(6, 12_000, 0x1_2000);
+        let block = Array2::from_fn(6, 12_000, |c, t| data.get(c, t) as f32);
+        for threads in [1, 3] {
+            let haee = Haee::builder().threads(threads).build();
+            let got = digest(&run(&program.bind(100.0), &block, &haee).unwrap());
+            assert_eq!(got, 0x3B03_A02C_06AC_AC4A, "{threads} threads");
+        }
+    }
+
     /// Every `Analysis` and both checked-in programs give the same output
     /// bits at 1, 2 and 3 threads: the team size only decides which
     /// thread computes a row, never what the row holds.
