@@ -107,7 +107,7 @@ impl tier::Kernel for LagGroups<'_> {
     type Output = f64;
 
     #[inline(always)]
-    fn run(self) -> f64 {
+    fn run<const WIDE: bool>(self) -> f64 {
         let LagGroups { c1, n1, span } = self;
         let last = span.len() - c1.len() + 1 - LAGS;
         let mut best = 0.0f64;

@@ -314,7 +314,7 @@ where
     type Output = ();
 
     #[inline(always)]
-    fn run(self) {
+    fn run<const WIDE: bool>(self) {
         let PassN {
             filter,
             first,

@@ -5,12 +5,21 @@
 //! below compiles its own — and the AVX2 copy advances four `f64` lanes
 //! per vector instruction where the baseline one advances two.
 //!
+//! Four kernels run here: `FiltFilt`'s fixed-size passes and
+//! `max_abscorr_lags`' lag groups (the same lanes on either tier), the
+//! `Resampler`'s lane loop (16 outputs at a time on the baseline, 32 on
+//! AVX2: eight of either tier's sixteen vector registers) and the FFT's
+//! Stockham passes (four butterflies at a time wherever four share a
+//! twiddle). A kernel whose lane count is a constant of its tier reads
+//! the tier from [`Kernel::run`]'s `WIDE` parameter, a constant in each
+//! runner; nothing else picks it.
+//!
 //! Only `avx2` is enabled, never `fma`. rustc does not contract
 //! `a * b + c` into a fused multiply-add, and with no FMA in the feature
 //! set LLVM has no instruction to contract it into either, so every lane
 //! keeps its operations, their order and their rounding: a kernel gives
-//! the same bits on either tier. The lane suites assert it on both
-//! (`each`, in tests).
+//! the same bits on either tier, whatever its lane count there. The lane
+//! suites assert it on both (`each`, in tests).
 //!
 //! `is_x86_feature_detected!` is the one CPU probe; `std` caches its
 //! answer after the first call, so choosing costs a load and a bit test
@@ -20,10 +29,11 @@
 /// A kernel body, compiled once per tier. Implementations mark
 /// [`run`](Kernel::run) `#[inline(always)]` and call only
 /// `#[inline(always)]` code, so each runner holds a whole copy of the
-/// kernel built with its own instruction set.
+/// kernel built with its own instruction set. `WIDE` is `true` in the
+/// AVX2 runner and `false` in the baseline one.
 pub(crate) trait Kernel {
     type Output;
-    fn run(self) -> Self::Output;
+    fn run<const WIDE: bool>(self) -> Self::Output;
 }
 
 /// Run `kernel` on the widest tier this CPU has.
@@ -43,7 +53,7 @@ pub(crate) fn run<K: Kernel>(kernel: K) -> K::Output {
 /// The kernel as compiled for the build's own target.
 #[inline(never)]
 fn baseline<K: Kernel>(kernel: K) -> K::Output {
-    kernel.run()
+    kernel.run::<false>()
 }
 
 /// The kernel as compiled with AVX2; callable only where the CPU has
@@ -52,7 +62,7 @@ fn baseline<K: Kernel>(kernel: K) -> K::Output {
 #[target_feature(enable = "avx2")]
 #[inline(never)]
 fn avx2<K: Kernel>(kernel: K) -> K::Output {
-    kernel.run()
+    kernel.run::<true>()
 }
 
 /// Whether [`run`] takes the AVX2 runner on this thread.
