@@ -38,25 +38,34 @@
 //!   *around* each chain is independent — across rows, across outputs,
 //!   across lags — so these kernels advance several chains through one
 //!   loop: the four rows of a block ([`FiltFilt::apply_block_into`],
-//!   [`detrend_block_in_place`]), sixteen outputs that share a
-//!   polyphase branch, eight neighbouring lags. Chains run *side by
-//!   side*, never *combined*: no sum is split, reordered or fused, each
-//!   value is produced by the operations, in the order, that produce it
-//!   alone, and so it has the same bits whichever lane it rode in,
-//!   whatever rode beside it (a NaN row poisons its own lane only) and
-//!   however the caller cut its rows into blocks. The one-at-a-time
-//!   forms the lanes replaced live on as `#[cfg(test)]` references, and
-//!   the equality is asserted bit for bit, in debug and in release. Lane
-//!   counts are constants sized for the sixteen vector registers of the
-//!   baseline `x86-64` target; what selects a path is the row count and
-//!   the filter's coefficient count, never a Cargo feature or an
-//!   environment variable. Two kernels, [`FiltFilt`]'s fixed-size passes
-//!   and [`max_abscorr_lags`], also have a copy compiled for AVX2 that
-//!   one CPU probe picks at run time: the same source on 256-bit
-//!   vectors, four lanes to an instruction instead of two, with FMA left
-//!   off so no multiply and add are fused. Each lane runs the same
-//!   operations in the same order in either copy, so one build computes
-//!   one thing on every machine, and the lane suites assert it on both.
+//!   [`detrend_block_in_place`]), a group of outputs that share a
+//!   polyphase branch, eight neighbouring lags. The FFT's Stockham passes
+//!   do the same with butterflies: those of one column share their
+//!   twiddles, so four of them advance together as split real and
+//!   imaginary lane arrays. Chains run *side by side*, never *combined*:
+//!   no sum is split, reordered or fused, each value is produced by the
+//!   operations, in the order, that produce it alone, and so it has the
+//!   same bits whichever lane it rode in, whatever rode beside it (a NaN
+//!   row poisons its own lane only) and however the caller cut its rows
+//!   into blocks. The one-at-a-time forms the lanes replaced live on as
+//!   `#[cfg(test)]` references, and the equality is asserted bit for bit,
+//!   in debug and in release. What selects a path is the row count, the
+//!   filter's coefficient count and the instruction-set tier, never a
+//!   Cargo feature or an environment variable.
+//!
+//!   Every lane kernel but `detrend` runs on a tier one CPU probe picks
+//!   at run time: as compiled for the baseline `x86-64` target, or on a
+//!   CPU with AVX2 as the same source compiled for it, four `f64` lanes
+//!   to an instruction instead of two, with FMA left off so no multiply
+//!   and add are fused. Lane counts are constants of the tier, sized for
+//!   its sixteen vector registers: [`FiltFilt`]'s passes take four rows
+//!   and [`max_abscorr_lags`] eight lags on either tier; the
+//!   [`Resampler`] sums sixteen outputs at a time on the baseline and
+//!   thirty-two on AVX2 (eight registers of either); the FFT passes go
+//!   one butterfly at a time on the baseline and four at a time on AVX2,
+//!   wherever a column has four. Each lane runs the same operations in
+//!   the same order on either tier, so one build computes one thing on
+//!   every machine, and the lane suites assert it on both.
 //!
 //! The plan cache is bounded: at most 16 plans and 4 MiB of tables,
 //! least recently used out first (a 2500-point plan is 70 KB, a
