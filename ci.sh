@@ -464,6 +464,23 @@ if [[ $quick -eq 0 ]]; then
     fi
     echo "    onebit x300 | xcorr writes the same file as onebit | xcorr"
 
+    # One answer: each analysis through das_pipeline (-a, --eval at two
+    # threads, two and four ranks under both read strategies) and dassd
+    # Eval (cold, cached) must give one output digest. The test skips
+    # when das_pipeline is not built, so the table must be there.
+    echo "==> one-answer: every entry point, one digest per analysis"
+    oa_log="$ci_tmp/one_answer.log"
+    cargo test -q -p bench --test one_answer -- --nocapture >"$oa_log" 2>&1 || {
+        cat "$oa_log" >&2
+        exit 1
+    }
+    grep -q '^dassd Eval, cached' "$oa_log" || {
+        echo "one-answer: the matrix did not run:" >&2
+        cat "$oa_log" >&2
+        exit 1
+    }
+    sed -n '/^row /,/^dassd Eval, cached/p' "$oa_log" | sed 's/^/    /'
+
     # Memory gate: the engine reads the block in its stored f32 and
     # widens one row at a time, so no run holds an f64 copy of the whole
     # block. 64 ch x 500 Hz x 4 min is 30.7 MB as f32 and 61.4 MB as

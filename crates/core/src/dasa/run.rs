@@ -153,6 +153,14 @@ impl AnalysisOutput {
         }
     }
 
+    /// FNV-1a over the dataset form ([`dataset_digest`]): the digest an
+    /// ingest window report carries, and the one answer every entry
+    /// point must agree on.
+    pub fn digest(&self) -> u64 {
+        let (dims, values) = self.to_dataset();
+        dataset_digest(&dims, &values)
+    }
+
     /// The map, if this is a [`AnalysisOutput::Map`].
     pub fn as_map(&self) -> Option<&Array2<f64>> {
         match self {
@@ -176,6 +184,20 @@ impl AnalysisOutput {
             _ => None,
         }
     }
+}
+
+/// FNV-1a over an output dataset `(dims, values)`: each dim, then the
+/// bits of each value, every word little-endian. Files written by
+/// `das_pipeline -o` and `dassd` `Eval` streams carry this form, so they
+/// digest like the [`AnalysisOutput`] they came from.
+pub fn dataset_digest(dims: &[u64], values: &[f64]) -> u64 {
+    dims.iter()
+        .copied()
+        .chain(values.iter().map(|v| v.to_bits()))
+        .flat_map(u64::to_le_bytes)
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
 }
 
 /// Anything [`run`] can execute over a merged `channel × time` array:
@@ -243,18 +265,6 @@ mod tests {
             ((t as f64 - 3.0 * c as f64) * 0.05).sin() + (z >> 11) as f64 / (1u64 << 53) as f64
                 - 0.5
         })
-    }
-
-    /// FNV-1a over an output's dataset form: its dims, then the bits of
-    /// every value.
-    fn digest(out: &AnalysisOutput) -> u64 {
-        let (dims, values) = out.to_dataset();
-        dims.into_iter()
-            .chain(values.iter().map(|v| v.to_bits()))
-            .flat_map(u64::to_le_bytes)
-            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
-            })
     }
 
     /// The output bits of every `Analysis` shape `das_pipeline -a`,
@@ -377,9 +387,9 @@ mod tests {
         ) -> [u64; 3] {
             let (data, block, widened) = inputs;
             [
-                digest(&run(job, data, haee).unwrap()),
-                digest(&run(job, block, haee).unwrap()),
-                digest(&run(job, widened, haee).unwrap()),
+                run(job, data, haee).unwrap().digest(),
+                run(job, block, haee).unwrap().digest(),
+                run(job, widened, haee).unwrap().digest(),
             ]
         }
         let want: Vec<(&str, [u64; 3])> = cases
@@ -419,7 +429,7 @@ mod tests {
         let block = Array2::from_fn(6, 12_000, |c, t| data.get(c, t) as f32);
         for threads in [1, 3] {
             let haee = Haee::builder().threads(threads).build();
-            let got = digest(&run(&program.bind(100.0), &block, &haee).unwrap());
+            let got = run(&program.bind(100.0), &block, &haee).unwrap().digest();
             assert_eq!(got, 0x3B03_A02C_06AC_AC4A, "{threads} threads");
         }
     }

@@ -29,7 +29,9 @@ use super::journal::{write_atomic, Checkpoint};
 use super::spool::{SpoolEvent, SpoolScanner, DUPLICATE_DIR, LATE_DIR, QUARANTINE_DIR};
 use super::stream::{Admit, MinuteIndex, WindowData};
 use super::watch::SpoolWatch;
-use crate::dasa::{execute, run as run_job, Analysis, AnalysisOutput, Haee, InterferometryParams};
+use crate::dasa::{
+    dataset_digest, execute, run as run_job, Analysis, AnalysisOutput, Haee, InterferometryParams,
+};
 use crate::dass::Timestamp;
 use crate::{DassaError, Result};
 use arrayudf::Array2;
@@ -635,24 +637,6 @@ fn evaluator_loop(
     Ok(())
 }
 
-/// FNV-1a over the output dataset (dims then sample bit patterns) —
-/// the digest style shared with the chaos suite and `das_query`.
-fn digest_output(dims: &[u64], values: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: [u8; 8]| {
-        for b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for d in dims {
-        eat(d.to_le_bytes());
-    }
-    for v in values {
-        eat(v.to_bits().to_le_bytes());
-    }
-    h
-}
-
 /// Render one window report. Deterministic by construction: no wall
 /// clock, no paths, integers only — the same window with the same
 /// admitted files produces the same bytes in any run, which is what
@@ -692,7 +676,7 @@ fn render_report(cfg: &IngestConfig, task: &WindowTask, wd: &WindowData, haee: &
             }
             w.end_array();
             w.key("digest")
-                .string(&format!("{:016x}", digest_output(&dims, &values)));
+                .string(&format!("{:016x}", dataset_digest(&dims, &values)));
         }
         Err(e) => {
             // A job failure is a reportable outcome, not a daemon
