@@ -14,9 +14,10 @@
 //!   `B = Apply(A, f)`.
 //! * [`apply_mt`] — Algorithm 1's `ApplyMT`: OpenMP-style static
 //!   worksharing, each thread writing the block of results it owns.
-//! * [`dist`] — MPI-style distribution: row-block partitioning and ghost
-//!   zone (halo) exchange so per-rank applies need no communication
-//!   during execution.
+//! * [`dist`] — MPI-style distribution: row-block partitioning, and the
+//!   gather that stacks each rank's rows on rank 0, where the analysis
+//!   runs once. There is no ghost-zone (halo) exchange: the hybrid
+//!   engine keeps one rank per node and threads inside it.
 //!
 //! # Example: three-point moving average
 //! ```

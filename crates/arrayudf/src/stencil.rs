@@ -10,9 +10,8 @@ use crate::array::Array2;
 /// `S(-M:M, 0)` becomes [`Stencil::window`]`(-M, M, 0)`.
 ///
 /// Out-of-range accesses clamp to the array edge (replicate padding).
-/// Interior blocks produced by the ghost-zone exchange never hit the
-/// clamp: the halo provides real neighbour data, which is exactly how
-/// ArrayUDF avoids communication during execution.
+/// Every engine applies over the whole array, so only its true edges
+/// clamp.
 pub struct Stencil<'a, T> {
     array: &'a Array2<T>,
     /// Current channel (row).

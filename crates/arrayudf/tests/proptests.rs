@@ -1,6 +1,6 @@
-//! Property tests for ArrayUDF: the distributed engine must equal the
-//! serial one for arbitrary shapes, rank counts, ghost sizes, and
-//! strides.
+//! Property tests for ArrayUDF: the threaded engine, and row blocks
+//! applied per rank then gathered, must equal the serial engine for
+//! arbitrary shapes, rank counts, and strides.
 
 use arrayudf::dist::{gather_rows, partition};
 use arrayudf::{apply, apply_mt, Array2, Ghost, Stencil, Stride};
@@ -36,24 +36,20 @@ proptest! {
         rows in 1usize..16,
         cols in 2usize..20,
         ranks in 1usize..6,
-        ghost in 1usize..4,
+        reach in 1usize..4,
         seed in any::<u64>(),
     ) {
-        // Single-hop halo exchange requires ghost <= smallest partition.
-        prop_assume!(ghost <= rows / ranks.max(1) && rows >= ranks);
+        // Ranks own whole rows (some own none when ranks > rows), so a
+        // UDF that reaches along time only sees the same cells either way.
         let a = array(rows, cols, seed);
-        let g = Ghost::both(ghost, ghost);
-        // UDF reach stays within the declared ghost.
-        let reach = ghost as isize;
-        let udf = move |s: &Stencil<f64>| {
-            s.at(-reach, -reach) + s.value() * 3.0 + s.at(reach, reach)
-        };
+        let g = Ghost::time(reach);
+        let reach = reach as isize;
+        let udf = move |s: &Stencil<f64>| s.at(-reach, 0) + s.value() * 3.0 + s.at(reach, 0);
         let serial = apply(&a, g, Stride::unit(), udf);
         let gathered = minimpi::run(ranks, |comm| {
             let own = partition(rows, comm.size(), comm.rank());
             let local = a.row_block(own.start, own.end);
-            let out = arrayudf::dist::apply_dist(comm, &local, rows, g, Stride::unit(), 2, udf);
-            gather_rows(comm, out)
+            gather_rows(comm, apply_mt(&local, g, Stride::unit(), 2, udf))
         });
         prop_assert_eq!(gathered[0].clone().expect("root"), serial);
     }
@@ -88,27 +84,5 @@ proptest! {
         }
         prop_assert_eq!(covered, total, "complete");
         prop_assert!(max_len - min_len <= 1, "balanced within one row");
-    }
-
-    #[test]
-    fn halo_exchange_provides_true_neighbours(
-        rows in 2usize..20,
-        cols in 1usize..8,
-        ranks in 2usize..5,
-        ghost in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(ghost <= rows / ranks);
-        let a = array(rows, cols, seed);
-        minimpi::run(ranks, |comm| {
-            let own = partition(rows, comm.size(), comm.rank());
-            let local = a.row_block(own.start, own.end);
-            let (ext, offset) = arrayudf::dist::exchange_halo(comm, &local, rows, ghost);
-            // Every row of the extended block matches the global array.
-            let global_start = own.start - offset;
-            for r in 0..ext.rows() {
-                assert_eq!(ext.row(r), a.row(global_start + r), "rank {} row {r}", comm.rank());
-            }
-        });
     }
 }

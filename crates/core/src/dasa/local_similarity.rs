@@ -8,10 +8,9 @@
 
 use super::haee::Haee;
 use super::rows::Sample;
-use arrayudf::{apply_mt, dist, Array2, Ghost, Stencil, Stride};
+use arrayudf::{apply_mt, Array2, Ghost, Stencil, Stride};
 use dasl::LocalSimSpec;
 use dsp::{energy, max_abscorr_lags};
-use minimpi::Comm;
 use std::borrow::Cow;
 
 /// Parameters of Algorithm 2.
@@ -129,27 +128,6 @@ pub fn local_similarity<T: Sample>(
     let _span = obs::span("apply");
     apply_mt(
         data,
-        params.ghost(),
-        params.stride(),
-        haee.threads_per_process,
-        |s| local_simi_udf(s, params),
-    )
-}
-
-/// Distributed variant: each rank processes its channel block of a
-/// `total_channels`-row global array (ghost channels exchanged
-/// automatically); returns the rank's block of the similarity map.
-pub fn local_similarity_dist<T: Sample>(
-    comm: &Comm,
-    local: &Array2<T>,
-    total_channels: usize,
-    params: &LocalSimiParams,
-    haee: &Haee,
-) -> Array2<f64> {
-    dist::apply_dist(
-        comm,
-        local,
-        total_channels,
         params.ghost(),
         params.stride(),
         haee.threads_per_process,
@@ -309,19 +287,6 @@ mod tests {
         );
         let mt = local_similarity(&data, &p, &Haee::builder().threads(4).build());
         assert_eq!(serial, mt);
-    }
-
-    #[test]
-    fn dist_matches_local() {
-        let data = coherent(12, 90);
-        let p = params_small();
-        let expected = local_similarity(&data, &p, &Haee::builder().threads(1).build());
-        let blocks = minimpi::run(3, |comm| {
-            let own = dist::partition(12, comm.size(), comm.rank());
-            let local = data.row_block(own.start, own.end);
-            local_similarity_dist(comm, &local, 12, &p, &Haee::builder().threads(2).build())
-        });
-        assert_eq!(Array2::vstack(&blocks), expected);
     }
 
     #[test]

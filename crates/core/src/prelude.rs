@@ -19,10 +19,10 @@ pub use crate::{dasa, dass, dassd, ingest};
 
 // DASA — the analysis engine.
 pub use crate::dasa::{
-    cross_correlation_with_master, execute, interferometry_dist, local_similarity,
-    local_similarity_dist, prepare_master, preprocess_channel, run, stacked_interferometry,
-    Analysis, AnalysisOutput, BindProgram, BoundProgram, Haee, HaeeBuilder, InterferometryParams,
-    Job, LocalSimiParams, MasterSpectrum, StackedCorrelation, StackingParams, TimeNorm,
+    cross_correlation_with_master, execute, interferometry_dist, local_similarity, prepare_master,
+    preprocess_channel, run, stacked_interferometry, Analysis, AnalysisOutput, BindProgram,
+    BoundProgram, Haee, HaeeBuilder, InterferometryParams, Job, LocalSimiParams, MasterSpectrum,
+    StackedCorrelation, StackingParams, TimeNorm,
 };
 
 // DASS — the storage engine.

@@ -489,7 +489,7 @@ mod tests {
         let (out, stats) = run_chaos(2, plan, policy, |comm| {
             if comm.rank() == 1 {
                 // A dead rank's traffic never reaches the wire.
-                comm.send(0, 42, 1u8);
+                comm.send_internal(0, 42, 1u8, 1);
             }
             comm.try_bcast(1, Some(comm.rank() as u32))
         });

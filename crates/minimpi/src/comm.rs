@@ -1,4 +1,5 @@
-//! World setup and point-to-point messaging with tag matching.
+//! World setup and the point-to-point layer under the collectives: tag
+//! matching and an unexpected-message queue.
 
 use crate::error::{CommError, RetryPolicy};
 use crate::stats::CommStats;
@@ -6,7 +7,6 @@ use faultline::{site, FaultPlan};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,9 +18,9 @@ pub(crate) struct Envelope {
     pub(crate) payload: Box<dyn Any + Send>,
 }
 
-/// Error returned by [`Comm::recv_timeout`].
+/// Why a point-to-point receive under a collective returned no value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecvError {
+pub(crate) enum RecvError {
     /// No matching message arrived within the deadline. On a real cluster
     /// this is how a dead peer manifests; tests use it for failure
     /// injection.
@@ -29,17 +29,6 @@ pub enum RecvError {
     /// type — the moral equivalent of an MPI datatype mismatch.
     TypeMismatch,
 }
-
-impl fmt::Display for RecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecvError::Timeout => write!(f, "receive timed out (peer dead or deadlocked?)"),
-            RecvError::TypeMismatch => write!(f, "received payload of unexpected type"),
-        }
-    }
-}
-
-impl std::error::Error for RecvError {}
 
 /// The communicator handle owned by each rank, analogous to
 /// `MPI_COMM_WORLD` plus the local rank id.
@@ -66,7 +55,8 @@ pub struct Comm {
     dead: bool,
 }
 
-/// User-visible tags live below this bit; collectives tag above it.
+/// Collectives tag above this bit (the pinned tag layout); the tags
+/// below it are left to the point-to-point tests.
 pub(crate) const INTERNAL_TAG_BASE: u64 = 1 << 32;
 
 impl Comm {
@@ -112,20 +102,8 @@ impl Comm {
     }
 
     /// Send `value` to rank `dst` with `tag` (non-blocking, buffered —
-    /// like `MPI_Isend` into an eager buffer).
-    ///
-    /// `tag` must be below 2^32; larger values are reserved for
-    /// collectives.
-    pub fn send<T: Send + 'static>(&self, dst: usize, tag: u32, value: T) {
-        self.send_internal(dst, tag as u64, value, std::mem::size_of::<T>());
-    }
-
-    /// Send a `Vec`, counting its true byte volume in [`CommStats`].
-    pub fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u32, value: Vec<T>) {
-        let bytes = value.len() * std::mem::size_of::<T>();
-        self.send_internal(dst, tag as u64, value, bytes);
-    }
-
+    /// like `MPI_Isend` into an eager buffer), counting `approx_bytes`
+    /// in [`CommStats`].
     pub(crate) fn send_internal<T: Send + 'static>(
         &self,
         dst: usize,
@@ -173,20 +151,6 @@ impl Comm {
     /// # Panics
     /// Panics on payload type mismatch — that is a programming error, as
     /// it is in MPI.
-    pub fn recv<T: Send + 'static>(&self, src: usize, tag: u32) -> T {
-        self.recv_internal(src, tag as u64)
-    }
-
-    /// [`Comm::recv`] with a deadline, for failure injection and tests.
-    pub fn recv_timeout<T: Send + 'static>(
-        &self,
-        src: usize,
-        tag: u32,
-        timeout: Duration,
-    ) -> Result<T, RecvError> {
-        self.recv_internal_timeout(src, tag as u64, Some(timeout))
-    }
-
     pub(crate) fn recv_internal<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
         match self.recv_internal_timeout(src, tag, None) {
             Ok(v) => v,
@@ -198,6 +162,7 @@ impl Comm {
         }
     }
 
+    /// [`Comm::recv_internal`] with a deadline (`None` waits forever).
     fn recv_internal_timeout<T: Send + 'static>(
         &self,
         src: usize,
@@ -489,15 +454,26 @@ where
 mod tests {
     use super::*;
 
+    /// Send on a user tag, counted at `size_of::<T>()` bytes.
+    fn send<T: Send + 'static>(comm: &Comm, dst: usize, tag: u64, value: T) {
+        comm.send_internal(dst, tag, value, std::mem::size_of::<T>());
+    }
+
+    /// Send a `Vec`, counted at its payload's bytes.
+    fn send_block<T: Send + 'static>(comm: &Comm, dst: usize, tag: u64, value: Vec<T>) {
+        let bytes = std::mem::size_of_val(value.as_slice());
+        comm.send_internal(dst, tag, value, bytes);
+    }
+
     #[test]
     fn ping_pong() {
         let out = run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, 123u64);
-                comm.recv::<u64>(1, 8)
+                send(comm, 1, 7, 123u64);
+                comm.recv_internal::<u64>(1, 8)
             } else {
-                let v = comm.recv::<u64>(0, 7);
-                comm.send(0, 8, v * 2);
+                let v = comm.recv_internal::<u64>(0, 7);
+                send(comm, 0, 8, v * 2);
                 v
             }
         });
@@ -509,12 +485,12 @@ mod tests {
         // Rank 0 sends tag 2 then tag 1; rank 1 receives tag 1 first.
         let out = run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 2, "second".to_string());
-                comm.send(1, 1, "first".to_string());
+                send(comm, 1, 2, "second".to_string());
+                send(comm, 1, 1, "first".to_string());
                 String::new()
             } else {
-                let a = comm.recv::<String>(0, 1);
-                let b = comm.recv::<String>(0, 2);
+                let a = comm.recv_internal::<String>(0, 1);
+                let b = comm.recv_internal::<String>(0, 2);
                 format!("{a},{b}")
             }
         });
@@ -526,11 +502,11 @@ mod tests {
         let out = run(3, |comm| {
             if comm.rank() == 2 {
                 // Receive from rank 1 first even though rank 0 sent first.
-                let a = comm.recv::<u32>(1, 0);
-                let b = comm.recv::<u32>(0, 0);
+                let a = comm.recv_internal::<u32>(1, 0);
+                let b = comm.recv_internal::<u32>(0, 0);
                 vec![a, b]
             } else {
-                comm.send(2, 0, comm.rank() as u32);
+                send(comm, 2, 0, comm.rank() as u32);
                 vec![]
             }
         });
@@ -538,10 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_fires() {
+    fn recv_internal_timeout_fires() {
         let out = run(2, |comm| {
             if comm.rank() == 0 {
-                comm.recv_timeout::<u8>(1, 9, Duration::from_millis(20))
+                comm.recv_internal_timeout::<u8>(1, 9, Some(Duration::from_millis(20)))
             } else {
                 Ok(0) // rank 1 never sends on tag 9
             }
@@ -553,9 +529,9 @@ mod tests {
     fn stats_count_p2p() {
         let (_, stats) = run_with_stats(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_vec(1, 0, vec![0u8; 1000]);
+                send_block(comm, 1, 0, vec![0u8; 1000]);
             } else {
-                let _ = comm.recv::<Vec<u8>>(0, 0);
+                let _ = comm.recv_internal::<Vec<u8>>(0, 0);
             }
         });
         assert_eq!(stats.p2p_messages, 1);
@@ -565,7 +541,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn send_to_invalid_rank_panics() {
-        run(1, |comm| comm.send(5, 0, 1u8));
+        run(1, |comm| send(comm, 5, 0, 1u8));
     }
 
     #[test]
@@ -597,9 +573,9 @@ mod tests {
     fn per_rank_comm_counters_differ_while_world_totals_hold() {
         let (out, stats) = run_with_stats(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_vec(1, 5, vec![0u8; 100]);
+                send_block(comm, 1, 5, vec![0u8; 100]);
             } else {
-                let _ = comm.recv::<Vec<u8>>(0, 5);
+                let _ = comm.recv_internal::<Vec<u8>>(0, 5);
             }
             comm.registry()
                 .snapshot()
@@ -633,10 +609,10 @@ mod tests {
         let n = 1 << 16;
         let out = run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_vec(1, 3, (0..n as u64).collect::<Vec<_>>());
+                send_block(comm, 1, 3, (0..n as u64).collect::<Vec<_>>());
                 0
             } else {
-                let v = comm.recv::<Vec<u64>>(0, 3);
+                let v = comm.recv_internal::<Vec<u64>>(0, 3);
                 v.iter().sum::<u64>()
             }
         });

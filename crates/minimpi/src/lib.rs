@@ -8,9 +8,9 @@
 //! runs and is testable anywhere:
 //!
 //! * [`run`] spawns `n` ranks as OS threads and hands each a [`Comm`];
-//! * point-to-point [`Comm::send`] / [`Comm::recv`] with tag matching and
-//!   an unexpected-message queue, like a real MPI progress engine;
-//! * the collectives DASSA sends, built on p2p — binomial-tree
+//! * the collectives DASSA sends, built on a crate-private point-to-point
+//!   layer with tag matching and an unexpected-message queue, like a real
+//!   MPI progress engine — binomial-tree
 //!   [`Comm::bcast`] (and [`Comm::try_bcast_payload`], one per file for
 //!   the collective-per-file reader), [`Comm::gather`], and the pairwise
 //!   [`Comm::try_alltoallv_payload`] that ends the communication-avoiding
@@ -39,9 +39,7 @@ mod error;
 mod stats;
 
 pub use collectives::WirePayload;
-pub use comm::{
-    run, run_chaos, run_chaos_in_registry, run_in_registry, run_with_stats, Comm, RecvError,
-};
+pub use comm::{run, run_chaos, run_chaos_in_registry, run_in_registry, run_with_stats, Comm};
 pub use error::{CommError, RetryPolicy};
 pub use stats::{names as metric_names, CommStats, StatsSnapshot};
 

@@ -1,7 +1,6 @@
 //! End-to-end integration: generate → store → search → merge → parallel
 //! read → analyse, across crates, validated against serial oracles.
 
-use arrayudf::dist::partition;
 use arrayudf::Array2;
 use dasgen::{write_minute_files, Scene};
 use dassa::prelude::*;
@@ -97,27 +96,6 @@ fn distributed_pipelines_equal_single_process_results() {
     let vca = Vca::from_entries(catalog.entries()).expect("vca");
     let data = vca.read_all_f32().expect("read");
     let total = data.rows();
-
-    // Local similarity.
-    let ls_params = LocalSimiParams {
-        half_window: 10,
-        channel_offset: 1,
-        search_half: 4,
-        time_stride: 20,
-    };
-    let ls_serial = local_similarity(&data, &ls_params, &Haee::builder().threads(1).build());
-    let ls_blocks = minimpi::run(3, |comm| {
-        let own = partition(total, comm.size(), comm.rank());
-        let local = data.row_block(own.start, own.end);
-        local_similarity_dist(
-            comm,
-            &local,
-            total,
-            &ls_params,
-            &Haee::builder().threads(2).build(),
-        )
-    });
-    assert_eq!(Array2::vstack(&ls_blocks), ls_serial);
 
     // Interferometry, with the distributed read feeding it.
     let if_params = InterferometryParams {

@@ -130,15 +130,24 @@ fn bad_selections_error_not_panic() {
 
 #[test]
 fn dead_rank_surfaces_as_timeout_not_hang() {
-    // Rank 1 "dies" (never sends); rank 0's timed receive reports it.
-    let out = minimpi::run(2, |comm| {
+    // Rank 1 "dies" (never joins the gather); in a bounded-policy world
+    // rank 0's gather reports it after its retries instead of blocking.
+    let policy = minimpi::RetryPolicy::bounded(2, Duration::from_millis(25));
+    let plan = std::sync::Arc::new(faultline::FaultPlan::new(0));
+    let (out, _) = minimpi::run_chaos(2, plan, policy, |comm| {
         if comm.rank() == 0 {
-            comm.recv_timeout::<u64>(1, 42, Duration::from_millis(50))
+            comm.try_gather(0, 42u64).map(drop)
         } else {
-            Ok(0)
+            Ok(())
         }
     });
-    assert_eq!(out[0], Err(minimpi::RecvError::Timeout));
+    assert_eq!(
+        out[0],
+        Err(minimpi::CommError::Timeout {
+            src: 1,
+            attempts: 2
+        })
+    );
 }
 
 #[test]
