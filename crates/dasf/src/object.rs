@@ -6,9 +6,8 @@
 
 use crate::codec::{self, Codec};
 use crate::error::DasfError;
-use crate::value::{check_len, get_string, put_string, Value};
+use crate::value::{check_len, get_f64, get_string, get_u32, get_u64, get_u8, put_string, Value};
 use crate::{Dtype, Result, Version, VERIFY_CHUNK_BYTES};
-use bytes::{Buf, BufMut};
 use std::collections::BTreeMap;
 
 /// Per-verify-unit codec record of a v4 compressed dataset: how unit
@@ -405,7 +404,7 @@ const LAYOUT_CONTIGUOUS: u8 = 1;
 const LAYOUT_CHUNKED: u8 = 2;
 
 fn encode_attrs(attrs: &BTreeMap<String, Value>, out: &mut Vec<u8>) {
-    out.put_u32_le(attrs.len() as u32);
+    out.extend((attrs.len() as u32).to_le_bytes());
     for (k, v) in attrs {
         put_string(out, k);
         v.encode(out);
@@ -414,7 +413,7 @@ fn encode_attrs(attrs: &BTreeMap<String, Value>, out: &mut Vec<u8>) {
 
 fn decode_attrs(buf: &mut &[u8]) -> Result<BTreeMap<String, Value>> {
     check_len(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
+    let n = get_u32(buf) as usize;
     let mut attrs = BTreeMap::new();
     for _ in 0..n {
         let k = get_string(buf)?;
@@ -427,54 +426,54 @@ fn decode_attrs(buf: &mut &[u8]) -> Result<BTreeMap<String, Value>> {
 fn encode_node(node: &Node, out: &mut Vec<u8>, version: Version) {
     match node {
         Node::Group { attrs, children } => {
-            out.put_u8(NODE_GROUP);
+            out.push(NODE_GROUP);
             encode_attrs(attrs, out);
-            out.put_u32_le(children.len() as u32);
+            out.extend((children.len() as u32).to_le_bytes());
             for (name, child) in children {
                 put_string(out, name);
                 encode_node(child, out, version);
             }
         }
         Node::Dataset(d) => {
-            out.put_u8(NODE_DATASET);
-            out.put_u8(d.dtype as u8);
-            out.put_u32_le(d.dims.len() as u32);
+            out.push(NODE_DATASET);
+            out.push(d.dtype as u8);
+            out.extend((d.dims.len() as u32).to_le_bytes());
             for &dim in &d.dims {
-                out.put_u64_le(dim);
+                out.extend(dim.to_le_bytes());
             }
-            out.put_u64_le(d.data_offset);
+            out.extend(d.data_offset.to_le_bytes());
             match &d.layout {
-                Layout::Contiguous => out.put_u8(LAYOUT_CONTIGUOUS),
+                Layout::Contiguous => out.push(LAYOUT_CONTIGUOUS),
                 Layout::Chunked {
                     chunk_dims,
                     chunk_offsets,
                 } => {
-                    out.put_u8(LAYOUT_CHUNKED);
-                    out.put_u32_le(chunk_dims.len() as u32);
+                    out.push(LAYOUT_CHUNKED);
+                    out.extend((chunk_dims.len() as u32).to_le_bytes());
                     for &cd in chunk_dims {
-                        out.put_u64_le(cd);
+                        out.extend(cd.to_le_bytes());
                     }
-                    out.put_u32_le(chunk_offsets.len() as u32);
+                    out.extend((chunk_offsets.len() as u32).to_le_bytes());
                     for &co in chunk_offsets {
-                        out.put_u64_le(co);
+                        out.extend(co.to_le_bytes());
                     }
                 }
             }
             if version != Version::V2 {
-                out.put_u32_le(d.checksums.len() as u32);
+                out.extend((d.checksums.len() as u32).to_le_bytes());
                 for &c in &d.checksums {
-                    out.put_u32_le(c);
+                    out.extend(c.to_le_bytes());
                 }
             }
             if version == Version::V4 {
-                out.put_u32_le(d.stored_units.len() as u32);
+                out.extend((d.stored_units.len() as u32).to_le_bytes());
                 for u in &d.stored_units {
-                    out.put_u8(u.codec.tag());
+                    out.push(u.codec.tag());
                     if let Codec::Quant { bound } = u.codec {
-                        out.put_f64_le(bound);
+                        out.extend(bound.to_le_bytes());
                     }
-                    out.put_u32_le(u.raw_len);
-                    out.put_u32_le(u.stored_len);
+                    out.extend(u.raw_len.to_le_bytes());
+                    out.extend(u.stored_len.to_le_bytes());
                 }
             }
             encode_attrs(&d.attrs, out);
@@ -484,11 +483,11 @@ fn encode_node(node: &Node, out: &mut Vec<u8>, version: Version) {
 
 fn decode_node(buf: &mut &[u8], version: Version) -> Result<Node> {
     check_len(buf, 1)?;
-    match buf.get_u8() {
+    match get_u8(buf) {
         NODE_GROUP => {
             let attrs = decode_attrs(buf)?;
             check_len(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
+            let n = get_u32(buf) as usize;
             let mut children = BTreeMap::new();
             for _ in 0..n {
                 let name = get_string(buf)?;
@@ -499,29 +498,29 @@ fn decode_node(buf: &mut &[u8], version: Version) -> Result<Node> {
         }
         NODE_DATASET => {
             check_len(buf, 1 + 4)?;
-            let code = buf.get_u8();
+            let code = get_u8(buf);
             let dtype = Dtype::from_code(code)
                 .ok_or_else(|| DasfError::Corrupt(format!("unknown dtype code {code}")))?;
-            let ndim = buf.get_u32_le() as usize;
+            let ndim = get_u32(buf) as usize;
             if ndim > 32 {
                 return Err(DasfError::Corrupt(format!("absurd rank {ndim}")));
             }
             check_len(buf, ndim * 8 + 8 + 1)?;
-            let dims = (0..ndim).map(|_| buf.get_u64_le()).collect();
-            let data_offset = buf.get_u64_le();
-            let layout = match buf.get_u8() {
+            let dims = (0..ndim).map(|_| get_u64(buf)).collect();
+            let data_offset = get_u64(buf);
+            let layout = match get_u8(buf) {
                 LAYOUT_CONTIGUOUS => Layout::Contiguous,
                 LAYOUT_CHUNKED => {
                     check_len(buf, 4)?;
-                    let ncd = buf.get_u32_le() as usize;
+                    let ncd = get_u32(buf) as usize;
                     if ncd > 32 {
                         return Err(DasfError::Corrupt(format!("absurd chunk rank {ncd}")));
                     }
                     check_len(buf, ncd * 8 + 4)?;
-                    let chunk_dims: Vec<u64> = (0..ncd).map(|_| buf.get_u64_le()).collect();
-                    let nco = buf.get_u32_le() as usize;
+                    let chunk_dims: Vec<u64> = (0..ncd).map(|_| get_u64(buf)).collect();
+                    let nco = get_u32(buf) as usize;
                     check_len(buf, nco * 8)?;
-                    let chunk_offsets = (0..nco).map(|_| buf.get_u64_le()).collect();
+                    let chunk_offsets = (0..nco).map(|_| get_u64(buf)).collect();
                     Layout::Chunked {
                         chunk_dims,
                         chunk_offsets,
@@ -531,15 +530,15 @@ fn decode_node(buf: &mut &[u8], version: Version) -> Result<Node> {
             };
             let checksums: Vec<u32> = if version != Version::V2 {
                 check_len(buf, 4)?;
-                let n = buf.get_u32_le() as usize;
+                let n = get_u32(buf) as usize;
                 check_len(buf, n * 4)?;
-                (0..n).map(|_| buf.get_u32_le()).collect()
+                (0..n).map(|_| get_u32(buf)).collect()
             } else {
                 Vec::new()
             };
             let stored_units = if version == Version::V4 {
                 check_len(buf, 4)?;
-                let n = buf.get_u32_le() as usize;
+                let n = get_u32(buf) as usize;
                 if n > checksums.len() {
                     return Err(DasfError::Corrupt(format!(
                         "{n} unit headers for {} checksums",
@@ -549,12 +548,12 @@ fn decode_node(buf: &mut &[u8], version: Version) -> Result<Node> {
                 let mut units = Vec::with_capacity(n);
                 for _ in 0..n {
                     check_len(buf, 1)?;
-                    let codec = match buf.get_u8() {
+                    let codec = match get_u8(buf) {
                         codec::TAG_RAW => Codec::Raw,
                         codec::TAG_SHUFFLE_LZ => Codec::ShuffleLz,
                         codec::TAG_QUANT => {
                             check_len(buf, 8)?;
-                            let bound = buf.get_f64_le();
+                            let bound = get_f64(buf);
                             if !(bound.is_finite() && bound > 0.0) {
                                 return Err(DasfError::Corrupt(format!("bad quant bound {bound}")));
                             }
@@ -567,8 +566,8 @@ fn decode_node(buf: &mut &[u8], version: Version) -> Result<Node> {
                     check_len(buf, 8)?;
                     units.push(UnitHeader {
                         codec,
-                        raw_len: buf.get_u32_le(),
-                        stored_len: buf.get_u32_le(),
+                        raw_len: get_u32(buf),
+                        stored_len: get_u32(buf),
                     });
                 }
                 units
