@@ -24,7 +24,9 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError,
+};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -106,6 +108,8 @@ impl PoolMetrics {
 pub(crate) struct Core<H> {
     shared: Arc<Shared<H>>,
     threads: Vec<JoinHandle<()>>,
+    /// Disconnected once the acceptor has returned.
+    acceptor_gone: Receiver<()>,
 }
 
 struct Shared<H> {
@@ -143,10 +147,16 @@ impl<H: Handler> Core<H> {
             })?);
         }
         let s = Arc::clone(&shared);
+        let (gone, acceptor_gone) = channel::<()>();
         threads.push(spawn(format!("{name}-accept"), move || {
+            let _gone = gone;
             accept_loop(&s, &listener, admit)
         })?);
-        Ok(Core { shared, threads })
+        Ok(Core {
+            shared,
+            threads,
+            acceptor_gone,
+        })
     }
 
     pub(crate) fn addr(&self) -> SocketAddr {
@@ -157,8 +167,17 @@ impl<H: Handler> Core<H> {
         &self.shared.handler
     }
 
-    /// Wait for the threads to exit (after a client's `Shutdown`).
+    /// Wait for the threads to exit (after a client's `Shutdown`). Once
+    /// the flag is up, the blocking `accept()` is poked again every
+    /// [`POLL_TICK`] until the acceptor has returned: the first poke can
+    /// fail (`EMFILE` under a full descriptor table), and the acceptor
+    /// sees the flag only when a connection or an error wakes it.
     pub(crate) fn join(&mut self) {
+        while let Err(RecvTimeoutError::Timeout) = self.acceptor_gone.recv_timeout(POLL_TICK) {
+            if self.shared.stop.load(Ordering::SeqCst) {
+                self.shared.poke();
+            }
+        }
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
@@ -176,12 +195,17 @@ fn spawn(name: String, run: impl FnOnce() + Send + 'static) -> io::Result<JoinHa
 }
 
 impl<H: Handler> Shared<H> {
-    /// Flip the flag and poke the blocking `accept()` with a throwaway
-    /// connection so the acceptor observes it.
+    /// Flip the flag and poke the blocking `accept()` so the acceptor
+    /// observes it.
     fn initiate_shutdown(&self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
+            self.poke();
         }
+    }
+
+    /// Wake the blocking `accept()` with a throwaway connection.
+    fn poke(&self) {
+        let _ = TcpStream::connect(self.addr);
     }
 
     /// Sleep `pause` in slices of at most one [`POLL_TICK`], looking at
@@ -497,6 +521,7 @@ mod tests {
     use faultline::FaultPlan;
     use std::io::{self, Read};
     use std::net::TcpStream;
+    use std::sync::atomic::Ordering;
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
@@ -518,9 +543,6 @@ mod tests {
         }
     }
 
-    /// Three panicking requests on fresh connections, more than the two
-    /// workers: each gets `Internal` and is recorded, and a `Ping` after
-    /// them is still answered — no worker was lost.
     /// Two workers, four queue slots, admission counted in `admission`.
     fn daemon(fault_plan: Option<Arc<FaultPlan>>, admission: &obs::Registry) -> Daemon {
         let registry = Arc::new(obs::Registry::new());
@@ -538,6 +560,9 @@ mod tests {
         }
     }
 
+    /// Three panicking requests on fresh connections, more than the two
+    /// workers: each gets `Internal` and is recorded, and a `Ping` after
+    /// them is still answered — no worker was lost.
     #[test]
     fn a_panicking_request_is_an_internal_error_and_the_worker_stays() {
         let daemon = daemon(None, &obs::Registry::new());
@@ -566,6 +591,23 @@ mod tests {
         assert_eq!(errors.len(), 3, "{errors:?}");
         assert!(errors.iter().all(|(kind, _)| *kind == ErrorKind::Internal));
         core.stop();
+    }
+
+    /// A stop whose poke never reached the acceptor (as when `connect`
+    /// fails at `EMFILE`): `join` pokes again on its own and returns.
+    #[test]
+    fn join_returns_when_the_shutdown_poke_was_lost() {
+        let daemon = daemon(None, &obs::Registry::new());
+        let mut core = Core::start("127.0.0.1:0", daemon, Panicky::default()).unwrap();
+        core.shared.stop.store(true, Ordering::SeqCst);
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            core.join();
+            done.send(()).unwrap();
+        });
+        joined
+            .recv_timeout(Duration::from_secs(2))
+            .expect("join still blocked 2 s after the stop flag went up");
     }
 
     /// `accept` failing as at `EMFILE`, eight times in a row: the
