@@ -347,6 +347,17 @@ if [[ $quick -eq 0 ]]; then
         echo "$alloc_bytes" >results/ALLOC_baseline.txt
         echo "    recorded new allocation baseline results/ALLOC_baseline.txt"
     fi
+    # One member reader: `dass/plan/member.rs` holds the only
+    # `File::open` that reads samples. The executor, its tiles, dassd and
+    # ingest's window read go through it; their test modules may open
+    # files of their own.
+    if git grep -n -e 'File::open' -e '^#\[cfg(test)\]' -- crates/core/src/dassd \
+        crates/core/src/dass/plan/exec.rs crates/core/src/dass/plan/tile.rs \
+        crates/core/src/ingest/stream.rs |
+        awk -F: '$3 ~ /^#\[cfg\(test\)\]/ { test[$1] = 1; next } !test[$1]' | grep .; then
+        echo "planner: a member file is opened outside dass/plan/member.rs" >&2
+        exit 1
+    fi
 
     # Experiment smoke: the four quick paper-figure binaries must still
     # run to completion (they assert their own shape claims) and write

@@ -21,7 +21,8 @@ use dasf::{DasfError, File};
 use obs::Counter;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Metric names recorded by scrubs in the global `obs` registry.
 pub mod metric_names {
@@ -335,12 +336,29 @@ pub fn collect_targets(paths: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Scrub `targets` with `threads` worker threads (clamped to ≥ 1) and
-/// return the aggregate report, verdicts sorted by path. A shim over
-/// [`IoExecutor::run_scrub`](super::plan::IoExecutor::run_scrub), the
-/// same engine that runs data reads.
+/// Scrub `targets` with `threads` worker threads (clamped to ≥ 1 and to
+/// the number of targets) and return the aggregate report, verdicts
+/// sorted by path. The caller is one of the workers, so one thread
+/// spawns none.
 pub fn scrub_paths(targets: &[PathBuf], threads: usize) -> FsckReport {
-    super::plan::IoExecutor::serial().run_scrub(targets, threads)
+    let threads = threads.clamp(1, targets.len().max(1));
+    let next = AtomicUsize::new(0);
+    let verdicts = Mutex::new(Vec::with_capacity(targets.len()));
+    let scrub_rest = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(path) = targets.get(i) else { break };
+        let v = scrub_file(path);
+        verdicts.lock().unwrap().push(v);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(scrub_rest);
+        }
+        scrub_rest();
+    });
+    let mut files = verdicts.into_inner().unwrap();
+    files.sort_by(|a, b| a.path.cmp(&b.path));
+    FsckReport { files }
 }
 
 /// Move every damaged file in `report` into `dir` (created if needed).

@@ -33,8 +33,8 @@ pub use metadata::{
     DasFileMeta, DATASET_PATH,
 };
 pub use plan::{
-    choose_strategy_modeled, Exchange, IoExecutor, IoPlan, ReadOp, ReadReport, ReadStrategy,
-    Resilience, Tile, MAX_READ_ATTEMPTS,
+    choose_strategy_modeled, read_member, Exchange, IoExecutor, IoPlan, Member, ReadOp, ReadReport,
+    ReadStrategy, Resilience, Tile, MAX_READ_ATTEMPTS,
 };
 pub use rca::{create_rca, read_rca};
 pub use search::{FileCatalog, FileEntry};

@@ -2,7 +2,7 @@
 //!
 //! One loop per [`Exchange`]: the serial region reader, collective-per-
 //! file and communication-avoiding. In each, the rank that owns a member
-//! reads it with a bounded number of attempts ([`IoExecutor::read_member`]),
+//! reads it with a bounded number of attempts ([`IoExecutor::retrying`]),
 //! and every rank learns how that went — retries, checksum mismatches,
 //! and the tile if there is one — **inside the message the exchange
 //! sends anyway** (a [`Delivery`] in the per-file broadcast or in the
@@ -14,22 +14,23 @@
 //!
 //! A serial plan reads every op straight into its columns of the output
 //! array ([`read_member_into`]: no tile, no paste); a distributed plan
-//! keeps samples in pooled buffers ([`dasf::pool`]) wrapped in zero-copy
-//! [`Tile`]s, whose handles the exchange moves (an `Arc` bump per hop)
-//! instead of packing per-destination `Vec`s.
+//! reads each member whole ([`read_member`]) into a pooled
+//! [`Member`](super::Member)
+//! wrapped in zero-copy [`Tile`]s, whose handles the exchange moves (an
+//! `Arc` bump per hop) instead of packing per-destination `Vec`s. Both
+//! hold the member to its op first ([`check_holds`]), so a reshaped
+//! member is a typed error on its owner, carried to every rank like any
+//! other unreadable member.
 
-use super::super::fsck::{scrub_file, FsckReport};
+use super::member::{check_holds, read_member, read_member_into};
 use super::tile::Tile;
 use super::{Exchange, IoPlan, ReadOp};
 use crate::{DassaError, Result};
 use arrayudf::dist::partition;
 use arrayudf::Array2;
-use dasf::File;
 use minimpi::{Comm, WirePayload};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Metric names recorded by the executor, in the world's registry (see
@@ -119,48 +120,12 @@ pub struct IoExecutor<'a> {
     resilience: Resilience,
 }
 
-/// Read one member file's block — `selection`, or the whole
-/// `rows × cols` dataset — into the zeroed rectangle of `out` at
-/// `(0, t0)`, decoded in place by
-/// [`dasf::File::read_hyperslab_strided`]. A read that fails part way
-/// has already written rows, so on `Err` the rectangle is zeroed again:
-/// the block is all there or all zero, which is what retries, the
-/// quarantine and ingest's gaps are defined on.
-pub(crate) fn read_member_into(
-    path: &Path,
-    dataset: &str,
-    selection: Option<[(u64, u64); 2]>,
-    (rows, cols): (usize, usize),
-    out: &mut Array2<f32>,
-    t0: usize,
-) -> Result<()> {
-    assert!(
-        rows <= out.rows() && t0 + cols <= out.cols(),
-        "block {rows}x{cols} does not fit at column {t0} of {}x{}",
-        out.rows(),
-        out.cols()
-    );
-    let f = File::open(path)?;
-    let whole = [(0, rows as u64), (0, cols as u64)];
-    if selection.is_none() {
-        let dims = &f.dataset(dataset)?.dims;
-        if dims[..] != [rows as u64, cols as u64] {
-            return Err(DassaError::Inconsistent(format!(
-                "{}: dataset {dataset} is {dims:?}, the plan expects {rows} x {cols}",
-                path.display()
-            )));
-        }
-    }
-    let stride = out.cols();
-    let selection = selection.as_ref().unwrap_or(&whole);
-    let read = f.read_hyperslab_strided(dataset, selection, out.as_mut_slice(), t0, stride);
-    if read.is_err() {
-        for row in out.as_mut_slice().chunks_mut(stride).take(rows) {
-            row[t0..t0 + cols].fill(0.0);
-        }
-    }
-    read?;
-    Ok(())
+/// One op of a distributed plan, on the rank that owns it: the whole
+/// member, held to the op, as a whole-file tile for the exchange.
+fn whole_tile(dataset: &str, op: &ReadOp) -> Result<Tile> {
+    let member = read_member(&op.path, dataset)?;
+    check_holds(op, (member.rows(), member.cols()))?;
+    Ok(Tile::whole(Arc::new(member), op.file_index, op.t0))
 }
 
 /// What the owner of a member observed reading it.
@@ -275,7 +240,16 @@ impl<'a> IoExecutor<'a> {
     /// `partition(plan.rows, size, rank)` for distributed plans, all
     /// `plan.rows` for serial ones) and the read report, identical on
     /// every rank.
+    ///
+    /// A distributed plan reads whole members ([`IoPlan::for_vca`]); one
+    /// with a selection op is a `BadSelection` on every rank.
     pub fn run(&self, plan: &IoPlan) -> Result<(Array2<f32>, ReadReport)> {
+        if plan.exchange != Exchange::None && plan.ops.iter().any(|op| op.selection.is_some()) {
+            return Err(DassaError::BadSelection(
+                "a distributed plan reads whole members; a selection is a serial region read"
+                    .to_string(),
+            ));
+        }
         let (local, mut report) = match plan.exchange {
             Exchange::None => self.run_serial(plan),
             Exchange::BcastPerFile => self.run_collective(plan),
@@ -291,19 +265,6 @@ impl<'a> IoExecutor<'a> {
         Ok((local, report))
     }
 
-    /// One op of a distributed plan: open the file, read the selection
-    /// into a pooled buffer, wrap it as a whole tile for the exchange.
-    fn read_op(dataset: &str, op: &ReadOp) -> Result<Tile> {
-        let f = File::open(&op.path)?;
-        let mut buf = super::pool::f32s().acquire(op.rows * op.cols);
-        let n = match &op.selection {
-            Some(sel) => f.read_hyperslab_into(dataset, sel, &mut buf)?,
-            None => f.read_into(dataset, &mut buf)?,
-        };
-        debug_assert_eq!(n, op.rows * op.cols, "op shape mismatch for {:?}", op.path);
-        Ok(Tile::whole(buf, op.rows, op.cols, op.file_index, op.t0))
-    }
-
     /// Run `read` — one op's read, on the rank that owns it — until it
     /// succeeds or the attempts [`Resilience`] allows are spent.
     ///
@@ -316,7 +277,7 @@ impl<'a> IoExecutor<'a> {
     /// capped below the budget, so a purely transient fault retries and
     /// then succeeds, never quarantines — and never strikes where the
     /// budget is one attempt).
-    fn read_member<R>(&self, op: &ReadOp, mut read: impl FnMut() -> Result<R>) -> MemberRead<R> {
+    fn retrying<R>(&self, op: &ReadOp, mut read: impl FnMut() -> Result<R>) -> MemberRead<R> {
         let budget = match self.resilience {
             Resilience::FailFast => 1,
             Resilience::Quarantine => MAX_READ_ATTEMPTS,
@@ -413,17 +374,7 @@ impl<'a> IoExecutor<'a> {
         let mut local = Array2::<f32>::zeroed(plan.rows, plan.cols);
         let mut report = ReadReport::default();
         for op in &plan.ops {
-            let member = self.read_member(op, || {
-                let shape = (op.rows, op.cols);
-                read_member_into(
-                    &op.path,
-                    &plan.dataset,
-                    op.selection,
-                    shape,
-                    &mut local,
-                    op.t0,
-                )
-            });
+            let member = self.retrying(op, || read_member_into(op, &plan.dataset, &mut local));
             report.io_retries += member.retries;
             report.checksum_mismatches += member.mismatches;
             if let Err(e) = member.value {
@@ -455,7 +406,7 @@ impl<'a> IoExecutor<'a> {
             let t = Instant::now();
             let member = (rank == root).then(|| {
                 let _s = obs::trace::scope_in(reg, "par_read.read");
-                self.read_member(op, || Self::read_op(&plan.dataset, op))
+                self.retrying(op, || whole_tile(&plan.dataset, op))
             });
             phases.read += t.elapsed();
             // … and broadcasts it whole — the expensive step this
@@ -504,10 +455,8 @@ impl<'a> IoExecutor<'a> {
             .iter()
             .filter(|op| op.file_index % size == rank)
             .map(|op| {
-                (
-                    op,
-                    self.read_member(op, || Self::read_op(&plan.dataset, op)),
-                )
+                let member = self.retrying(op, || whole_tile(&plan.dataset, op));
+                (op, member)
             })
             .collect();
         phases.read = t.elapsed();
@@ -566,40 +515,15 @@ impl<'a> IoExecutor<'a> {
         );
         Ok((local, report))
     }
-
-    /// Scrub `targets` with `threads` worker threads (clamped to ≥ 1):
-    /// the `das_fsck` verification path, run through the same engine as
-    /// the data reads. Returns the aggregate report, verdicts sorted by
-    /// path. The caller is one of the workers, so one thread spawns
-    /// none.
-    pub fn run_scrub(&self, targets: &[PathBuf], threads: usize) -> FsckReport {
-        let threads = threads.clamp(1, targets.len().max(1));
-        let next = AtomicUsize::new(0);
-        let verdicts = Mutex::new(Vec::with_capacity(targets.len()));
-        let scrub_rest = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(path) = targets.get(i) else { break };
-            let v = scrub_file(path);
-            verdicts.lock().unwrap().push(v);
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..threads {
-                scope.spawn(scrub_rest);
-            }
-            scrub_rest();
-        });
-        let mut files = verdicts.into_inner().unwrap();
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        FsckReport { files }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dass::search::tests::{make_files, plan_rotting_last_unit};
+    use crate::dass::search::tests::{make_files, plan_rotting_last_unit, reshape_member};
     use crate::dass::{FileCatalog, Vca};
     use minimpi::RetryPolicy;
+    use std::path::Path;
 
     /// Reads land in the output as they decode, so a member whose rot
     /// sits in its last unit has written most of its rows by the time
@@ -669,17 +593,52 @@ mod tests {
     fn a_member_of_the_wrong_shape_is_a_typed_error() {
         let dir = make_files("exec-wrong-shape", "170728224510", 1, 3, 60);
         let cat = FileCatalog::scan(&dir).unwrap();
-        let path = &cat.entries()[0].path;
-        let mut out = Array2::<f32>::zeroed(3, 120);
-        // The plan says 3 x 50; the file holds 3 x 60.
-        assert!(matches!(
-            read_member_into(path, "/Measurement/data", None, (3, 50), &mut out, 0),
-            Err(crate::DassaError::Inconsistent(_))
-        ));
+        let op = |selection, rows, cols, t0| ReadOp {
+            file_index: 0,
+            path: cat.entries()[0].path.clone(),
+            rows,
+            cols,
+            selection,
+            t0,
+        };
+        let mut out = Array2::<f32>::zeroed(4, 120);
+        // The file holds 3 x 60; the plan says 3 x 50, or 4 rows of it.
+        for planned in [op(None, 3, 50, 0), op(Some([(0, 4), (0, 50)]), 4, 50, 0)] {
+            assert!(matches!(
+                read_member_into(&planned, "/Measurement/data", &mut out),
+                Err(crate::DassaError::Inconsistent(_))
+            ));
+        }
         assert!(out.as_slice().iter().all(|v| *v == 0.0));
-        read_member_into(path, "/Measurement/data", None, (3, 60), &mut out, 60).unwrap();
+        read_member_into(&op(None, 3, 60, 60), "/Measurement/data", &mut out).unwrap();
         assert_eq!(out.get(2, 60), 2000.0);
         assert_eq!(out.get(2, 59), 0.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A region read that crosses into a member rewritten at 3
+    /// channels instead of 4 names the file, its shape and the plan.
+    #[test]
+    fn a_region_over_a_reshaped_member_is_a_typed_error() {
+        let dir = make_files("exec-reshaped-region", "170728224510", 2, 4, 60);
+        let cat = FileCatalog::scan(&dir).unwrap();
+        let vca = Vca::from_entries(cat.entries()).unwrap();
+        reshape_member(&vca.entries()[1], 3, 60);
+        let plan = IoPlan::for_region(&vca, 0..4, 30..90).unwrap();
+        let Err(crate::DassaError::Inconsistent(said)) = IoExecutor::serial().run(&plan) else {
+            panic!("a reshaped member is Inconsistent");
+        };
+        let path = vca.entries()[1].path.display().to_string();
+        assert!(
+            said.contains(&path) && said.contains("now 3 x 60"),
+            "{said}"
+        );
+        // The member's first file still reads.
+        let plan = IoPlan::for_region(&vca, 0..4, 0..60).unwrap();
+        assert_eq!(
+            IoExecutor::serial().run(&plan).unwrap().0.get(3, 59),
+            3059.0
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,21 +11,33 @@
 //!    one loop per [`Exchange`] — serial or collective, fail-fast or
 //!    retry/quarantine ([`Resilience`]). A serial plan decodes every op
 //!    straight into its columns of the caller's `Array2`; a distributed
-//!    one reads into pooled buffers ([`dasf::pool`]) and assembles the
-//!    zero-copy [`Tile`]s the exchange delivers, each with its owner's
-//!    account of the read.
+//!    one reads each member whole into a pooled [`Member`]
+//!    ([`dasf::pool`]) and assembles the zero-copy [`Tile`]s the
+//!    exchange delivers, each with its owner's account of the read.
+//!
+//! How a member file becomes samples is decided in one place:
+//! [`read_member`] and the in-place `read_member_into` share one open,
+//! and one check holds every member to the op that planned it, so a
+//! member rewritten at another shape is a typed
+//! [`DassaError::Inconsistent`] under the serial reader, both exchanges
+//! and `dassd`'s [`ChunkCache`](crate::dassd::ChunkCache), which caches
+//! [`Member`]s.
 //!
 //! This is the only way in: serial region reads (`Vca::read_region_f32`,
 //! LAV and RCA materialization), both §IV-B parallel strategies
-//! (`IoExecutor::new(comm).run(&IoPlan::for_vca(..))`) and the
-//! `das_fsck` scrub all run through this module.
+//! (`IoExecutor::new(comm).run(&IoPlan::for_vca(..))`), ingest's window
+//! reads and `dassd`'s cache misses all run through this module. The
+//! `das_fsck` scrub verifies files without decoding them and lives in
+//! [`fsck`](super::fsck) (`scrub_paths`).
 
 mod exec;
+mod member;
 mod tile;
 
 pub use dasf::pool;
-pub(crate) use exec::read_member_into;
 pub use exec::{metric_names, IoExecutor, ReadReport, Resilience, MAX_READ_ATTEMPTS};
+pub(crate) use member::{check_holds, read_member_into};
+pub use member::{read_member, Member};
 pub use tile::Tile;
 
 use super::lav::Lav;

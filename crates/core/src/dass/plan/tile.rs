@@ -1,15 +1,16 @@
 //! Zero-copy tiles: the unit of data the I/O executor moves.
 //!
 //! A [`Tile`] is a row range of one member file's `channel × time`
-//! block, backed by a shared pooled buffer. Restricting a tile to a
+//! block: a shared [`Member`], read whole into a pooled buffer by
+//! [`read_member`](super::read_member). Restricting a tile to a
 //! destination's channel rows is an `Arc` bump plus a range — no pack
 //! copy — and sending it through a `minimpi` collective moves the
 //! handle while the byte counters account for the sample bytes the
 //! handle references (see [`minimpi::WirePayload`]), so communication
 //! statistics stay identical to the old deep-copy exchange.
 
+use super::Member;
 use arrayudf::TileView;
-use dasf::PooledBuf;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -17,12 +18,8 @@ use std::sync::Arc;
 /// for global column offset `t0`.
 #[derive(Clone, Debug)]
 pub struct Tile {
-    buf: Arc<PooledBuf<f32>>,
-    /// Rows of the full backing buffer (the file's channel count).
-    buf_rows: usize,
-    /// Columns of the backing buffer (the file's sample count).
-    buf_cols: usize,
-    /// The channel rows this tile covers, in buffer coordinates.
+    member: Arc<Member>,
+    /// The channel rows this tile covers, in the member's coordinates.
     rows: Range<usize>,
     /// Index of the member file this tile came from.
     file_index: usize,
@@ -31,35 +28,18 @@ pub struct Tile {
 }
 
 impl Tile {
-    /// Wrap a freshly read `buf_rows × buf_cols` buffer as a whole-file
-    /// tile.
-    ///
-    /// # Panics
-    /// Panics when `buf.len() != buf_rows * buf_cols`.
-    pub fn whole(
-        buf: PooledBuf<f32>,
-        buf_rows: usize,
-        buf_cols: usize,
-        file_index: usize,
-        t0: usize,
-    ) -> Tile {
-        assert_eq!(
-            buf.len(),
-            buf_rows * buf_cols,
-            "tile buffer length does not match {buf_rows}x{buf_cols}"
-        );
+    /// Wrap a freshly read member as a whole-file tile.
+    pub fn whole(member: Arc<Member>, file_index: usize, t0: usize) -> Tile {
         Tile {
-            buf: Arc::new(buf),
-            buf_rows,
-            buf_cols,
-            rows: 0..buf_rows,
+            rows: 0..member.rows(),
+            member,
             file_index,
             t0,
         }
     }
 
-    /// The same backing buffer restricted to `rows` (buffer
-    /// coordinates) — an `Arc` clone, no copy.
+    /// The same member restricted to `rows` (member coordinates) — an
+    /// `Arc` clone, no copy.
     ///
     /// # Panics
     /// Panics when `rows` is not contained in this tile's row range.
@@ -70,9 +50,7 @@ impl Tile {
             self.rows
         );
         Tile {
-            buf: Arc::clone(&self.buf),
-            buf_rows: self.buf_rows,
-            buf_cols: self.buf_cols,
+            member: Arc::clone(&self.member),
             rows,
             file_index: self.file_index,
             t0: self.t0,
@@ -86,7 +64,7 @@ impl Tile {
 
     /// Number of columns in the tile (the member file's sample count).
     pub fn cols(&self) -> usize {
-        self.buf_cols
+        self.member.cols()
     }
 
     /// Index of the member file this tile came from.
@@ -102,8 +80,9 @@ impl Tile {
     /// Borrow the tile's samples as a (possibly strided) 2-D view,
     /// ready for [`arrayudf::Array2::paste`].
     pub fn view(&self) -> TileView<'_, f32> {
-        let data = &self.buf[self.rows.start * self.buf_cols..self.rows.end * self.buf_cols];
-        TileView::with_stride(self.rows.len(), self.buf_cols, self.buf_cols, data)
+        let cols = self.cols();
+        let data = &self.member.data()[self.rows.start * cols..self.rows.end * cols];
+        TileView::with_stride(self.rows.len(), cols, cols, data)
     }
 }
 
@@ -111,7 +90,7 @@ impl Tile {
 /// what shipping the rows as a packed `Vec<f32>` would have counted.
 impl minimpi::WirePayload for Tile {
     fn wire_bytes(&self) -> usize {
-        self.rows.len() * self.buf_cols * std::mem::size_of::<f32>()
+        self.rows.len() * self.cols() * std::mem::size_of::<f32>()
     }
 }
 
@@ -124,7 +103,7 @@ mod tests {
     fn sample_tile(rows: usize, cols: usize) -> Tile {
         let mut buf = dasf::pool::f32s().acquire(rows * cols);
         buf.extend((0..rows * cols).map(|i| i as f32));
-        Tile::whole(buf, rows, cols, 3, 7)
+        Tile::whole(Arc::new(Member::from_samples(rows, cols, buf)), 3, 7)
     }
 
     #[test]

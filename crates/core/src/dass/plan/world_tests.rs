@@ -1,9 +1,9 @@
 //! The executor driven over whole worlds: both §IV-B exchanges against
 //! the serial read, their collective counts, retry/quarantine under
-//! seeded faults, and fail-fast over a rotten member.
+//! seeded faults, and fail-fast over a rotten or a reshaped member.
 
 use crate::dass::plan::{IoExecutor, IoPlan, ReadReport, ReadStrategy, MAX_READ_ATTEMPTS};
-use crate::dass::search::tests::make_files;
+use crate::dass::search::tests::{make_files, reshape_member};
 use crate::dass::{FileCatalog, Vca};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
@@ -284,56 +284,101 @@ fn within_10s<T: Send + 'static>(world: impl FnOnce() -> T + Send + 'static) -> 
         .expect("the world hung or panicked: a rank left the others inside a collective")
 }
 
-/// Fail-fast over a world: a member whose bytes are rotten on disk
-/// is an error on **every** rank — the owner's the typed mismatch,
-/// the others' naming the file and the owner — and nobody is left
-/// waiting in a collective the owner never entered.
+/// `body` on every rank of a blocking world, or of a chaos world with
+/// no faults, behind the 10 s watchdog.
+fn in_world<T: Send + 'static>(
+    ranks: usize,
+    chaos: bool,
+    body: impl Fn(&Comm) -> T + Send + Sync + 'static,
+) -> Vec<T> {
+    within_10s(move || {
+        if chaos {
+            let no_faults = Arc::new(FaultPlan::new(0));
+            run_chaos(ranks, no_faults, RetryPolicy::default(), body).0
+        } else {
+            minimpi::run(ranks, body)
+        }
+    })
+}
+
+/// Fail-fast over a world: a member nobody can read — its bytes rotten
+/// on disk, or the file rewritten at another shape after the scan — is
+/// an error on **every** rank: the owner's the typed one, the others'
+/// naming the file and the owner. Nobody is left waiting in a
+/// collective the owner never entered. Under quarantine the same member
+/// is a zero span, reported alike on every rank.
 #[test]
 fn fail_fast_fails_every_rank_and_strands_none() {
-    let vca = sample_vca("exec-fail-fast-world", 4, 6, 30);
-    let rotten = vca.entries()[1].path.clone();
-    let mut bytes = std::fs::read(&rotten).unwrap();
+    let rotten = sample_vca("exec-fail-fast-world", 4, 6, 30);
+    let clean = rotten.read_all_f32().unwrap();
+    let path = &rotten.entries()[1].path;
+    let mut bytes = std::fs::read(path).unwrap();
     // Payload rot: the samples follow the 16-byte superblock, so the
     // scan still reads the member's metadata and only a read meets this.
     for b in &mut bytes[64..68] {
         *b = !*b;
     }
-    std::fs::write(&rotten, bytes).unwrap();
+    std::fs::write(path, bytes).unwrap();
+    // The same corpus, with member 1 rewritten at 5 channels of the 6
+    // the scan planned.
+    let reshaped = sample_vca("exec-reshaped-world", 4, 6, 30);
+    reshape_member(&reshaped.entries()[1], 5, 30);
 
-    for ranks in [2usize, 3] {
-        for strategy in BOTH {
-            for chaos in [false, true] {
-                let vca = vca.clone();
-                let results = within_10s(move || {
-                    let body =
-                        |comm: &Comm| run_on(IoExecutor::new(comm), comm, &vca, strategy).map(drop);
-                    if chaos {
-                        let no_faults = Arc::new(FaultPlan::new(0));
-                        run_chaos(ranks, no_faults, RetryPolicy::default(), body).0
-                    } else {
-                        minimpi::run(ranks, body)
+    // A damaged corpus, what its owner returns, and the cause the
+    // other ranks are told.
+    type Damage = (Vca, fn(&DassaError) -> bool, &'static str);
+    let damages: [Damage; 2] = [
+        (
+            rotten,
+            |e| {
+                matches!(
+                    e,
+                    DassaError::Dasf(dasf::DasfError::ChecksumMismatch { .. })
+                )
+            },
+            "checksum mismatch",
+        ),
+        (
+            reshaped,
+            |e| matches!(e, DassaError::Inconsistent(_)),
+            "inconsistent",
+        ),
+    ];
+    for (vca, owner_error, cause) in damages {
+        let damaged = vca.entries()[1].path.to_str().unwrap().to_string();
+        for ranks in [2usize, 3] {
+            for strategy in BOTH {
+                for chaos in [false, true] {
+                    let what =
+                        format!("{cause}, {strategy:?}, {ranks} ranks, chaos world: {chaos}");
+                    let v = vca.clone();
+                    let results = in_world(ranks, chaos, move |comm| {
+                        run_on(IoExecutor::new(comm), comm, &v, strategy).map(drop)
+                    });
+                    for (rank, result) in results.iter().enumerate() {
+                        let err = result.as_ref().expect_err(&what);
+                        if rank == 1 % ranks {
+                            assert!(owner_error(err), "{what}: owner returned {err:?}");
+                        } else {
+                            let said = err.to_string();
+                            assert!(
+                                said.contains(&damaged)
+                                    && said.contains("rank 1")
+                                    && said.contains(cause),
+                                "{what}: rank {rank} returned {said:?}"
+                            );
+                        }
                     }
-                });
-                let what = format!("{strategy:?}, {ranks} ranks, chaos world: {chaos}");
-                for (rank, result) in results.iter().enumerate() {
-                    let err = result.as_ref().expect_err(&what);
-                    if rank == 1 % ranks {
-                        assert!(
-                            matches!(
-                                err,
-                                DassaError::Dasf(dasf::DasfError::ChecksumMismatch { .. })
-                            ),
-                            "{what}: owner returned {err:?}"
-                        );
-                    } else {
-                        let said = err.to_string();
-                        assert!(
-                            said.contains(rotten.to_str().unwrap())
-                                && said.contains("rank 1")
-                                && said.contains("checksum mismatch"),
-                            "{what}: rank {rank} returned {said:?}"
-                        );
+
+                    let v = vca.clone();
+                    let kept =
+                        in_world(ranks, chaos, move |comm| read_resilient(comm, &v, strategy));
+                    let (blocks, reports): (Vec<_>, Vec<_>) = kept.into_iter().unzip();
+                    for r in &reports {
+                        assert_eq!(r.quarantined, [1], "{what}");
+                        assert_eq!(r.zero_samples, 6 * 30, "{what}");
                     }
+                    assert_zero_filled(&Array2::vstack(&blocks), &clean, &vca, &[1]);
                 }
             }
         }

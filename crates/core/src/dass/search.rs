@@ -155,6 +155,18 @@ pub(crate) mod tests {
         dir
     }
 
+    /// Rewrite the member behind `entry` at `channels × samples`, its
+    /// timestamp kept: a file replaced after the corpus was scanned.
+    pub(crate) fn reshape_member(entry: &FileEntry, channels: u64, samples: u64) {
+        let meta = DasFileMeta {
+            channels,
+            samples,
+            ..entry.meta.clone()
+        };
+        let data = Array2::from_fn(channels as usize, samples as usize, |r, c| (r + c) as f32);
+        write_das_file(&entry.path, &meta, &data).unwrap();
+    }
+
     /// A `dasf.read.corrupt` plan under which `rotten` reads back a
     /// flipped byte in its *last* verify unit — a reader has decoded
     /// every earlier unit into its destination by the time the

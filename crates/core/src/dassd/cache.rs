@@ -1,11 +1,14 @@
 //! Corpus-wide chunk cache shared by every `dassd` request.
 //!
-//! The cache granule is a whole member file's sample dataset (the unit
-//! `IoPlan` reads are built from), keyed by path. Overlapping windowed
-//! queries from different clients therefore hit the same entries:
-//! serving a hyperslab is a slice of the cached full tile, which is
-//! byte-identical to `read_hyperslab_into` on the same file because
-//! DASF stores the dataset row-major.
+//! The cache granule is a [`Member`]: a whole member file's sample
+//! dataset, read by [`read_member`] — the same pooled read the
+//! distributed executor's owner ranks make — and keyed by path.
+//! Overlapping windowed queries from different clients therefore hit
+//! the same entries: serving a hyperslab is a slice of the cached
+//! member, which is byte-identical to `read_hyperslab_into` on the same
+//! file because DASF stores the dataset row-major. The cache does not
+//! know what a request planned; the server holds each member to its op
+//! before it serves a row.
 //!
 //! Properties:
 //!
@@ -23,7 +26,7 @@
 //!   to the caller and is *never* cached, so one corrupt page cannot
 //!   poison later requests.
 //! * **Pooled memory.** Samples live in [`dasf::pool`] buffers; an
-//!   evicted chunk's buffer returns to the pool once the last
+//!   evicted member's buffer returns to the pool once the last
 //!   in-flight reader drops its `Arc`.
 //!
 //! Metrics (on the registry passed to [`ChunkCache::new`], aggregating
@@ -35,13 +38,13 @@
 //! each miss; with v4 codecs this trails `cache.bytes` growth, and the
 //! gap is the decode amplification the cache absorbs).
 //!
-//! Under v4 codecs the granule is the *decoded* tile: residency is
+//! Under v4 codecs the granule is the *decoded* member: residency is
 //! charged at raw (decoded) size, because that is what the entry pins
 //! in memory, while `cache.stored_bytes` accounts what was actually
 //! read from disk.
 
+use crate::dass::plan::{read_member, Member};
 use crate::Result;
-use dasf::File;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -63,80 +66,8 @@ pub mod metric_names {
     pub const STORED_BYTES: &str = "cache.stored_bytes";
 }
 
-/// One cached member-file dataset: the full `rows × cols` tile in a
-/// pooled buffer.
-pub struct Chunk {
-    rows: usize,
-    cols: usize,
-    stored_bytes: u64,
-    data: dasf::pool::PooledBuf<f32>,
-}
-
-impl std::fmt::Debug for Chunk {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Chunk")
-            .field("rows", &self.rows)
-            .field("cols", &self.cols)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Chunk {
-    /// Tile height (channels).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Tile width (samples).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Row-major samples, `rows * cols` long.
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Payload size in bytes (decoded — what residency is charged at).
-    pub fn bytes(&self) -> u64 {
-        (self.rows * self.cols * std::mem::size_of::<f32>()) as u64
-    }
-
-    /// On-disk footprint of the dataset this tile was decoded from;
-    /// equals [`Chunk::bytes`] for uncompressed files.
-    pub fn stored_bytes(&self) -> u64 {
-        self.stored_bytes
-    }
-
-    /// The hyperslab `sel` (`[(row0, nrows), (col0, ncols)]` in the
-    /// file's local coordinates), or the whole tile when `sel` is
-    /// `None`, as borrowed row slices — the same contract as `dasf`'s
-    /// `read_hyperslab_into` / `read_into` pair, so bytes served from
-    /// these rows match a direct disk read.
-    pub fn slab_rows(
-        &self,
-        sel: Option<[(u64, u64); 2]>,
-    ) -> impl ExactSizeIterator<Item = &[f32]> + Clone {
-        let [(r0, nr), (c0, nc)] = sel.unwrap_or([(0, self.rows as u64), (0, self.cols as u64)]);
-        let (r0, nr, c0, nc) = (r0 as usize, nr as usize, c0 as usize, nc as usize);
-        self.data[r0 * self.cols..(r0 + nr) * self.cols]
-            .chunks_exact(self.cols.max(1))
-            .map(move |row| &row[c0..c0 + nc])
-    }
-
-    /// [`Chunk::slab_rows`] copied out into one row-major `Vec`.
-    pub fn hyperslab(&self, sel: Option<[(u64, u64); 2]>) -> Vec<f32> {
-        let rows = self.slab_rows(sel);
-        let mut out = Vec::with_capacity(rows.clone().map(<[f32]>::len).sum());
-        for row in rows {
-            out.extend_from_slice(row);
-        }
-        out
-    }
-}
-
 struct Entry {
-    chunk: Arc<Chunk>,
+    member: Arc<Member>,
     referenced: bool,
 }
 
@@ -214,31 +145,31 @@ impl ChunkCache {
     /// the winner's entry and drops the duplicate buffer back to the
     /// pool. Errors — including `ChecksumMismatch` — propagate and
     /// leave no cache entry behind.
-    pub fn get_or_read(&self, path: &Path) -> Result<Arc<Chunk>> {
+    pub fn get_or_read(&self, path: &Path) -> Result<Arc<Member>> {
         {
             let mut inner = self.inner.lock().unwrap();
             if let Some(e) = inner.map.get_mut(path) {
                 e.referenced = true;
                 self.hit.inc();
-                return Ok(Arc::clone(&e.chunk));
+                return Ok(Arc::clone(&e.member));
             }
         }
         self.miss.inc();
-        let chunk = Arc::new(self.read_chunk(path)?);
-        let nbytes = chunk.bytes();
-        self.stored.add(chunk.stored_bytes());
+        let member = Arc::new(read_member(path, &self.dataset)?);
+        let nbytes = member.bytes();
+        self.stored.add(member.stored_bytes());
 
         let mut inner = self.inner.lock().unwrap();
         if let Some(e) = inner.map.get_mut(path) {
             // Another thread cached it while we read; use theirs so
             // everyone shares one buffer.
             e.referenced = true;
-            return Ok(Arc::clone(&e.chunk));
+            return Ok(Arc::clone(&e.member));
         }
         if nbytes > self.capacity {
             // Would never fit; serve uncached instead of flushing
             // everything else.
-            return Ok(chunk);
+            return Ok(member);
         }
         while inner.resident + nbytes > self.capacity {
             let Some(key) = inner.clock.pop_front() else {
@@ -260,7 +191,7 @@ impl ChunkCache {
                 inner.clock.push_back(key);
             } else {
                 let e = inner.map.remove(&key).unwrap();
-                let freed = e.chunk.bytes();
+                let freed = e.member.bytes();
                 inner.resident -= freed;
                 self.bytes.sub(freed);
                 self.evict.inc();
@@ -273,36 +204,10 @@ impl ChunkCache {
         inner.map.insert(
             path.to_path_buf(),
             Entry {
-                chunk: Arc::clone(&chunk),
+                member: Arc::clone(&member),
                 referenced: false,
             },
         );
-        Ok(chunk)
-    }
-
-    /// Verified read of the whole dataset into a pooled buffer.
-    fn read_chunk(&self, path: &Path) -> Result<Chunk> {
-        let f = File::open(path)?;
-        let ds = f.dataset(&self.dataset)?;
-        let dims = ds.dims.clone();
-        if dims.len() != 2 {
-            return Err(crate::DassaError::Inconsistent(format!(
-                "{}: expected a 2-D dataset at {}, got {} dims",
-                path.display(),
-                self.dataset,
-                dims.len()
-            )));
-        }
-        let (rows, cols) = (dims[0] as usize, dims[1] as usize);
-        let stored_bytes = ds.stored_byte_len();
-        let mut buf = dasf::pool::f32s().acquire(rows * cols);
-        let n = f.read_into(&self.dataset, &mut buf)?;
-        debug_assert_eq!(n, rows * cols);
-        Ok(Chunk {
-            rows,
-            cols,
-            stored_bytes,
-            data: buf,
-        })
+        Ok(member)
     }
 }

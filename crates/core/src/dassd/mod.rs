@@ -10,8 +10,10 @@
 //!   source, responses stream data in bounded chunks so a multi-GB
 //!   read never materialises in one buffer.
 //! * [`cache`] — a corpus-wide, capacity-bounded chunk cache
-//!   ([`ChunkCache`]) with CLOCK eviction, layered on [`dasf::pool`];
-//!   only checksum-verified chunks are ever resident.
+//!   ([`ChunkCache`]) with CLOCK eviction, whose granule is a whole
+//!   [`Member`](crate::dass::plan::Member) read by the planner's one
+//!   pooled member read; only checksum-verified members are ever
+//!   resident.
 //! * `conn` — the connection core `dassd` and the `das_ingest` probe
 //!   share: bind, accept loop, bounded admission queue (over-capacity
 //!   clients get a typed [`protocol::ErrorKind::Busy`] rejection instead
@@ -46,7 +48,7 @@ pub(crate) mod conn;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{Chunk, ChunkCache};
+pub use cache::ChunkCache;
 pub use client::{BusyRetry, Client, ClientError};
 pub use protocol::{ErrorKind, HealthInfo, Request, Response};
 pub use server::{Server, ServerConfig};

@@ -7,12 +7,13 @@
 //! corrupt chunk — produces an `Error` response and the connection
 //! keeps serving; only transport errors drop it.
 
-use super::cache::{Chunk, ChunkCache};
+use super::cache::ChunkCache;
 use super::conn::{Conn, Core, Daemon, Handler, PoolMetrics, IDLE_LIMIT};
 use super::protocol::{
     chunk_frame, eval_chunk_frame, ErrorKind, HealthInfo, Request, Response, MAX_DATA_ELEMS,
 };
 use crate::dasa::{self, BindProgram, Haee};
+use crate::dass::plan::{check_holds, Member};
 use crate::dass::{FileCatalog, IoPlan, ReadOp, Vca, DATASET_PATH};
 use crate::{DassaError, Result};
 use std::io;
@@ -207,27 +208,13 @@ impl State {
         w.send(&Response::Error { kind, message })
     }
 
-    /// The cached member behind `op`, checked against the op's
-    /// selection: a member replaced by a narrower file since the
-    /// corpus was scanned is a typed error, not an out-of-bounds slice.
-    fn chunk(&self, op: &ReadOp) -> Result<Arc<Chunk>> {
-        let chunk = self.cache.get_or_read(&op.path)?;
-        let (rows, cols) = (chunk.rows() as u64, chunk.cols() as u64);
-        let fits = match op.selection {
-            None => (rows, cols) == (op.rows as u64, op.cols as u64),
-            Some([(r0, nr), (c0, nc)]) => r0 + nr <= rows && c0 + nc <= cols,
-        };
-        if fits {
-            Ok(chunk)
-        } else {
-            Err(DassaError::Inconsistent(format!(
-                "{}: now {rows} x {cols}, which does not hold the {} x {} selection planned \
-                 when the corpus was scanned",
-                op.path.display(),
-                op.rows,
-                op.cols
-            )))
-        }
+    /// The cached member behind `op`, held to it: a member replaced by
+    /// a narrower file since the corpus was scanned is a typed error,
+    /// not an out-of-bounds slice.
+    fn member(&self, op: &ReadOp) -> Result<Arc<Member>> {
+        let member = self.cache.get_or_read(&op.path)?;
+        check_holds(op, (member.rows(), member.cols()))?;
+        Ok(member)
     }
 }
 
@@ -319,7 +306,7 @@ impl Server {
 
 /// Stream a read plan: `Start`, one or more `Chunk` frames per op
 /// (tiled so no frame exceeds [`MAX_DATA_ELEMS`] samples), `End`. Each
-/// frame is gathered straight from the cached chunk's rows. A failing
+/// frame is gathered straight from the cached member's rows. A failing
 /// op aborts the stream with an `Error` frame; the connection survives.
 fn serve_read(state: &State, w: &mut Conn, plan: &IoPlan) -> io::Result<()> {
     w.send(&Response::Start {
@@ -328,8 +315,8 @@ fn serve_read(state: &State, w: &mut Conn, plan: &IoPlan) -> io::Result<()> {
     })?;
     let mut frames = 0u64;
     for op in &plan.ops {
-        let chunk = match state.chunk(op) {
-            Ok(c) => c,
+        let member = match state.member(op) {
+            Ok(m) => m,
             Err(e) => return state.fail(w, kind_of(&e), e.to_string()),
         };
         // Every op's tile lands at response row 0 (member files are
@@ -343,7 +330,7 @@ fn serve_read(state: &State, w: &mut Conn, plan: &IoPlan) -> io::Result<()> {
             let nr = tile_rows.min(op.rows - r);
             for c in (0..op.cols).step_by(tile_cols) {
                 let nc = tile_cols.min(op.cols - c);
-                let band = chunk.slab_rows(op.selection).skip(r).take(nr);
+                let band = member.slab_rows(op.selection).skip(r).take(nr);
                 let (row0, col0) = (r as u64, (op.t0 + c) as u64);
                 w.send_built(|buf| {
                     chunk_frame(buf, row0, col0, nr, nc, band.map(|row| &row[c..c + nc]))
@@ -391,8 +378,8 @@ fn serve_eval(state: &State, w: &mut Conn, src: &str) -> io::Result<()> {
 fn run_plan_cached(state: &State, plan: &IoPlan) -> Result<arrayudf::Array2<f32>> {
     let mut out = arrayudf::Array2::zeroed(plan.rows, plan.cols);
     for op in &plan.ops {
-        let chunk = state.chunk(op)?;
-        for (r, row) in chunk.slab_rows(op.selection).enumerate() {
+        let member = state.member(op)?;
+        for (r, row) in member.slab_rows(op.selection).enumerate() {
             let at = r * plan.cols + op.t0;
             out.as_mut_slice()[at..at + row.len()].copy_from_slice(row);
         }

@@ -7,7 +7,7 @@
 //!   arrivals (admit / late / duplicate / quarantine), and — once the
 //!   scanner is quiescent (nothing mid-retry) — advances the watermark
 //!   and *seals* every complete window: reads its samples (zero-filled
-//!   gaps included) and pushes one task into the queue. The queue is
+//!   gaps included) and sends one task into the queue. The queue is
 //!   bounded by `max_inflight`, so when detection falls behind arrival
 //!   the push blocks — bounded memory by construction, not policy;
 //! * the **evaluator thread** pops sealed windows in order, runs the
@@ -36,10 +36,10 @@ use crate::dass::Timestamp;
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use obs::json::JsonWriter;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// What runs over each sealed window: a `dasl` program, named by an
@@ -217,84 +217,13 @@ struct WindowTask {
     body: TaskBody,
 }
 
-/// Bounded MPSC-ish queue: the main thread pushes (blocking at
-/// capacity — that block *is* the backpressure), the evaluator pops.
-struct WindowQueue {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-struct QueueState {
-    q: VecDeque<WindowTask>,
-    closed: bool,
-}
-
-impl WindowQueue {
-    fn new(cap: usize) -> WindowQueue {
-        WindowQueue {
-            state: Mutex::new(QueueState {
-                q: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Blocks while full. Returns `false` if the queue closed (the
-    /// evaluator died); the task is dropped.
-    fn push(&self, task: WindowTask) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        while st.q.len() >= self.cap && !st.closed {
-            st = self.not_full.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-        if st.closed {
-            return false;
-        }
-        st.q.push_back(task);
-        super::metrics().queue_depth.add(1);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocks while empty; `None` once closed and drained.
-    fn pop(&self) -> Option<WindowTask> {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(task) = st.q.pop_front() {
-                super::metrics().queue_depth.sub(1);
-                self.not_full.notify_one();
-                return Some(task);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    fn is_closed(&self) -> bool {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).closed
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Closes its queue when dropped, unwinding included.
-struct CloseOnDrop<'q>(&'q WindowQueue);
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
+/// The bounded queue between the scanner and the evaluator: a
+/// `sync_channel` of `max_inflight` (≥ 1) sealed windows. A send blocks
+/// at capacity — that block *is* the backpressure. Each side owns its
+/// end, so a side that exits, by an error or a panic, drops it and
+/// disconnects the other: a blocked send or receive returns at once.
+fn window_queue(max_inflight: usize) -> (SyncSender<WindowTask>, Receiver<WindowTask>) {
+    mpsc::sync_channel(max_inflight.max(1))
 }
 
 /// Drain the spool once and return: scan until every discovered file
@@ -342,7 +271,7 @@ fn run_loop(cfg: &IngestConfig, stop: Option<&AtomicBool>) -> Result<IngestSumma
         }
     }
 
-    let queue = WindowQueue::new(cfg.max_inflight);
+    let (queue, windows) = window_queue(cfg.max_inflight);
     let cells = SummaryCells::default();
     // The caller's fault plan reaches the evaluator's writes too.
     let plan = faultline::current();
@@ -361,17 +290,15 @@ fn run_loop(cfg: &IngestConfig, stop: Option<&AtomicBool>) -> Result<IngestSumma
     };
 
     std::thread::scope(|s| {
-        // Each side closes the queue however it exits — an error or a
-        // panic included — so the other never waits on it for ever.
-        let evaluator = s.spawn(|| {
+        // Each side owns its end of the queue and drops it however it
+        // exits — an error or a panic included — so the other never
+        // waits on it for ever.
+        let (cells, checkpoint_path) = (&cells, &checkpoint_path);
+        let evaluator = s.spawn(move || {
             let _plan = plan.map(faultline::PlanGuard::install);
-            let _close = CloseOnDrop(&queue);
-            evaluator_loop(cfg, &queue, &checkpoint_path, &cells)
+            evaluator_loop(cfg, windows, checkpoint_path, cells)
         });
-        let main_result = {
-            let _close = CloseOnDrop(&queue);
-            state.main_loop(stop, &queue, &cells)
-        };
+        let main_result = state.main_loop(stop, queue, &evaluator, cells);
         let eval_result = evaluator
             .join()
             .unwrap_or_else(|_| Err(DassaError::Inconsistent("evaluator panicked".into())));
@@ -421,7 +348,8 @@ impl MainState<'_> {
     fn main_loop(
         &mut self,
         stop: Option<&AtomicBool>,
-        queue: &WindowQueue,
+        queue: SyncSender<WindowTask>,
+        evaluator: &ScopedJoinHandle<'_, Result<()>>,
         cells: &SummaryCells,
     ) -> Result<()> {
         loop {
@@ -430,9 +358,10 @@ impl MainState<'_> {
                     return Ok(());
                 }
             }
-            // A failed evaluator closed the queue: nothing sealed from
-            // here on could be reported, and its error is the result.
-            if queue.is_closed() {
+            // The evaluator only ends early by failing: nothing sealed
+            // from here on could be reported, and its error is the
+            // result.
+            if evaluator.is_finished() {
                 return Ok(());
             }
             let events = self.scanner.poll()?;
@@ -445,7 +374,7 @@ impl MainState<'_> {
                         // Drain mode: everything that will ever arrive
                         // has; seal up to the stream's end and finish.
                         if let Some(max_end) = self.index.max_end_minute() {
-                            self.seal_up_to(max_end, queue)?;
+                            self.seal_up_to(max_end, &queue)?;
                         }
                         return Ok(());
                     }
@@ -454,7 +383,7 @@ impl MainState<'_> {
                             let target = max_end
                                 .saturating_sub(self.cfg.lateness_minutes)
                                 .max(self.watermark);
-                            self.seal_up_to(target, queue)?;
+                            self.seal_up_to(target, &queue)?;
                         }
                     }
                 }
@@ -543,7 +472,7 @@ impl MainState<'_> {
 
     /// Seal every window completed by `watermark`: read its samples
     /// and hand it to the evaluator (blocking at `max_inflight`).
-    fn seal_up_to(&mut self, watermark: u64, queue: &WindowQueue) -> Result<()> {
+    fn seal_up_to(&mut self, watermark: u64, queue: &SyncSender<WindowTask>) -> Result<()> {
         let hop = self.cfg.hop();
         let window = self.cfg.window_minutes;
         if self.base.is_none() {
@@ -571,7 +500,11 @@ impl MainState<'_> {
             } else {
                 TaskBody::Eval(self.index.read_window(start, window))
             };
-            let accepted = queue.push(WindowTask {
+            // Counted from the moment the send starts, so the gauge
+            // never sees a receive before its send.
+            let depth = &super::metrics().queue_depth;
+            depth.add(1);
+            let sent = queue.send(WindowTask {
                 index: self.next_window,
                 start_minute: start,
                 base_minute: base,
@@ -579,8 +512,9 @@ impl MainState<'_> {
                 sampling_hz,
                 body,
             });
-            if !accepted {
+            if sent.is_err() {
                 // Evaluator gone; its error surfaces at join time.
+                depth.sub(1);
                 return Ok(());
             }
             self.next_window += 1;
@@ -597,13 +531,14 @@ impl MainState<'_> {
 
 fn evaluator_loop(
     cfg: &IngestConfig,
-    queue: &WindowQueue,
+    windows: Receiver<WindowTask>,
     checkpoint_path: &Path,
     cells: &SummaryCells,
 ) -> Result<()> {
     let m = super::metrics();
     let haee = Haee::builder().threads(cfg.threads.max(1)).build();
-    while let Some(task) = queue.pop() {
+    while let Ok(task) = windows.recv() {
+        m.queue_depth.sub(1);
         let started = Instant::now();
         match &task.body {
             TaskBody::Skip => {
@@ -1072,14 +1007,34 @@ mod tests {
 
     #[test]
     fn a_panicking_side_still_closes_the_queue() {
-        let queue = WindowQueue::new(1);
+        let (queue, windows) = window_queue(1);
         std::thread::scope(|s| {
-            let scanner = s.spawn(|| {
-                let _close = CloseOnDrop(&queue);
+            let scanner = s.spawn(move || {
+                let _queue = queue;
                 panic!("scanner died");
             });
-            assert!(queue.pop().is_none(), "the evaluator wakes, not waits");
+            assert!(windows.recv().is_err(), "the evaluator wakes, not waits");
             assert!(scanner.join().is_err());
+        });
+        // The other way round: a scanner blocked on a full queue.
+        let (queue, windows) = window_queue(1);
+        let task = |index| WindowTask {
+            index,
+            start_minute: 0,
+            base_minute: 0,
+            watermark: 0,
+            sampling_hz: 0,
+            body: TaskBody::Skip,
+        };
+        queue.send(task(0)).unwrap();
+        std::thread::scope(|s| {
+            let evaluator = s.spawn(move || {
+                let _windows = windows;
+                std::thread::sleep(Duration::from_millis(50));
+                panic!("evaluator died");
+            });
+            assert!(queue.send(task(1)).is_err(), "the scanner wakes, not waits");
+            assert!(evaluator.join().is_err());
         });
     }
 }

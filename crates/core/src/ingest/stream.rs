@@ -10,7 +10,7 @@
 //! batch reader's `ReadReport`.
 
 use crate::dass::plan::read_member_into;
-use crate::dass::{FileEntry, DATASET_PATH};
+use crate::dass::{FileEntry, ReadOp, DATASET_PATH};
 use crate::{DassaError, Result};
 use arrayudf::Array2;
 use std::collections::BTreeMap;
@@ -190,9 +190,15 @@ impl MinuteIndex {
             };
             // Straight into the minute's columns, which stay zero — a
             // gap — if the read fails, however far it got.
-            let t0 = off as usize * spm;
-            let read = read_member_into(&entry.path, DATASET_PATH, None, (ch, spm), &mut data, t0);
-            present[off as usize] = read.is_ok();
+            let minute = ReadOp {
+                file_index: off as usize,
+                path: entry.path.clone(),
+                rows: ch,
+                cols: spm,
+                selection: None,
+                t0: off as usize * spm,
+            };
+            present[off as usize] = read_member_into(&minute, DATASET_PATH, &mut data).is_ok();
         }
         let present_minutes = present.iter().filter(|p| **p).count() as u64;
         let gap_minutes = minutes - present_minutes;

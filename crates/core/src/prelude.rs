@@ -30,8 +30,8 @@ pub use crate::dass::{
     choose_strategy_modeled, collect_targets, create_rca, das_file_name, fsck, plan, quarantine,
     read_rca, scrub_file, scrub_paths, write_das_file, write_das_file_with_codec,
     write_das_file_with_layout, DasFileMeta, Exchange, FileCatalog, FileEntry, FileStatus,
-    FsckReport, IoExecutor, IoPlan, Lav, ReadOp, ReadReport, ReadStrategy, Resilience, Tile,
-    Timestamp, Vca, DATASET_PATH, MAX_READ_ATTEMPTS,
+    FsckReport, IoExecutor, IoPlan, Lav, Member, ReadOp, ReadReport, ReadStrategy, Resilience,
+    Tile, Timestamp, Vca, DATASET_PATH, MAX_READ_ATTEMPTS,
 };
 
 // DASSD — the data server.

@@ -87,12 +87,12 @@ proptest! {
         let mut gets = 0u64;
         for a in accesses {
             let i = a % files;
-            let chunk = cache.get_or_read(&paths[i]).expect("get");
+            let member: Arc<Member> = cache.get_or_read(&paths[i]).expect("get");
             gets += 1;
-            prop_assert_eq!(chunk.rows() as u64, channels);
-            prop_assert_eq!(chunk.cols() as u64, samples);
+            prop_assert_eq!(member.rows() as u64, channels);
+            prop_assert_eq!(member.cols() as u64, samples);
             prop_assert_eq!(
-                chunk.data(), golden[i].as_slice(),
+                member.data(), golden[i].as_slice(),
                 "file {} drifted from disk", i
             );
             prop_assert!(cache.resident_bytes() <= capacity);
@@ -112,7 +112,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Hyperslab slices of a cached chunk match a direct
+    /// Hyperslab slices of a cached member match a direct
     /// `read_hyperslab_into` of the same file, for random windows.
     #[test]
     fn cached_hyperslabs_match_disk_reads(
@@ -131,8 +131,8 @@ proptest! {
 
         let reg = fresh_registry();
         let cache = ChunkCache::new(1 << 20, DATASET_PATH, &reg);
-        let chunk = cache.get_or_read(&paths[0]).expect("get");
-        let sliced = chunk.hyperslab(Some(sel));
+        let member = cache.get_or_read(&paths[0]).expect("get");
+        let sliced = member.hyperslab(Some(sel));
 
         let f = dasf::File::open(&paths[0]).expect("open");
         let mut direct = vec![0.0f32; (nr * nc) as usize];

@@ -287,7 +287,14 @@ fn downcast<T: 'static>(env: Envelope) -> Result<T, RecvError> {
 /// Spawn a world of `n_ranks` and run `f` on every rank concurrently.
 /// Returns each rank's result, indexed by rank.
 ///
-/// A panic on any rank tears the world down and propagates.
+/// A panic on a rank reaches the caller only once every rank has
+/// returned: the world's scope joins them all first. In this blocking
+/// world a peer that waits on the panicked rank in a collective never
+/// returns, so the world hangs rather than propagating the panic. Rank
+/// code must therefore return errors, not panic, and tell its peers
+/// about a failure in the messages the collectives send anyway. (In a
+/// [`run_chaos`] world the fallible collectives' bounded waits time
+/// out, the peers return, and then the panic propagates.)
 pub fn run<R, F>(n_ranks: usize, f: F) -> Vec<R>
 where
     R: Send,
