@@ -15,12 +15,12 @@
 //! A serial plan reads every op straight into its columns of the output
 //! array ([`read_member_into`]: no tile, no paste); a distributed plan
 //! reads each member whole ([`read_member`]) into a pooled
-//! [`Member`](super::Member)
-//! wrapped in zero-copy [`Tile`]s, whose handles the exchange moves (an
-//! `Arc` bump per hop) instead of packing per-destination `Vec`s. Both
-//! hold the member to its op first ([`check_holds`]), so a reshaped
-//! member is a typed error on its owner, carried to every rank like any
-//! other unreadable member.
+//! [`Member`](super::Member) wrapped in zero-copy [`Tile`]s, whose
+//! handles the exchange moves (an `Arc` bump per hop) instead of packing
+//! per-destination `Vec`s. Both hold the member to its op
+//! ([`check_holds`]) before a sample is used, so a reshaped member is a
+//! typed error on its owner, carried to every rank like any other
+//! unreadable member.
 
 use super::member::{check_holds, read_member, read_member_into};
 use super::tile::Tile;
@@ -125,7 +125,7 @@ pub struct IoExecutor<'a> {
 fn whole_tile(dataset: &str, op: &ReadOp) -> Result<Tile> {
     let member = read_member(&op.path, dataset)?;
     check_holds(op, (member.rows(), member.cols()))?;
-    Ok(Tile::whole(Arc::new(member), op.file_index, op.t0))
+    Ok(Tile::whole(Arc::new(member), op.t0))
 }
 
 /// What the owner of a member observed reading it.
@@ -639,6 +639,21 @@ mod tests {
             IoExecutor::serial().run(&plan).unwrap().0.get(3, 59),
             3059.0
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Distributed plans read whole members, so a selection op there is
+    /// refused on every rank before any rank reads or exchanges.
+    #[test]
+    fn a_distributed_plan_with_a_selection_is_refused_on_every_rank() {
+        let dir = make_files("exec-distributed-selection", "170728224510", 2, 4, 60);
+        let cat = FileCatalog::scan(&dir).unwrap();
+        let vca = Vca::from_entries(cat.entries()).unwrap();
+        let mut plan = IoPlan::for_region(&vca, 0..4, 30..90).unwrap();
+        plan.exchange = Exchange::AllToAll;
+        for result in minimpi::run(2, |comm| IoExecutor::new(comm).run(&plan).map(drop)) {
+            assert!(matches!(result, Err(crate::DassaError::BadSelection(_))));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

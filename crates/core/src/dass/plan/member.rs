@@ -91,19 +91,6 @@ impl Member {
         }
         out
     }
-
-    /// A member over samples already in memory (unit tests).
-    #[cfg(test)]
-    pub(crate) fn from_samples(rows: usize, cols: usize, data: PooledBuf<f32>) -> Member {
-        assert_eq!(data.len(), rows * cols);
-        let stored_bytes = (data.len() * std::mem::size_of::<f32>()) as u64;
-        Member {
-            rows,
-            cols,
-            stored_bytes,
-            data,
-        }
-    }
 }
 
 /// Open `path` and require its `dataset` to be 2-D: the file and the
@@ -188,4 +175,21 @@ pub(crate) fn read_member_into(op: &ReadOp, dataset: &str, out: &mut Array2<f32>
     }
     read?;
     Ok(())
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// A member over `rows × cols` samples already in memory.
+    pub(crate) fn member_of(rows: usize, cols: usize, data: PooledBuf<f32>) -> Member {
+        assert_eq!(data.len(), rows * cols);
+        let stored_bytes = (data.len() * std::mem::size_of::<f32>()) as u64;
+        Member {
+            rows,
+            cols,
+            stored_bytes,
+            data,
+        }
+    }
 }

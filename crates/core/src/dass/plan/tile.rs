@@ -21,19 +21,16 @@ pub struct Tile {
     member: Arc<Member>,
     /// The channel rows this tile covers, in the member's coordinates.
     rows: Range<usize>,
-    /// Index of the member file this tile came from.
-    file_index: usize,
     /// Global column (time) offset where this tile lands.
     t0: usize,
 }
 
 impl Tile {
     /// Wrap a freshly read member as a whole-file tile.
-    pub fn whole(member: Arc<Member>, file_index: usize, t0: usize) -> Tile {
+    pub fn whole(member: Arc<Member>, t0: usize) -> Tile {
         Tile {
             rows: 0..member.rows(),
             member,
-            file_index,
             t0,
         }
     }
@@ -52,7 +49,6 @@ impl Tile {
         Tile {
             member: Arc::clone(&self.member),
             rows,
-            file_index: self.file_index,
             t0: self.t0,
         }
     }
@@ -65,11 +61,6 @@ impl Tile {
     /// Number of columns in the tile (the member file's sample count).
     pub fn cols(&self) -> usize {
         self.member.cols()
-    }
-
-    /// Index of the member file this tile came from.
-    pub fn file_index(&self) -> usize {
-        self.file_index
     }
 
     /// Global column offset where this tile lands.
@@ -96,6 +87,7 @@ impl minimpi::WirePayload for Tile {
 
 #[cfg(test)]
 mod tests {
+    use super::super::member::tests::member_of;
     use super::*;
     use arrayudf::Array2;
     use minimpi::WirePayload;
@@ -103,7 +95,7 @@ mod tests {
     fn sample_tile(rows: usize, cols: usize) -> Tile {
         let mut buf = dasf::pool::f32s().acquire(rows * cols);
         buf.extend((0..rows * cols).map(|i| i as f32));
-        Tile::whole(Arc::new(Member::from_samples(rows, cols, buf)), 3, 7)
+        Tile::whole(Arc::new(member_of(rows, cols, buf)), 7)
     }
 
     #[test]
@@ -112,7 +104,6 @@ mod tests {
         assert_eq!(tile.wire_bytes(), 6 * 5 * 4);
         let sub = tile.restrict(2..4);
         assert_eq!(sub.wire_bytes(), 2 * 5 * 4);
-        assert_eq!(sub.file_index(), 3);
         assert_eq!(sub.t0(), 7);
         // The view exposes exactly the restricted rows.
         assert_eq!(sub.view().row(0)[0], 10.0);
