@@ -33,7 +33,7 @@ pub use metadata::{
     DasFileMeta, DATASET_PATH,
 };
 pub use plan::{
-    choose_strategy_modeled, read_member, Exchange, IoExecutor, IoPlan, Member, ReadOp, ReadReport,
+    choose_strategy_modeled, Exchange, IoExecutor, IoPlan, Member, ReadOp, ReadReport,
     ReadStrategy, Resilience, Tile, MAX_READ_ATTEMPTS,
 };
 pub use rca::{create_rca, read_rca};

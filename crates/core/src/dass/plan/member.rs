@@ -135,7 +135,7 @@ pub(crate) fn check_holds(op: &ReadOp, (rows, cols): (usize, usize)) -> Result<(
 
 /// Read the member at `path` whole: its 2-D `dataset`, verified and
 /// decoded into a pooled buffer.
-pub fn read_member(path: &Path, dataset: &str) -> Result<Member> {
+pub(crate) fn read_member(path: &Path, dataset: &str) -> Result<Member> {
     let (f, (rows, cols)) = open(path, dataset)?;
     let stored_bytes = f.dataset(dataset)?.stored_byte_len();
     let mut data = super::pool::f32s().acquire(rows * cols);

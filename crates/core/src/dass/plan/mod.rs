@@ -16,7 +16,7 @@
 //!    exchange delivers, each with its owner's account of the read.
 //!
 //! How a member file becomes samples is decided in one place:
-//! [`read_member`] and the in-place `read_member_into` share one open,
+//! `read_member` and the in-place `read_member_into` share one open,
 //! and one check holds every member to the op that planned it, so a
 //! member rewritten at another shape is a typed
 //! [`DassaError::Inconsistent`] under the serial reader, both exchanges
@@ -36,8 +36,8 @@ mod tile;
 
 pub use dasf::pool;
 pub use exec::{metric_names, IoExecutor, ReadReport, Resilience, MAX_READ_ATTEMPTS};
-pub(crate) use member::{check_holds, read_member_into};
-pub use member::{read_member, Member};
+pub use member::Member;
+pub(crate) use member::{check_holds, read_member, read_member_into};
 pub use tile::Tile;
 
 use super::lav::Lav;

@@ -2,12 +2,12 @@
 //!
 //! A [`Tile`] is a row range of one member file's `channel × time`
 //! block: a shared [`Member`], read whole into a pooled buffer by
-//! [`read_member`](super::read_member). Restricting a tile to a
-//! destination's channel rows is an `Arc` bump plus a range — no pack
-//! copy — and sending it through a `minimpi` collective moves the
-//! handle while the byte counters account for the sample bytes the
-//! handle references (see [`minimpi::WirePayload`]), so communication
-//! statistics stay identical to the old deep-copy exchange.
+//! `read_member`. Restricting a tile to a destination's channel rows is
+//! an `Arc` bump plus a range — no pack copy — and sending it through a
+//! `minimpi` collective moves the handle while the byte counters
+//! account for the sample bytes the handle references (see
+//! [`minimpi::WirePayload`]), so communication statistics stay
+//! identical to the old deep-copy exchange.
 
 use super::Member;
 use arrayudf::TileView;

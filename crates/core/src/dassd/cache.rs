@@ -1,8 +1,8 @@
 //! Corpus-wide chunk cache shared by every `dassd` request.
 //!
 //! The cache granule is a [`Member`]: a whole member file's sample
-//! dataset, read by [`read_member`] — the same pooled read the
-//! distributed executor's owner ranks make — and keyed by path.
+//! dataset, read by the planner's `read_member` — the same pooled read
+//! the distributed executor's owner ranks make — and keyed by path.
 //! Overlapping windowed queries from different clients therefore hit
 //! the same entries: serving a hyperslab is a slice of the cached
 //! member, which is byte-identical to `read_hyperslab_into` on the same
