@@ -358,6 +358,14 @@ if [[ $quick -eq 0 ]]; then
         echo "planner: a member file is opened outside dass/plan/member.rs" >&2
         exit 1
     fi
+    # One sizer for every collective: a message counts the bytes its
+    # `WirePayload` reports, never `size_of::<T>()`, which weighs a
+    # gathered `Vec` at its 24-byte header. Test modules may size freely.
+    if git grep -n -e 'size_of::<T>' -e '^#\[cfg(test)\]' -- crates/minimpi/src/collectives.rs |
+        awk -F: '$3 ~ /^#\[cfg\(test\)\]/ { test[$1] = 1; next } !test[$1]' | grep .; then
+        echo "planner: a collective counts size_of::<T>() bytes instead of its WirePayload" >&2
+        exit 1
+    fi
 
     # Experiment smoke: the four quick paper-figure binaries must still
     # run to completion (they assert their own shape claims) and write

@@ -10,7 +10,7 @@
 //! halo exchange.
 
 use crate::array::Array2;
-use minimpi::Comm;
+use minimpi::{Comm, CommError};
 use std::ops::Range;
 
 /// Balanced contiguous row partition: the first `total % size` ranks own
@@ -24,13 +24,17 @@ pub fn partition(total: usize, size: usize, rank: usize) -> Range<usize> {
     start..(start + len).min(total)
 }
 
-/// Gather per-rank output blocks to `root`, stacked in rank order.
+/// Gather per-rank output blocks to rank 0, stacked in rank order:
+/// `Some` there, `None` on the other ranks. Each block counts its
+/// samples' bytes in `minimpi.p2p.bytes`.
 pub fn gather_rows<R: Copy + Default + Send + 'static>(
     comm: &Comm,
     local_out: Array2<R>,
-) -> Option<Array2<R>> {
+) -> Result<Option<Array2<R>>, CommError> {
     let cols = local_out.cols();
-    let blocks = comm.gather(0, local_out.into_vec())?;
+    let Some(blocks) = comm.try_gather(0, local_out.into_vec())? else {
+        return Ok(None);
+    };
     let arrays: Vec<Array2<R>> = blocks
         .into_iter()
         .map(|v| {
@@ -38,7 +42,7 @@ pub fn gather_rows<R: Copy + Default + Send + 'static>(
             Array2::from_vec(rows, cols, v)
         })
         .collect();
-    Some(Array2::vstack(&arrays))
+    Ok(Some(Array2::vstack(&arrays)))
 }
 
 #[cfg(test)]
@@ -85,6 +89,7 @@ mod tests {
                 comm,
                 apply_mt(&local, Ghost::time(1), stride, threads, &udf),
             )
+            .unwrap()
         });
         assert!(
             outs[1..].iter().all(Option::is_none),
@@ -116,6 +121,23 @@ mod tests {
         };
         let serial = apply(&global, Ghost::none(), stride, udf);
         assert_eq!(gathered(&global, 3, stride, 1, udf), serial);
+    }
+
+    /// Rank 1's block reaches rank 0 as its f32 samples' bytes: the
+    /// gather raises `minimpi.p2p.bytes` by exactly that much.
+    #[test]
+    fn gather_rows_counts_the_bytes_it_moves() {
+        let global = Array2::from_fn(7, 1000, |r, c| (r * 1000 + c) as f32);
+        let (out, stats) = minimpi::run_with_stats(2, |comm| {
+            let own = partition(global.rows(), comm.size(), comm.rank());
+            let rows = own.len() as u64;
+            let gathered = gather_rows(comm, global.row_block(own.start, own.end)).unwrap();
+            (gathered, rows)
+        });
+        assert_eq!(out[0].0.as_ref(), Some(&global));
+        assert_eq!(out[1].0, None);
+        assert_eq!(stats.p2p_messages, 1);
+        assert_eq!(stats.p2p_bytes, out[1].1 * 1000 * 4);
     }
 
     #[test]

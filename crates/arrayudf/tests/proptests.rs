@@ -49,7 +49,7 @@ proptest! {
         let gathered = minimpi::run(ranks, |comm| {
             let own = partition(rows, comm.size(), comm.rank());
             let local = a.row_block(own.start, own.end);
-            gather_rows(comm, apply_mt(&local, g, Stride::unit(), 2, udf))
+            gather_rows(comm, apply_mt(&local, g, Stride::unit(), 2, udf)).unwrap()
         });
         prop_assert_eq!(gathered[0].clone().expect("root"), serial);
     }

@@ -10,7 +10,6 @@
 //! (91 → 728, 16 cores each), reproducing the read/compute/write bars
 //! and the out-of-memory failure of pure MPI at 91 nodes.
 
-use arrayudf::dist::partition;
 use bench::{calibrate, datasets, report, time};
 use dassa::prelude::*;
 use perfmodel::experiments::{model_fig8, Layout, Workload};
@@ -57,8 +56,6 @@ fn main() {
             .expect("pipeline")
         });
         // Master-channel bytes resident per "node" = one copy per rank.
-        let own0 = partition(total_ch, 1, 0);
-        let _ = own0;
         let master_row: Vec<f64> = vca
             .read_region_f32(0..1, 0..vca.total_samples())
             .expect("master row")

@@ -25,8 +25,8 @@
 //! The program's `load(...)` clause lowers into the chunk-granular
 //! [`IoPlan`] every read path uses (`-d` overrides the corpus it names;
 //! `-a` loads the full extent), the serial, resilient or distributed
-//! [`IoExecutor`] reads it, the block is widened once, and the VM
-//! executes the plan. Compile errors render as caret diagnostics
+//! [`IoExecutor`] reads it into an `f32` block, and the VM executes the
+//! plan on that block, widening one row at a time. Compile errors render as caret diagnostics
 //! and exit with status 2, as does a program or analysis the selected
 //! data cannot satisfy (a `bandpass` over rows too short to filter, a
 //! master channel out of range).
@@ -453,7 +453,8 @@ fn read_distributed(
             }
         };
         let cluster = comm.try_cluster_snapshot().map_err(comm_err)?;
-        Ok((arrayudf::dist::gather_rows(comm, block), cluster))
+        let full = arrayudf::dist::gather_rows(comm, block).map_err(comm_err)?;
+        Ok((full, cluster))
     };
     let mut results = match plan {
         None => minimpi::run(ranks, body),

@@ -189,10 +189,10 @@ pub(super) fn master_block<T: Sample>(
 
 /// Distributed variant. The master channel lives on the rank that owns
 /// it; it is broadcast once (its *spectrum*), then each rank processes
-/// its channel block. In pure-MPI mode every rank holds a master copy
-/// (`processes × master.bytes()` per node); hybrid holds one.
+/// its channel block, so every rank holds one master copy.
 ///
-/// Returns this rank's per-channel scores.
+/// Returns this rank's per-channel scores, or the broadcast's
+/// [`DassaError::Comm`] when a peer fails it.
 pub fn interferometry_dist<T: Sample>(
     comm: &Comm,
     local: &Array2<T>,
@@ -220,7 +220,7 @@ pub fn interferometry_dist<T: Sample>(
         (None, Scored::default())
     };
     let master = MasterSpectrum {
-        spectrum: comm.bcast(owner, payload),
+        spectrum: comm.try_bcast(owner, payload)?,
     };
     Ok(score_rows(local, &chain, &master, scored, haee))
 }

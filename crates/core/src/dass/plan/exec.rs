@@ -17,12 +17,11 @@
 //! reads each member whole ([`read_member`]) into a pooled
 //! [`Member`](super::Member) wrapped in zero-copy [`Tile`]s, whose
 //! handles the exchange moves (an `Arc` bump per hop) instead of packing
-//! per-destination `Vec`s. Both hold the member to its op
-//! ([`check_holds`]) before a sample is used, so a reshaped member is a
-//! typed error on its owner, carried to every rank like any other
-//! unreadable member.
+//! per-destination `Vec`s. Both hold the member to its op before a unit
+//! is decoded, so a reshaped member is a typed error on its owner, read
+//! once and carried to every rank like any other unreadable member.
 
-use super::member::{check_holds, read_member, read_member_into};
+use super::member::{read_member, read_member_into};
 use super::tile::Tile;
 use super::{Exchange, IoPlan, ReadOp};
 use crate::{DassaError, Result};
@@ -123,8 +122,7 @@ pub struct IoExecutor<'a> {
 /// One op of a distributed plan, on the rank that owns it: the whole
 /// member, held to the op, as a whole-file tile for the exchange.
 fn whole_tile(dataset: &str, op: &ReadOp) -> Result<Tile> {
-    let member = read_member(&op.path, dataset)?;
-    check_holds(op, (member.rows(), member.cols()))?;
+    let member = read_member(&op.path, dataset, Some(op))?;
     Ok(Tile::whole(Arc::new(member), op.t0))
 }
 
@@ -266,7 +264,9 @@ impl<'a> IoExecutor<'a> {
     }
 
     /// Run `read` — one op's read, on the rank that owns it — until it
-    /// succeeds or the attempts [`Resilience`] allows are spent.
+    /// succeeds, fails with [`DassaError::Inconsistent`] (a member of
+    /// another shape than planned stays so, whatever is retried), or the
+    /// attempts [`Resilience`] allows are spent.
     ///
     /// Failures come from two places, both deterministic under a
     /// [`faultline`] plan: real `dasf` errors (fault sites keyed by file
@@ -310,7 +310,8 @@ impl<'a> IoExecutor<'a> {
                 mismatches += 1;
                 reg.counter(metric_names::CHECKSUM_MISMATCH).inc();
             }
-            if result.is_ok() || attempt == budget {
+            let settled = result.is_ok() || matches!(result, Err(DassaError::Inconsistent(_)));
+            if settled || attempt == budget {
                 return MemberRead {
                     value: result,
                     retries,
@@ -414,7 +415,7 @@ impl<'a> IoExecutor<'a> {
             // bump per tree edge; the counters see the full tile bytes.
             let t = Instant::now();
             let told = member.as_ref().map(|m| m.deliver(op, root, 0..op.rows));
-            let delivery = comm.try_bcast_payload(root, told)?;
+            let delivery = comm.try_bcast(root, told)?;
             phases.exchange += t.elapsed();
             let _copy = obs::trace::scope_in(reg, "par_read.copy");
             let t = Instant::now();

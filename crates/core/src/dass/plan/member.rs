@@ -7,11 +7,13 @@
 //! `dassd`'s chunk cache read the whole dataset into a pooled
 //! [`Member`] ([`read_member`]). Both open the file the same way, which
 //! requires a 2-D dataset, and every caller holds the member to the
-//! [`ReadOp`] it planned with [`check_holds`] before it uses a sample.
-//! So a member rewritten at another shape since the corpus was scanned
-//! is one typed [`DassaError::Inconsistent`] wherever it is read: a
-//! serial region read, a `--ranks` read (where the owner's error rides
-//! in the exchange like any unreadable member's), a served request.
+//! [`ReadOp`] it planned with [`check_holds`] before it uses a sample —
+//! the executor before a unit is decoded, `dassd`, whose cached member
+//! serves many requests, per request. So a member rewritten at another
+//! shape since the corpus was scanned is one typed
+//! [`DassaError::Inconsistent`] wherever it is read: a serial region
+//! read, a `--ranks` read (where the owner's error rides in the exchange
+//! like any unreadable member's), a served request.
 
 use super::ReadOp;
 use crate::{DassaError, Result};
@@ -134,9 +136,14 @@ pub(crate) fn check_holds(op: &ReadOp, (rows, cols): (usize, usize)) -> Result<(
 }
 
 /// Read the member at `path` whole: its 2-D `dataset`, verified and
-/// decoded into a pooled buffer.
-pub(crate) fn read_member(path: &Path, dataset: &str) -> Result<Member> {
+/// decoded into a pooled buffer. A caller that planned an op on it
+/// passes it as `planned`, and the member is held to it by
+/// [`check_holds`] before a unit is decoded.
+pub(crate) fn read_member(path: &Path, dataset: &str, planned: Option<&ReadOp>) -> Result<Member> {
     let (f, (rows, cols)) = open(path, dataset)?;
+    if let Some(op) = planned {
+        check_holds(op, (rows, cols))?;
+    }
     let stored_bytes = f.dataset(dataset)?.stored_byte_len();
     let mut data = super::pool::f32s().acquire(rows * cols);
     f.read_into(dataset, &mut data)?;

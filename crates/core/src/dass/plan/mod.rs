@@ -75,43 +75,9 @@ impl ReadOp {
     }
 }
 
-/// Which §IV-B strategy a parallel read of a [`Vca`] uses. Both deliver
-/// to each rank its contiguous *channel block* of the full time extent
-/// — the decomposition every DASSA analysis uses — and return
-/// bit-identical arrays (property-tested), so callers choose purely on
-/// performance: Figure 7 measures ~37× in favour of
-/// communication-avoiding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadStrategy {
-    /// "Collective-per-file": one broadcast per member file
-    /// ([`Exchange::BcastPerFile`]).
-    CollectivePerFile,
-    /// The paper's communication-avoiding method
-    /// ([`Exchange::AllToAll`]).
-    CommAvoiding,
-    /// Pick per Figure 7: communication-avoiding when it can spread whole
-    /// files across ranks (`ranks > 1 && files >= ranks`), else
-    /// collective-per-file (single rank, or ranks that would sit idle in
-    /// the round-robin deal).
-    Auto,
-}
-
-impl ReadStrategy {
-    /// The concrete strategy [`ReadStrategy::Auto`] resolves to for a
-    /// world of `ranks` reading `files` member files.
-    pub fn resolve(self, ranks: usize, files: usize) -> ReadStrategy {
-        match self {
-            ReadStrategy::Auto => {
-                if ranks > 1 && files >= ranks {
-                    ReadStrategy::CommAvoiding
-                } else {
-                    ReadStrategy::CollectivePerFile
-                }
-            }
-            other => other,
-        }
-    }
-}
+/// Which §IV-B strategy a parallel read of a [`Vca`] uses: the `dasl`
+/// enum a `load(...)` clause names, resolved by [`IoPlan::for_vca`].
+pub use dasl::Strategy as ReadStrategy;
 
 /// How tiles travel from the rank that read them to the rank that owns
 /// their channel rows.
@@ -129,20 +95,6 @@ pub enum Exchange {
     /// channel block to its owner — exactly the needed bytes, and reads
     /// are contiguous and concurrent.
     AllToAll,
-}
-
-impl Exchange {
-    /// The exchange step implementing a *resolved* [`ReadStrategy`].
-    ///
-    /// # Panics
-    /// Panics on [`ReadStrategy::Auto`] — resolve it first.
-    pub fn for_strategy(strategy: ReadStrategy) -> Exchange {
-        match strategy {
-            ReadStrategy::CollectivePerFile => Exchange::BcastPerFile,
-            ReadStrategy::CommAvoiding => Exchange::AllToAll,
-            ReadStrategy::Auto => unreachable!("resolve the strategy before planning"),
-        }
-    }
 }
 
 /// A complete read plan: the DAG of [`ReadOp`]s (all independent),
@@ -165,9 +117,16 @@ pub struct IoPlan {
 
 impl IoPlan {
     /// Plan a full-extent parallel read of `vca` for a world of
-    /// `ranks`, with `strategy` resolved per [`ReadStrategy::resolve`].
+    /// `ranks`, resolving `strategy` to its exchange: `Auto` by the
+    /// heuristic on [`ReadStrategy::Auto`], `Modeled` by
+    /// [`choose_strategy_modeled`] on [`perfmodel::Machine::cori_haswell`].
     pub fn for_vca(vca: &Vca, strategy: ReadStrategy, ranks: usize) -> IoPlan {
-        let resolved = strategy.resolve(ranks, vca.n_files());
+        let exchange = match strategy {
+            ReadStrategy::Auto if ranks > 1 && vca.n_files() >= ranks => Exchange::AllToAll,
+            ReadStrategy::Auto | ReadStrategy::CollectivePerFile => Exchange::BcastPerFile,
+            ReadStrategy::CommAvoiding => Exchange::AllToAll,
+            ReadStrategy::Modeled => modeled_exchange(vca, ranks),
+        };
         let channels = vca.channels() as usize;
         let ops = vca
             .entries()
@@ -187,7 +146,7 @@ impl IoPlan {
             rows: channels,
             cols: vca.total_samples() as usize,
             ops,
-            exchange: Exchange::for_strategy(resolved),
+            exchange,
         }
     }
 
@@ -249,8 +208,7 @@ impl IoPlan {
     /// Windowed loads plan serial region reads ([`IoPlan::for_region`],
     /// the same path as `Vca::read_all_f32`); full-extent loads on more
     /// than one rank plan a §IV-B parallel read with the clause's
-    /// strategy — `auto` resolves heuristically, `modeled` prices both
-    /// strategies on [`perfmodel::Machine::cori_haswell`].
+    /// strategy ([`IoPlan::for_vca`]).
     pub fn for_load(vca: &Vca, spec: &dasl::LoadSpec, ranks: usize) -> Result<IoPlan> {
         let hz = vca.sampling_hz().max(1) as u64;
         let windowed = spec.time.is_some() || spec.channels.is_some();
@@ -262,18 +220,7 @@ impl IoPlan {
             ));
         }
         if ranks > 1 {
-            return Ok(match spec.strategy {
-                dasl::Strategy::Auto => IoPlan::for_vca(vca, ReadStrategy::Auto, ranks),
-                dasl::Strategy::Collective => {
-                    IoPlan::for_vca(vca, ReadStrategy::CollectivePerFile, ranks)
-                }
-                dasl::Strategy::CommAvoiding => {
-                    IoPlan::for_vca(vca, ReadStrategy::CommAvoiding, ranks)
-                }
-                dasl::Strategy::Modeled => {
-                    for_vca_modeled(vca, &perfmodel::Machine::cori_haswell(), ranks)
-                }
-            });
+            return Ok(IoPlan::for_vca(vca, spec.strategy, ranks));
         }
         let ch = match spec.channels {
             Some((a, b)) => a..b,
@@ -322,13 +269,12 @@ impl IoPlan {
 }
 
 /// Model-driven strategy choice: price both §IV-B strategies on a
-/// [`perfmodel::Machine`] and take the cheaper.
+/// [`perfmodel::Machine`] and return the cheaper one's exchange.
 ///
-/// Additive to the heuristic [`ReadStrategy::resolve`] (which stays the
-/// default): collective-per-file serializes `files` reads on one
-/// aggregator at a time and broadcasts every file whole, while
-/// communication-avoiding spreads reads across ranks and pays a single
-/// all-to-all of `total/ranks` bytes per rank.
+/// [`ReadStrategy::Modeled`] resolves through it: collective-per-file
+/// serializes `files` reads on one aggregator at a time and broadcasts
+/// every file whole, while communication-avoiding spreads reads across
+/// ranks and pays a single all-to-all of `total/ranks` bytes per rank.
 ///
 /// Codec-aware (DASF v4): `stored_bytes_per_file` is what actually
 /// leaves the disks, so I/O is priced on it, while broadcast and
@@ -338,16 +284,16 @@ impl IoPlan {
 /// the collective aggregator decodes every file serially before
 /// broadcasting, whereas communication-avoiding readers each decode
 /// only their own share — a cranked-up decode rate therefore pushes the
-/// model toward [`ReadStrategy::CommAvoiding`].
+/// model toward [`Exchange::AllToAll`].
 pub fn choose_strategy_modeled(
     machine: &perfmodel::Machine,
     ranks: usize,
     files: usize,
     raw_bytes_per_file: u64,
     stored_bytes_per_file: u64,
-) -> ReadStrategy {
+) -> Exchange {
     if ranks <= 1 || files == 0 {
-        return ReadStrategy::CollectivePerFile;
+        return Exchange::BcastPerFile;
     }
     let n = files as u64;
     let raw_total = n * raw_bytes_per_file;
@@ -375,20 +321,20 @@ pub fn choose_strategy_modeled(
         + per_rank_files as f64 * decode_per_file
         + machine.alltoallv_time(ranks, raw_total / ranks as u64);
     if comm_avoiding <= collective {
-        ReadStrategy::CommAvoiding
+        Exchange::AllToAll
     } else {
-        ReadStrategy::CollectivePerFile
+        Exchange::BcastPerFile
     }
 }
 
-/// [`IoPlan::for_vca`] with the strategy chosen by
-/// [`choose_strategy_modeled`] instead of the heuristic.
+/// The exchange [`choose_strategy_modeled`] picks for `vca` on `ranks`
+/// ranks of a Cori-class machine.
 ///
 /// The stored (on-disk) size is sampled from the first member's
 /// metadata — one cheap metadata-only open. Files written raw, v3
 /// files, and files that cannot be opened here all price as
 /// uncompressed (`stored == raw`).
-pub fn for_vca_modeled(vca: &Vca, machine: &perfmodel::Machine, ranks: usize) -> IoPlan {
+fn modeled_exchange(vca: &Vca, ranks: usize) -> Exchange {
     let raw_bytes_per_file = if vca.n_files() == 0 {
         0
     } else {
@@ -405,14 +351,13 @@ pub fn for_vca_modeled(vca: &Vca, machine: &perfmodel::Machine, ranks: usize) ->
                 .map(|m| m.stored_byte_len())
         })
         .unwrap_or(raw_bytes_per_file);
-    let strategy = choose_strategy_modeled(
-        machine,
+    choose_strategy_modeled(
+        &perfmodel::Machine::cori_haswell(),
         ranks,
         vca.n_files(),
         raw_bytes_per_file,
         stored_bytes_per_file,
-    );
-    IoPlan::for_vca(vca, strategy, ranks)
+    )
 }
 
 #[cfg(test)]
@@ -460,6 +405,16 @@ mod tests {
         // More ranks than files → collective-per-file.
         let plan = IoPlan::for_vca(&vca, ReadStrategy::Auto, 9);
         assert_eq!(plan.exchange, Exchange::BcastPerFile);
+        // `Modeled` takes what the Cori-class model prices cheaper for
+        // these four uncompressed 4 x 10 files.
+        let raw = 4 * 10 * 4;
+        let m = perfmodel::Machine::cori_haswell();
+        for ranks in [1, 2, 4] {
+            assert_eq!(
+                IoPlan::for_vca(&vca, ReadStrategy::Modeled, ranks).exchange,
+                choose_strategy_modeled(&m, ranks, 4, raw, raw)
+            );
+        }
     }
 
     #[test]
@@ -493,12 +448,12 @@ mod tests {
         // Uncompressed corpus: stored == raw.
         assert_eq!(
             choose_strategy_modeled(&m, 8, 64, 30 << 20, 30 << 20),
-            ReadStrategy::CommAvoiding
+            Exchange::AllToAll
         );
         // Degenerate single-rank world: nothing to exchange.
         assert_eq!(
             choose_strategy_modeled(&m, 1, 64, 30 << 20, 30 << 20),
-            ReadStrategy::CollectivePerFile
+            Exchange::BcastPerFile
         );
     }
 
@@ -523,7 +478,7 @@ mod tests {
         let stored = raw / 2;
         assert_eq!(
             choose_strategy_modeled(&m, ranks, files, raw, stored),
-            ReadStrategy::CollectivePerFile
+            Exchange::BcastPerFile
         );
         let slow_decode = perfmodel::Machine {
             decode_ns_per_byte: 50.0,
@@ -531,13 +486,13 @@ mod tests {
         };
         assert_eq!(
             choose_strategy_modeled(&slow_decode, ranks, files, raw, stored),
-            ReadStrategy::CommAvoiding
+            Exchange::AllToAll
         );
         // Uncompressed files (stored == raw) never pay decode, so the
         // cranked rate must not leak into their pricing.
         assert_eq!(
             choose_strategy_modeled(&slow_decode, ranks, files, raw, raw),
-            ReadStrategy::CollectivePerFile
+            Exchange::BcastPerFile
         );
     }
 }

@@ -301,14 +301,44 @@ fn in_world<T: Send + 'static>(
     })
 }
 
+/// Whether this process runs `test` by itself. Otherwise it re-runs
+/// `test` alone in a child process of this test binary, fails if the
+/// child does, and returns `false`. A process-wide counter such as
+/// `dasf.open.count` takes exact values only where no other test runs
+/// beside the one reading it.
+fn alone(test: &str) -> bool {
+    const ALONE: &str = "DASSA_TEST_ALONE";
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let exe = std::env::current_exe().expect("the test binary");
+    let out = std::process::Command::new(exe)
+        .args([test, "--exact", "--test-threads=1"])
+        .env(ALONE, "1")
+        .output()
+        .expect("run the test alone");
+    let said = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && said.contains("1 passed"),
+        "{test}, run alone:\n{said}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
 /// Fail-fast over a world: a member nobody can read — its bytes rotten
 /// on disk, or the file rewritten at another shape after the scan — is
 /// an error on **every** rank: the owner's the typed one, the others'
 /// naming the file and the owner. Nobody is left waiting in a
 /// collective the owner never entered. Under quarantine the same member
-/// is a zero span, reported alike on every rank.
+/// is a zero span, reported alike on every rank; a rotten member is
+/// read again up to the budget, a reshaped one only once. The test
+/// counts `dasf.open.count`, so it runs in a process of its own.
 #[test]
 fn fail_fast_fails_every_rank_and_strands_none() {
+    if !alone("dass::plan::world_tests::fail_fast_fails_every_rank_and_strands_none") {
+        return;
+    }
     let rotten = sample_vca("exec-fail-fast-world", 4, 6, 30);
     let clean = rotten.read_all_f32().unwrap();
     let path = &rotten.entries()[1].path;
@@ -324,9 +354,9 @@ fn fail_fast_fails_every_rank_and_strands_none() {
     let reshaped = sample_vca("exec-reshaped-world", 4, 6, 30);
     reshape_member(&reshaped.entries()[1], 5, 30);
 
-    // A damaged corpus, what its owner returns, and the cause the
-    // other ranks are told.
-    type Damage = (Vca, fn(&DassaError) -> bool, &'static str);
+    // A damaged corpus, what its owner returns, the cause the other
+    // ranks are told, and the retries a quarantining read spends on it.
+    type Damage = (Vca, fn(&DassaError) -> bool, &'static str, u64);
     let damages: [Damage; 2] = [
         (
             rotten,
@@ -337,14 +367,17 @@ fn fail_fast_fails_every_rank_and_strands_none() {
                 )
             },
             "checksum mismatch",
+            MAX_READ_ATTEMPTS as u64 - 1,
         ),
         (
             reshaped,
             |e| matches!(e, DassaError::Inconsistent(_)),
             "inconsistent",
+            0,
         ),
     ];
-    for (vca, owner_error, cause) in damages {
+    let opens = obs::global().counter(dasf::metrics::names::OPEN_COUNT);
+    for (vca, owner_error, cause, retries) in damages {
         let damaged = vca.entries()[1].path.to_str().unwrap().to_string();
         for ranks in [2usize, 3] {
             for strategy in BOTH {
@@ -371,13 +404,21 @@ fn fail_fast_fails_every_rank_and_strands_none() {
                     }
 
                     let v = vca.clone();
+                    let before = opens.get();
                     let kept =
                         in_world(ranks, chaos, move |comm| read_resilient(comm, &v, strategy));
+                    let opened = opens.get() - before;
                     let (blocks, reports): (Vec<_>, Vec<_>) = kept.into_iter().unzip();
                     for r in &reports {
                         assert_eq!(r.quarantined, [1], "{what}");
                         assert_eq!(r.zero_samples, 6 * 30, "{what}");
+                        assert_eq!(r.io_retries, retries, "{what}");
                     }
+                    assert_eq!(
+                        opened,
+                        vca.n_files() as u64 + retries,
+                        "{what}: one open per member and per retry"
+                    );
                     assert_zero_filled(&Array2::vstack(&blocks), &clean, &vca, &[1]);
                 }
             }

@@ -155,7 +155,7 @@ impl ChunkCache {
             }
         }
         self.miss.inc();
-        let member = Arc::new(read_member(path, &self.dataset)?);
+        let member = Arc::new(read_member(path, &self.dataset, None)?);
         let nbytes = member.bytes();
         self.stored.add(member.stored_bytes());
 

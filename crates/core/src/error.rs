@@ -13,7 +13,10 @@ pub enum DassaError {
     Regex(regexlite::ParseError),
     /// A timestamp string is not `yymmddhhmmss`.
     BadTimestamp(String),
-    /// VCA members disagree on shape or sampling.
+    /// Data disagree with each other or with what was planned: VCA
+    /// members on shape or sampling, a member rewritten at another shape
+    /// since the scan, a stream's minutes, a checkpoint and its
+    /// configuration.
     Inconsistent(String),
     /// The requested selection is empty or out of range.
     BadSelection(String),
@@ -30,7 +33,7 @@ impl fmt::Display for DassaError {
             DassaError::Io(e) => write!(f, "I/O error: {e}"),
             DassaError::Regex(e) => write!(f, "regex error: {e}"),
             DassaError::BadTimestamp(s) => write!(f, "bad timestamp (want yymmddhhmmss): {s}"),
-            DassaError::Inconsistent(msg) => write!(f, "inconsistent VCA members: {msg}"),
+            DassaError::Inconsistent(msg) => write!(f, "inconsistent data: {msg}"),
             DassaError::BadSelection(msg) => write!(f, "bad selection: {msg}"),
             DassaError::MissingMetadata { path, key } => {
                 write!(f, "file {path} lacks required metadata key {key:?}")

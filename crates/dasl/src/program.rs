@@ -12,18 +12,28 @@
 use crate::types::Ty;
 use std::fmt;
 
-/// How the lowered `IoPlan` should pick its §IV-B read strategy.
+/// Which §IV-B strategy a parallel read uses — the one enum for it,
+/// spelled `strategy="..."` in a `load(...)` clause and re-exported by
+/// the engine as `dass::ReadStrategy`. `IoPlan::for_vca` resolves every
+/// value to an exchange. Both concrete strategies deliver to each rank
+/// its contiguous channel block of the full time extent and return
+/// bit-identical arrays, so the choice is purely one of performance:
+/// Figure 7 measures ~37× in favour of communication-avoiding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Heuristic resolution (`ReadStrategy::Auto`).
+    /// Communication-avoiding when it can spread whole files across
+    /// ranks (`ranks > 1 && files >= ranks`), else collective-per-file
+    /// (single rank, or ranks that would sit idle in the round-robin
+    /// deal).
     #[default]
     Auto,
-    /// Force collective-per-file (Figure 5a).
-    Collective,
-    /// Force communication-avoiding (Figure 5b).
+    /// Collective-per-file (Figure 5a): one broadcast per member file.
+    CollectivePerFile,
+    /// The paper's communication-avoiding method (Figure 5b): one
+    /// all-to-all.
     CommAvoiding,
-    /// Price both strategies on the performance model and take the
-    /// cheaper (`choose_strategy_modeled`).
+    /// Price both strategies on a Cori-class performance model and
+    /// take the cheaper (`choose_strategy_modeled`).
     Modeled,
 }
 
@@ -31,7 +41,7 @@ impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Strategy::Auto => write!(f, "auto"),
-            Strategy::Collective => write!(f, "collective"),
+            Strategy::CollectivePerFile => write!(f, "collective"),
             Strategy::CommAvoiding => write!(f, "comm_avoiding"),
             Strategy::Modeled => write!(f, "modeled"),
         }

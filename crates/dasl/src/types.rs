@@ -366,7 +366,7 @@ fn check_load(stage: &Stage) -> Result<Program, Error> {
         Some(a) => match &a.value {
             Expr::Str(s, span) => match s.as_str() {
                 "auto" => Strategy::Auto,
-                "collective" => Strategy::Collective,
+                "collective" => Strategy::CollectivePerFile,
                 "comm_avoiding" => Strategy::CommAvoiding,
                 "modeled" => Strategy::Modeled,
                 other => {

@@ -46,7 +46,7 @@ pub struct Comm {
     /// This rank's own registry, a child of the world registry: the
     /// per-rank view gathered by [`Comm::try_cluster_snapshot`].
     rank_registry: Arc<obs::Registry>,
-    /// Receive patience for the fallible (`try_*`) collectives.
+    /// Receive patience for the collectives.
     policy: RetryPolicy,
     /// The world's fault plan, if this is a chaos world.
     faults: Option<Arc<FaultPlan>>,
@@ -91,7 +91,8 @@ impl Comm {
     /// `Some(cluster)` with one section per rank (plus per-metric
     /// min/mean/max and imbalance accessors), other ranks `None`.
     ///
-    /// Costs one gather. Under a fault plan a dead rank refuses with
+    /// Costs one gather, each snapshot counted at the length of its JSON
+    /// form. Under a fault plan a dead rank refuses with
     /// [`CommError::RankDead`] and the root times out waiting for its
     /// snapshot, like any other collective.
     pub fn try_cluster_snapshot(&self) -> Result<Option<obs::ClusterSnapshot>, CommError> {
@@ -336,9 +337,8 @@ where
 }
 
 /// Spawn a *chaos world*: like [`run`], but every rank lives under
-/// `plan` (a [`faultline::FaultPlan`]) and the fallible (`try_*`)
-/// collectives wait with the bounded `policy` instead of blocking
-/// forever.
+/// `plan` (a [`faultline::FaultPlan`]) and the collectives wait with the
+/// bounded `policy` instead of blocking forever.
 ///
 /// Under the plan, a rank for which `minimpi.rank.dead` fires is *dead*:
 /// it sends nothing (counted in `minimpi.send.suppressed`) and its
@@ -599,7 +599,8 @@ mod tests {
         let registry = Arc::new(obs::Registry::new());
         registry.install_tracer(Arc::new(obs::Tracer::new()));
         run_in_registry(3, Arc::clone(&registry), |comm| {
-            comm.bcast(0, (comm.rank() == 0).then_some(1u8));
+            comm.try_bcast(0, (comm.rank() == 0).then(|| vec![1u8]))
+                .unwrap();
         });
         let trace = registry.tracer().expect("installed").collect();
         assert_eq!(trace.dropped, 0);

@@ -1,11 +1,10 @@
 //! Typed communication errors and the bounded retry policy.
 //!
-//! The infallible collectives ([`crate::Comm::bcast`] & co.) keep MPI's
-//! classic contract: block forever, panic on misuse. Production DAS
-//! ingest cannot afford either, so every collective also has a `try_*`
-//! form returning [`CommError`]; how patiently those wait is governed by
-//! a [`RetryPolicy`] fixed per world at construction time
-//! ([`crate::run_chaos`]).
+//! MPI's classic contract is to block forever and abort on misuse.
+//! Production DAS ingest can afford neither, so every collective
+//! ([`crate::Comm::try_bcast`] & co.) returns [`CommError`] instead; how
+//! patiently they wait is governed by a [`RetryPolicy`] fixed per world
+//! at construction time ([`crate::run_chaos`]).
 
 use std::fmt;
 use std::time::Duration;

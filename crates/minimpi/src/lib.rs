@@ -10,12 +10,12 @@
 //! * [`run`] spawns `n` ranks as OS threads and hands each a [`Comm`];
 //! * the collectives DASSA sends, built on a crate-private point-to-point
 //!   layer with tag matching and an unexpected-message queue, like a real
-//!   MPI progress engine — binomial-tree
-//!   [`Comm::bcast`] (and [`Comm::try_bcast_payload`], one per file for
-//!   the collective-per-file reader), [`Comm::gather`], and the pairwise
-//!   [`Comm::try_alltoallv_payload`] that ends the communication-avoiding
-//!   reader — so message counts match what a classic MPI implementation
-//!   would issue;
+//!   MPI progress engine — the binomial-tree [`Comm::try_bcast`] (one per
+//!   file for the collective-per-file reader), [`Comm::try_gather`], and
+//!   the pairwise [`Comm::try_alltoallv_payload`] that ends the
+//!   communication-avoiding reader — so message counts match what a
+//!   classic MPI implementation would issue, and bytes are what each
+//!   [`WirePayload`] would put on a wire;
 //! * per-world [`CommStats`] counting messages, bytes, and collective
 //!   calls. The DASSA performance model consumes these counters to price
 //!   runs at supercomputer scale.
@@ -23,12 +23,12 @@
 //! # Example
 //! ```
 //! // Rank 0 broadcasts a value; every rank answers; rank 0 gathers.
-//! let results = minimpi::run(4, |comm| {
-//!     let base = comm.bcast(0, (comm.rank() == 0).then_some(10u64));
-//!     comm.gather(0, base + comm.rank() as u64)
+//! let results = minimpi::run(4, |comm| -> Result<_, minimpi::CommError> {
+//!     let base = comm.try_bcast(0, (comm.rank() == 0).then(|| vec![10u64]))?;
+//!     comm.try_gather(0, vec![base[0] + comm.rank() as u64])
 //! });
-//! assert_eq!(results[0], Some(vec![10, 11, 12, 13]));
-//! assert!(results[1..].iter().all(Option::is_none));
+//! assert_eq!(results[0], Ok(Some(vec![vec![10], vec![11], vec![12], vec![13]])));
+//! assert!(results[1..].iter().all(|r| r == &Ok(None)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,12 +52,12 @@ mod tests {
         let out = run(1, |comm| {
             assert_eq!(comm.rank(), 0);
             assert_eq!(comm.size(), 1);
-            let b = comm.bcast(0, Some(5u32));
-            let g = comm.gather(0, b);
-            let a = comm.try_alltoallv_payload(vec![vec![vec![b]]]).unwrap();
+            let b = comm.try_bcast(0, Some(vec![5u32])).unwrap();
+            let g = comm.try_gather(0, b.clone()).unwrap();
+            let a = comm.try_alltoallv_payload(vec![vec![b]]).unwrap();
             (g, a)
         });
-        assert_eq!(out, vec![(Some(vec![5]), vec![vec![vec![5]]])]);
+        assert_eq!(out, vec![(Some(vec![vec![5]]), vec![vec![vec![5]]])]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ proptest! {
         let root = (root_frac * size as f64) as usize % size;
         let out = run(size, |comm| {
             let v = if comm.rank() == root { Some(payload.clone()) } else { None };
-            comm.bcast(root, v)
+            comm.try_bcast(root, v).unwrap()
         });
         for got in out {
             prop_assert_eq!(&got, &payload);
@@ -23,8 +23,10 @@ proptest! {
     #[test]
     fn gather_and_allgather_preserve_rank_order(size in 1usize..9,
                                                 base in any::<u32>()) {
-        let out = run(size, |comm| comm.gather(0, base.wrapping_add(comm.rank() as u32)));
-        let expect: Vec<u32> = (0..size).map(|r| base.wrapping_add(r as u32)).collect();
+        let out = run(size, |comm| {
+            comm.try_gather(0, vec![base.wrapping_add(comm.rank() as u32)]).unwrap()
+        });
+        let expect: Vec<Vec<u32>> = (0..size).map(|r| vec![base.wrapping_add(r as u32)]).collect();
         prop_assert_eq!(out[0].clone(), Some(expect));
         for got in &out[1..] {
             prop_assert_eq!(got, &None);
@@ -59,8 +61,8 @@ proptest! {
             let mut acc = Vec::new();
             for r in 0..rounds {
                 let root = r % size;
-                let b = comm.bcast(root, (comm.rank() == root).then_some(r * 100));
-                let g = comm.gather(root, r * 10 + comm.rank());
+                let b = comm.try_bcast(root, (comm.rank() == root).then(|| vec![r * 100])).unwrap();
+                let g = comm.try_gather(root, vec![r * 10 + comm.rank()]).unwrap();
                 let bufs: Vec<Vec<Vec<usize>>> =
                     (0..size).map(|d| vec![vec![r, comm.rank(), d]]).collect();
                 let a = comm.try_alltoallv_payload(bufs).unwrap();
@@ -70,8 +72,8 @@ proptest! {
         });
         for (rank, view) in out.iter().enumerate() {
             for (r, (b, g, a)) in view.iter().enumerate() {
-                prop_assert_eq!(*b, r * 100);
-                let expect_g: Vec<usize> = (0..size).map(|k| r * 10 + k).collect();
+                prop_assert_eq!(b, &vec![r * 100]);
+                let expect_g: Vec<Vec<usize>> = (0..size).map(|k| vec![r * 10 + k]).collect();
                 prop_assert_eq!(g.clone(), (rank == r % size).then_some(expect_g));
                 let expect_a: Vec<Vec<Vec<usize>>> =
                     (0..size).map(|src| vec![vec![r, src, rank]]).collect();

@@ -136,7 +136,7 @@ fn dead_rank_surfaces_as_timeout_not_hang() {
     let plan = std::sync::Arc::new(faultline::FaultPlan::new(0));
     let (out, _) = minimpi::run_chaos(2, plan, policy, |comm| {
         if comm.rank() == 0 {
-            comm.try_gather(0, 42u64).map(drop)
+            comm.try_gather(0, vec![42u64]).map(drop)
         } else {
             Ok(())
         }

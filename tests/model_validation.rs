@@ -151,22 +151,12 @@ fn modeled_orderings_match_measured_orderings() {
     let ca = comm_stats(&vca, 3, ReadStrategy::CommAvoiding, Resilience::FailFast);
     assert!(ca.p2p_bytes < coll.p2p_bytes);
 
-    // 2. Hybrid ≤ pure MPI in read time at any node count (model) —
-    //    measured counterpart is the io_requests_per_node accounting.
+    // 2. Hybrid ≤ pure MPI in read time at any node count (model).
     for nodes in [91usize, 364, 728] {
         let p = model_fig8(&m, &cal, &w, nodes, Layout::PureMpi { procs_per_node: 16 });
         let h = model_fig8(&m, &cal, &w, nodes, Layout::Hybrid { threads: 16 });
         assert!(h.read_s <= p.read_s + 1e-12, "nodes={nodes}");
     }
-    use dassa::prelude::*;
-    assert!(
-        Haee::builder().threads(16).build().io_requests_per_node()
-            < Haee::builder()
-                .ranks(16)
-                .threads(1)
-                .build()
-                .io_requests_per_node()
-    );
 
     // 3. Weak-scaling I/O efficiency decays monotonically.
     let pts = model_fig11_weak(&m, &cal, 171 << 20, &[91, 182, 364, 728, 1456], 8);
